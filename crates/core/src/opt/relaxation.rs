@@ -24,6 +24,12 @@
 //!   what keeps the `OPT2` bracket tight when `n/m` is large: with many
 //!   users per link the attainable minima sit well below `c_max`, heavy
 //!   users are barred from their slow links, and the DP knows both.
+//!   The bisection shares one memoised DP ([`VolumeDp`]): each column is
+//!   sorted once, a step's filtered columns are masks of that order, and a
+//!   column's filtered count fixes its contents. So each step keeps the DP
+//!   rows of the links before the first one whose count changed, restarts
+//!   from there, and costs nothing when no count changed. The bounds are
+//!   bit-identical to running every step's DP from scratch.
 //! * **Interaction bound (size-partition DP).** Splitting user `i`'s
 //!   latency as `(tₗ + wᵢ)/cᵢℓ + (Lₗ − wᵢ)/cᵢℓ` and relaxing the second
 //!   term's capacity to `c_max` gives
@@ -80,117 +86,204 @@ fn min_congestion_mass(game: &EffectiveGame) -> f64 {
     for (i, &w) in weights.iter().enumerate() {
         prefix[i + 1] = prefix[i] + w;
     }
+    let sizes: Vec<f64> = (1..=n).map(|size| size as f64).collect();
     // dp[r] = min mass covering the first r (heaviest) users with the
     // blocks allowed so far; one more block per outer round.
     let mut dp = vec![f64::INFINITY; n + 1];
     dp[0] = 0.0;
+    let mut next = dp.clone();
     for _block in 0..m.min(n) {
-        let mut next = dp.clone();
+        next.copy_from_slice(&dp);
         for r in 0..n {
-            if !dp[r].is_finite() {
+            let base = dp[r];
+            if !base.is_finite() {
                 continue;
             }
-            for end in (r + 1)..=n {
-                let size = (end - r) as f64;
-                let mass = dp[r] + size * (prefix[end] - prefix[r]);
-                if mass < next[end] {
-                    next[end] = mass;
-                }
+            let start = prefix[r];
+            // Block r..end for every end > r, as one zipped pass over the
+            // slots, prefixes and sizes so the loop vectorises.
+            let slots = next[r + 1..].iter_mut().zip(&prefix[r + 1..]);
+            for ((slot, &end), &size) in slots.zip(&sizes) {
+                let mass = base + size * (end - start);
+                *slot = if mass < *slot { mass } else { *slot };
             }
         }
-        dp = next;
+        std::mem::swap(&mut dp, &mut next);
     }
     dp[n]
 }
 
-/// The largest value `Σₗ colcapₗ(kₗ)` can take over all ways of placing the
-/// `n` users onto the links (`colcapₗ(k)` = `k`-th largest capacity in
-/// column `ℓ`; empty links contribute nothing), with each column restricted
-/// to the capacities in `columns`. Returns `None` when the columns cannot
-/// host all `n` users at once. An exact allocation DP over links.
-fn allocation_value(n: usize, columns: &[Vec<f64>]) -> Option<f64> {
-    let mut dp = vec![f64::NEG_INFINITY; n + 1];
-    dp[0] = 0.0;
-    for column in columns {
-        let mut next = dp.clone(); // k = 0: the link stays empty
-        for placed in 0..n {
-            if !dp[placed].is_finite() {
-                continue;
-            }
-            for k in 1..=column.len().min(n - placed) {
-                let value = dp[placed] + column[k - 1];
-                if value > next[placed + k] {
-                    next[placed + k] = value;
+/// One link's side of the volume DP.
+struct LinkColumn {
+    /// The link's capacities over all users, in decreasing order.
+    sorted: Vec<f64>,
+    /// Each of those users' solo latency `(tₗ + wᵢ)/cᵢℓ` on the link, in
+    /// the same order.
+    solo: Vec<f64>,
+    /// The capacities of the users whose solo latency fits under the last
+    /// evaluated `τ`, in decreasing order.
+    column: Vec<f64>,
+}
+
+/// The allocation DP of the volume bound, memoised across the steps of the
+/// `τ`-bisection.
+///
+/// [`VolumeDp::value`] returns the largest value `Σₗ colcapₗ(kₗ)` can take
+/// over all ways of placing the `n` users onto the links (`colcapₗ(k)` =
+/// `k`-th largest capacity in column `ℓ`; empty links contribute nothing),
+/// where column `ℓ` only keeps the capacities of users whose *solo* latency
+/// on `ℓ` fits under `τ` — anyone else cannot sit there in an assignment
+/// with `SC2 ≤ τ`. It is `None` when the columns cannot host all `n` users
+/// at once.
+///
+/// A column's filtered set `{i : (tₗ + wᵢ)/cᵢℓ ≤ τ}` only grows with `τ`,
+/// so two values of `τ` with the same count on a link give the same column,
+/// and the DP rows before the first link whose count changed are the
+/// previous evaluation's rows. Each evaluation therefore masks the
+/// once-sorted capacities, restarts the DP at the first changed link, and
+/// returns the previous value outright when no count changed. Every sum and
+/// comparison is the one a from-scratch DP makes, so the values are
+/// bit-identical to it.
+struct VolumeDp {
+    links: Vec<LinkColumn>,
+    /// `rows[ℓ]` is the DP row before link `ℓ`: `rows[ℓ][p]` = the best
+    /// value placing `p` users on links `0..ℓ` (`-∞` when impossible).
+    rows: Vec<Vec<f64>>,
+    /// The last evaluation's value; `None` before the first evaluation.
+    last: Option<Option<f64>>,
+    /// The link each evaluation restarted the DP at (`links` for a reuse).
+    #[cfg(test)]
+    starts: Vec<usize>,
+}
+
+impl VolumeDp {
+    fn new(game: &EffectiveGame, initial: &LinkLoads) -> Self {
+        let n = game.users();
+        let links = (0..game.links())
+            .map(|link| {
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by(|&a, &b| game.capacity(b, link).total_cmp(&game.capacity(a, link)));
+                LinkColumn {
+                    sorted: order.iter().map(|&i| game.capacity(i, link)).collect(),
+                    solo: order
+                        .iter()
+                        .map(|&i| (initial.load(link) + game.weight(i)) / game.capacity(i, link))
+                        .collect(),
+                    column: Vec::with_capacity(n),
                 }
+            })
+            .collect();
+        let mut empty = vec![f64::NEG_INFINITY; n + 1];
+        empty[0] = 0.0;
+        VolumeDp {
+            links,
+            rows: vec![empty; game.links()],
+            last: None,
+            #[cfg(test)]
+            starts: Vec::new(),
+        }
+    }
+
+    /// The DP value with every user placeable everywhere (`τ = ∞`: solo
+    /// latencies of a validated game are never NaN) — a validated game
+    /// always admits this allocation.
+    fn unfiltered(&mut self) -> f64 {
+        self.value(f64::INFINITY)
+            .expect("unfiltered columns host every user")
+    }
+
+    /// The DP value over the columns filtered at `tau` (see the type docs).
+    fn value(&mut self, tau: f64) -> Option<f64> {
+        let m = self.links.len();
+        let mut start = if self.last.is_some() { m } else { 0 };
+        for (l, link) in self.links.iter_mut().enumerate() {
+            let count = link.solo.iter().filter(|&&solo| solo <= tau).count();
+            if count != link.column.len() {
+                link.column.clear();
+                link.column.extend(
+                    link.sorted
+                        .iter()
+                        .zip(&link.solo)
+                        .filter(|&(_, &solo)| solo <= tau)
+                        .map(|(&capacity, _)| capacity),
+                );
+                start = start.min(l);
             }
         }
-        dp = next;
+        #[cfg(test)]
+        self.starts.push(start);
+        if start == m {
+            return self.last.expect("only an evaluated DP skips every link");
+        }
+        for l in start..m - 1 {
+            let (done, rest) = self.rows.split_at_mut(l + 1);
+            allocation_pass(&done[l], &self.links[l].column, &mut rest[0]);
+        }
+        let best = allocation_target(&self.rows[m - 1], &self.links[m - 1].column);
+        let value = best.is_finite().then_some(best);
+        self.last = Some(value);
+        value
     }
-    dp[n].is_finite().then_some(dp[n])
 }
 
-/// The unfiltered per-link capacity columns, sorted in decreasing order.
-fn sorted_columns(game: &EffectiveGame) -> Vec<Vec<f64>> {
-    (0..game.links())
-        .map(|link| {
-            let mut column: Vec<f64> = (0..game.users()).map(|i| game.capacity(i, link)).collect();
-            column.sort_by(|a, b| b.partial_cmp(a).expect("finite capacities"));
-            column
-        })
-        .collect()
+/// One link of the allocation DP: `next[p]` = the best of leaving the link
+/// empty (`prev[p]`) and putting `k ≥ 1` users on it
+/// (`prev[p − k] + column[k − 1]`).
+fn allocation_pass(prev: &[f64], column: &[f64], next: &mut [f64]) {
+    let n = prev.len() - 1;
+    next.copy_from_slice(prev);
+    for (placed, &base) in prev[..n].iter().enumerate() {
+        if !base.is_finite() {
+            continue;
+        }
+        let reach = column.len().min(n - placed);
+        let slots = &mut next[placed + 1..placed + 1 + reach];
+        for (slot, &capacity) in slots.iter_mut().zip(&column[..reach]) {
+            let value = base + capacity;
+            *slot = if value > *slot { value } else { *slot };
+        }
+    }
 }
 
-/// `max Σₗ colcapₗ(kₗ)` with every user placeable everywhere (a validated
-/// game always admits this allocation).
-fn max_total_min_capacity(game: &EffectiveGame) -> f64 {
-    allocation_value(game.users(), &sorted_columns(game))
-        .expect("unfiltered columns host every user")
-}
-
-/// As [`max_total_min_capacity`], but columns only keep the capacities of
-/// users whose *solo* latency on that link fits under `tau` — anyone else
-/// cannot sit there in an assignment with `SC2 ≤ tau`.
-fn filtered_allocation_value(game: &EffectiveGame, initial: &LinkLoads, tau: f64) -> Option<f64> {
-    let columns: Vec<Vec<f64>> = (0..game.links())
-        .map(|link| {
-            let mut column: Vec<f64> = (0..game.users())
-                .filter(|&i| (initial.load(link) + game.weight(i)) / game.capacity(i, link) <= tau)
-                .map(|i| game.capacity(i, link))
-                .collect();
-            column.sort_by(|a, b| b.partial_cmp(a).expect("finite capacities"));
-            column
-        })
-        .collect();
-    allocation_value(game.users(), &columns)
+/// [`allocation_pass`] on the last link, where only `next[n]` is needed.
+fn allocation_target(prev: &[f64], column: &[f64]) -> f64 {
+    let n = prev.len() - 1;
+    let reach = column.len().min(n);
+    let mut best = prev[n];
+    for (&base, &capacity) in prev[n - reach..n].iter().rev().zip(&column[..reach]) {
+        if base.is_finite() {
+            let value = base + capacity;
+            if value > best {
+                best = value;
+            }
+        }
+    }
+    best
 }
 
 /// The bisected volume bound on `OPT2`: the largest `τ` (within a fixed
 /// bisection depth) at which the filtered allocation DP proves that no
 /// assignment can keep every latency at or below `τ`.
-fn volume_bound(
-    game: &EffectiveGame,
-    initial: &LinkLoads,
-    total: f64,
-    check: OptCheckpoint<'_>,
-) -> f64 {
-    let base = total / max_total_min_capacity(game);
+fn volume_bound(dp: &mut VolumeDp, total: f64, check: OptCheckpoint<'_>) -> f64 {
+    let base = total / dp.unfiltered();
     // `base` is already certified infeasible (see below), so an expired
-    // deadline can stop before — or between — the expensive filtered DPs
-    // and still return a valid bound.
+    // deadline can stop before — or between — the filtered DPs and still
+    // return a valid bound.
     if check.expired() {
         return base;
     }
-    let infeasible = |tau: f64| match filtered_allocation_value(game, initial, tau) {
+    let mut infeasible = |tau: f64| match dp.value(tau) {
         None => true,
         Some(value) => tau * value < total,
     };
     // `h(τ) = τ·maxΣ(τ)` is nondecreasing, so infeasibility is downward
     // closed and bisection applies. `base` is infeasible by construction
     // (`base·maxΣ(base) ≤ base·maxΣ(∞) = W`); widen upward from there.
-    // Every iteration pays a full filtered allocation DP, so the loop stops
-    // as soon as the interval is resolved to 0.1% — the returned `lo` is
-    // infeasible at any stopping point, so the bound stays certified and a
-    // fired deadline merely leaves the interval wider.
+    // Each step re-runs the DP only from the first link whose filtered
+    // count changed, and the loop stops as soon as the interval is
+    // resolved to 0.1% — the returned `lo` is infeasible at any stopping
+    // point, so the bound stays certified and a fired deadline merely
+    // leaves the interval wider.
     let mut lo = base;
     let mut hi = base * 8.0;
     if infeasible(hi) {
@@ -232,7 +325,7 @@ pub fn lower_bounds_under(
 
     let total: f64 = game.total_traffic();
     let c_max = game.capacities().max();
-    let volume2 = volume_bound(game, initial, total, check);
+    let volume2 = volume_bound(&mut VolumeDp::new(game, initial), total, check);
     let opt2 = singleton_max.max(volume2);
 
     let interaction = if check.expired() {
@@ -283,6 +376,8 @@ impl OptEstimator for Relaxation {
 mod tests {
     use super::*;
     use crate::opt::exhaustive::social_optimum;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn mild_game() -> EffectiveGame {
         EffectiveGame::from_rows(
@@ -343,8 +438,8 @@ mod tests {
         // here exactly (each user alone: latency 1/10).
         let g = EffectiveGame::from_rows(vec![1.0, 1.0], vec![vec![10.0, 1.0], vec![1.0, 10.0]])
             .unwrap();
-        assert!((max_total_min_capacity(&g) - 20.0).abs() < 1e-12);
         let t = LinkLoads::zero(2);
+        assert!((VolumeDp::new(&g, &t).unfiltered() - 20.0).abs() < 1e-12);
         let (_, lb2) = lower_bounds(&g, &t);
         let exact = social_optimum(&g, &t, 1_000).unwrap();
         assert!((lb2 - exact.opt2).abs() < 1e-12, "lb2 {lb2}");
@@ -359,10 +454,10 @@ mod tests {
             .map(|i| vec![2.0 - 0.1 * i as f64, 1.0 + 0.1 * i as f64])
             .collect();
         let g = EffectiveGame::from_rows(vec![1.0; 8], rows).unwrap();
-        let denominator = max_total_min_capacity(&g);
+        let t = LinkLoads::zero(2);
+        let denominator = VolumeDp::new(&g, &t).unfiltered();
         let c_max = g.capacities().max();
         assert!(denominator < 2.0 * c_max - 1e-9, "DP {denominator}");
-        let t = LinkLoads::zero(2);
         let (_, lb2) = lower_bounds(&g, &t);
         assert!(lb2 > g.total_traffic() / (2.0 * c_max) + 1e-12);
         let exact = social_optimum(&g, &t, 1_000_000).unwrap();
@@ -396,5 +491,227 @@ mod tests {
         let (busy1, busy2) = lower_bounds(&g, &busy);
         assert!(busy1 > idle1);
         assert!(busy2 > idle2);
+    }
+
+    /// The from-scratch allocation DP that [`VolumeDp`] memoises: every
+    /// column re-filtered (`None`: unfiltered) and re-sorted, every link's
+    /// pass run in full.
+    fn reference_allocation_value(
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        tau: Option<f64>,
+    ) -> Option<f64> {
+        let n = game.users();
+        let mut dp = vec![f64::NEG_INFINITY; n + 1];
+        dp[0] = 0.0;
+        for link in 0..game.links() {
+            let mut column: Vec<f64> = (0..n)
+                .filter(|&i| {
+                    tau.is_none_or(|tau| {
+                        (initial.load(link) + game.weight(i)) / game.capacity(i, link) <= tau
+                    })
+                })
+                .map(|i| game.capacity(i, link))
+                .collect();
+            column.sort_by(|a, b| b.partial_cmp(a).expect("finite capacities"));
+            let mut next = dp.clone();
+            for placed in 0..n {
+                if !dp[placed].is_finite() {
+                    continue;
+                }
+                for k in 1..=column.len().min(n - placed) {
+                    let value = dp[placed] + column[k - 1];
+                    if value > next[placed + k] {
+                        next[placed + k] = value;
+                    }
+                }
+            }
+            dp = next;
+        }
+        dp[n].is_finite().then_some(dp[n])
+    }
+
+    /// [`volume_bound`] over the from-scratch DP.
+    fn reference_volume_bound(
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        total: f64,
+        check: OptCheckpoint<'_>,
+    ) -> f64 {
+        let base = total / reference_allocation_value(game, initial, None).unwrap();
+        if check.expired() {
+            return base;
+        }
+        let infeasible = |tau: f64| match reference_allocation_value(game, initial, Some(tau)) {
+            None => true,
+            Some(value) => tau * value < total,
+        };
+        let mut lo = base;
+        let mut hi = base * 8.0;
+        if infeasible(hi) {
+            return hi;
+        }
+        for _ in 0..30 {
+            if hi - lo <= 1e-3 * lo || check.expired() {
+                break;
+            }
+            let mid = 0.5 * (lo + hi);
+            if infeasible(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// [`min_congestion_mass`] as scalar loops.
+    fn reference_congestion_mass(game: &EffectiveGame) -> f64 {
+        let n = game.users();
+        let mut weights: Vec<f64> = game.weights().to_vec();
+        weights.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        let mut prefix = vec![0.0f64; n + 1];
+        for (i, &w) in weights.iter().enumerate() {
+            prefix[i + 1] = prefix[i] + w;
+        }
+        let mut dp = vec![f64::INFINITY; n + 1];
+        dp[0] = 0.0;
+        for _block in 0..game.links().min(n) {
+            let mut next = dp.clone();
+            for r in 0..n {
+                if !dp[r].is_finite() {
+                    continue;
+                }
+                for end in (r + 1)..=n {
+                    let mass = dp[r] + (end - r) as f64 * (prefix[end] - prefix[r]);
+                    if mass < next[end] {
+                        next[end] = mass;
+                    }
+                }
+            }
+            dp = next;
+        }
+        dp[n]
+    }
+
+    /// [`lower_bounds_under`] over the reference pieces.
+    fn reference_lower_bounds(
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        check: OptCheckpoint<'_>,
+    ) -> (f64, f64) {
+        let singles = singleton_costs(game, initial);
+        let total = game.total_traffic();
+        let volume2 = reference_volume_bound(game, initial, total, check);
+        let opt2 = singles.iter().cloned().fold(0.0f64, f64::max).max(volume2);
+        let interaction = if check.expired() {
+            0.0
+        } else {
+            (reference_congestion_mass(game) - total).max(0.0) / game.capacities().max()
+        };
+        ((stable_sum(&singles) + interaction).max(opt2), opt2)
+    }
+
+    /// A deadline that fires from its `limit + 1`-th poll on.
+    struct PollLimit {
+        limit: usize,
+        polls: Cell<usize>,
+    }
+
+    impl PollLimit {
+        fn new(limit: usize) -> Self {
+            PollLimit {
+                limit,
+                polls: Cell::new(0),
+            }
+        }
+
+        fn poll(&self) -> bool {
+            self.polls.set(self.polls.get() + 1);
+            self.polls.get() > self.limit
+        }
+
+        fn fired(&self) -> bool {
+            self.polls.get() > self.limit
+        }
+    }
+
+    /// Random games whose weights span 64× and whose links carry nonzero
+    /// initial loads, so the solo-latency filter drops different users on
+    /// different links as `τ` moves; plus a poll limit for the deadline
+    /// (the bisection polls at most 32 times, so larger limits never fire).
+    fn memo_case() -> impl Strategy<Value = (EffectiveGame, LinkLoads, usize)> {
+        (2usize..=40, 2usize..=7)
+            .prop_flat_map(|(n, m)| {
+                (
+                    collection::vec(0.0f64..6.0, n),
+                    collection::vec(0.5f64..8.0, n * m),
+                    collection::vec(0.0f64..20.0, m),
+                    0usize..48,
+                )
+            })
+            .prop_map(|(exponents, capacities, loads, limit)| {
+                let weights: Vec<f64> = exponents.iter().map(|&e| e.exp2()).collect();
+                let m = loads.len();
+                let rows = capacities.chunks(m).map(<[f64]>::to_vec).collect();
+                let game = EffectiveGame::from_rows(weights, rows).unwrap();
+                (game, LinkLoads::new(loads).unwrap(), limit)
+            })
+    }
+
+    /// Asserts that the memoised bounds are bit-identical to the reference
+    /// under the same deadline; returns the links each DP evaluation
+    /// restarted at and whether the deadline fired inside the volume bound.
+    fn assert_memo_matches_reference(
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        limit: usize,
+    ) -> (Vec<usize>, bool) {
+        let total = game.total_traffic();
+        let (memo, reference) = (PollLimit::new(limit), PollLimit::new(limit));
+        let (memo_poll, reference_poll) = (|| memo.poll(), || reference.poll());
+        let mut dp = VolumeDp::new(game, initial);
+        let got = volume_bound(&mut dp, total, OptCheckpoint::new(&memo_poll));
+        let want =
+            reference_volume_bound(game, initial, total, OptCheckpoint::new(&reference_poll));
+        assert_eq!(got.to_bits(), want.to_bits(), "volume {got} vs {want}");
+        assert_eq!(memo.polls.get(), reference.polls.get());
+        let volume_expired = memo.fired();
+
+        let (memo, reference) = (PollLimit::new(limit), PollLimit::new(limit));
+        let (memo_poll, reference_poll) = (|| memo.poll(), || reference.poll());
+        let (got1, got2) = lower_bounds_under(game, initial, OptCheckpoint::new(&memo_poll));
+        let (want1, want2) =
+            reference_lower_bounds(game, initial, OptCheckpoint::new(&reference_poll));
+        assert_eq!(got1.to_bits(), want1.to_bits(), "OPT1 {got1} vs {want1}");
+        assert_eq!(got2.to_bits(), want2.to_bits(), "OPT2 {got2} vs {want2}");
+        (dp.starts, volume_expired)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_memoised_dp_is_bit_identical_to_the_from_scratch_dp(
+            (game, initial, limit) in memo_case()
+        ) {
+            assert_memo_matches_reference(&game, &initial, limit);
+        }
+    }
+
+    #[test]
+    fn the_oracle_cases_exercise_every_memo_path() {
+        let (mut partial, mut reuse, mut expired) = (false, false, false);
+        for seed in 0..64 {
+            let (game, initial, limit) = memo_case().new_value(&mut TestRng::new(seed));
+            let m = game.links();
+            let (starts, fired) = assert_memo_matches_reference(&game, &initial, limit);
+            partial |= starts.iter().any(|&s| (1..m - 1).contains(&s));
+            reuse |= starts.contains(&m);
+            expired |= fired;
+        }
+        assert!(partial, "no evaluation restarted at a middle link");
+        assert!(reuse, "no evaluation reused the previous value");
+        assert!(expired, "no case hit an expired checkpoint");
     }
 }

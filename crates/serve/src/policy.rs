@@ -12,7 +12,9 @@
 //!   races are deterministic.
 //! * [`Policy::Fallback`] — try children in order; move on when a child
 //!   completes without a solution, misses its width goal, deadlines, or
-//!   fails; the last child's outcome is returned as-is.
+//!   fails; the last child's outcome is returned as-is, except that a
+//!   bracket fallback whose last child fails or deadlines returns the
+//!   certified brackets of the latest earlier child that completed.
 //! * [`Policy::Timeout`] — evaluate the inner policy under a deadline,
 //!   enforced **cooperatively at pass granularity**: the interpreter checks
 //!   the clock between kernel passes (and before each atomic unit), never
@@ -471,17 +473,29 @@ pub fn eval_bracket(
             result
         }
         Policy::Fallback(children) => {
+            // The most recent child that completed but missed its goal.
+            let mut missed: Option<BracketDone> = None;
             for (i, child) in children.iter().enumerate() {
                 let last = i + 1 == children.len();
                 match eval_bracket(child, ctx, deadline) {
-                    Ok(BracketEval::Done(done)) if done.goal_met => {
+                    Ok(BracketEval::Done(done)) if done.goal_met || last => {
                         return Ok(BracketEval::Done(done))
                     }
+                    Ok(BracketEval::Done(done)) => missed = Some(done),
                     // A partial bracket means the deadline has already
                     // fired: later children could at best add a plain
                     // Deadline, losing the certified bounds — return it.
                     Ok(BracketEval::Partial(outcome)) => return Ok(BracketEval::Partial(outcome)),
-                    other if last => return other,
+                    // The last child failed (e.g. every backend in it is
+                    // inapplicable at this size) or hit the deadline: the
+                    // certified bounds of an earlier goal miss beat no
+                    // answer.
+                    other if last => {
+                        return match missed {
+                            Some(done) => Ok(BracketEval::Done(done)),
+                            None => other,
+                        }
+                    }
                     // Goal miss, deadline, or a failing child (e.g. a
                     // composition with no finite upper bound): fall through.
                     _ => {}

@@ -9,8 +9,10 @@ use netuncert_serve::protocol::{
     SolveRequest,
 };
 use netuncert_serve::replay::Replayer;
-use netuncert_serve::state::ServeConfig;
-use netuncert_serve::workload::{default_solve_policy, mixed_request, wire_instance};
+use netuncert_serve::state::{ServeConfig, ServeState};
+use netuncert_serve::workload::{
+    default_bracket_policy, default_solve_policy, mixed_request, wire_instance,
+};
 use netuncert_serve::{Client, Server};
 
 /// Binds an ephemeral service and returns (address, run-thread handle).
@@ -296,4 +298,34 @@ fn draining_service_refuses_new_compute_requests() {
     }
 
     handle.join().expect("server thread").expect("clean run");
+}
+
+/// Under `default_bracket_policy()` the first leaf (`lpt,relaxation`, goal
+/// 1.5) can miss its goal on a game too large for the exact leaf behind it.
+/// The fallback then answers with the first leaf's certified brackets, not
+/// with the exact leaf's empty bracket.
+#[test]
+fn a_bracket_fallback_keeps_the_certified_bounds_of_a_goal_miss() {
+    let state = ServeState::new(&ServeConfig::default());
+    for seed in 0..5 {
+        let response = state.handle_request(Request {
+            id: seed,
+            body: RequestBody::Bracket(BracketRequest {
+                instance: wire_instance(128, 16, seed),
+                policy: default_bracket_policy(),
+            }),
+        });
+        let ResponseBody::Bracket(reply) = response.body else {
+            panic!("seed {seed}: expected a bracket reply, got {response:?}");
+        };
+        let BracketOutcome::Brackets(brackets) = reply.outcome else {
+            panic!("seed {seed}: expected brackets, got {:?}", reply.outcome);
+        };
+        for bracket in [&brackets.opt1, &brackets.opt2] {
+            assert!(
+                0.0 < bracket.lower && bracket.lower <= bracket.upper && bracket.upper.is_finite(),
+                "seed {seed}: bracket {bracket:?}"
+            );
+        }
+    }
 }
