@@ -127,6 +127,7 @@ pub mod strategy;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::algorithms::{self, solve_pure_nash, PureNashMethod, PureNashSolution};
+    pub use crate::cache::{CacheKey, InstanceKey};
     pub use crate::equilibrium::{
         best_response, is_fully_mixed_nash, is_mixed_nash, is_pure_nash, Deviation,
     };

@@ -87,6 +87,11 @@ impl EffectiveCapacities {
         self.links
     }
 
+    /// The whole matrix, row-major (`[i * links + l] = cᵢˡ`).
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Effective capacity `cᵢˡ` of link `link` as seen by user `user`.
     #[inline]
     pub fn get(&self, user: usize, link: usize) -> f64 {

@@ -1,18 +1,18 @@
 //! Content-addressed memoisation for [`OptEngine::estimate`].
 //!
 //! The key discipline mirrors the solve cache
-//! ([`solvers::cache`](crate::solvers::cache)): the canonical bytes of
-//! everything that determines the engine's answer — the estimator method
-//! list, **every** [`OptConfig`] budget (profile limit, node limit,
-//! branch-and-bound user cap, restarts, move budget, opt seed, tolerance)
-//! and the instance bit patterns — so a hit replays the cold estimate
-//! exactly, telemetry included. Caching never changes brackets, only skips
+//! ([`solvers::cache`](crate::solvers::cache)): everything that determines
+//! the engine's answer — the estimator method list, **every** [`OptConfig`]
+//! budget (profile limit, node limit, branch-and-bound user cap, restarts,
+//! move budget, opt seed, tolerance) and the instance, confirmed by full
+//! content equality — so a hit replays the cold estimate exactly,
+//! telemetry included. Caching never changes brackets, only skips
 //! repeated work (e.g. the fixed true network behind a group of belief
 //! perturbations, measured once per perturbed equilibrium).
 //!
 //! [`OptEngine::estimate`]: super::engine::OptEngine::estimate
 
-use crate::cache::{BoundedCache, CacheBound};
+use crate::cache::{BoundedCache, CacheBound, CacheKey, InstanceKey};
 use crate::model::EffectiveGame;
 use crate::numeric::canonical_bits;
 use crate::opt::engine::{OptConfig, OptMethod, OptOutcome};
@@ -85,17 +85,17 @@ impl OptCache {
         self.inner.is_empty()
     }
 
-    /// Looks up a canonical key (from [`canonical_key`]), counting the
-    /// outcome as a hit or a miss. Public for out-of-crate engine frontends
-    /// (the serve layer); see [`SolveCache::lookup`] for the contract.
+    /// Looks up a key (from [`cache_key`]), counting the outcome as a hit
+    /// or a miss. Public for out-of-crate engine frontends (the serve
+    /// layer); see [`SolveCache::lookup`] for the contract.
     ///
     /// [`SolveCache::lookup`]: crate::solvers::cache::SolveCache::lookup
-    pub fn lookup(&self, key: &[u8]) -> Option<OptOutcome> {
+    pub fn lookup(&self, key: &CacheKey<'_>) -> Option<OptOutcome> {
         self.inner.lookup(key)
     }
 
-    /// Stores a cold estimate under its canonical key.
-    pub fn insert(&self, key: Vec<u8>, outcome: OptOutcome) {
+    /// Stores a cold estimate under its key.
+    pub fn insert(&self, key: &CacheKey<'_>, outcome: OptOutcome) {
         self.inner.insert(key, outcome);
     }
 }
@@ -110,51 +110,35 @@ fn method_tag(method: OptMethod) -> u8 {
     }
 }
 
-/// Builds the canonical cache key for one estimate: engine method list, the
-/// full opt budget set (the adaptive width goal included), then the
-/// canonicalised bit patterns of the instance itself ([`canonical_bits`]
-/// folds `±0.0` and NaN payloads together, so semantically identical
-/// instances always share a key).
-pub fn canonical_key(
+/// Builds the warm-tier key for one estimate: the engine fingerprint
+/// (method list and the full opt budget set, the adaptive width goal
+/// included) plus the instance, filed under its [`InstanceKey`] digest.
+pub fn cache_key<'a>(
     methods: &[OptMethod],
     config: &OptConfig,
-    game: &EffectiveGame,
-    initial: &LinkLoads,
-) -> Vec<u8> {
-    let n = game.users();
-    let m = game.links();
-    let mut key = Vec::with_capacity(96 + 8 * (n + n * m + m));
-    key.extend_from_slice(b"netuncert-opt-v2");
-    key.push(methods.len() as u8);
-    key.extend(methods.iter().map(|&mth| method_tag(mth)));
-    key.extend_from_slice(&canonical_bits(config.tol.eps()).to_le_bytes());
-    key.extend_from_slice(&config.profile_limit.to_le_bytes());
-    key.extend_from_slice(&config.node_limit.to_le_bytes());
-    key.extend_from_slice(&(config.bb_max_users as u64).to_le_bytes());
-    key.extend_from_slice(&(config.restarts as u64).to_le_bytes());
-    key.extend_from_slice(&config.max_moves.to_le_bytes());
-    key.extend_from_slice(&config.opt_seed.to_le_bytes());
+    game: &'a EffectiveGame,
+    initial: &'a LinkLoads,
+    instance: InstanceKey,
+) -> CacheKey<'a> {
+    let mut engine = Vec::with_capacity(96);
+    engine.extend_from_slice(b"netuncert-opt-v3");
+    engine.push(methods.len() as u8);
+    engine.extend(methods.iter().map(|&mth| method_tag(mth)));
+    engine.extend_from_slice(&canonical_bits(config.tol.eps()).to_le_bytes());
+    engine.extend_from_slice(&config.profile_limit.to_le_bytes());
+    engine.extend_from_slice(&config.node_limit.to_le_bytes());
+    engine.extend_from_slice(&(config.bb_max_users as u64).to_le_bytes());
+    engine.extend_from_slice(&(config.restarts as u64).to_le_bytes());
+    engine.extend_from_slice(&config.max_moves.to_le_bytes());
+    engine.extend_from_slice(&config.opt_seed.to_le_bytes());
     match config.width_goal {
         Some(goal) => {
-            key.push(1);
-            key.extend_from_slice(&canonical_bits(goal).to_le_bytes());
+            engine.push(1);
+            engine.extend_from_slice(&canonical_bits(goal).to_le_bytes());
         }
-        None => key.push(0),
+        None => engine.push(0),
     }
-    key.extend_from_slice(&(n as u64).to_le_bytes());
-    key.extend_from_slice(&(m as u64).to_le_bytes());
-    for &w in game.weights() {
-        key.extend_from_slice(&canonical_bits(w).to_le_bytes());
-    }
-    for user in 0..n {
-        for &c in game.capacities().row(user) {
-            key.extend_from_slice(&canonical_bits(c).to_le_bytes());
-        }
-    }
-    for &t in initial.as_slice() {
-        key.extend_from_slice(&canonical_bits(t).to_le_bytes());
-    }
-    key
+    CacheKey::new(engine, instance, game, initial)
 }
 
 #[cfg(test)]
@@ -174,12 +158,28 @@ mod tests {
         .unwrap()
     }
 
+    fn key<'a>(
+        methods: &[OptMethod],
+        config: &OptConfig,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
+    ) -> CacheKey<'a> {
+        cache_key(
+            methods,
+            config,
+            game,
+            initial,
+            InstanceKey::of(game, initial),
+        )
+    }
+
     #[test]
     fn keys_separate_games_budgets_and_method_lists() {
         let config = OptConfig::default();
         let initial = LinkLoads::zero(3);
         let methods = vec![OptMethod::Exhaustive, OptMethod::Relaxation];
-        let base = canonical_key(&methods, &config, &game(), &initial);
+        let game = game();
+        let base = key(&methods, &config, &game, &initial);
 
         for other in [
             OptConfig {
@@ -199,27 +199,28 @@ mod tests {
                 ..config
             },
         ] {
-            assert_ne!(base, canonical_key(&methods, &other, &game(), &initial));
+            assert_ne!(base, key(&methods, &other, &game, &initial));
         }
 
         let reordered = vec![OptMethod::Relaxation, OptMethod::Exhaustive];
-        assert_ne!(base, canonical_key(&reordered, &config, &game(), &initial));
+        assert_ne!(base, key(&reordered, &config, &game, &initial));
 
         let busy = LinkLoads::new(vec![1.0, 0.0, 0.0]).unwrap();
-        assert_ne!(base, canonical_key(&methods, &config, &game(), &busy));
+        assert_ne!(base, key(&methods, &config, &game, &busy));
 
-        assert_eq!(base, canonical_key(&methods, &config, &game(), &initial));
+        assert_eq!(base, key(&methods, &config, &game, &initial));
     }
 
     #[test]
     fn keys_identify_signed_zero_initial_loads_and_separate_width_goals() {
         let config = OptConfig::default();
         let methods = vec![OptMethod::LptGreedy, OptMethod::Relaxation];
+        let game = game();
         let pos = LinkLoads::new(vec![0.0, 0.5, 0.0]).unwrap();
         let neg = LinkLoads::new(vec![-0.0, 0.5, -0.0]).unwrap();
         assert_eq!(
-            canonical_key(&methods, &config, &game(), &pos),
-            canonical_key(&methods, &config, &game(), &neg)
+            key(&methods, &config, &game, &pos),
+            key(&methods, &config, &game, &neg)
         );
         // The adaptive width goal is result-determining, so it must key.
         let adaptive = OptConfig {
@@ -227,16 +228,16 @@ mod tests {
             ..config
         };
         assert_ne!(
-            canonical_key(&methods, &config, &game(), &pos),
-            canonical_key(&methods, &adaptive, &game(), &pos)
+            key(&methods, &config, &game, &pos),
+            key(&methods, &adaptive, &game, &pos)
         );
         let tighter = OptConfig {
             width_goal: Some(1.1),
             ..config
         };
         assert_ne!(
-            canonical_key(&methods, &adaptive, &game(), &pos),
-            canonical_key(&methods, &tighter, &game(), &pos)
+            key(&methods, &adaptive, &game, &pos),
+            key(&methods, &tighter, &game, &pos)
         );
     }
 
@@ -249,11 +250,15 @@ mod tests {
             opt2: OptBracket::exact(1.0),
             telemetry: OptTelemetry::default(),
         };
-        cache.insert(vec![1], outcome.clone());
-        cache.insert(vec![2], outcome.clone());
+        let (game, initial) = (game(), LinkLoads::zero(3));
+        let config = OptConfig::default();
+        let first = key(&[OptMethod::Exhaustive], &config, &game, &initial);
+        let second = key(&[OptMethod::LptGreedy], &config, &game, &initial);
+        cache.insert(&first, outcome.clone());
+        cache.insert(&second, outcome.clone());
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&[1]).is_some());
-        assert!(cache.lookup(&[2]).is_none());
+        assert!(cache.lookup(&first).is_some());
+        assert!(cache.lookup(&second).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }

@@ -25,6 +25,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::cache::InstanceKey;
 use crate::error::{GameError, Result};
 use crate::model::EffectiveGame;
 use crate::numeric::Tolerance;
@@ -634,13 +635,35 @@ impl OptEngine {
     /// certified bounds cross beyond floating-point noise; estimator-level
     /// errors propagate.
     pub fn estimate(&self, game: &EffectiveGame, initial: &LinkLoads) -> Result<OptOutcome> {
+        self.estimate_cached(game, initial, None)
+    }
+
+    /// [`estimate`](OptEngine::estimate) with the instance digest supplied
+    /// by the caller (see `SolverEngine::solve_keyed`): the same cache
+    /// entries, without a second pass over the instance.
+    pub fn estimate_keyed(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        instance: InstanceKey,
+    ) -> Result<OptOutcome> {
+        self.estimate_cached(game, initial, Some(instance))
+    }
+
+    fn estimate_cached(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        instance: Option<InstanceKey>,
+    ) -> Result<OptOutcome> {
         let Some(cache) = &self.cache else {
             return Ok(self
                 .estimate_cold(game, initial, OptCheckpoint::never())?
                 .outcome);
         };
         let key_start = self.recorder.now();
-        let key = cache::canonical_key(&self.methods(), &self.config, game, initial);
+        let instance = instance.unwrap_or_else(|| InstanceKey::of(game, initial));
+        let key = cache::cache_key(&self.methods(), &self.config, game, initial, instance);
         if let (Some(probes), Some(start)) = (&self.probes, key_start) {
             probes.key_ns.record(elapsed_ns(start));
         }
@@ -654,7 +677,7 @@ impl OptEngine {
         if let (Some(probes), Some(start)) = (&self.probes, fill_start) {
             probes.fill_ns.record(elapsed_ns(start));
         }
-        cache.insert(key, outcome.clone());
+        cache.insert(&key, outcome.clone());
         Ok(outcome)
     }
 

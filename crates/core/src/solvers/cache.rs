@@ -3,12 +3,14 @@
 //! Perturbation-style sweeps re-solve identical effective games constantly:
 //! a study that redraws beliefs around a fixed "true" network solves that
 //! same true network once per perturbed sample. A [`SolveCache`] shortcuts
-//! the repeats. The cache key is the *canonical byte serialisation* of
-//! everything that determines the engine's answer — the solver method list,
-//! the [`SolverConfig`] budgets, the effective game (weights and capacity
-//! matrix bit patterns) and the initial link loads — so a hit is guaranteed
-//! to return exactly what a cold solve would have returned, telemetry
-//! included. Caching therefore never changes results, only skips work.
+//! the repeats. The cache key ([`cache_key`]) covers everything that
+//! determines the engine's answer — the solver method list, the
+//! [`SolverConfig`] budgets, the effective game (weights and capacity
+//! matrix) and the initial link loads. The instance is filed under its
+//! [`InstanceKey`] digest and confirmed by full canonical-content equality,
+//! so a hit is guaranteed to return exactly what a cold solve would have
+//! returned, telemetry included. Caching therefore never changes results,
+//! only skips work.
 //!
 //! The cache is opt-in via [`SolverEngine::with_cache`]; engines without one
 //! behave exactly as before. One cache may be shared (it is `Sync`, handed
@@ -27,7 +29,7 @@
 use crate::algorithms::best_response::SelectionRule;
 use crate::algorithms::PureNashMethod;
 pub use crate::cache::CacheStats;
-use crate::cache::{BoundedCache, CacheBound};
+use crate::cache::{BoundedCache, CacheBound, CacheKey, InstanceKey};
 use crate::model::EffectiveGame;
 use crate::numeric::canonical_bits;
 use crate::solvers::engine::{EngineSolution, SolverConfig};
@@ -105,21 +107,21 @@ impl SolveCache {
         self.inner.is_empty()
     }
 
-    /// Looks up a canonical key (from [`canonical_key`]), counting the
-    /// outcome as a hit or a miss.
+    /// Looks up a key (from [`cache_key`]), counting the outcome as a hit
+    /// or a miss.
     ///
     /// Public for out-of-crate engine frontends (the serve layer's
     /// deadline-aware solve path); everything stored under a key built by
-    /// [`canonical_key`] is exactly what a cold
+    /// [`cache_key`] is exactly what a cold
     /// [`SolverEngine::solve`](super::engine::SolverEngine::solve) with that
     /// method list and config would return.
-    pub fn lookup(&self, key: &[u8]) -> Option<EngineSolution> {
+    pub fn lookup(&self, key: &CacheKey<'_>) -> Option<EngineSolution> {
         self.inner.lookup(key)
     }
 
-    /// Stores a cold solve under its canonical key (see
+    /// Stores a cold solve under its key (see
     /// [`lookup`](SolveCache::lookup) for the contract).
-    pub fn insert(&self, key: Vec<u8>, solution: EngineSolution) {
+    pub fn insert(&self, key: &CacheKey<'_>, solution: EngineSolution) {
         self.inner.insert(key, solution);
     }
 }
@@ -142,48 +144,33 @@ fn rule_tag(rule: SelectionRule) -> u8 {
     }
 }
 
-/// Builds the canonical cache key for one solve: engine method list, shared
-/// budgets, then the canonicalised bit patterns of the instance itself
-/// ([`canonical_bits`] folds `±0.0` and NaN payloads together, so
-/// semantically identical instances always share a key).
+/// Builds the warm-tier key for one solve: the engine fingerprint (method
+/// list and every budget that can change the answer) plus the instance,
+/// filed under its [`InstanceKey`] digest.
 ///
 /// Public so engine frontends outside this crate (the serve layer) can
 /// address the same warm tier as
 /// [`SolverEngine::solve`](super::engine::SolverEngine::solve): two callers
 /// that agree on the method list, config and instance read and write the
 /// same entry.
-pub fn canonical_key(
+pub fn cache_key<'a>(
     methods: &[PureNashMethod],
     config: &SolverConfig,
-    game: &EffectiveGame,
-    initial: &LinkLoads,
-) -> Vec<u8> {
-    let n = game.users();
-    let m = game.links();
-    let mut key = Vec::with_capacity(64 + 8 * (n + n * m + m));
-    key.extend_from_slice(b"netuncert-solve-v2");
-    key.push(methods.len() as u8);
-    key.extend(methods.iter().map(|&mth| method_tag(mth)));
-    key.extend_from_slice(&canonical_bits(config.tol.eps()).to_le_bytes());
-    key.extend_from_slice(&(config.max_steps as u64).to_le_bytes());
-    key.push(rule_tag(config.rule));
-    key.extend_from_slice(&config.profile_limit.to_le_bytes());
-    key.extend_from_slice(&(config.restarts as u64).to_le_bytes());
-    key.extend_from_slice(&config.ls_seed.to_le_bytes());
-    key.extend_from_slice(&(n as u64).to_le_bytes());
-    key.extend_from_slice(&(m as u64).to_le_bytes());
-    for &w in game.weights() {
-        key.extend_from_slice(&canonical_bits(w).to_le_bytes());
-    }
-    for user in 0..n {
-        for &c in game.capacities().row(user) {
-            key.extend_from_slice(&canonical_bits(c).to_le_bytes());
-        }
-    }
-    for &t in initial.as_slice() {
-        key.extend_from_slice(&canonical_bits(t).to_le_bytes());
-    }
-    key
+    game: &'a EffectiveGame,
+    initial: &'a LinkLoads,
+    instance: InstanceKey,
+) -> CacheKey<'a> {
+    let mut engine = Vec::with_capacity(64);
+    engine.extend_from_slice(b"netuncert-solve-v3");
+    engine.push(methods.len() as u8);
+    engine.extend(methods.iter().map(|&mth| method_tag(mth)));
+    engine.extend_from_slice(&canonical_bits(config.tol.eps()).to_le_bytes());
+    engine.extend_from_slice(&(config.max_steps as u64).to_le_bytes());
+    engine.push(rule_tag(config.rule));
+    engine.extend_from_slice(&config.profile_limit.to_le_bytes());
+    engine.extend_from_slice(&(config.restarts as u64).to_le_bytes());
+    engine.extend_from_slice(&config.ls_seed.to_le_bytes());
+    CacheKey::new(engine, instance, game, initial)
 }
 
 #[cfg(test)]
@@ -202,12 +189,35 @@ mod tests {
         .unwrap()
     }
 
+    fn key<'a>(
+        methods: &[PureNashMethod],
+        config: &SolverConfig,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
+    ) -> CacheKey<'a> {
+        cache_key(
+            methods,
+            config,
+            game,
+            initial,
+            InstanceKey::of(game, initial),
+        )
+    }
+
+    fn solution() -> EngineSolution {
+        EngineSolution {
+            solution: None,
+            telemetry: Default::default(),
+        }
+    }
+
     #[test]
     fn keys_separate_games_configs_and_method_lists() {
         let config = SolverConfig::default();
         let initial = LinkLoads::zero(3);
         let methods = vec![PureNashMethod::BestResponse, PureNashMethod::Exhaustive];
-        let base = canonical_key(&methods, &config, &game(), &initial);
+        let game = game();
+        let base = key(&methods, &config, &game, &initial);
 
         let other_game = EffectiveGame::from_rows(
             vec![3.0, 1.0, 2.0 + 1e-12],
@@ -218,44 +228,43 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_ne!(
-            base,
-            canonical_key(&methods, &config, &other_game, &initial)
-        );
+        assert_ne!(base, key(&methods, &config, &other_game, &initial));
 
         let tighter = SolverConfig {
             max_steps: 7,
             ..SolverConfig::default()
         };
-        assert_ne!(base, canonical_key(&methods, &tighter, &game(), &initial));
+        assert_ne!(base, key(&methods, &tighter, &game, &initial));
 
         let reordered = vec![PureNashMethod::Exhaustive, PureNashMethod::BestResponse];
-        assert_ne!(base, canonical_key(&reordered, &config, &game(), &initial));
+        assert_ne!(base, key(&reordered, &config, &game, &initial));
 
         let busy = LinkLoads::new(vec![1.0, 0.0, 0.0]).unwrap();
-        assert_ne!(base, canonical_key(&methods, &config, &game(), &busy));
+        assert_ne!(base, key(&methods, &config, &game, &busy));
 
-        assert_eq!(base, canonical_key(&methods, &config, &game(), &initial));
+        let twin = self::game();
+        assert_eq!(base, key(&methods, &config, &twin, &initial));
     }
 
     #[test]
     fn keys_identify_signed_zero_initial_loads() {
         // `-0.0` satisfies `LinkLoads`' non-negativity validation but has a
-        // different bit pattern than `+0.0`; the canonical key must treat
-        // the two semantically identical instances as one.
+        // different bit pattern than `+0.0`; the key must treat the two
+        // semantically identical instances as one.
         let config = SolverConfig::default();
         let methods = vec![PureNashMethod::BestResponse];
+        let game = game();
         let pos = LinkLoads::new(vec![0.0, 1.0, 0.0]).unwrap();
         let neg = LinkLoads::new(vec![-0.0, 1.0, -0.0]).unwrap();
         assert_eq!(
-            canonical_key(&methods, &config, &game(), &pos),
-            canonical_key(&methods, &config, &game(), &neg)
+            key(&methods, &config, &game, &pos),
+            key(&methods, &config, &game, &neg)
         );
         // Genuinely different loads still separate.
         let other = LinkLoads::new(vec![0.0, 1.5, 0.0]).unwrap();
         assert_ne!(
-            canonical_key(&methods, &config, &game(), &pos),
-            canonical_key(&methods, &config, &game(), &other)
+            key(&methods, &config, &game, &pos),
+            key(&methods, &config, &game, &other)
         );
     }
 
@@ -263,15 +272,15 @@ mod tests {
     fn stats_count_hits_and_misses() {
         let cache = SolveCache::new();
         assert!(cache.is_empty());
-        let key = vec![1u8, 2, 3];
-        assert!(cache.lookup(&key).is_none());
-        cache.insert(
-            key.clone(),
-            EngineSolution {
-                solution: None,
-                telemetry: Default::default(),
-            },
+        let (game, initial) = (game(), LinkLoads::zero(3));
+        let key = key(
+            &[PureNashMethod::Exhaustive],
+            &SolverConfig::default(),
+            &game,
+            &initial,
         );
+        assert!(cache.lookup(&key).is_none());
+        cache.insert(&key, solution());
         assert!(cache.lookup(&key).is_some());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -282,35 +291,44 @@ mod tests {
     #[test]
     fn a_full_cache_stops_growing_but_keeps_serving_stored_entries() {
         let cache = SolveCache::bounded(1);
-        let solution = EngineSolution {
-            solution: None,
-            telemetry: Default::default(),
-        };
-        cache.insert(vec![1], solution.clone());
-        cache.insert(vec![2], solution.clone());
+        let (game, initial) = (game(), LinkLoads::zero(3));
+        let config = SolverConfig::default();
+        let first = key(&[PureNashMethod::Exhaustive], &config, &game, &initial);
+        let second = key(&[PureNashMethod::LocalSearch], &config, &game, &initial);
+        cache.insert(&first, solution());
+        cache.insert(&second, solution());
         assert_eq!(cache.len(), 1, "capacity bound must hold");
-        assert!(cache.lookup(&[1]).is_some());
-        assert!(cache.lookup(&[2]).is_none());
+        assert!(cache.lookup(&first).is_some());
+        assert!(cache.lookup(&second).is_none());
         assert_eq!(cache.stats().evictions, 0);
         // Re-inserting a stored key is still allowed at capacity.
-        cache.insert(vec![1], solution);
+        cache.insert(&first, solution());
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn an_lru_cache_evicts_and_counts() {
-        let solution = EngineSolution {
-            solution: None,
-            telemetry: Default::default(),
-        };
         let cache = SolveCache::lru(2);
-        cache.insert(vec![1], solution.clone());
-        cache.insert(vec![2], solution.clone());
-        assert!(cache.lookup(&[1]).is_some()); // refresh key 1
-        cache.insert(vec![3], solution);
-        assert!(cache.lookup(&[2]).is_none(), "LRU entry must be evicted");
-        assert!(cache.lookup(&[1]).is_some());
-        assert!(cache.lookup(&[3]).is_some());
+        let (game, initial) = (game(), LinkLoads::zero(3));
+        let config = SolverConfig::default();
+        let keys: Vec<CacheKey<'_>> = [
+            PureNashMethod::Exhaustive,
+            PureNashMethod::LocalSearch,
+            PureNashMethod::BestResponse,
+        ]
+        .iter()
+        .map(|&method| key(&[method], &config, &game, &initial))
+        .collect();
+        cache.insert(&keys[0], solution());
+        cache.insert(&keys[1], solution());
+        assert!(cache.lookup(&keys[0]).is_some()); // refresh key 0
+        cache.insert(&keys[2], solution());
+        assert!(
+            cache.lookup(&keys[1]).is_none(),
+            "LRU entry must be evicted"
+        );
+        assert!(cache.lookup(&keys[0]).is_some());
+        assert!(cache.lookup(&keys[2]).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.capacity(), 2);
     }

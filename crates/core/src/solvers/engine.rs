@@ -27,6 +27,7 @@ use par_exec::{chunk_ranges, parallel_map, ParallelConfig};
 
 use crate::algorithms::best_response::{BestResponseDynamics, SelectionRule};
 use crate::algorithms::{symmetric, two_links, uniform, PureNashMethod, PureNashSolution};
+use crate::cache::{CacheKey, InstanceKey};
 use crate::error::Result;
 use crate::model::{EffectiveGame, GameEdit};
 use crate::numeric::Tolerance;
@@ -759,11 +760,35 @@ impl SolverEngine {
     /// repeated solves of a bit-identical instance return the stored
     /// solution-plus-telemetry instead of re-running the solvers.
     pub fn solve(&self, game: &EffectiveGame, initial: &LinkLoads) -> Result<EngineSolution> {
+        self.solve_cached(game, initial, None)
+    }
+
+    /// [`solve`](SolverEngine::solve) with the instance digest supplied by
+    /// the caller, for frontends that already computed it (the serve layer
+    /// digests each request once at decode time). Reads and writes the same
+    /// cache entries as `solve`; a digest that does not match the instance
+    /// can only cost misses, never change an answer.
+    pub fn solve_keyed(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        instance: InstanceKey,
+    ) -> Result<EngineSolution> {
+        self.solve_cached(game, initial, Some(instance))
+    }
+
+    fn solve_cached(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        instance: Option<InstanceKey>,
+    ) -> Result<EngineSolution> {
         let Some(cache) = &self.cache else {
             return self.solve_cold(game, initial);
         };
         let key_start = self.recorder.now();
-        let key = cache::canonical_key(&self.methods(), &self.config, game, initial);
+        let instance = instance.unwrap_or_else(|| InstanceKey::of(game, initial));
+        let key = cache::cache_key(&self.methods(), &self.config, game, initial, instance);
         if let (Some(probes), Some(start)) = (&self.probes, key_start) {
             probes.key_ns.record(elapsed_ns(start));
         }
@@ -775,7 +800,7 @@ impl SolverEngine {
         if let (Some(probes), Some(start)) = (&self.probes, fill_start) {
             probes.fill_ns.record(elapsed_ns(start));
         }
-        cache.insert(key, solved.clone());
+        cache.insert(&key, solved.clone());
         Ok(solved)
     }
 
@@ -972,7 +997,7 @@ impl SolverEngine {
             run_method: PureNashMethod,
             run_started: Instant,
             started: Instant,
-            key: Option<Vec<u8>>,
+            key: Option<CacheKey<'a>>,
             done: Option<Result<EngineSolution>>,
         }
 
@@ -1009,7 +1034,8 @@ impl SolverEngine {
                 };
                 if let (Some(cache), Some(methods)) = (&self.cache, &methods) {
                     let key_start = self.recorder.now();
-                    let key = cache::canonical_key(methods, &self.config, game, initial);
+                    let instance = InstanceKey::of(game, initial);
+                    let key = cache::cache_key(methods, &self.config, game, initial, instance);
                     if let (Some(probes), Some(start)) = (&self.probes, key_start) {
                         probes.key_ns.record(elapsed_ns(start));
                     }
@@ -1122,7 +1148,7 @@ impl SolverEngine {
                                 slot.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
                             );
                         }
-                        cache.insert(key, solved.clone());
+                        cache.insert(&key, solved.clone());
                     }
                 }
             }

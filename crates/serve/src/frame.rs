@@ -12,11 +12,13 @@
 //! ```
 //!
 //! The payload is a tagged pre-order encoding of the serde [`Value`] tree
-//! the JSON mode would have serialised — the *same* derived
-//! `Serialize`/`Deserialize` impls run on both framings, so a binary frame
-//! decodes to exactly the `Request`/`Response` the JSON line would have
-//! produced (the replay harness pins this by diffing the two framings
-//! against each other and against direct in-process calls):
+//! the JSON mode would have serialised, so a binary frame decodes to
+//! exactly the `Request`/`Response` the JSON line would have produced (the
+//! replay harness pins this by diffing the two framings against each other
+//! and against direct in-process calls). Clients encode and decode through
+//! the serde derive and [`encode_value`]/[`decode_value`]; the server reads
+//! requests with the typed walker of `crate::decode`, over the same
+//! `Decoder` cursor, without building the tree:
 //!
 //! | tag | payload |
 //! |-----|-----------------------------------------------------|
@@ -44,6 +46,8 @@
 use std::io::{Read, Write};
 
 use serde_json::{Number, Value};
+
+use crate::decode::{f64_of, Source};
 
 /// The one-byte preamble that switches a fresh connection to binary
 /// framing. A UTF-8 continuation byte: no JSON request line can start with
@@ -136,12 +140,19 @@ pub fn encode_value(value: &Value) -> Vec<u8> {
     out
 }
 
-struct Decoder<'a> {
+/// A cursor over one binary payload. [`decode_value`] reads a whole
+/// [`Value`] tree with it; the request decoder ([`crate::decode`]) walks it
+/// typed, through the [`Source`] impl below.
+pub(crate) struct Decoder<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Decoder<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Decoder { bytes, at: 0 }
+    }
+
     fn byte(&mut self) -> Result<u8, FrameError> {
         let byte = *self
             .bytes
@@ -167,6 +178,42 @@ impl<'a> Decoder<'a> {
         Err(FrameError::new("varint longer than 10 bytes"))
     }
 
+    /// The payload of a number tag: 3 (non-negative varint), 4 (negative
+    /// varint) or 5 (raw f64 bits).
+    fn number_after(&mut self, tag: u8) -> Result<Number, FrameError> {
+        match tag {
+            3 => Ok(Number::PosInt(self.varint()?)),
+            4 => match self.varint()? as i64 {
+                i if i < 0 => Ok(Number::NegInt(i)),
+                _ => Err(FrameError::new(
+                    "negative-integer tag with a non-negative value",
+                )),
+            },
+            _ => {
+                let raw = self.bytes.get(self.at..self.at + 8).ok_or_else(|| {
+                    FrameError::new(format!("truncated at byte {}", self.bytes.len()))
+                })?;
+                self.at += 8;
+                let bits = u64::from_le_bytes(raw.try_into().expect("an 8-byte slice"));
+                Ok(Number::Float(f64::from_bits(bits)))
+            }
+        }
+    }
+
+    /// A counted array (tag 7) or object (tag 8) header: the element count,
+    /// rejected before anything is allocated for it when the payload could
+    /// not hold that many elements (each costs at least one byte).
+    fn counted(&mut self, tag: u8) -> Result<usize, FrameError> {
+        let count = self.varint()? as usize;
+        if count > self.bytes.len() - self.at {
+            let what = if tag == 7 { "array" } else { "object" };
+            return Err(FrameError::new(format!(
+                "{what} count runs past the payload"
+            )));
+        }
+        Ok(count)
+    }
+
     fn string(&mut self) -> Result<String, FrameError> {
         let len = self.varint()? as usize;
         let end = self
@@ -188,34 +235,10 @@ impl<'a> Decoder<'a> {
             0 => Ok(Value::Null),
             1 => Ok(Value::Bool(false)),
             2 => Ok(Value::Bool(true)),
-            3 => Ok(Value::Num(Number::PosInt(self.varint()?))),
-            4 => {
-                let bits = self.varint()?;
-                let i = bits as i64;
-                if i >= 0 {
-                    return Err(FrameError::new(
-                        "negative-integer tag with a non-negative value",
-                    ));
-                }
-                Ok(Value::Num(Number::NegInt(i)))
-            }
-            5 => {
-                let mut raw = [0u8; 8];
-                for slot in &mut raw {
-                    *slot = self.byte()?;
-                }
-                Ok(Value::Num(Number::Float(f64::from_bits(
-                    u64::from_le_bytes(raw),
-                ))))
-            }
+            tag @ 3..=5 => Ok(Value::Num(self.number_after(tag)?)),
             6 => Ok(Value::Str(self.string()?)),
             7 => {
-                let count = self.varint()? as usize;
-                // Each element costs at least one byte: reject fabricated
-                // counts before allocating for them.
-                if count > self.bytes.len() - self.at {
-                    return Err(FrameError::new("array count runs past the payload"));
-                }
+                let count = self.counted(7)?;
                 let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
                     items.push(self.value(depth + 1)?);
@@ -223,10 +246,7 @@ impl<'a> Decoder<'a> {
                 Ok(Value::Array(items))
             }
             8 => {
-                let count = self.varint()? as usize;
-                if count > self.bytes.len() - self.at {
-                    return Err(FrameError::new("object count runs past the payload"));
-                }
+                let count = self.counted(8)?;
                 let mut fields = Vec::with_capacity(count);
                 for _ in 0..count {
                     let key = self.string()?;
@@ -238,20 +258,116 @@ impl<'a> Decoder<'a> {
             tag => Err(FrameError::new(format!("unknown tag {tag}"))),
         }
     }
+
+    fn end(&self) -> Result<(), FrameError> {
+        if self.at == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(FrameError::new(format!(
+                "{} trailing bytes after the value",
+                self.bytes.len() - self.at
+            )))
+        }
+    }
+
+    /// Opens a container whose tag must be `tag`, at nesting `depth`.
+    fn open(&mut self, tag: u8, depth: usize) -> Result<usize, String> {
+        if depth > MAX_DEPTH {
+            return Err(FrameError::new(format!("nesting deeper than {MAX_DEPTH}")).to_string());
+        }
+        match self.byte().map_err(|e| e.to_string())? {
+            t if t == tag => self.counted(tag).map_err(|e| e.to_string()),
+            t => Err(format!("tag {t} where tag {tag} was expected")),
+        }
+    }
+}
+
+/// The typed walk over a payload: the same grammar and the same checks
+/// (depth cap, counts against the bytes left, whole-payload consumption)
+/// as [`decode_value`], without building the tree.
+impl Source for Decoder<'_> {
+    /// Elements or fields left to read.
+    type Seq = usize;
+
+    fn object(&mut self, depth: usize) -> Result<usize, String> {
+        self.open(8, depth)
+    }
+
+    fn key(&mut self, left: &mut usize) -> Result<Option<String>, String> {
+        if *left == 0 {
+            return Ok(None);
+        }
+        *left -= 1;
+        self.string().map(Some).map_err(|e| e.to_string())
+    }
+
+    fn array(&mut self, depth: usize) -> Result<usize, String> {
+        self.open(7, depth)
+    }
+
+    fn item(&mut self, left: &mut usize) -> Result<bool, String> {
+        let more = *left > 0;
+        *left = left.saturating_sub(1);
+        Ok(more)
+    }
+
+    fn number(&mut self) -> Result<Option<Number>, String> {
+        match self.byte().map_err(|e| e.to_string())? {
+            0 => Ok(None),
+            tag @ 3..=5 => self.number_after(tag).map(Some).map_err(|e| e.to_string()),
+            tag => Err(format!("tag {tag} where a number was expected")),
+        }
+    }
+
+    fn floats(&mut self, depth: usize, mut push: impl FnMut(f64)) -> Result<(), String> {
+        for _ in 0..self.array(depth)? {
+            // A capacity row is a run of tag-5 words: copy the bits out
+            // directly; any other tag takes the general number path.
+            match self.bytes.get(self.at..self.at + 9) {
+                Some([5, bits @ ..]) => {
+                    let bits: [u8; 8] = bits.try_into().expect("an 8-byte slice");
+                    self.at += 9;
+                    push(f64::from_le_bytes(bits));
+                }
+                _ => push(self.number()?.map_or(f64::NAN, f64_of)),
+            }
+        }
+        Ok(())
+    }
+
+    fn null(&mut self) -> Result<bool, String> {
+        let null = self.bytes.get(self.at) == Some(&0);
+        self.at += usize::from(null);
+        Ok(null)
+    }
+
+    fn at_string(&mut self) -> bool {
+        self.bytes.get(self.at) == Some(&6)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        match self.byte().map_err(|e| e.to_string())? {
+            6 => Decoder::string(self).map_err(|e| e.to_string()),
+            tag => Err(format!("tag {tag} where a string was expected")),
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        Decoder::value(self, depth).map_err(|e| e.to_string())
+    }
+
+    fn end(&mut self) -> Result<(), String> {
+        Decoder::end(self).map_err(|e| e.to_string())
+    }
 }
 
 /// Decodes one binary payload back into a [`Value`] tree. The whole
 /// payload must be consumed — trailing bytes are an error, so a frame can
 /// never smuggle a second message.
 pub fn decode_value(bytes: &[u8]) -> Result<Value, FrameError> {
-    let mut decoder = Decoder { bytes, at: 0 };
+    let mut decoder = Decoder::new(bytes);
     let value = decoder.value(0)?;
-    if decoder.at != bytes.len() {
-        return Err(FrameError::new(format!(
-            "{} trailing bytes after the value",
-            bytes.len() - decoder.at
-        )));
-    }
+    decoder.end()?;
     Ok(value)
 }
 

@@ -32,6 +32,8 @@
 //!
 //! Module map:
 //! - [`protocol`] — wire types, size limits, typed errors, request keys
+//! - `decode` / `compile` (internal) — the one decode path from bytes to
+//!   the built request every handler runs on
 //! - [`policy`] — the policy tree and its pass-resumable interpreter
 //! - [`state`] — engine-side service state (caches, budgets, counters)
 //! - [`session`] — the bounded resident-session store behind
@@ -46,6 +48,8 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod compile;
+mod decode;
 pub mod frame;
 pub mod policy;
 pub mod protocol;

@@ -28,10 +28,12 @@
 //!   descent restarts). A deadline that fires mid-leaf yields a
 //!   [`BracketEval::Partial`] carrying the certified best-so-far brackets.
 //!
-//! Every leaf shares the service's warm tier: a leaf computes the same
-//! canonical cache key as a direct `SolverEngine`/`OptEngine` call with the
-//! same composition and budgets, so service answers and direct engine calls
-//! read and write the same entries and stay replay-exact.
+//! Every leaf shares the service's warm tier: a leaf builds its key with the
+//! same core key functions (`solvers::cache::cache_key`,
+//! `opt::cache::cache_key`) as a direct `SolverEngine`/`OptEngine` call with
+//! the same composition and budgets, over the instance digest the request
+//! was built with — so service answers and direct engine calls read and
+//! write the same entries and stay replay-exact.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,14 +41,15 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use netuncert_core::obs::{Recorder, SpanId};
-use netuncert_core::opt::cache::canonical_key as opt_canonical_key;
+use netuncert_core::opt::cache::cache_key as opt_cache_key;
 use netuncert_core::prelude::{
-    Applicability, EffectiveGame, EngineSolution, GameError, KernelRun, KernelScratch, LinkLoads,
-    OptCache, OptCheckpoint, OptConfig, OptEngine, OptOutcome, PureNashMethod, SolveCache,
-    SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverEngine, SolverKind,
+    Applicability, CacheKey, EffectiveGame, EngineSolution, GameError, InstanceKey, KernelRun,
+    KernelScratch, LinkLoads, OptCache, OptCheckpoint, OptConfig, OptEngine, OptOutcome,
+    PureNashMethod, SolveCache, SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverEngine,
+    SolverKind,
 };
 use netuncert_core::prelude::{OptBackendKind, OptMethod, PureNashSolution};
-use netuncert_core::solvers::cache::canonical_key;
+use netuncert_core::solvers::cache::cache_key;
 use netuncert_core::solvers::engine::SolverDetail;
 use netuncert_core::solvers::kernel::{SoAGame, SoAView};
 
@@ -329,6 +332,9 @@ pub struct EvalCtx<'a> {
     pub game: &'a EffectiveGame,
     /// Its initial link loads.
     pub initial: &'a LinkLoads,
+    /// The digest of `(game, initial)`, computed once when the request was
+    /// built; every leaf's warm-tier key reuses it.
+    pub instance: InstanceKey,
     /// The shared solve warm tier.
     pub solve_cache: &'a Arc<SolveCache>,
     /// The shared opt warm tier.
@@ -404,7 +410,7 @@ pub fn eval_solve(
                 None => SolverEngine::from_kinds(config, &kinds)
                     .with_cache(Arc::clone(ctx.solve_cache))
                     .with_recorder(ctx.recorder.clone())
-                    .solve(ctx.game, ctx.initial)
+                    .solve_keyed(ctx.game, ctx.initial, ctx.instance)
                     .map(SolveEval::Done)
                     .map_err(|e| WireError::engine(&e)),
                 Some(deadline) => solve_leaf_stepped(&kinds, &config, ctx, deadline),
@@ -462,7 +468,7 @@ pub fn eval_bracket(
                     let engine = OptEngine::from_kinds(config, &kinds)
                         .with_cache(Arc::clone(ctx.opt_cache))
                         .with_recorder(ctx.recorder.clone());
-                    match engine.estimate(ctx.game, ctx.initial) {
+                    match engine.estimate_keyed(ctx.game, ctx.initial, ctx.instance) {
                         Ok(outcome) => Ok(BracketEval::Done(leaf_done(leaf, outcome))),
                         Err(e) => Err(WireError::engine(&e)),
                     }
@@ -539,7 +545,7 @@ fn bracket_leaf_under(
     deadline: Instant,
 ) -> Result<BracketEval, WireError> {
     let methods: Vec<OptMethod> = kinds.iter().map(|k| k.method()).collect();
-    let key = opt_canonical_key(&methods, &config, ctx.game, ctx.initial);
+    let key = opt_cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
     if let Some(hit) = ctx.opt_cache.lookup(&key) {
         record_slack(ctx, deadline);
         return Ok(BracketEval::Done(leaf_done(leaf, hit)));
@@ -549,7 +555,7 @@ fn bracket_leaf_under(
     match engine.estimate_under(ctx.game, ctx.initial, OptCheckpoint::new(&expired)) {
         Ok(run) if run.deadlined => Ok(BracketEval::Partial(run.outcome)),
         Ok(run) => {
-            ctx.opt_cache.insert(key, run.outcome.clone());
+            ctx.opt_cache.insert(&key, run.outcome.clone());
             record_slack(ctx, deadline);
             Ok(BracketEval::Done(leaf_done(leaf, run.outcome)))
         }
@@ -702,17 +708,17 @@ impl<'a> LeafRun<'a> {
 /// The owned per-leaf state a stepped run borrows from (solver objects, SoA
 /// form, cache key) — kept separate from [`LeafRun`] so the run can borrow
 /// it without self-reference.
-struct LeafCtx {
+struct LeafCtx<'a> {
     config: SolverConfig,
     solvers: Vec<Box<dyn Solver>>,
     soa: SoAGame,
-    key: Vec<u8>,
+    key: CacheKey<'a>,
 }
 
-impl LeafCtx {
-    fn build(kinds: &[SolverKind], config: SolverConfig, ctx: &EvalCtx<'_>) -> Self {
+impl<'a> LeafCtx<'a> {
+    fn build(kinds: &[SolverKind], config: SolverConfig, ctx: &EvalCtx<'a>) -> Self {
         let methods: Vec<PureNashMethod> = kinds.iter().map(|k| k.method()).collect();
-        let key = canonical_key(&methods, &config, ctx.game, ctx.initial);
+        let key = cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
         LeafCtx {
             config,
             solvers: kinds.iter().map(|k| k.build()).collect(),
@@ -754,7 +760,7 @@ fn solve_leaf_stepped(
     }
     match run.finish() {
         Ok(solved) => {
-            ctx.solve_cache.insert(leaf.key.clone(), solved.clone());
+            ctx.solve_cache.insert(&leaf.key, solved.clone());
             record_slack(ctx, deadline);
             Ok(SolveEval::Done(solved))
         }
@@ -836,8 +842,7 @@ fn race_solve(
             if run.step(&mut scratch) {
                 let result = slot.take().expect("slot was just stepped").finish();
                 if let Ok(solved) = &result {
-                    ctx.solve_cache
-                        .insert(leaves[k].key.clone(), solved.clone());
+                    ctx.solve_cache.insert(&leaves[k].key, solved.clone());
                 }
                 finished[k] = Some(result);
             }
@@ -861,7 +866,7 @@ pub fn eval_solve_cached(policy: &Policy, ctx: &EvalCtx<'_>) -> Option<EngineSol
         Policy::Solve(leaf) => {
             let (kinds, config) = leaf.resolve(&ctx.base_solver).ok()?;
             let methods: Vec<PureNashMethod> = kinds.iter().map(|k| k.method()).collect();
-            let key = canonical_key(&methods, &config, ctx.game, ctx.initial);
+            let key = cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
             ctx.solve_cache.lookup(&key)
         }
         Policy::Race(children) => {
@@ -872,7 +877,7 @@ pub fn eval_solve_cached(policy: &Policy, ctx: &EvalCtx<'_>) -> Option<EngineSol
                 };
                 let (kinds, config) = leaf.resolve(&ctx.base_solver).ok()?;
                 let methods: Vec<PureNashMethod> = kinds.iter().map(|k| k.method()).collect();
-                let key = canonical_key(&methods, &config, ctx.game, ctx.initial);
+                let key = cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
                 hits.push(ctx.solve_cache.lookup(&key));
             }
             // Round zero of the lockstep race: the earliest lane (by index)
@@ -913,7 +918,7 @@ pub fn eval_bracket_cached(policy: &Policy, ctx: &EvalCtx<'_>) -> Option<Bracket
         Policy::Bracket(leaf) => {
             let (kinds, config) = leaf.resolve(&ctx.base_opt).ok()?;
             let methods: Vec<OptMethod> = kinds.iter().map(|k| k.method()).collect();
-            let key = opt_canonical_key(&methods, &config, ctx.game, ctx.initial);
+            let key = opt_cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
             let hit = ctx.opt_cache.lookup(&key)?;
             Some(leaf_done(leaf, hit))
         }

@@ -18,6 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use netuncert_core::cache::{ContentHasher, InstanceKey};
 use netuncert_core::obs::MetricsSnapshot;
 use netuncert_core::opt::{OptAttempt, OptMethod};
 use netuncert_core::prelude::{
@@ -655,213 +656,186 @@ pub struct WireCacheStats {
     pub capacity: u64,
 }
 
-/// The canonical request key: a streaming structural FNV-1a-64 over the
-/// typed request body (the id is deliberately excluded — two clients asking
+/// The compute verbs: the ones whose replies carry a request key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verb {
+    /// `Solve`.
+    Solve,
+    /// `Bracket`.
+    Bracket,
+    /// `Measure`.
+    Measure,
+}
+
+/// The canonical request key: a 64-bit digest of the typed request body,
+/// as 16 hex digits (the id is deliberately excluded — two clients asking
 /// the same question share a key).
 ///
-/// The hasher walks the body directly — variant tags, field lengths, the
-/// raw IEEE-754 bits of every float — without materialising a canonical
-/// JSON line first. Both framings share this function, so the reply `key`
-/// stays byte-identical across JSON and binary connections (the three-way
-/// replay diff depends on that), but the warm path no longer pays a
-/// shortest-round-trip float-printing pass per request: at `n = 512` that
-/// canonicalisation dominated a cache hit and was why warm binary framing
-/// tied warm JSON in BENCHMARKS.md.
+/// For the compute verbs the key folds the verb, the instance's
+/// [`InstanceKey`] (the same content digest the warm tier files the
+/// instance under), the `Measure` profile and the policy tree. The service
+/// computes it once per request from the decoded flat rows; this function
+/// computes it from the typed body, with the same result, so replies stay
+/// byte-identical across JSON, binary and in-process calls.
 ///
-/// Distinct bodies hash distinct byte streams: every variant is tagged and
-/// every variable-length field is length-prefixed, so the encoding is
-/// prefix-free in the same way the binary frame encoding is.
+/// Hashing is word-wise ([`ContentHasher`]): floats as canonical bits, so
+/// `-0.0` and `+0.0` initial loads are one question; every variant is
+/// tagged and every variable-length field length-prefixed, so moving a
+/// value across a field boundary changes the key.
 pub fn request_key(body: &RequestBody) -> String {
-    let mut hasher = KeyHasher::new();
-    hash_body(&mut hasher, body);
-    format!("{:016x}", hasher.finish())
-}
-
-/// FNV-1a-64 fed field-by-field (same offset basis and prime as the
-/// historical canonical-JSON hash; only the byte stream changed).
-struct KeyHasher {
-    hash: u64,
-}
-
-impl KeyHasher {
-    fn new() -> Self {
-        KeyHasher {
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    #[inline]
-    fn byte(&mut self, byte: u8) {
-        self.hash ^= u64::from(byte);
-        self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    #[inline]
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.byte(byte);
-        }
-    }
-
-    #[inline]
-    fn u64(&mut self, value: u64) {
-        self.bytes(&value.to_le_bytes());
-    }
-
-    #[inline]
-    fn f64(&mut self, value: f64) {
-        self.bytes(&value.to_bits().to_le_bytes());
-    }
-
-    fn f64s(&mut self, values: &[f64]) {
-        self.u64(values.len() as u64);
-        for &value in values {
-            self.f64(value);
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, value: Option<u64>) {
-        match value {
-            None => self.byte(0),
-            Some(v) => {
-                self.byte(1);
-                self.u64(v);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-fn hash_body(h: &mut KeyHasher, body: &RequestBody) {
+    let mut h = ContentHasher::new();
     match body {
         RequestBody::Solve(r) => {
-            h.byte(0);
-            hash_instance(h, &r.instance);
-            hash_policy(h, &r.policy);
+            return compute_key(Verb::Solve, wire_key(&r.instance), &[], &r.policy)
         }
         RequestBody::Bracket(r) => {
-            h.byte(1);
-            hash_instance(h, &r.instance);
-            hash_policy(h, &r.policy);
+            return compute_key(Verb::Bracket, wire_key(&r.instance), &[], &r.policy)
         }
         RequestBody::Measure(r) => {
-            h.byte(2);
-            hash_instance(h, &r.instance);
-            h.u64(r.profile.len() as u64);
-            for &choice in &r.profile {
-                h.u64(choice as u64);
-            }
-            hash_policy(h, &r.policy);
+            return compute_key(Verb::Measure, wire_key(&r.instance), &r.profile, &r.policy)
         }
-        RequestBody::Stats => h.byte(3),
-        RequestBody::Shutdown => h.byte(4),
-        RequestBody::Metrics => h.byte(5),
+        RequestBody::Stats => h.word(3),
+        RequestBody::Shutdown => h.word(4),
+        RequestBody::Metrics => h.word(5),
         RequestBody::Upload(r) => {
-            h.byte(6);
-            hash_instance(h, &r.instance);
+            h.word(6);
+            h.word(wire_key(&r.instance).digest());
         }
         RequestBody::Edit(r) => {
-            h.byte(7);
-            h.u64(r.session);
-            hash_edit(h, &r.edit);
+            h.word(7);
+            h.word(r.session);
+            hash_edit(&mut h, &r.edit);
         }
         RequestBody::Release(r) => {
-            h.byte(8);
-            h.u64(r.session);
+            h.word(8);
+            h.word(r.session);
+        }
+    }
+    hex(&h)
+}
+
+/// The request key of a compute verb over an instance with digest
+/// `instance` (see [`request_key`]).
+pub(crate) fn compute_key(
+    verb: Verb,
+    instance: InstanceKey,
+    profile: &[usize],
+    policy: &Policy,
+) -> String {
+    let mut h = ContentHasher::new();
+    h.word(verb as u64);
+    h.word(instance.digest());
+    if verb == Verb::Measure {
+        h.word(profile.len() as u64);
+        for &choice in profile {
+            h.word(choice as u64);
+        }
+    }
+    hash_policy(&mut h, policy);
+    hex(&h)
+}
+
+fn hex(h: &ContentHasher) -> String {
+    format!("{:016x}", h.finish())
+}
+
+/// The [`InstanceKey`] of a wire instance: equal to
+/// [`InstanceKey::of`] the game it builds (an absent `initial` is the
+/// zero-traffic vector the service builds for it).
+fn wire_key(instance: &WireInstance) -> InstanceKey {
+    let links = instance.capacities.first().map_or(0, Vec::len);
+    let zeros;
+    let initial = match &instance.initial {
+        Some(loads) => loads.as_slice(),
+        None => {
+            zeros = vec![0.0; links];
+            &zeros
+        }
+    };
+    InstanceKey::of_rows(
+        instance.weights.len(),
+        links,
+        &instance.weights,
+        instance.capacities.iter().map(Vec::as_slice),
+        initial,
+    )
+}
+
+fn opt_word(h: &mut ContentHasher, value: Option<u64>) {
+    match value {
+        None => h.word(0),
+        Some(v) => {
+            h.word(1);
+            h.word(v);
         }
     }
 }
 
-fn hash_edit(h: &mut KeyHasher, edit: &WireEdit) {
+fn hash_edit(h: &mut ContentHasher, edit: &WireEdit) {
     match edit {
         WireEdit::Join { weight, capacities } => {
-            h.byte(0);
-            h.f64(*weight);
+            h.word(0);
+            h.f64s(&[*weight]);
+            h.word(capacities.len() as u64);
             h.f64s(capacities);
         }
         WireEdit::Leave { user } => {
-            h.byte(1);
-            h.u64(*user as u64);
+            h.word(1);
+            h.word(*user as u64);
         }
         WireEdit::Capacity {
             user,
             link,
             capacity,
         } => {
-            h.byte(2);
-            h.u64(*user as u64);
-            h.u64(*link as u64);
-            h.f64(*capacity);
+            h.word(2);
+            h.word(*user as u64);
+            h.word(*link as u64);
+            h.f64s(&[*capacity]);
         }
     }
 }
 
-fn hash_instance(h: &mut KeyHasher, instance: &WireInstance) {
-    h.f64s(&instance.weights);
-    h.u64(instance.capacities.len() as u64);
-    for row in &instance.capacities {
-        h.f64s(row);
-    }
-    match &instance.initial {
-        None => h.byte(0),
-        Some(loads) => {
-            h.byte(1);
-            h.f64s(loads);
-        }
-    }
-}
-
-fn hash_policy(h: &mut KeyHasher, policy: &Policy) {
+fn hash_policy(h: &mut ContentHasher, policy: &Policy) {
     match policy {
         Policy::Solve(leaf) => {
-            h.byte(0);
-            h.u64(leaf.solvers.len() as u64);
+            h.word(0);
+            h.word(leaf.solvers.len() as u64);
             for id in &leaf.solvers {
-                h.str(id);
+                h.bytes(id.as_bytes());
             }
-            h.opt_u64(leaf.restarts);
-            h.opt_u64(leaf.max_steps);
+            opt_word(h, leaf.restarts);
+            opt_word(h, leaf.max_steps);
         }
         Policy::Bracket(leaf) => {
-            h.byte(1);
-            h.u64(leaf.backends.len() as u64);
+            h.word(1);
+            h.word(leaf.backends.len() as u64);
             for id in &leaf.backends {
-                h.str(id);
+                h.bytes(id.as_bytes());
             }
             match leaf.width_goal {
-                None => h.byte(0),
+                None => h.word(0),
                 Some(goal) => {
-                    h.byte(1);
-                    h.f64(goal);
+                    h.word(1);
+                    h.f64s(&[goal]);
                 }
             }
-            h.opt_u64(leaf.restarts);
+            opt_word(h, leaf.restarts);
         }
-        Policy::Race(children) => {
-            h.byte(2);
-            h.u64(children.len() as u64);
-            for child in children {
-                hash_policy(h, child);
-            }
-        }
-        Policy::Fallback(children) => {
-            h.byte(3);
-            h.u64(children.len() as u64);
+        Policy::Race(children) | Policy::Fallback(children) => {
+            h.word(if matches!(policy, Policy::Race(_)) {
+                2
+            } else {
+                3
+            });
+            h.word(children.len() as u64);
             for child in children {
                 hash_policy(h, child);
             }
         }
         Policy::Timeout(timeout) => {
-            h.byte(4);
-            h.u64(timeout.ms as u64);
+            h.word(4);
+            h.word(timeout.ms as u64);
             hash_policy(h, &timeout.lower);
         }
     }

@@ -40,12 +40,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use netuncert_core::obs::{elapsed_ns, Gauge};
 
+use crate::compile::BuiltRequest;
 use crate::frame::{self, BINARY_MAGIC};
-use crate::protocol::{ErrorKind, Request, RequestBody, Response, ResponseBody, WireError};
+use crate::protocol::{ErrorKind, Response, ResponseBody, WireError};
 use crate::state::{ServeConfig, ServeState};
 
 /// How often an idle connection reader wakes to check the draining flag.
@@ -56,10 +57,12 @@ const DRAIN_POLL: Duration = Duration::from_millis(50);
 /// and closing.
 const DRAIN_GRACE_TICKS: u32 = 3;
 
-/// One unit of work for the pool: a parsed request plus the channel that
-/// hands the finished response back to the connection's reader thread.
+/// One unit of work for the pool: a built request (the very one the
+/// reader's fast-path probe ran on — nothing is decoded or hashed again)
+/// plus the channel that hands the finished response back to the
+/// connection's reader thread.
 struct Job {
-    request: Request,
+    request: BuiltRequest,
     reply: Sender<Response>,
     /// When the reader pushed this job — the start of its queue wait.
     enqueued: Instant,
@@ -194,16 +197,23 @@ impl Server {
             })
             .collect();
 
+        let live_readers = Arc::clone(&self.state.obs().readers);
         let mut readers: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.state.draining() {
                 break;
             }
+            // Readers whose connection closed have exited: drop their
+            // handles, so the acceptor holds one per live connection rather
+            // than one per connection ever accepted.
+            readers.retain(|reader| !reader.is_finished());
             let Ok(stream) = stream else { continue };
             let state = Arc::clone(&self.state);
             let queue = Arc::clone(&queue);
             let addr_copy = addr;
+            let live = LiveReader::enter(&live_readers);
             readers.push(std::thread::spawn(move || {
+                let _live = live;
                 connection_loop(stream, &state, &queue, addr_copy);
             }));
         }
@@ -220,6 +230,23 @@ impl Server {
     }
 }
 
+/// Counts one connection reader in `serve.readers` from its spawn until its
+/// thread ends (unwinding included).
+struct LiveReader(Arc<Gauge>);
+
+impl LiveReader {
+    fn enter(gauge: &Arc<Gauge>) -> Self {
+        gauge.add(1);
+        LiveReader(Arc::clone(gauge))
+    }
+}
+
+impl Drop for LiveReader {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
+
 /// A worker: pull one job, run it through the engine state, send the
 /// response back. Exits when the queue closes (all readers gone).
 ///
@@ -233,7 +260,7 @@ fn worker_loop(state: &ServeState, queue: &JobQueue) {
         obs.queue_wait.record(elapsed_ns(job.enqueued));
         obs.busy_workers.add(1);
         let service_start = Instant::now();
-        let response = state.handle_request(job.request);
+        let response = state.handle_built(job.request);
         obs.service.record(elapsed_ns(service_start));
         obs.busy_workers.sub(1);
         // The reader may have hung up (client gone) — fine, drop the reply.
@@ -241,38 +268,28 @@ fn worker_loop(state: &ServeState, queue: &JobQueue) {
     }
 }
 
-/// Whether a request needs engine work (and therefore belongs in the
-/// queue-wait/service histograms). `Upload` and `Edit` solve/repair on a
-/// worker; `Release` is bookkeeping the reader fast path always answers.
-fn is_compute(body: &RequestBody) -> bool {
-    matches!(
-        body,
-        RequestBody::Solve(_)
-            | RequestBody::Bracket(_)
-            | RequestBody::Measure(_)
-            | RequestBody::Upload(_)
-            | RequestBody::Edit(_)
-    )
-}
-
-/// Answers one parsed request from a reader thread: the warm fast path if
+/// Answers one built request from a reader thread: the warm fast path if
 /// it applies, else the bounded queue — with a typed `Busy` rejection when
 /// the queue is full, and an inline evaluation when the pool is already
-/// gone (late drain).
-fn respond(state: &ServeState, queue: &JobQueue, request: Request) -> Response {
+/// gone (late drain). Requests that need engine work (compute verbs,
+/// `Upload`, `Edit`) are the ones the queue-wait/service histograms count.
+fn respond(state: &ServeState, queue: &JobQueue, request: BuiltRequest) -> Response {
     let obs = state.obs();
     let received = Instant::now();
-    let compute = is_compute(&request.body);
-    if let Some(response) = state.try_handle_fast(&request) {
-        obs.admit_fast.incr(1);
-        if compute {
-            // A fast-path answer never queued: zero wait, and its whole
-            // cost is service time.
-            obs.queue_wait.record(0);
-            obs.service.record(elapsed_ns(received));
+    let compute = request.is_compute();
+    let request = match state.try_handle_fast(request) {
+        Ok(response) => {
+            obs.admit_fast.incr(1);
+            if compute {
+                // A fast-path answer never queued: zero wait, and its whole
+                // cost is service time.
+                obs.queue_wait.record(0);
+                obs.service.record(elapsed_ns(received));
+            }
+            return response;
         }
-        return response;
-    }
+        Err(punted) => *punted,
+    };
     let id = request.id;
     let (reply_tx, reply_rx) = channel();
     match queue.push(Job {
@@ -300,7 +317,7 @@ fn respond(state: &ServeState, queue: &JobQueue, request: Request) -> Response {
             obs.admit_inline.incr(1);
             obs.queue_wait.record(elapsed_ns(job.enqueued));
             let service_start = Instant::now();
-            let response = state.handle_request(job.request);
+            let response = state.handle_built(job.request);
             obs.service.record(elapsed_ns(service_start));
             response
         }
@@ -447,24 +464,13 @@ fn json_loop(
     }
 }
 
-/// Parses one line, answers it (fast path, queue, or typed parse error),
+/// Decodes one line, answers it (fast path, queue, or typed parse error),
 /// writes the response line. Returns `true` when the service is draining
 /// (connection closes).
 fn dispatch_line(state: &ServeState, queue: &JobQueue, writer: &mut TcpStream, line: &str) -> bool {
-    let decode_start = Instant::now();
-    let parsed = serde_json::from_str::<Request>(line.trim_end());
-    state.obs().frame_decode.record(elapsed_ns(decode_start));
-    let response = match parsed {
+    let response = match state.compile_line(line) {
         Ok(request) => respond(state, queue, request),
-        // The exact bytes `ServeState::handle_line` would produce — the
-        // replay harness diffs against it.
-        Err(err) => Response {
-            id: 0,
-            body: ResponseBody::Error(WireError::new(
-                ErrorKind::Parse,
-                format!("malformed request: {err}"),
-            )),
-        },
+        Err(parse_error) => *parse_error,
     };
     let encoded = serde_json::to_string(&response).expect("wire types always serialise");
     let _ = write_line(writer, &encoded);
@@ -558,15 +564,9 @@ fn binary_loop(
             }
             PollRead::Eof | PollRead::Failed => return,
         }
-        let decode_start = Instant::now();
-        let decoded = decode_binary_request(&payload);
-        state.obs().frame_decode.record(elapsed_ns(decode_start));
-        let response = match decoded {
+        let response = match state.compile_frame(&payload) {
             Ok(request) => respond(state, queue, request),
-            Err(message) => Response {
-                id: 0,
-                body: ResponseBody::Error(WireError::new(ErrorKind::Parse, message)),
-            },
+            Err(parse_error) => *parse_error,
         };
         if write_binary_response(writer, &response).is_err() {
             return;
@@ -576,12 +576,6 @@ fn binary_loop(
             return;
         }
     }
-}
-
-/// Decodes one binary payload into a [`Request`].
-fn decode_binary_request(payload: &[u8]) -> Result<Request, String> {
-    let value = frame::decode_value(payload).map_err(|e| format!("malformed request: {e}"))?;
-    Request::from_value(&value).map_err(|e| format!("malformed request: {e}"))
 }
 
 /// Writes one response as a binary frame.

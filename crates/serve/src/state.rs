@@ -21,13 +21,15 @@ use netuncert_core::prelude::{
 };
 use netuncert_core::social_cost::{ratio_bracket, sc1, sc2};
 
+use crate::compile::{Built, BuiltRequest, Compute, Instance};
+use crate::decode::{self, Decoded, Framing, Plain};
 use crate::policy::{self, BracketEval, EvalCtx, PolicyMode, SolveEval};
 use crate::protocol::{
-    deadline_solve_reply, request_key, solve_method_id, wire_bracket_reply, wire_brackets,
-    wire_cost_report, wire_metrics, wire_repair, wire_solve_reply, BracketOutcome, BracketReply,
-    EditReply, EditRequest, ErrorKind, Limits, MeasureOutcome, MeasureReply, ReleaseReply,
-    ReleaseRequest, Request, RequestBody, Response, ResponseBody, SolveOutcome, StatsReply,
-    UploadReply, UploadRequest, WireCacheStats, WireError, WireInstance, WireSolution,
+    deadline_solve_reply, solve_method_id, wire_bracket_reply, wire_brackets, wire_cost_report,
+    wire_metrics, wire_repair, wire_solve_reply, BracketOutcome, BracketReply, EditReply,
+    EditRequest, ErrorKind, Limits, MeasureOutcome, MeasureReply, ReleaseReply, ReleaseRequest,
+    Request, Response, ResponseBody, SolveOutcome, StatsReply, UploadReply, Verb, WireCacheStats,
+    WireError, WireSolution,
 };
 use crate::session::{SessionLookup, SessionRemoval, SessionStore};
 
@@ -99,17 +101,22 @@ pub(crate) struct ObsHandles {
     /// Time spent actually answering a compute request
     /// (`serve.service_ns`).
     pub(crate) service: Arc<Histogram>,
-    /// Wire-to-`Request` decode latency per frame, both framings
-    /// (`serve.frame_decode_ns`).
-    pub(crate) frame_decode: Arc<Histogram>,
-    /// Cost of one reply-key hash (`serve.request_key_ns`).
-    pub(crate) request_key: Arc<Histogram>,
+    /// Bytes-to-built-request latency per frame, key pass included
+    /// (`serve.frame_decode_ns`), plus one twin per framing
+    /// (`serve.frame_decode_ns.json` / `.binary`).
+    frame_decode: [Arc<Histogram>; 3],
+    /// Cost of one key pass — instance digest plus reply key
+    /// (`serve.request_key_ns`), plus per-framing twins as above. The
+    /// in-process entry point records only the aggregate.
+    request_key: [Arc<Histogram>; 3],
     /// Live job-queue depth (`serve.queue_depth`).
     pub(crate) queue_depth: Arc<Gauge>,
     /// The configured queue bound (`serve.queue_capacity`).
     pub(crate) queue_capacity: Arc<Gauge>,
-    /// Workers currently inside `handle_request` (`serve.busy_workers`).
+    /// Workers currently answering a job (`serve.busy_workers`).
     pub(crate) busy_workers: Arc<Gauge>,
+    /// Live connection reader threads (`serve.readers`).
+    pub(crate) readers: Arc<Gauge>,
     /// Admission counters: answered on the reader's warm fast path.
     pub(crate) admit_fast: Arc<ObsCounter>,
     /// Admission counters: handed to the worker pool.
@@ -132,11 +139,12 @@ impl ObsHandles {
             recorder: Recorder::new(Arc::clone(&registry)),
             queue_wait: registry.histogram("serve.queue_wait_ns"),
             service: registry.histogram("serve.service_ns"),
-            frame_decode: registry.histogram("serve.frame_decode_ns"),
-            request_key: registry.histogram("serve.request_key_ns"),
+            frame_decode: by_framing(&registry, "serve.frame_decode_ns"),
+            request_key: by_framing(&registry, "serve.request_key_ns"),
             queue_depth: registry.gauge("serve.queue_depth"),
             queue_capacity: registry.gauge("serve.queue_capacity"),
             busy_workers: registry.gauge("serve.busy_workers"),
+            readers: registry.gauge("serve.readers"),
             admit_fast: registry.counter("serve.admit_fast"),
             admit_queued: registry.counter("serve.admit_queued"),
             admit_busy: registry.counter("serve.admit_busy"),
@@ -148,6 +156,24 @@ impl ObsHandles {
         handles.queue_capacity.set(queue_capacity as u64);
         handles
     }
+
+    /// Records into the aggregate histogram and, for a framed request, its
+    /// framing's twin.
+    fn record(histograms: &[Arc<Histogram>; 3], framing: Option<Framing>, ns: u64) {
+        histograms[0].record(ns);
+        if let Some(framing) = framing {
+            histograms[1 + framing as usize].record(ns);
+        }
+    }
+}
+
+/// An aggregate histogram and its per-framing twins.
+fn by_framing(registry: &Registry, name: &str) -> [Arc<Histogram>; 3] {
+    [
+        registry.histogram(name),
+        registry.histogram(&format!("{name}.json")),
+        registry.histogram(&format!("{name}.binary")),
+    ]
 }
 
 /// One service instance's engine-side state (everything but the sockets).
@@ -210,26 +236,67 @@ impl ServeState {
     /// newline). Malformed lines become typed [`ErrorKind::Parse`] errors
     /// with id `0` (the id is unrecoverable from a line that did not parse).
     pub fn handle_line(&self, line: &str) -> String {
-        let response = match serde_json::from_str::<Request>(line.trim_end()) {
-            Ok(request) => self.handle_request(request),
-            Err(err) => Response {
+        let response = match self.compile_line(line) {
+            Ok(request) => self.handle_built(request),
+            Err(parse_error) => *parse_error,
+        };
+        serde_json::to_string(&response).expect("wire types always serialise")
+    }
+
+    /// Dispatches one typed request — the in-process entry point. It is
+    /// built exactly as a decoded line or frame would be, so the answer is
+    /// byte-identical to the service's. Never panics on request content:
+    /// every failure mode is a typed [`WireError`] in the response body.
+    pub fn handle_request(&self, request: Request) -> Response {
+        let decoded = Decoded::from_request(request, &self.limits);
+        let built = BuiltRequest::build(decoded, |ns| {
+            ObsHandles::record(&self.obs.request_key, None, ns)
+        });
+        self.handle_built(built)
+    }
+
+    /// Decodes and builds one JSON request line, metering the decode. A
+    /// malformed line is the typed id-0 `Parse` response.
+    pub(crate) fn compile_line(&self, line: &str) -> Result<BuiltRequest, Box<Response>> {
+        self.compile(Framing::Json, |limits| {
+            decode::json(line.trim_end(), limits)
+        })
+    }
+
+    /// [`compile_line`](Self::compile_line) for one binary frame payload.
+    pub(crate) fn compile_frame(&self, payload: &[u8]) -> Result<BuiltRequest, Box<Response>> {
+        self.compile(Framing::Binary, |limits| decode::frame(payload, limits))
+    }
+
+    fn compile(
+        &self,
+        framing: Framing,
+        decode: impl FnOnce(&Limits) -> Result<Decoded, String>,
+    ) -> Result<BuiltRequest, Box<Response>> {
+        let start = Instant::now();
+        let built = decode(&self.limits).map(|decoded| {
+            BuiltRequest::build(decoded, |ns| {
+                ObsHandles::record(&self.obs.request_key, Some(framing), ns)
+            })
+        });
+        ObsHandles::record(&self.obs.frame_decode, Some(framing), elapsed_ns(start));
+        built.map_err(|err| {
+            Box::new(Response {
                 id: 0,
                 body: ResponseBody::Error(WireError::new(
                     ErrorKind::Parse,
                     format!("malformed request: {err}"),
                 )),
-            },
-        };
-        serde_json::to_string(&response).expect("wire types always serialise")
+            })
+        })
     }
 
-    /// Dispatches one parsed request. Never panics on request content: every
-    /// failure mode is a typed [`WireError`] in the response body.
-    pub fn handle_request(&self, request: Request) -> Response {
-        let body = match &request.body {
-            RequestBody::Stats => self.stats_reply(),
-            RequestBody::Metrics => self.metrics_reply(),
-            RequestBody::Shutdown => {
+    /// Answers one built request on the calling thread.
+    pub(crate) fn handle_built(&self, request: BuiltRequest) -> Response {
+        let body = match request.body {
+            Built::Plain(Plain::Stats) => self.stats_reply(),
+            Built::Plain(Plain::Metrics) => self.metrics_reply(),
+            Built::Plain(Plain::Shutdown) => {
                 self.start_draining();
                 ResponseBody::Shutdown
             }
@@ -237,32 +304,14 @@ impl ServeState {
                 ErrorKind::Shutdown,
                 "service is draining after a Shutdown request",
             )),
-            RequestBody::Solve(solve) => {
-                let key = self.timed_key(&request.body);
-                self.handle_solve(key, &solve.instance, &solve.policy)
-            }
-            RequestBody::Bracket(bracket) => {
-                let key = self.timed_key(&request.body);
-                self.handle_bracket(key, &bracket.instance, &bracket.policy)
-            }
-            RequestBody::Measure(measure) => {
-                let key = self.timed_key(&request.body);
-                self.handle_measure(key, measure)
-            }
-            RequestBody::Upload(upload) => self.handle_upload(upload),
-            RequestBody::Edit(edit) => self.handle_edit(edit),
-            RequestBody::Release(release) => self.handle_release(release),
+            Built::Compute(compute) => self
+                .compute(&compute, false)
+                .expect("the full walk always answers"),
+            Built::Upload(instance) => self.handle_upload(instance),
+            Built::Plain(Plain::Edit(edit)) => self.handle_edit(&edit),
+            Built::Plain(Plain::Release(release)) => self.handle_release(&release),
         };
         self.finish(request.id, body)
-    }
-
-    /// Hashes the reply key while metering its cost
-    /// (`serve.request_key_ns`).
-    fn timed_key(&self, body: &RequestBody) -> String {
-        let start = Instant::now();
-        let key = request_key(body);
-        self.obs.request_key.record(elapsed_ns(start));
-        key
     }
 
     /// Counts one handled request under a single counter pass and seals the
@@ -312,159 +361,43 @@ impl ServeState {
     /// The connection reader's fast path: answers a request **without a
     /// worker** when no engine work is needed — `Stats`/`Shutdown`,
     /// draining rejections, validation errors, and any compute verb whose
-    /// policy resolves entirely from the warm tier. Returns `None` when the
-    /// request needs cold engine work (or carries a `Timeout` policy, whose
-    /// deadline bookkeeping belongs on a worker).
+    /// policy resolves entirely from the warm tier. Hands the request back
+    /// (`Err`) when it needs cold engine work (or carries a `Timeout`
+    /// policy, whose deadline bookkeeping belongs on a worker); the caller
+    /// then queues that same built request for a worker.
     ///
     /// Everything answered here is byte-identical to what a worker would
     /// have produced for the same request; only the warm tier's hit/miss
     /// counters can differ (a punted request's probe misses are recounted
     /// by the worker — the documented tolerance).
-    pub fn try_handle_fast(&self, request: &Request) -> Option<Response> {
-        let body = self.fast_body(&request.body)?;
-        Some(self.finish(request.id, body))
-    }
-
-    fn fast_body(&self, body: &RequestBody) -> Option<ResponseBody> {
-        match body {
-            RequestBody::Stats => Some(self.stats_reply()),
-            RequestBody::Metrics => Some(self.metrics_reply()),
-            RequestBody::Shutdown => {
-                self.start_draining();
-                Some(ResponseBody::Shutdown)
-            }
-            _ if self.draining() => Some(ResponseBody::Error(WireError::new(
-                ErrorKind::Shutdown,
-                "service is draining after a Shutdown request",
-            ))),
-            RequestBody::Solve(solve) => {
-                if let Err(err) = policy::validate(&solve.policy, PolicyMode::Solve) {
-                    return Some(ResponseBody::Error(err));
-                }
-                let (game, initial) = match self.build_instance(&solve.instance) {
-                    Ok(built) => built,
-                    Err(err) => return Some(ResponseBody::Error(err)),
-                };
-                if solve.policy.has_timeout() {
-                    return None;
-                }
-                let solved = policy::eval_solve_cached(
-                    &solve.policy,
-                    &self.eval_ctx(&game, &initial, None),
-                )?;
-                // The key is only hashed on a hit: a punted request's key is
-                // hashed once by the worker instead.
-                let key = self.timed_key(body);
-                Some(ResponseBody::Solve(wire_solve_reply(key, &solved)))
-            }
-            RequestBody::Bracket(bracket) => {
-                if let Err(err) = policy::validate(&bracket.policy, PolicyMode::Bracket) {
-                    return Some(ResponseBody::Error(err));
-                }
-                let (game, initial) = match self.build_instance(&bracket.instance) {
-                    Ok(built) => built,
-                    Err(err) => return Some(ResponseBody::Error(err)),
-                };
-                if bracket.policy.has_timeout() {
-                    return None;
-                }
-                let done = policy::eval_bracket_cached(
-                    &bracket.policy,
-                    &self.eval_ctx(&game, &initial, None),
-                )?;
-                let key = self.timed_key(body);
-                Some(ResponseBody::Bracket(wire_bracket_reply(
-                    key,
-                    &done.outcome,
-                )))
-            }
-            RequestBody::Measure(measure) => {
-                if let Err(err) = policy::validate(&measure.policy, PolicyMode::Bracket) {
-                    return Some(ResponseBody::Error(err));
-                }
-                let (game, initial) = match self.build_instance(&measure.instance) {
-                    Ok(built) => built,
-                    Err(err) => return Some(ResponseBody::Error(err)),
-                };
-                let pure = PureProfile::new(measure.profile.clone());
-                if let Err(e) = pure.validate(&game) {
-                    return Some(ResponseBody::Error(WireError::new(
-                        ErrorKind::InvalidRequest,
-                        e.to_string(),
-                    )));
-                }
-                if measure.policy.has_timeout() {
-                    return None;
-                }
-                let done = policy::eval_bracket_cached(
-                    &measure.policy,
-                    &self.eval_ctx(&game, &initial, None),
-                )?;
-                let key = self.timed_key(body);
-                Some(self.measure_body(key, &game, &pure, &done.outcome))
-            }
-            // Upload and Edit always run engines — never fast. Release is
-            // pure bookkeeping and always answers on the fast path.
-            RequestBody::Upload(_) | RequestBody::Edit(_) => None,
-            RequestBody::Release(release) => Some(self.handle_release(release)),
-        }
-    }
-
-    /// Validates wire dimensions and builds the engine-side instance.
-    fn build_instance(
+    pub(crate) fn try_handle_fast(
         &self,
-        instance: &WireInstance,
-    ) -> Result<(EffectiveGame, LinkLoads), WireError> {
-        let users = instance.weights.len();
-        let links = instance.capacities.first().map_or(0, Vec::len);
-        if users > self.limits.max_users || links > self.limits.max_links {
-            return Err(WireError::new(
-                ErrorKind::Oversize,
-                format!(
-                    "instance {users}x{links} exceeds the {}x{} cap",
-                    self.limits.max_users, self.limits.max_links
-                ),
-            ));
+        request: BuiltRequest,
+    ) -> Result<Response, Box<BuiltRequest>> {
+        match &request.body {
+            Built::Compute(compute) if !self.draining() => match self.compute(compute, true) {
+                Some(body) => Ok(self.finish(request.id, body)),
+                None => Err(Box::new(request)),
+            },
+            // Upload and Edit always run engines — never fast.
+            Built::Upload(_) | Built::Plain(Plain::Edit(_)) if !self.draining() => {
+                Err(Box::new(request))
+            }
+            // Release is pure bookkeeping; the admin verbs and draining
+            // rejections answer exactly as on a worker.
+            _ => Ok(self.handle_built(request)),
         }
-        if instance.capacities.len() != users {
-            return Err(WireError::new(
-                ErrorKind::InvalidRequest,
-                format!(
-                    "{} capacity rows for {} weights",
-                    instance.capacities.len(),
-                    users
-                ),
-            ));
-        }
-        let game = EffectiveGame::from_rows(instance.weights.clone(), instance.capacities.clone())
-            .map_err(|e| WireError::new(ErrorKind::InvalidRequest, e.to_string()))?;
-        let initial = match &instance.initial {
-            None => LinkLoads::zero(game.links()),
-            Some(loads) => LinkLoads::new(loads.clone())
-                .map_err(|e| WireError::new(ErrorKind::InvalidRequest, e.to_string()))?,
-        };
-        if initial.links() != game.links() {
-            return Err(WireError::new(
-                ErrorKind::InvalidRequest,
-                format!(
-                    "{} initial loads for {} links",
-                    initial.links(),
-                    game.links()
-                ),
-            ));
-        }
-        Ok((game, initial))
     }
 
     fn eval_ctx<'a>(
         &'a self,
-        game: &'a EffectiveGame,
-        initial: &'a LinkLoads,
+        instance: &'a Instance,
         parent_span: Option<netuncert_core::obs::SpanId>,
     ) -> EvalCtx<'a> {
         EvalCtx {
-            game,
-            initial,
+            game: &instance.game,
+            initial: &instance.initial,
+            instance: instance.digest,
             solve_cache: &self.solve_cache,
             opt_cache: &self.opt_cache,
             base_solver: self.base_solver,
@@ -474,97 +407,99 @@ impl ServeState {
         }
     }
 
-    fn handle_solve(
-        &self,
-        key: String,
-        instance: &WireInstance,
-        policy: &crate::policy::Policy,
-    ) -> ResponseBody {
-        if let Err(err) = policy::validate(policy, PolicyMode::Solve) {
-            return ResponseBody::Error(err);
+    /// Answers a compute verb: policy validation, then the instance's
+    /// deferred validation error, then the `Measure` profile, then the
+    /// policy walk. With `fast` set the walk runs purely from the warm tier
+    /// and `None` means "punt to a worker"; without it the answer is
+    /// always `Some`.
+    fn compute(&self, request: &Compute, fast: bool) -> Option<ResponseBody> {
+        let mode = match request.verb {
+            Verb::Solve => PolicyMode::Solve,
+            Verb::Bracket | Verb::Measure => PolicyMode::Bracket,
+        };
+        if let Err(err) = policy::validate(&request.policy, mode) {
+            return Some(ResponseBody::Error(err));
         }
-        let (game, initial) = match self.build_instance(instance) {
-            Ok(built) => built,
-            Err(err) => return ResponseBody::Error(err),
+        let instance = match &request.instance {
+            Ok(instance) => instance,
+            Err(err) => return Some(ResponseBody::Error(err.clone())),
         };
-        let span = self.obs.recorder.span("solve");
-        let ctx = self.eval_ctx(&game, &initial, Some(span.id()));
-        let body = match policy::eval_solve(policy, &ctx, None) {
-            Ok(SolveEval::Done(solved)) => ResponseBody::Solve(wire_solve_reply(key, &solved)),
-            Ok(SolveEval::Deadline) => ResponseBody::Solve(deadline_solve_reply(key)),
-            Err(err) => ResponseBody::Error(err),
-        };
-        span.finish();
-        body
-    }
-
-    fn handle_bracket(
-        &self,
-        key: String,
-        instance: &WireInstance,
-        policy: &crate::policy::Policy,
-    ) -> ResponseBody {
-        if let Err(err) = policy::validate(policy, PolicyMode::Bracket) {
-            return ResponseBody::Error(err);
-        }
-        let (game, initial) = match self.build_instance(instance) {
-            Ok(built) => built,
-            Err(err) => return ResponseBody::Error(err),
-        };
-        let span = self.obs.recorder.span("bracket");
-        let ctx = self.eval_ctx(&game, &initial, Some(span.id()));
-        let body = match policy::eval_bracket(policy, &ctx, None) {
-            Ok(BracketEval::Done(done)) => {
-                ResponseBody::Bracket(wire_bracket_reply(key, &done.outcome))
+        let pure = PureProfile::new(request.profile.clone());
+        if request.verb == Verb::Measure {
+            if let Err(e) = pure.validate(&instance.game) {
+                return Some(ResponseBody::Error(WireError::new(
+                    ErrorKind::InvalidRequest,
+                    e.to_string(),
+                )));
             }
-            Ok(BracketEval::Partial(outcome)) => ResponseBody::Bracket(BracketReply {
-                key,
-                outcome: BracketOutcome::Partial(wire_brackets(&outcome)),
-            }),
-            Ok(BracketEval::Deadline) => ResponseBody::Bracket(BracketReply {
-                key,
-                outcome: BracketOutcome::DeadlineExceeded,
-            }),
-            Err(err) => ResponseBody::Error(err),
-        };
-        span.finish();
-        body
-    }
-
-    fn handle_measure(
-        &self,
-        key: String,
-        measure: &crate::protocol::MeasureRequest,
-    ) -> ResponseBody {
-        if let Err(err) = policy::validate(&measure.policy, PolicyMode::Bracket) {
-            return ResponseBody::Error(err);
         }
-        let (game, initial) = match self.build_instance(&measure.instance) {
-            Ok(built) => built,
-            Err(err) => return ResponseBody::Error(err),
-        };
-        let pure = PureProfile::new(measure.profile.clone());
-        if let Err(e) = pure.validate(&game) {
-            return ResponseBody::Error(WireError::new(ErrorKind::InvalidRequest, e.to_string()));
+        let policy = &request.policy;
+        let key = instance.key.clone();
+        if fast {
+            if policy.has_timeout() {
+                return None;
+            }
+            let ctx = self.eval_ctx(instance, None);
+            return Some(match request.verb {
+                Verb::Solve => {
+                    let solved = policy::eval_solve_cached(policy, &ctx)?;
+                    ResponseBody::Solve(wire_solve_reply(key, &solved))
+                }
+                Verb::Bracket => {
+                    let done = policy::eval_bracket_cached(policy, &ctx)?;
+                    ResponseBody::Bracket(wire_bracket_reply(key, &done.outcome))
+                }
+                Verb::Measure => {
+                    let done = policy::eval_bracket_cached(policy, &ctx)?;
+                    self.measure_body(key, &instance.game, &pure, &done.outcome)
+                }
+            });
         }
-        let span = self.obs.recorder.span("measure");
-        let ctx = self.eval_ctx(&game, &initial, Some(span.id()));
-        let body = match policy::eval_bracket(&measure.policy, &ctx, None) {
-            Ok(BracketEval::Done(done)) => self.measure_body(key, &game, &pure, &done.outcome),
-            // A partial bracket's lower ends may still be at zero (no lower
-            // backend ran), where the ratio arithmetic is undefined — a
-            // measure under deadline pressure reports the plain deadline
-            // outcome rather than a half-usable report.
-            Ok(BracketEval::Partial(_)) | Ok(BracketEval::Deadline) => {
-                ResponseBody::Measure(MeasureReply {
+        let span = self.obs.recorder.span(match request.verb {
+            Verb::Solve => "solve",
+            Verb::Bracket => "bracket",
+            Verb::Measure => "measure",
+        });
+        let ctx = self.eval_ctx(instance, Some(span.id()));
+        let body = match request.verb {
+            Verb::Solve => match policy::eval_solve(policy, &ctx, None) {
+                Ok(SolveEval::Done(solved)) => ResponseBody::Solve(wire_solve_reply(key, &solved)),
+                Ok(SolveEval::Deadline) => ResponseBody::Solve(deadline_solve_reply(key)),
+                Err(err) => ResponseBody::Error(err),
+            },
+            Verb::Bracket => match policy::eval_bracket(policy, &ctx, None) {
+                Ok(BracketEval::Done(done)) => {
+                    ResponseBody::Bracket(wire_bracket_reply(key, &done.outcome))
+                }
+                Ok(BracketEval::Partial(outcome)) => ResponseBody::Bracket(BracketReply {
                     key,
-                    outcome: MeasureOutcome::DeadlineExceeded,
-                })
-            }
-            Err(err) => ResponseBody::Error(err),
+                    outcome: BracketOutcome::Partial(wire_brackets(&outcome)),
+                }),
+                Ok(BracketEval::Deadline) => ResponseBody::Bracket(BracketReply {
+                    key,
+                    outcome: BracketOutcome::DeadlineExceeded,
+                }),
+                Err(err) => ResponseBody::Error(err),
+            },
+            Verb::Measure => match policy::eval_bracket(policy, &ctx, None) {
+                Ok(BracketEval::Done(done)) => {
+                    self.measure_body(key, &instance.game, &pure, &done.outcome)
+                }
+                // A partial bracket's lower ends may still be at zero (no
+                // lower backend ran), where the ratio arithmetic is
+                // undefined — a measure under deadline pressure reports the
+                // plain deadline outcome rather than a half-usable report.
+                Ok(BracketEval::Partial(_)) | Ok(BracketEval::Deadline) => {
+                    ResponseBody::Measure(MeasureReply {
+                        key,
+                        outcome: MeasureOutcome::DeadlineExceeded,
+                    })
+                }
+                Err(err) => ResponseBody::Error(err),
+            },
         };
         span.finish();
-        body
+        Some(body)
     }
 
     /// The resident-session engine: local search (the repair path's warm
@@ -585,8 +520,11 @@ impl ServeState {
     /// `Upload`: validate, solve cold, pin the game plus its certified
     /// profile, hand out the session id. Nothing is pinned unless the solve
     /// certified.
-    fn handle_upload(&self, upload: &UploadRequest) -> ResponseBody {
-        let (game, initial) = match self.build_instance(&upload.instance) {
+    fn handle_upload(
+        &self,
+        instance: Result<(EffectiveGame, LinkLoads), WireError>,
+    ) -> ResponseBody {
+        let (game, initial) = match instance {
             Ok(built) => built,
             Err(err) => return ResponseBody::Error(err),
         };

@@ -329,3 +329,70 @@ fn a_bracket_fallback_keeps_the_certified_bounds_of_a_goal_miss() {
         }
     }
 }
+
+/// `-0.0` and `+0.0` initial loads are one question: a JSON line carrying
+/// `-0.0` is a warm-tier hit on the entry an in-process `+0.0` request
+/// filled, and both replies carry the same key.
+#[test]
+fn signed_zero_initial_loads_share_one_warm_tier_entry() {
+    let state = ServeState::new(&ServeConfig::default());
+    let request = |id: u64, zero: f64| {
+        let mut instance = wire_instance(6, 3, 4);
+        instance.initial = Some(vec![zero, 1.0, zero]);
+        Request {
+            id,
+            body: RequestBody::Solve(SolveRequest {
+                instance,
+                policy: default_solve_policy(),
+            }),
+        }
+    };
+    let positive = state.handle_request(request(1, 0.0));
+    let line = serde_json::to_string(&request(1, -0.0)).expect("serialise");
+    assert!(line.contains("-0.0"), "the line must carry the signed zero");
+    let negative: Response = serde_json::from_str(&state.handle_line(&line)).expect("reply");
+    assert!(matches!(positive.body, ResponseBody::Solve(_)));
+    assert_eq!(positive, negative);
+    let ResponseBody::Stats(stats) = state
+        .handle_request(Request {
+            id: 2,
+            body: RequestBody::Stats,
+        })
+        .body
+    else {
+        panic!("expected stats");
+    };
+    assert_eq!(stats.solve_cache.entries, 1);
+    assert_eq!(stats.solve_cache.hits, 1);
+}
+
+/// Reader threads exit with their connections and the acceptor drops their
+/// handles: after 200 connections open and close, no reader is left.
+#[test]
+fn closed_connections_leave_no_reader_behind() {
+    let server = Server::bind("127.0.0.1:0", &ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let registry = server.state().registry();
+    let handle = std::thread::spawn(move || server.run());
+    let readers = || {
+        registry
+            .snapshot()
+            .gauges
+            .iter()
+            .find(|(name, _)| name == "serve.readers")
+            .map_or(0, |(_, value)| *value)
+    };
+    for i in 0..200 {
+        let mut client = Client::connect(addr).expect("connect");
+        if i % 10 == 0 {
+            client.call(RequestBody::Stats).expect("stats");
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while readers() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(readers(), 0, "every reader must exit with its connection");
+    shutdown(addr);
+    handle.join().expect("server thread").expect("clean run");
+}
