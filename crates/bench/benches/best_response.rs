@@ -7,10 +7,9 @@ use std::hint::black_box;
 
 use netuncert_bench::general_instance;
 use netuncert_core::algorithms::best_response::{BestResponseDynamics, SelectionRule};
-use netuncert_core::algorithms::solve_pure_nash;
 use netuncert_core::model::EffectiveGame;
 use netuncert_core::numeric::Tolerance;
-use netuncert_core::solvers::engine::SolverEngine;
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::strategy::LinkLoads;
 use par_exec::ParallelConfig;
 
@@ -60,7 +59,14 @@ fn bench_best_response(c: &mut Criterion) {
         dispatcher.bench_with_input(
             BenchmarkId::new("general", format!("n{n}_m{m}")),
             &n,
-            |b, _| b.iter(|| solve_pure_nash(black_box(&game), black_box(&initial), tol).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    SolverEngine::paper_order(SolverConfig::with_tol(tol))
+                        .solve(black_box(&game), black_box(&initial))
+                        .unwrap()
+                        .solution
+                })
+            },
         );
         dispatcher.bench_with_input(
             BenchmarkId::new("engine_with_telemetry", format!("n{n}_m{m}")),

@@ -9,8 +9,8 @@ use instance_gen::kp::KpSpec;
 use instance_gen::rng;
 use kp_model::lpt::{lpt_assignment, nashify};
 use kp_model::social::expected_max_congestion;
-use netuncert_core::algorithms::solve_pure_nash;
 use netuncert_core::numeric::Tolerance;
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::strategy::{LinkLoads, MixedProfile, PureProfile};
 
 fn bench_kp(c: &mut Criterion) {
@@ -35,7 +35,14 @@ fn bench_kp(c: &mut Criterion) {
         model_vs_kp.bench_with_input(
             BenchmarkId::new("dispatcher", format!("n{n}_m{m}")),
             &n,
-            |b, _| b.iter(|| solve_pure_nash(black_box(&eg), black_box(&initial), tol).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    SolverEngine::paper_order(SolverConfig::with_tol(tol))
+                        .solve(black_box(&eg), black_box(&initial))
+                        .unwrap()
+                        .solution
+                })
+            },
         );
     }
     model_vs_kp.finish();

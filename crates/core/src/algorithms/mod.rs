@@ -4,10 +4,10 @@
 //! * [`symmetric`] — `Asymmetric` (Figure 2): identical weights, any `m`, `O(n²m)`.
 //! * [`uniform`] — `Auniform` (Figure 3): uniform user beliefs, `O(n(log n + m))`.
 //! * [`best_response`] — best-response dynamics used to probe Conjecture 3.7.
-//! * [`solve_pure_nash`] — a compatibility wrapper over the unified
-//!   [`SolverEngine`](crate::solvers::engine::SolverEngine), which orchestrates
-//!   all of the above behind the [`Solver`](crate::solvers::engine::Solver)
-//!   trait.
+//!
+//! The unified [`SolverEngine`](crate::solvers::engine::SolverEngine)
+//! orchestrates all of the above behind the
+//! [`Solver`](crate::solvers::engine::Solver) trait.
 
 pub mod best_response;
 pub mod symmetric;
@@ -16,13 +16,9 @@ pub mod uniform;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::Result;
-use crate::model::EffectiveGame;
-use crate::numeric::Tolerance;
-use crate::solvers::engine::{SolverConfig, SolverEngine};
-use crate::strategy::{LinkLoads, PureProfile};
+use crate::strategy::PureProfile;
 
-/// Which method produced a pure Nash equilibrium in [`solve_pure_nash`].
+/// Which method produced a pure Nash equilibrium.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PureNashMethod {
     /// `Atwolinks` (Figure 1) — the game has two links.
@@ -48,31 +44,14 @@ pub struct PureNashSolution {
     pub method: PureNashMethod,
 }
 
-/// Finds a pure Nash equilibrium of `game` with initial traffic `initial`.
-///
-/// This is a thin compatibility wrapper over a
-/// [`SolverEngine`](crate::solvers::engine::SolverEngine) in
-/// [`paper_order`](crate::solvers::engine::SolverEngine::paper_order): the
-/// paper's polynomial-time special cases (two links; symmetric users; uniform
-/// beliefs), then best-response dynamics, and finally exhaustive search when
-/// the profile space is within budget. Returns `Ok(None)` only when every
-/// method fails — which, under Conjecture 3.7, means the step/size budgets
-/// were exhausted, not that no equilibrium exists. Callers that want solver
-/// telemetry, custom strategy orders, budgets, or batch-parallel solving
-/// should use the engine directly.
-pub fn solve_pure_nash(
-    game: &EffectiveGame,
-    initial: &LinkLoads,
-    tol: Tolerance,
-) -> Result<Option<PureNashSolution>> {
-    let engine = SolverEngine::paper_order(SolverConfig::with_tol(tol));
-    Ok(engine.solve(game, initial)?.solution)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::equilibrium::is_pure_nash;
+    use crate::model::EffectiveGame;
+    use crate::numeric::Tolerance;
+    use crate::solvers::engine::{SolverConfig, SolverEngine};
+    use crate::strategy::LinkLoads;
 
     #[test]
     fn dispatcher_picks_two_links_algorithm() {
@@ -82,8 +61,10 @@ mod tests {
         )
         .unwrap();
         let t = LinkLoads::zero(2);
-        let sol = solve_pure_nash(&g, &t, Tolerance::default())
+        let sol = SolverEngine::paper_order(SolverConfig::with_tol(Tolerance::default()))
+            .solve(&g, &t)
             .unwrap()
+            .solution
             .unwrap();
         assert_eq!(sol.method, PureNashMethod::TwoLinks);
         assert!(is_pure_nash(&g, &sol.profile, &t, Tolerance::default()));
@@ -101,8 +82,10 @@ mod tests {
         )
         .unwrap();
         let t = LinkLoads::zero(3);
-        let sol = solve_pure_nash(&g, &t, Tolerance::default())
+        let sol = SolverEngine::paper_order(SolverConfig::with_tol(Tolerance::default()))
+            .solve(&g, &t)
             .unwrap()
+            .solution
             .unwrap();
         assert_eq!(sol.method, PureNashMethod::Symmetric);
         assert!(is_pure_nash(&g, &sol.profile, &t, Tolerance::default()));
@@ -120,8 +103,10 @@ mod tests {
         )
         .unwrap();
         let t = LinkLoads::zero(3);
-        let sol = solve_pure_nash(&g, &t, Tolerance::default())
+        let sol = SolverEngine::paper_order(SolverConfig::with_tol(Tolerance::default()))
+            .solve(&g, &t)
             .unwrap()
+            .solution
             .unwrap();
         assert_eq!(sol.method, PureNashMethod::UniformBeliefs);
         assert!(is_pure_nash(&g, &sol.profile, &t, Tolerance::default()));
@@ -140,8 +125,10 @@ mod tests {
         )
         .unwrap();
         let t = LinkLoads::zero(3);
-        let sol = solve_pure_nash(&g, &t, Tolerance::default())
+        let sol = SolverEngine::paper_order(SolverConfig::with_tol(Tolerance::default()))
+            .solve(&g, &t)
             .unwrap()
+            .solution
             .unwrap();
         assert!(matches!(
             sol.method,

@@ -16,22 +16,16 @@
 //! collision can only cost a miss, never a wrong answer. Two instances that
 //! share a slot simply share a bucket.
 //!
-//! **Bounds.** One generic [`BoundedCache`] with two capacity disciplines:
-//!
-//! * [`CacheBound::Soft`] — the historical behaviour: once `capacity`
-//!   distinct entries are stored, new entries are simply not inserted.
-//!   Deterministic and allocation-friendly for batch sweeps, whose working
-//!   set is known up front. This is what `SolveCache::new()` /
-//!   `OptCache::new()` build, so existing sweeps behave bit-identically.
-//! * [`CacheBound::Lru`] — a resident-service tier: at capacity, inserting
-//!   a new entry evicts the least-recently-*used* entry (lookups refresh
-//!   recency) and counts it in [`CacheStats::evictions`]. A long-lived
-//!   server can therefore keep a hot working set warm under an unbounded
-//!   request stream without unbounded memory growth.
+//! **Bound.** One generic [`BoundedCache`], least-recently-used: at
+//! capacity, inserting a new entry evicts the least-recently-*used* entry
+//! (lookups refresh recency) and counts it in [`CacheStats::evictions`]. A
+//! long-lived server therefore keeps a hot working set warm under an
+//! unbounded request stream without unbounded memory growth, and a batch
+//! sweep, whose working set stays far below the default cap, never evicts.
 //!
 //! Eviction can never change an answer — an evicted instance is simply
 //! re-solved on its next miss, and re-solving is deterministic — so the
-//! choice of bound is purely a memory/throughput trade-off.
+//! capacity is purely a memory/throughput trade-off.
 //!
 //! [`SolveCache`]: crate::solvers::cache::SolveCache
 //! [`OptCache`]: crate::opt::cache::OptCache
@@ -55,7 +49,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct entries currently stored.
     pub entries: u64,
-    /// Entries evicted to make room (always `0` under [`CacheBound::Soft`]).
+    /// Entries evicted to make room.
     pub evictions: u64,
 }
 
@@ -296,15 +290,6 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
             .all(|(&x, &y)| x.to_bits() == y.to_bits() || canonical_bits(x) == canonical_bits(y))
 }
 
-/// How a [`BoundedCache`] behaves once `capacity` entries are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheBound {
-    /// Stop inserting new entries; stored entries keep serving hits.
-    Soft,
-    /// Evict the least-recently-used entry to admit the new one.
-    Lru,
-}
-
 /// One stored entry: its own copy of the instance (the equality check's
 /// reference), the value, and its recency stamp.
 #[derive(Debug)]
@@ -360,24 +345,23 @@ impl<V> Table<V> {
     }
 }
 
-/// A thread-safe content-addressed memoisation table with a capacity bound.
+/// A thread-safe content-addressed memoisation table with an LRU capacity
+/// bound.
 ///
-/// See the [module docs](self) for the key discipline and the two bound
-/// disciplines. Values must be `Clone` (hits hand out copies) and the whole
+/// See the [module docs](self) for the key discipline and the bound. Values must be `Clone` (hits hand out copies) and the whole
 /// cache is `Sync`, shared as `Arc<...>` across threads and engines.
 #[derive(Debug)]
 pub struct BoundedCache<V> {
     table: Mutex<Table<V>>,
     capacity: usize,
-    bound: CacheBound,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl<V: Clone> BoundedCache<V> {
-    /// An empty cache holding at most `capacity` entries under `bound`.
-    pub fn new(capacity: usize, bound: CacheBound) -> Self {
+    /// An empty cache holding at most `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
         BoundedCache {
             table: Mutex::new(Table {
                 map: HashMap::new(),
@@ -386,7 +370,6 @@ impl<V: Clone> BoundedCache<V> {
                 len: 0,
             }),
             capacity,
-            bound,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -396,11 +379,6 @@ impl<V: Clone> BoundedCache<V> {
     /// The entry cap this cache was built with.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The capacity discipline this cache was built with.
-    pub fn bound(&self) -> CacheBound {
-        self.bound
     }
 
     /// Current hit/miss/entry/eviction counters.
@@ -424,8 +402,7 @@ impl<V: Clone> BoundedCache<V> {
     }
 
     /// Looks up a key, counting the outcome as a hit or a miss. A hit also
-    /// refreshes the entry's recency (which only [`CacheBound::Lru`]
-    /// consults).
+    /// refreshes the entry's recency.
     pub fn lookup(&self, key: &CacheKey<'_>) -> Option<V> {
         let mut table = self.table.lock().expect("cache lock poisoned");
         let found = table.touch(key).map(|entry| entry.value.clone());
@@ -441,9 +418,7 @@ impl<V: Clone> BoundedCache<V> {
     /// Stores a cold run's output under its key, copying the key's instance
     /// into the entry.
     ///
-    /// At capacity: [`CacheBound::Soft`] drops the new entry (correctness is
-    /// unaffected — the instance is just re-run next time), while
-    /// [`CacheBound::Lru`] evicts the least-recently-used entry to admit it.
+    /// At capacity the least-recently-used entry is evicted to admit it.
     /// Re-inserting a stored key updates it in place and never evicts. Two
     /// threads may race to insert the same key; both computed the same
     /// deterministic value, so either insert is correct.
@@ -454,8 +429,8 @@ impl<V: Clone> BoundedCache<V> {
             return;
         }
         if table.len >= self.capacity {
-            // capacity == 0 under Lru: nothing to evict, nothing admitted.
-            if self.bound == CacheBound::Soft || !table.evict_oldest() {
+            // capacity == 0: nothing to evict, nothing admitted.
+            if !table.evict_oldest() {
                 return;
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -516,25 +491,9 @@ mod tests {
     }
 
     #[test]
-    fn soft_bound_stops_growing_but_keeps_serving() {
-        let keys = Keys::new(3);
-        let cache = BoundedCache::new(1, CacheBound::Soft);
-        cache.insert(&keys.key(1), "a");
-        cache.insert(&keys.key(2), "b");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&keys.key(1)), Some("a"));
-        assert_eq!(cache.lookup(&keys.key(2)), None);
-        assert_eq!(cache.stats().evictions, 0);
-        // Re-inserting a stored key is still allowed at capacity.
-        cache.insert(&keys.key(1), "a2");
-        assert_eq!(cache.lookup(&keys.key(1)), Some("a2"));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn lru_bound_evicts_the_least_recently_used_entry() {
         let keys = Keys::new(4);
-        let cache = BoundedCache::new(2, CacheBound::Lru);
+        let cache = BoundedCache::new(2);
         cache.insert(&keys.key(1), "a");
         cache.insert(&keys.key(2), "b");
         // Touch key 1 so key 2 becomes the LRU victim.
@@ -556,7 +515,7 @@ mod tests {
     #[test]
     fn lru_eviction_follows_insert_order_without_lookups() {
         let keys = Keys::new(5);
-        let cache = BoundedCache::new(2, CacheBound::Lru);
+        let cache = BoundedCache::new(2);
         for i in 1..=4 {
             cache.insert(&keys.key(i), i);
         }
@@ -570,7 +529,7 @@ mod tests {
     #[test]
     fn reinserting_a_stored_key_never_evicts() {
         let keys = Keys::new(3);
-        let cache = BoundedCache::new(2, CacheBound::Lru);
+        let cache = BoundedCache::new(2);
         cache.insert(&keys.key(1), 1);
         cache.insert(&keys.key(2), 2);
         cache.insert(&keys.key(1), 10);
@@ -582,7 +541,7 @@ mod tests {
     #[test]
     fn a_zero_capacity_lru_cache_admits_nothing() {
         let keys = Keys::new(2);
-        let cache = BoundedCache::new(0, CacheBound::Lru);
+        let cache = BoundedCache::new(0);
         cache.insert(&keys.key(1), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.lookup(&keys.key(1)), None);
@@ -597,19 +556,17 @@ mod tests {
         let keys = Keys::new(3);
         let forced =
             |i: usize| CacheKey::new(b"test".to_vec(), InstanceKey(7), &keys.games[i], &keys.zero);
-        for bound in [CacheBound::Soft, CacheBound::Lru] {
-            let cache = BoundedCache::new(4, bound);
-            cache.insert(&forced(0), "first");
-            cache.insert(&forced(1), "second");
-            assert_eq!(cache.len(), 2);
-            assert_eq!(cache.lookup(&forced(0)), Some("first"));
-            assert_eq!(cache.lookup(&forced(1)), Some("second"));
-            assert_eq!(cache.lookup(&forced(2)), None);
-            // The same instance under its true digest is another slot.
-            assert_eq!(cache.lookup(&keys.key(0)), None);
-        }
+        let cache = BoundedCache::new(4);
+        cache.insert(&forced(0), "first");
+        cache.insert(&forced(1), "second");
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup(&forced(0)), Some("first"));
+        assert_eq!(cache.lookup(&forced(1)), Some("second"));
+        assert_eq!(cache.lookup(&forced(2)), None);
+        // The same instance under its true digest is another slot.
+        assert_eq!(cache.lookup(&keys.key(0)), None);
         // Eviction removes exactly the victim from a shared bucket.
-        let cache = BoundedCache::new(2, CacheBound::Lru);
+        let cache = BoundedCache::new(2);
         cache.insert(&forced(0), "first");
         cache.insert(&forced(1), "second");
         cache.insert(&forced(2), "third");
@@ -627,7 +584,7 @@ mod tests {
         let key =
             |initial| CacheKey::new(Vec::new(), InstanceKey::of(&game, initial), &game, initial);
         assert_eq!(key(&pos), key(&neg));
-        let cache = BoundedCache::new(1, CacheBound::Lru);
+        let cache = BoundedCache::new(1);
         cache.insert(&key(&pos), 1);
         assert_eq!(cache.lookup(&key(&neg)), Some(1));
     }

@@ -82,9 +82,7 @@
 //! [`SolverEngine::solve_batch`](solvers::engine::SolverEngine::solve_batch)
 //! (or `solve_sampled` for generate-and-solve Monte-Carlo sweeps), which fans
 //! instances out over a deterministic `par-exec` worker pool; outputs are
-//! keyed by task id, so results are bit-identical for any worker count. The
-//! classic [`algorithms::solve_pure_nash`] entry point remains as a thin
-//! wrapper over the engine in paper order.
+//! keyed by task id, so results are bit-identical for any worker count.
 //!
 //! ```
 //! use netuncert_core::prelude::*;
@@ -126,7 +124,7 @@ pub mod strategy;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::algorithms::{self, solve_pure_nash, PureNashMethod, PureNashSolution};
+    pub use crate::algorithms::{self, PureNashMethod, PureNashSolution};
     pub use crate::cache::{CacheKey, InstanceKey};
     pub use crate::equilibrium::{
         best_response, is_fully_mixed_nash, is_mixed_nash, is_pure_nash, Deviation,
@@ -159,8 +157,8 @@ pub mod prelude {
     };
     pub use crate::solvers::cache::{CacheStats, SolveCache};
     pub use crate::solvers::engine::{
-        Applicability, EngineSolution, RepairOutcome, RepairTelemetry, SolveTelemetry, Solver,
-        SolverAttempt, SolverConfig, SolverEngine, SolverKind,
+        Applicability, EngineRun, EngineSolution, Opened, RepairOutcome, RepairTelemetry,
+        SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverEngine, SolverKind,
     };
     pub use crate::solvers::exhaustive::{all_pure_nash, social_optimum, SocialOptimum};
     pub use crate::solvers::kernel::{KernelRun, KernelScratch, SoAArena, SoAGame, SoAView};

@@ -12,7 +12,7 @@
 //!
 //! [`OptEngine::estimate`]: super::engine::OptEngine::estimate
 
-use crate::cache::{BoundedCache, CacheBound, CacheKey, InstanceKey};
+use crate::cache::{BoundedCache, CacheKey, InstanceKey};
 use crate::model::EffectiveGame;
 use crate::numeric::canonical_bits;
 use crate::opt::engine::{OptConfig, OptMethod, OptOutcome};
@@ -25,11 +25,8 @@ pub const DEFAULT_CAPACITY: usize = 1 << 20;
 /// A thread-safe memoisation table in front of the opt engine's estimate
 /// path.
 ///
-/// The default ([`OptCache::new`] / [`OptCache::bounded`]) stops growing at
-/// `capacity` entries (hits on the stored prefix keep working); the
-/// service-tier [`OptCache::lru`] evicts the least-recently-used entry
-/// instead and counts evictions in [`CacheStats`]. See the
-/// [module docs](self) for the key discipline.
+/// At capacity the least-recently-used entry is evicted and counted in
+/// [`CacheStats`]. See the [module docs](self) for the key discipline.
 #[derive(Debug)]
 pub struct OptCache {
     inner: BoundedCache<OptOutcome>,
@@ -37,7 +34,7 @@ pub struct OptCache {
 
 impl Default for OptCache {
     fn default() -> Self {
-        OptCache::bounded(DEFAULT_CAPACITY)
+        OptCache::lru(DEFAULT_CAPACITY)
     }
 }
 
@@ -47,21 +44,13 @@ impl OptCache {
         OptCache::default()
     }
 
-    /// An empty cache holding at most `capacity` entries; at capacity, new
-    /// entries are dropped (never evicted).
-    pub fn bounded(capacity: usize) -> Self {
-        OptCache {
-            inner: BoundedCache::new(capacity, CacheBound::Soft),
-        }
-    }
-
     /// An empty cache holding at most `capacity` entries; at capacity, the
     /// least-recently-used entry is evicted to admit a new one. Eviction
     /// can never change brackets — an evicted instance is re-estimated on
     /// its next miss.
     pub fn lru(capacity: usize) -> Self {
         OptCache {
-            inner: BoundedCache::new(capacity, CacheBound::Lru),
+            inner: BoundedCache::new(capacity),
         }
     }
 
@@ -87,9 +76,9 @@ impl OptCache {
 
     /// Looks up a key (from [`cache_key`]), counting the outcome as a hit
     /// or a miss. Public for out-of-crate engine frontends (the serve
-    /// layer); see [`SolveCache::lookup`] for the contract.
-    ///
-    /// [`SolveCache::lookup`]: crate::solvers::cache::SolveCache::lookup
+    /// layer): everything stored under a key built by [`cache_key`] is
+    /// exactly what a cold estimate with that method list and config
+    /// returned.
     pub fn lookup(&self, key: &CacheKey<'_>) -> Option<OptOutcome> {
         self.inner.lookup(key)
     }
@@ -144,7 +133,6 @@ pub fn cache_key<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::engine::{OptBracket, OptTelemetry};
 
     fn game() -> EffectiveGame {
         EffectiveGame::from_rows(
@@ -239,27 +227,5 @@ mod tests {
             key(&methods, &adaptive, &game, &pos),
             key(&methods, &tighter, &game, &pos)
         );
-    }
-
-    #[test]
-    fn a_full_cache_stops_growing_but_keeps_serving() {
-        let cache = OptCache::bounded(1);
-        assert!(cache.is_empty());
-        let outcome = OptOutcome {
-            opt1: OptBracket::exact(1.0),
-            opt2: OptBracket::exact(1.0),
-            telemetry: OptTelemetry::default(),
-        };
-        let (game, initial) = (game(), LinkLoads::zero(3));
-        let config = OptConfig::default();
-        let first = key(&[OptMethod::Exhaustive], &config, &game, &initial);
-        let second = key(&[OptMethod::LptGreedy], &config, &game, &initial);
-        cache.insert(&first, outcome.clone());
-        cache.insert(&second, outcome.clone());
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&first).is_some());
-        assert!(cache.lookup(&second).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 }

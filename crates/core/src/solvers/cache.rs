@@ -3,7 +3,7 @@
 //! Perturbation-style sweeps re-solve identical effective games constantly:
 //! a study that redraws beliefs around a fixed "true" network solves that
 //! same true network once per perturbed sample. A [`SolveCache`] shortcuts
-//! the repeats. The cache key ([`cache_key`]) covers everything that
+//! the repeats. The cache key (`cache_key`) covers everything that
 //! determines the engine's answer — the solver method list, the
 //! [`SolverConfig`] budgets, the effective game (weights and capacity
 //! matrix) and the initial link loads. The instance is filed under its
@@ -18,9 +18,9 @@
 //! embed the engine's method list and budgets, so engines with different
 //! strategies never collide.
 //!
-//! The capacity mechanics (and the LRU service tier behind
-//! [`SolveCache::lru`]) live in the shared [`crate::cache`] module; this
-//! module owns the solve-specific key discipline.
+//! The capacity mechanics (a least-recently-used bound) live in the shared
+//! [`crate::cache`] module; this module owns the solve-specific key
+//! discipline.
 //!
 //! [`SolverEngine::solve`]: super::engine::SolverEngine::solve
 //! [`SolverEngine::with_cache`]: super::engine::SolverEngine::with_cache
@@ -29,7 +29,7 @@
 use crate::algorithms::best_response::SelectionRule;
 use crate::algorithms::PureNashMethod;
 pub use crate::cache::CacheStats;
-use crate::cache::{BoundedCache, CacheBound, CacheKey, InstanceKey};
+use crate::cache::{BoundedCache, CacheKey, InstanceKey};
 use crate::model::EffectiveGame;
 use crate::numeric::canonical_bits;
 use crate::solvers::engine::{EngineSolution, SolverConfig};
@@ -37,18 +37,12 @@ use crate::strategy::LinkLoads;
 
 /// Entry cap used by [`SolveCache::new`]; enough for any in-process sweep
 /// while bounding a million-instance, mostly-miss workload to a few GB at
-/// worst. Use [`SolveCache::bounded`] to tighten or loosen it, or
-/// [`SolveCache::lru`] for a service-style evicting tier.
+/// worst. Use [`SolveCache::lru`] to tighten or loosen it.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// A thread-safe memoisation table in front of the engine's solve path.
 ///
-/// The default ([`SolveCache::new`] / [`SolveCache::bounded`]) keeps the
-/// historical batch-sweep behaviour: the table stops growing once `capacity`
-/// distinct instances are stored (new entries are simply not inserted —
-/// deterministic, and hits on the stored prefix keep working). A resident
-/// service should use [`SolveCache::lru`] instead, which evicts the
-/// least-recently-used entry at capacity and counts evictions in
+/// At capacity the least-recently-used entry is evicted and counted in
 /// [`CacheStats`]. See the [module docs](self) for the key discipline and
 /// guarantees.
 #[derive(Debug)]
@@ -58,7 +52,7 @@ pub struct SolveCache {
 
 impl Default for SolveCache {
     fn default() -> Self {
-        SolveCache::bounded(DEFAULT_CAPACITY)
+        SolveCache::lru(DEFAULT_CAPACITY)
     }
 }
 
@@ -68,14 +62,6 @@ impl SolveCache {
         SolveCache::default()
     }
 
-    /// An empty cache holding at most `capacity` entries; at capacity, new
-    /// entries are dropped (never evicted).
-    pub fn bounded(capacity: usize) -> Self {
-        SolveCache {
-            inner: BoundedCache::new(capacity, CacheBound::Soft),
-        }
-    }
-
     /// An empty cache holding at most `capacity` entries; at capacity, the
     /// least-recently-used entry is evicted to admit a new one (lookups
     /// refresh recency). Evictions are counted in [`CacheStats::evictions`]
@@ -83,7 +69,7 @@ impl SolveCache {
     /// re-solved on its next miss.
     pub fn lru(capacity: usize) -> Self {
         SolveCache {
-            inner: BoundedCache::new(capacity, CacheBound::Lru),
+            inner: BoundedCache::new(capacity),
         }
     }
 
@@ -110,18 +96,19 @@ impl SolveCache {
     /// Looks up a key (from [`cache_key`]), counting the outcome as a hit
     /// or a miss.
     ///
-    /// Public for out-of-crate engine frontends (the serve layer's
-    /// deadline-aware solve path); everything stored under a key built by
-    /// [`cache_key`] is exactly what a cold
-    /// [`SolverEngine::solve`](super::engine::SolverEngine::solve) with that
-    /// method list and config would return.
-    pub fn lookup(&self, key: &CacheKey<'_>) -> Option<EngineSolution> {
+    /// Everything stored under a key built by [`cache_key`] is exactly what
+    /// a cold [`SolverEngine::solve`](super::engine::SolverEngine::solve)
+    /// with that method list and config returned. Frontends read through
+    /// [`SolverEngine::open`](super::engine::SolverEngine::open) or
+    /// [`SolverEngine::lookup`](super::engine::SolverEngine::lookup).
+    pub(crate) fn lookup(&self, key: &CacheKey<'_>) -> Option<EngineSolution> {
         self.inner.lookup(key)
     }
 
     /// Stores a cold solve under its key (see
-    /// [`lookup`](SolveCache::lookup) for the contract).
-    pub fn insert(&self, key: &CacheKey<'_>, solution: EngineSolution) {
+    /// [`lookup`](SolveCache::lookup) for the contract); written only by a
+    /// finished [`EngineRun`](super::engine::EngineRun).
+    pub(crate) fn insert(&self, key: &CacheKey<'_>, solution: EngineSolution) {
         self.inner.insert(key, solution);
     }
 }
@@ -146,14 +133,9 @@ fn rule_tag(rule: SelectionRule) -> u8 {
 
 /// Builds the warm-tier key for one solve: the engine fingerprint (method
 /// list and every budget that can change the answer) plus the instance,
-/// filed under its [`InstanceKey`] digest.
-///
-/// Public so engine frontends outside this crate (the serve layer) can
-/// address the same warm tier as
-/// [`SolverEngine::solve`](super::engine::SolverEngine::solve): two callers
-/// that agree on the method list, config and instance read and write the
-/// same entry.
-pub fn cache_key<'a>(
+/// filed under its [`InstanceKey`] digest. Two engines that agree on the
+/// method list, config and instance read and write the same entry.
+pub(crate) fn cache_key<'a>(
     methods: &[PureNashMethod],
     config: &SolverConfig,
     game: &'a EffectiveGame,
@@ -285,24 +267,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.hit_rate(), 0.5);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn a_full_cache_stops_growing_but_keeps_serving_stored_entries() {
-        let cache = SolveCache::bounded(1);
-        let (game, initial) = (game(), LinkLoads::zero(3));
-        let config = SolverConfig::default();
-        let first = key(&[PureNashMethod::Exhaustive], &config, &game, &initial);
-        let second = key(&[PureNashMethod::LocalSearch], &config, &game, &initial);
-        cache.insert(&first, solution());
-        cache.insert(&second, solution());
-        assert_eq!(cache.len(), 1, "capacity bound must hold");
-        assert!(cache.lookup(&first).is_some());
-        assert!(cache.lookup(&second).is_none());
-        assert_eq!(cache.stats().evictions, 0);
-        // Re-inserting a stored key is still allowed at capacity.
-        cache.insert(&first, solution());
         assert_eq!(cache.len(), 1);
     }
 

@@ -1,23 +1,28 @@
 //! The unified, parallel solver engine.
 //!
-//! Historically the crate found pure Nash equilibria through a hard-coded
-//! `if`-chain dispatcher. This module replaces that with an explicit
-//! composition: each algorithm is a [`Solver`] that reports its own
+//! Each pure-Nash algorithm is a [`Solver`] that reports its own
 //! [`Applicability`] to an instance, and a [`SolverEngine`] walks an ordered
 //! solver list under shared [`SolverConfig`] budgets, recording
 //! [`SolveTelemetry`] (method tried, iterations, wall time) for every
-//! attempt. Batch workloads go through [`SolverEngine::solve_batch`], which
-//! fans instances out over [`par_exec::parallel_map`]; because every solver
-//! is deterministic and `parallel_map` reassembles outputs by task id, batch
-//! results are **bit-identical for any worker count**. Wall-clock telemetry
-//! is, of course, not deterministic — determinism claims apply to the
-//! returned solutions.
+//! attempt.
 //!
-//! The legacy entry point
-//! [`solve_pure_nash`](crate::algorithms::solve_pure_nash) survives as a thin
-//! wrapper over an engine in [`SolverEngine::paper_order`], so existing call
-//! sites keep their exact behaviour.
+//! The walk exists once, as the pass-resumable [`EngineRun`]: skip solvers
+//! that are not applicable, stop at the first solution or at a conclusive
+//! no. Every entry point composes it. [`SolverEngine::solve`] steps one run
+//! to completion, [`SolverEngine::solve_batch`] steps many round-robin over
+//! views into one [`SoAArena`], [`SolverEngine::repair`] steps a run seeded
+//! with a warm local-search descent, and out-of-crate frontends (the serve
+//! layer's deadlines and races) step runs from [`SolverEngine::open`]
+//! themselves. A run is opened by a warm-tier lookup and writes the warm
+//! tier only when it finishes.
+//!
+//! Batches fan chunks out over [`par_exec::parallel_map`]; because every
+//! solver is deterministic and `parallel_map` reassembles outputs by task
+//! id, batch results are **bit-identical for any worker count**. Wall-clock
+//! telemetry is, of course, not deterministic — determinism claims apply to
+//! the returned solutions.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -150,13 +155,14 @@ pub trait Solver: Send + Sync {
     /// A pass-resumable kernel run over `game`, if this solver has one.
     ///
     /// `view` must be the SoA form of `game` (typically a slice of the batch
-    /// arena). Solvers that return `Some` are advanced interleaved by
-    /// [`SolverEngine::solve_batch`]; stepping the returned run to completion
-    /// must produce exactly what [`solve_detailed`](Solver::solve_detailed)
+    /// arena). The engine asks for one only when the solver classified the
+    /// instance as [`Applicability::Heuristic`], and then steps the returned
+    /// run pass by pass in its [`EngineRun`]. Stepping it to completion must
+    /// produce exactly what [`solve_detailed`](Solver::solve_detailed)
     /// produces, which the kernel-backed solvers guarantee by implementing
     /// `solve_detailed` as that very loop. The default (`None`) makes the
-    /// engine fall back to `solve_detailed` inline — correct for closed-form
-    /// and exhaustive solvers whose work is not pass-shaped.
+    /// engine run `solve_detailed` inline — correct for closed-form and
+    /// exhaustive solvers whose work is not pass-shaped.
     fn kernel_run<'a>(
         &self,
         game: &'a EffectiveGame,
@@ -632,9 +638,9 @@ impl Default for SolverEngine {
 }
 
 impl SolverEngine {
-    /// The dispatch order used throughout the paper's evaluation (and by the
-    /// legacy `solve_pure_nash`): the three polynomial special cases, then
-    /// best-response dynamics, then exhaustive enumeration.
+    /// The dispatch order used throughout the paper's evaluation: the three
+    /// polynomial special cases, then best-response dynamics, then
+    /// exhaustive enumeration.
     pub fn paper_order(config: SolverConfig) -> Self {
         SolverEngine {
             solvers: vec![
@@ -783,68 +789,79 @@ impl SolverEngine {
         initial: &LinkLoads,
         instance: Option<InstanceKey>,
     ) -> Result<EngineSolution> {
-        let Some(cache) = &self.cache else {
-            return self.solve_cold(game, initial);
-        };
+        let soa = OnceCell::new();
+        let opened = self.open(game, initial, instance, &soa);
+        match opened {
+            Opened::Hit(hit) => Ok(hit),
+            Opened::Run(mut run) => {
+                let mut scratch = KernelScratch::new();
+                while !run.step(&mut scratch) {}
+                run.finish()
+            }
+        }
+    }
+
+    /// Opens a solve of `game` from `initial`: a counting warm-tier lookup
+    /// when a cache is attached, else (or on a miss) an [`EngineRun`] to
+    /// step. `instance` is the digest of `(game, initial)` when the caller
+    /// already has it. `soa` is where the run packs the SoA form of `game`,
+    /// at most once and only when a kernel-backed solver becomes active;
+    /// several runs over the same game may share one cell.
+    pub fn open<'a>(
+        &'a self,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
+        instance: Option<InstanceKey>,
+        soa: &'a OnceCell<SoAGame>,
+    ) -> Opened<'a> {
+        self.open_over(game, initial, instance, Rows::Lazy(soa))
+    }
+
+    fn open_over<'a>(
+        &'a self,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
+        instance: Option<InstanceKey>,
+        rows: Rows<'a>,
+    ) -> Opened<'a> {
+        let key = self.warm_key(game, initial, instance);
+        if let (Some(cache), Some(key)) = (&self.cache, &key) {
+            if let Some(hit) = cache.lookup(key) {
+                return Opened::Hit(hit);
+            }
+        }
+        Opened::Run(Box::new(EngineRun::new(self, game, initial, rows, key)))
+    }
+
+    /// Answers from the warm tier alone: a counting lookup of exactly the
+    /// entry [`solve`](SolverEngine::solve) would read, or `None` on a miss
+    /// or without a cache. Never solves anything.
+    pub fn lookup(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        instance: Option<InstanceKey>,
+    ) -> Option<EngineSolution> {
+        let key = self.warm_key(game, initial, instance)?;
+        self.cache.as_ref()?.lookup(&key)
+    }
+
+    /// The warm-tier key of `(game, initial)` under this engine's
+    /// composition and budgets; `None` without a cache.
+    fn warm_key<'a>(
+        &self,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
+        instance: Option<InstanceKey>,
+    ) -> Option<CacheKey<'a>> {
+        self.cache.as_ref()?;
         let key_start = self.recorder.now();
         let instance = instance.unwrap_or_else(|| InstanceKey::of(game, initial));
         let key = cache::cache_key(&self.methods(), &self.config, game, initial, instance);
         if let (Some(probes), Some(start)) = (&self.probes, key_start) {
             probes.key_ns.record(elapsed_ns(start));
         }
-        if let Some(hit) = cache.lookup(&key) {
-            return Ok(hit);
-        }
-        let fill_start = self.recorder.now();
-        let solved = self.solve_cold(game, initial)?;
-        if let (Some(probes), Some(start)) = (&self.probes, fill_start) {
-            probes.fill_ns.record(elapsed_ns(start));
-        }
-        cache.insert(&key, solved.clone());
-        Ok(solved)
-    }
-
-    /// The uncached solve path: walk the solver list, record telemetry.
-    fn solve_cold(&self, game: &EffectiveGame, initial: &LinkLoads) -> Result<EngineSolution> {
-        let start = Instant::now();
-        let mut attempts = Vec::new();
-        for solver in &self.solvers {
-            let applicability = solver.applicability(game, initial, &self.config);
-            if applicability == Applicability::NotApplicable {
-                continue;
-            }
-            let attempt_start = Instant::now();
-            let detail = solver.solve_detailed(game, initial, &self.config)?;
-            let wall_ns = attempt_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            if let Some(probes) = &self.probes {
-                probes.attempt_ns.record(wall_ns);
-            }
-            attempts.push(SolverAttempt {
-                method: solver.method(),
-                applicability,
-                iterations: detail.iterations,
-                restarts: detail.restarts,
-                found: detail.solution.is_some(),
-                wall_ns,
-            });
-            let conclusive = applicability == Applicability::Conclusive;
-            if detail.solution.is_some() || conclusive {
-                return Ok(EngineSolution {
-                    solution: detail.solution,
-                    telemetry: SolveTelemetry {
-                        attempts,
-                        total_wall_ns: start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                    },
-                });
-            }
-        }
-        Ok(EngineSolution {
-            solution: None,
-            telemetry: SolveTelemetry {
-                attempts,
-                total_wall_ns: start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            },
-        })
+        Some(key)
     }
 
     /// Repairs a certified equilibrium across one [`GameEdit`] instead of
@@ -876,57 +893,35 @@ impl SolverEngine {
         let soa = SoAGame::from_game(&edited);
         let prev_loads = prev_certified.link_loads(game, initial);
         let seed = repair_seed(soa.view(), prev_certified, &prev_loads, edit);
-        let mut run = LocalSearchRun::with_seed(&edited, initial, soa.view(), &self.config, seed);
-        let mut scratch = KernelScratch::new();
-        let mut passes = 0u64;
-        let detail = loop {
-            let pass_start = self.recorder.now();
-            let stepped = run.step(&mut scratch);
-            if let (Some(probes), Some(t)) = (&self.probes, pass_start) {
-                probes.pass_ns.record(elapsed_ns(t));
-            }
-            passes += 1;
-            if let Some(detail) = stepped {
-                break detail;
-            }
-        };
-        let warm_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if let Some(probes) = &self.probes {
-            probes.attempt_ns.record(warm_ns);
-        }
-        let repair = RepairTelemetry {
-            moves: detail.iterations.unwrap_or(0),
-            passes,
-            restarts: detail.restarts.unwrap_or(0),
-            fallback_cold: detail.solution.is_none(),
-        };
-        let warm_attempt = SolverAttempt {
+        let warm_run = LocalSearchRun::with_seed(&edited, initial, soa.view(), &self.config, seed);
+        // The seeded descent is the run's only attempt: no solver list after
+        // it, and no warm-tier key, since its answer is not this engine's
+        // composition's.
+        let mut run = EngineRun::new(self, &edited, initial, Rows::View(soa.view()), None);
+        run.next_solver = self.solvers.len();
+        run.active = Some(Active {
+            run: Box::new(warm_run),
             method: PureNashMethod::LocalSearch,
-            applicability: Applicability::Heuristic,
-            iterations: detail.iterations,
-            restarts: detail.restarts,
-            found: detail.solution.is_some(),
-            wall_ns: warm_ns,
+            started: Instant::now(),
+        });
+        let mut scratch = KernelScratch::new();
+        while !run.step(&mut scratch) {}
+        let passes = run.passes;
+        let mut solution = run.finish()?;
+        let warm = solution.telemetry.attempts[0].clone();
+        let repair = RepairTelemetry {
+            moves: warm.iterations.unwrap_or(0),
+            passes,
+            restarts: warm.restarts.unwrap_or(0),
+            fallback_cold: !warm.found,
         };
-        let solution = if let Some(found) = detail.solution {
-            EngineSolution {
-                solution: Some(found),
-                telemetry: SolveTelemetry {
-                    attempts: vec![warm_attempt],
-                    total_wall_ns: warm_ns,
-                },
-            }
-        } else {
-            let mut cold = self.solve(&edited, initial)?;
-            cold.telemetry.attempts.insert(0, warm_attempt);
-            cold.telemetry.total_wall_ns =
-                start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            cold
-        };
+        if repair.fallback_cold {
+            solution = self.solve(&edited, initial)?;
+            solution.telemetry.attempts.insert(0, warm);
+        }
+        solution.telemetry.total_wall_ns = elapsed_ns(start);
         if let Some(probes) = &self.probes {
-            probes
-                .repair_ns
-                .record(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+            probes.repair_ns.record(solution.telemetry.total_wall_ns);
             probes.repair_moves.record(repair.moves);
             if repair.fallback_cold {
                 probes.repair_fallback.incr(1);
@@ -943,13 +938,13 @@ impl SolverEngine {
     /// engine's worker pool.
     ///
     /// Outputs are indexed like `games`. Instances are packed in fixed-size
-    /// chunks into an [`SoAArena`] and kernel-backed solvers are advanced
-    /// interleaved, one pass per instance per round, so the flat rows stay
+    /// chunks into an [`SoAArena`] and their [`EngineRun`]s are stepped
+    /// round-robin, one unit per instance per round, so the flat rows stay
     /// hot and one [`KernelScratch`] serves a whole chunk. Chunk boundaries
     /// depend only on the batch length and every run is deterministic, so
     /// solutions are **bit-identical for any worker count** — and to solving
-    /// each instance sequentially with [`solve`](SolverEngine::solve), because
-    /// a sequential solve steps the very same run to completion.
+    /// each instance sequentially with [`solve`](SolverEngine::solve), which
+    /// steps the very same run to completion.
     pub fn solve_batch(&self, games: &[EffectiveGame]) -> Vec<Result<EngineSolution>> {
         let zeros: Vec<LinkLoads> = games.iter().map(|g| LinkLoads::zero(g.links())).collect();
         let items: Vec<(&EffectiveGame, &LinkLoads)> = games.iter().zip(&zeros).collect();
@@ -978,184 +973,37 @@ impl SolverEngine {
         solved.into_iter().flatten().collect()
     }
 
-    /// Solves one chunk of instances with interleaved kernel runs.
-    ///
-    /// Each instance owns a slot that walks the solver list exactly like
-    /// [`solve_cold`](SolverEngine::solve_cold): skip non-applicable solvers,
-    /// stop at the first solution or at a conclusive no. The difference is
-    /// pacing, not semantics — solvers that expose a [`Solver::kernel_run`]
-    /// are advanced one pass per round across the whole chunk (on views into
-    /// the shared [`SoAArena`]), while the rest run inline.
+    /// Solves one chunk: one run per instance over a view into the shared
+    /// [`SoAArena`], stepped round-robin until every run has finished.
     fn solve_chunk(&self, items: &[(&EffectiveGame, &LinkLoads)]) -> Vec<Result<EngineSolution>> {
-        struct Slot<'a> {
-            attempts: Vec<SolverAttempt>,
-            /// Index into the solver list of the next solver to try.
-            next_solver: usize,
-            /// The in-flight kernel run, if a kernel-backed solver is active.
-            run: Option<Box<dyn KernelRun + 'a>>,
-            run_applicability: Applicability,
-            run_method: PureNashMethod,
-            run_started: Instant,
-            started: Instant,
-            key: Option<CacheKey<'a>>,
-            done: Option<Result<EngineSolution>>,
-        }
-
-        impl Slot<'_> {
-            fn finish(&mut self, solution: Option<PureNashSolution>) -> Result<EngineSolution> {
-                Ok(EngineSolution {
-                    solution,
-                    telemetry: SolveTelemetry {
-                        attempts: std::mem::take(&mut self.attempts),
-                        total_wall_ns: self.started.elapsed().as_nanos().min(u128::from(u64::MAX))
-                            as u64,
-                    },
-                })
-            }
-        }
-
         let arena = SoAArena::pack(items.iter().map(|&(game, _)| game));
-        let mut scratch = KernelScratch::new();
-        let methods = self.cache.as_ref().map(|_| self.methods());
-        let mut slots: Vec<Slot<'_>> = items
-            .iter()
-            .map(|&(game, initial)| {
-                let now = Instant::now();
-                let mut slot = Slot {
-                    attempts: Vec::new(),
-                    next_solver: 0,
-                    run: None,
-                    run_applicability: Applicability::Heuristic,
-                    run_method: PureNashMethod::BestResponse,
-                    run_started: now,
-                    started: now,
-                    key: None,
-                    done: None,
-                };
-                if let (Some(cache), Some(methods)) = (&self.cache, &methods) {
-                    let key_start = self.recorder.now();
-                    let instance = InstanceKey::of(game, initial);
-                    let key = cache::cache_key(methods, &self.config, game, initial, instance);
-                    if let (Some(probes), Some(start)) = (&self.probes, key_start) {
-                        probes.key_ns.record(elapsed_ns(start));
-                    }
-                    if let Some(hit) = cache.lookup(&key) {
-                        slot.done = Some(Ok(hit));
-                    } else {
-                        slot.key = Some(key);
-                    }
+        let mut done = Vec::with_capacity(items.len());
+        let mut runs = Vec::with_capacity(items.len());
+        for (k, &(game, initial)) in items.iter().enumerate() {
+            match self.open_over(game, initial, None, Rows::View(arena.view(k))) {
+                Opened::Hit(hit) => {
+                    done.push(Some(Ok(hit)));
+                    runs.push(None);
                 }
-                slot
-            })
-            .collect();
-
-        let mut open = slots.iter().filter(|s| s.done.is_none()).count();
-        while open > 0 {
-            for (k, slot) in slots.iter_mut().enumerate() {
-                if slot.done.is_some() {
-                    continue;
-                }
-                let (game, initial) = items[k];
-                // Advance an in-flight kernel run by one pass.
-                if let Some(run) = slot.run.as_mut() {
-                    let pass_start = self.recorder.now();
-                    let stepped = run.step(&mut scratch);
-                    if let (Some(probes), Some(start)) = (&self.probes, pass_start) {
-                        probes.pass_ns.record(elapsed_ns(start));
-                    }
-                    let Some(detail) = stepped else {
-                        continue;
-                    };
-                    slot.run = None;
-                    let wall_ns = slot
-                        .run_started
-                        .elapsed()
-                        .as_nanos()
-                        .min(u128::from(u64::MAX)) as u64;
-                    if let Some(probes) = &self.probes {
-                        probes.attempt_ns.record(wall_ns);
-                    }
-                    slot.attempts.push(SolverAttempt {
-                        method: slot.run_method,
-                        applicability: slot.run_applicability,
-                        iterations: detail.iterations,
-                        restarts: detail.restarts,
-                        found: detail.solution.is_some(),
-                        wall_ns,
-                    });
-                    if detail.solution.is_some()
-                        || slot.run_applicability == Applicability::Conclusive
-                    {
-                        slot.done = Some(slot.finish(detail.solution));
-                    }
-                }
-                // Walk the solver list until a kernel run is installed, the
-                // slot finishes, or the list is exhausted.
-                while slot.done.is_none() && slot.run.is_none() {
-                    let Some(solver) = self.solvers.get(slot.next_solver) else {
-                        slot.done = Some(slot.finish(None));
-                        break;
-                    };
-                    slot.next_solver += 1;
-                    let applicability = solver.applicability(game, initial, &self.config);
-                    if applicability == Applicability::NotApplicable {
-                        continue;
-                    }
-                    slot.run_started = Instant::now();
-                    if let Some(run) = solver.kernel_run(game, initial, arena.view(k), &self.config)
-                    {
-                        slot.run = Some(run);
-                        slot.run_applicability = applicability;
-                        slot.run_method = solver.method();
-                        break;
-                    }
-                    match solver.solve_detailed(game, initial, &self.config) {
-                        Err(e) => slot.done = Some(Err(e)),
-                        Ok(detail) => {
-                            let wall_ns = slot
-                                .run_started
-                                .elapsed()
-                                .as_nanos()
-                                .min(u128::from(u64::MAX))
-                                as u64;
-                            if let Some(probes) = &self.probes {
-                                probes.attempt_ns.record(wall_ns);
-                            }
-                            slot.attempts.push(SolverAttempt {
-                                method: solver.method(),
-                                applicability,
-                                iterations: detail.iterations,
-                                restarts: detail.restarts,
-                                found: detail.solution.is_some(),
-                                wall_ns,
-                            });
-                            if detail.solution.is_some()
-                                || applicability == Applicability::Conclusive
-                            {
-                                slot.done = Some(slot.finish(detail.solution));
-                            }
-                        }
-                    }
-                }
-                if slot.done.is_some() {
-                    open -= 1;
-                    if let (Some(cache), Some(key), Some(Ok(solved))) =
-                        (&self.cache, slot.key.take(), slot.done.as_ref())
-                    {
-                        if let Some(probes) = &self.probes {
-                            // Fill latency of the miss: slot start to done.
-                            probes.fill_ns.record(
-                                slot.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                            );
-                        }
-                        cache.insert(&key, solved.clone());
-                    }
+                Opened::Run(run) => {
+                    done.push(None);
+                    runs.push(Some(run));
                 }
             }
         }
-        slots
-            .into_iter()
-            .map(|s| s.done.expect("all slots finished"))
+        let mut scratch = KernelScratch::new();
+        let mut open = runs.iter().flatten().count();
+        while open > 0 {
+            for (slot, result) in runs.iter_mut().zip(&mut done) {
+                let Some(run) = slot else { continue };
+                if run.step(&mut scratch) {
+                    *result = slot.take().map(|run| run.finish());
+                    open -= 1;
+                }
+            }
+        }
+        done.into_iter()
+            .map(|result| result.expect("every run finished"))
             .collect()
     }
 
@@ -1179,6 +1027,207 @@ impl SolverEngine {
             let result = self.solve(&game, &LinkLoads::zero(game.links()));
             (game, result)
         })
+    }
+}
+
+/// How [`SolverEngine::open`] began a solve.
+pub enum Opened<'a> {
+    /// The warm tier already held the answer; nothing steps.
+    Hit(EngineSolution),
+    /// A cold run, to be stepped until [`EngineRun::step`] returns `true`.
+    Run(Box<EngineRun<'a>>),
+}
+
+/// Where a run finds the SoA form of its game.
+enum Rows<'a> {
+    /// Packed into a caller-owned cell on first use.
+    Lazy(&'a OnceCell<SoAGame>),
+    /// A slice of an already packed batch arena (or a repair's own pack).
+    View(SoAView<'a>),
+}
+
+impl<'a> Rows<'a> {
+    fn view(&self, game: &EffectiveGame) -> SoAView<'a> {
+        match *self {
+            Rows::Lazy(cell) => cell.get_or_init(|| SoAGame::from_game(game)).view(),
+            Rows::View(view) => view,
+        }
+    }
+}
+
+/// The kernel run of the (heuristic) solver currently being attempted.
+struct Active<'a> {
+    run: Box<dyn KernelRun + 'a>,
+    method: PureNashMethod,
+    started: Instant,
+}
+
+/// One solve of one instance as a pass-resumable state machine: **the**
+/// solver-list walk. Skip solvers that are not applicable; stop at the
+/// first solution or at a conclusive no.
+///
+/// Each [`step`](EngineRun::step) advances one unit: one kernel pass, one
+/// inline solver, or the scan to the next applicable solver. Only
+/// [`Applicability::Heuristic`] attempts ask their solver for a
+/// [`Solver::kernel_run`]; conclusive attempts run inline as one atomic
+/// unit, so a closed-form instance never packs the SoA form. Stepping to
+/// completion and calling [`finish`](EngineRun::finish) is exactly
+/// [`SolverEngine::solve`]; the combinators differ only in pacing:
+/// `solve_batch` round-robins runs over arena views, and the serve layer
+/// checks a deadline between steps or steps several runs in lockstep.
+///
+/// Only `finish` writes the warm tier, so a run dropped early (a deadline
+/// fired, a race was decided) leaves no entry behind. The run records the
+/// engine's probes as it goes: `engine.attempt_ns` per attempt,
+/// `kernel.pass_ns` per pass, and `cache.solve.fill_ns` on a filled miss.
+pub struct EngineRun<'a> {
+    engine: &'a SolverEngine,
+    game: &'a EffectiveGame,
+    initial: &'a LinkLoads,
+    rows: Rows<'a>,
+    /// The key of the missed warm-tier lookup that opened this run.
+    key: Option<CacheKey<'a>>,
+    /// Index into the solver list of the next solver to try.
+    next_solver: usize,
+    active: Option<Active<'a>>,
+    attempts: Vec<SolverAttempt>,
+    /// Kernel passes stepped so far, over every attempt.
+    passes: u64,
+    started: Instant,
+    /// Set once the walk has ended: the solution (if any) or the error.
+    outcome: Option<Result<Option<PureNashSolution>>>,
+}
+
+impl<'a> EngineRun<'a> {
+    fn new(
+        engine: &'a SolverEngine,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
+        rows: Rows<'a>,
+        key: Option<CacheKey<'a>>,
+    ) -> Self {
+        EngineRun {
+            engine,
+            game,
+            initial,
+            rows,
+            key,
+            next_solver: 0,
+            active: None,
+            attempts: Vec::new(),
+            passes: 0,
+            started: Instant::now(),
+            outcome: None,
+        }
+    }
+
+    /// Advances one unit of the walk; `true` once the run has finished (and
+    /// on every later call).
+    pub fn step(&mut self, scratch: &mut KernelScratch) -> bool {
+        if self.outcome.is_some() {
+            return true;
+        }
+        let engine = self.engine;
+        if let Some(active) = self.active.as_mut() {
+            let pass_start = engine.recorder.now();
+            let stepped = active.run.step(scratch);
+            if let (Some(probes), Some(start)) = (&engine.probes, pass_start) {
+                probes.pass_ns.record(elapsed_ns(start));
+            }
+            self.passes += 1;
+            if let Some(detail) = stepped {
+                let active = self.active.take().expect("an active run was just stepped");
+                self.settle(
+                    active.method,
+                    Applicability::Heuristic,
+                    active.started,
+                    detail,
+                );
+            }
+            return self.outcome.is_some();
+        }
+        let (game, initial, config) = (self.game, self.initial, &engine.config);
+        loop {
+            let Some(solver) = engine.solvers.get(self.next_solver) else {
+                self.outcome = Some(Ok(None));
+                return true;
+            };
+            self.next_solver += 1;
+            let applicability = solver.applicability(game, initial, config);
+            if applicability == Applicability::NotApplicable {
+                continue;
+            }
+            let started = Instant::now();
+            if applicability == Applicability::Heuristic {
+                let view = self.rows.view(game);
+                if let Some(run) = solver.kernel_run(game, initial, view, config) {
+                    self.active = Some(Active {
+                        run,
+                        method: solver.method(),
+                        started,
+                    });
+                    return false;
+                }
+            }
+            match solver.solve_detailed(game, initial, config) {
+                Ok(detail) => self.settle(solver.method(), applicability, started, detail),
+                Err(e) => self.outcome = Some(Err(e)),
+            }
+            return self.outcome.is_some();
+        }
+    }
+
+    /// Records one finished attempt and ends the walk on a solution or a
+    /// conclusive no.
+    fn settle(
+        &mut self,
+        method: PureNashMethod,
+        applicability: Applicability,
+        started: Instant,
+        detail: SolverDetail,
+    ) {
+        let wall_ns = elapsed_ns(started);
+        if let Some(probes) = &self.engine.probes {
+            probes.attempt_ns.record(wall_ns);
+        }
+        let found = detail.solution.is_some();
+        self.attempts.push(SolverAttempt {
+            method,
+            applicability,
+            iterations: detail.iterations,
+            restarts: detail.restarts,
+            found,
+            wall_ns,
+        });
+        if found || applicability == Applicability::Conclusive {
+            self.outcome = Some(Ok(detail.solution));
+        }
+    }
+
+    /// The finished run's solution and telemetry, filed in the warm tier
+    /// when the run was opened by a miss.
+    ///
+    /// # Panics
+    ///
+    /// If called before [`step`](EngineRun::step) returned `true`.
+    pub fn finish(self) -> Result<EngineSolution> {
+        let solution = self
+            .outcome
+            .expect("EngineRun::finish called before the run finished")?;
+        let solved = EngineSolution {
+            solution,
+            telemetry: SolveTelemetry {
+                attempts: self.attempts,
+                total_wall_ns: elapsed_ns(self.started),
+            },
+        };
+        if let (Some(cache), Some(key)) = (&self.engine.cache, &self.key) {
+            if let Some(probes) = &self.engine.probes {
+                probes.fill_ns.record(solved.telemetry.total_wall_ns);
+            }
+            cache.insert(key, solved.clone());
+        }
+        Ok(solved)
     }
 }
 
@@ -1286,6 +1335,77 @@ mod tests {
         engine.solve(&game, &busy).unwrap();
         let stats = engine.cache_stats().unwrap();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+    }
+
+    #[test]
+    fn only_a_finished_run_writes_the_warm_tier() {
+        let cache = Arc::new(SolveCache::new());
+        let engine = SolverEngine::default().with_cache(Arc::clone(&cache));
+        let game = general_game();
+        let initial = LinkLoads::zero(3);
+        let soa = OnceCell::new();
+        let mut scratch = KernelScratch::new();
+
+        // A run dropped before `finish` leaves no entry behind.
+        let Opened::Run(mut run) = engine.open(&game, &initial, None, &soa) else {
+            panic!("a cold cache cannot hit");
+        };
+        assert!(
+            !run.step(&mut scratch),
+            "the first step only installs a run"
+        );
+        drop(run);
+        assert_eq!(cache.stats().entries, 0);
+
+        // A finished run inserts exactly once.
+        let Opened::Run(mut run) = engine.open(&game, &initial, None, &soa) else {
+            panic!("the dropped run stored nothing");
+        };
+        while !run.step(&mut scratch) {}
+        assert!(run.step(&mut scratch), "a finished run stays finished");
+        let cold = run.finish().unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.entries), (2, 1));
+
+        // A warm hit constructs no run and returns the stored answer.
+        let Opened::Hit(hit) = engine.open(&game, &initial, None, &soa) else {
+            panic!("the finished run must have filled the warm tier");
+        };
+        assert_eq!(hit, cold);
+        assert_eq!(engine.lookup(&game, &initial, None), Some(cold));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
+    }
+
+    #[test]
+    fn only_kernel_backed_attempts_pack_the_soa_form() {
+        let engine = SolverEngine::default();
+        let mut scratch = KernelScratch::new();
+        let two_links = EffectiveGame::from_rows(
+            vec![1.0, 2.0, 3.0],
+            vec![vec![1.0, 2.0], vec![2.0, 1.0], vec![1.5, 1.5]],
+        )
+        .unwrap();
+        let zero = LinkLoads::zero(2);
+        let soa = OnceCell::new();
+        let Opened::Run(mut run) = engine.open(&two_links, &zero, None, &soa) else {
+            panic!("no cache, no hit");
+        };
+        assert!(run.step(&mut scratch), "Atwolinks is one atomic unit");
+        assert_eq!(
+            run.finish().unwrap().method(),
+            Some(PureNashMethod::TwoLinks)
+        );
+        assert!(soa.get().is_none(), "a conclusive attempt must not pack");
+
+        let general = general_game();
+        let zero = LinkLoads::zero(3);
+        let soa = OnceCell::new();
+        let Opened::Run(mut run) = engine.open(&general, &zero, None, &soa) else {
+            panic!("no cache, no hit");
+        };
+        assert!(!run.step(&mut scratch));
+        assert!(soa.get().is_some(), "best response packs on activation");
     }
 
     #[test]

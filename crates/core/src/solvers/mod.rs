@@ -13,8 +13,8 @@ pub mod oracle;
 
 pub use cache::{CacheStats, SolveCache};
 pub use engine::{
-    Applicability, EngineSolution, RepairOutcome, RepairTelemetry, SolveTelemetry, Solver,
-    SolverAttempt, SolverConfig, SolverDetail, SolverEngine, SolverKind,
+    Applicability, EngineRun, EngineSolution, Opened, RepairOutcome, RepairTelemetry,
+    SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverDetail, SolverEngine, SolverKind,
 };
 pub use kernel::{KernelRun, KernelScratch, SoAArena, SoAGame, SoAView};
 pub use local_search::LocalSearch;

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use netuncert_core::algorithms::best_response::BestResponseDynamics;
-use netuncert_core::algorithms::{solve_pure_nash, symmetric, two_links, uniform};
+use netuncert_core::algorithms::{symmetric, two_links, uniform};
 use netuncert_core::equilibrium::{
     best_response, is_fully_mixed_nash, is_mixed_nash, is_pure_nash, profitable_deviations,
 };
@@ -14,6 +14,7 @@ use netuncert_core::fully_mixed::{fully_mixed_candidate, fully_mixed_latency, fu
 use netuncert_core::game_graph::{decode, encode};
 use netuncert_core::model::EffectiveGame;
 use netuncert_core::numeric::{stable_sum, Tolerance};
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::solvers::exhaustive::{all_pure_nash, profile_count};
 use netuncert_core::strategy::{LinkLoads, MixedProfile, PureProfile};
 
@@ -104,7 +105,10 @@ proptest! {
     fn dispatcher_always_finds_an_equilibrium(game in general_game(2usize..=5, 2usize..=4)) {
         let tol = Tolerance::default();
         let initial = LinkLoads::zero(game.links());
-        let sol = solve_pure_nash(&game, &initial, tol).unwrap();
+        let sol = SolverEngine::paper_order(SolverConfig::with_tol(tol))
+            .solve(&game, &initial)
+            .unwrap()
+            .solution;
         prop_assert!(sol.is_some());
         prop_assert!(is_pure_nash(&game, &sol.unwrap().profile, &initial, tol));
     }

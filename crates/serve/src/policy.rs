@@ -16,9 +16,10 @@
 //!   bracket fallback whose last child fails or deadlines returns the
 //!   certified brackets of the latest earlier child that completed.
 //! * [`Policy::Timeout`] — evaluate the inner policy under a deadline,
-//!   enforced **cooperatively at pass granularity**: the interpreter checks
-//!   the clock between kernel passes (and before each atomic unit), never
-//!   mid-pass, so any result that is produced is bit-identical to an
+//!   enforced **cooperatively at pass granularity**: a solve leaf steps
+//!   the engine's own [`EngineRun`](netuncert_core::solvers::EngineRun)
+//!   and checks the clock between steps (kernel passes and atomic units),
+//!   never mid-pass, so any result that is produced is bit-identical to an
 //!   undeadlined run. Atomic units — closed-form solvers, exhaustive
 //!   enumeration — are never interrupted; an expired deadline is only
 //!   noticed at the next boundary. Bracket leaves are **not** atomic: the
@@ -28,13 +29,15 @@
 //!   descent restarts). A deadline that fires mid-leaf yields a
 //!   [`BracketEval::Partial`] carrying the certified best-so-far brackets.
 //!
-//! Every leaf shares the service's warm tier: a leaf builds its key with the
-//! same core key functions (`solvers::cache::cache_key`,
-//! `opt::cache::cache_key`) as a direct `SolverEngine`/`OptEngine` call with
-//! the same composition and budgets, over the instance digest the request
-//! was built with — so service answers and direct engine calls read and
-//! write the same entries and stay replay-exact.
+//! Every leaf shares the service's warm tier. A solve leaf opens and steps
+//! runs of the very `SolverEngine` a direct call with the same composition
+//! and budgets builds; a bracket leaf keys with the same core function
+//! (`opt::cache::cache_key`) as a direct `OptEngine` call. Both use the
+//! instance digest the request was built with, so service answers and
+//! direct engine calls read and write the same entries and stay
+//! replay-exact.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,15 +46,10 @@ use serde::{Deserialize, Serialize};
 use netuncert_core::obs::{Recorder, SpanId};
 use netuncert_core::opt::cache::cache_key as opt_cache_key;
 use netuncert_core::prelude::{
-    Applicability, CacheKey, EffectiveGame, EngineSolution, GameError, InstanceKey, KernelRun,
-    KernelScratch, LinkLoads, OptCache, OptCheckpoint, OptConfig, OptEngine, OptOutcome,
-    PureNashMethod, SolveCache, SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverEngine,
-    SolverKind,
+    EffectiveGame, EngineSolution, GameError, InstanceKey, KernelScratch, LinkLoads, Opened,
+    OptBackendKind, OptCache, OptCheckpoint, OptConfig, OptEngine, OptMethod, OptOutcome,
+    SolveCache, SolverConfig, SolverEngine, SolverKind,
 };
-use netuncert_core::prelude::{OptBackendKind, OptMethod, PureNashSolution};
-use netuncert_core::solvers::cache::cache_key;
-use netuncert_core::solvers::engine::SolverDetail;
-use netuncert_core::solvers::kernel::{SoAGame, SoAView};
 
 use crate::protocol::{ErrorKind, WireError};
 
@@ -402,19 +400,8 @@ pub fn eval_solve(
 ) -> Result<SolveEval, WireError> {
     match policy {
         Policy::Solve(leaf) => {
-            let (kinds, config) = leaf.resolve(&ctx.base_solver)?;
             let span = ctx.recorder.span_under("solve_leaf", ctx.parent_span);
-            let result = match deadline {
-                // No deadline: this IS a direct engine call sharing the warm
-                // tier — trivially bit-identical to in-process replay.
-                None => SolverEngine::from_kinds(config, &kinds)
-                    .with_cache(Arc::clone(ctx.solve_cache))
-                    .with_recorder(ctx.recorder.clone())
-                    .solve_keyed(ctx.game, ctx.initial, ctx.instance)
-                    .map(SolveEval::Done)
-                    .map_err(|e| WireError::engine(&e)),
-                Some(deadline) => solve_leaf_stepped(&kinds, &config, ctx, deadline),
-            };
+            let result = solve_leaf(leaf, ctx, deadline);
             span.finish();
             result
         }
@@ -566,219 +553,64 @@ fn bracket_leaf_under(
     }
 }
 
-/// A pass-resumable solve of one leaf: the stepped twin of the engine's
-/// cold-solve walk. Stepping this run to completion produces — minus
-/// wall-clock telemetry — exactly what `SolverEngine::solve` produces for
-/// the same composition, budgets and instance; the integration suite pins
-/// that equivalence.
-struct LeafRun<'a> {
-    solvers: &'a [Box<dyn Solver>],
-    config: &'a SolverConfig,
-    game: &'a EffectiveGame,
-    initial: &'a LinkLoads,
-    view: SoAView<'a>,
-    attempts: Vec<SolverAttempt>,
-    next_solver: usize,
-    run: Option<Box<dyn KernelRun + 'a>>,
-    run_applicability: Applicability,
-    run_method: PureNashMethod,
-    run_started: Instant,
-    started: Instant,
-    done: Option<Result<EngineSolution, GameError>>,
+/// The engine a solve leaf names: its composition and budgets over the
+/// service's warm tier and recorder — exactly the engine a direct
+/// in-process call would build.
+fn leaf_engine(leaf: &SolveLeaf, ctx: &EvalCtx<'_>) -> Result<SolverEngine, WireError> {
+    let (kinds, config) = leaf.resolve(&ctx.base_solver)?;
+    Ok(SolverEngine::from_kinds(config, &kinds)
+        .with_cache(Arc::clone(ctx.solve_cache))
+        .with_recorder(ctx.recorder.clone()))
 }
 
-impl<'a> LeafRun<'a> {
-    fn new(
-        solvers: &'a [Box<dyn Solver>],
-        config: &'a SolverConfig,
-        game: &'a EffectiveGame,
-        initial: &'a LinkLoads,
-        view: SoAView<'a>,
-    ) -> Self {
-        let now = Instant::now();
-        LeafRun {
-            solvers,
-            config,
-            game,
-            initial,
-            view,
-            attempts: Vec::new(),
-            next_solver: 0,
-            run: None,
-            run_applicability: Applicability::Heuristic,
-            run_method: PureNashMethod::BestResponse,
-            run_started: now,
-            started: now,
-            done: None,
-        }
-    }
-
-    fn record(
-        &mut self,
-        method: PureNashMethod,
-        applicability: Applicability,
-        detail: &SolverDetail,
-        started: Instant,
-    ) {
-        self.attempts.push(SolverAttempt {
-            method,
-            applicability,
-            iterations: detail.iterations,
-            restarts: detail.restarts,
-            found: detail.solution.is_some(),
-            wall_ns: started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        });
-    }
-
-    fn finish_with(&mut self, solution: Option<PureNashSolution>) {
-        self.done = Some(Ok(EngineSolution {
-            solution,
-            telemetry: SolveTelemetry {
-                attempts: std::mem::take(&mut self.attempts),
-                total_wall_ns: self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            },
-        }));
-    }
-
-    /// Advances one deadline-checkable unit: one kernel pass, or one inline
-    /// solver, or the skip-scan to the next applicable solver. Returns
-    /// `true` when the leaf has finished.
-    fn step(&mut self, scratch: &mut KernelScratch) -> bool {
-        if self.done.is_some() {
-            return true;
-        }
-        // An in-flight kernel run: advance it by exactly one pass.
-        if self.run.is_some() {
-            let finished = self.run.as_mut().expect("just checked").step(scratch);
-            if let Some(detail) = finished {
-                self.run = None;
-                let (method, applicability, started) =
-                    (self.run_method, self.run_applicability, self.run_started);
-                self.record(method, applicability, &detail, started);
-                if detail.solution.is_some() || applicability == Applicability::Conclusive {
-                    self.finish_with(detail.solution);
-                }
-            }
-            return self.done.is_some();
-        }
-        // Walk to the next applicable solver: install its kernel run, or run
-        // it inline as one atomic unit.
-        loop {
-            let Some(solver) = self.solvers.get(self.next_solver) else {
-                self.finish_with(None);
-                return true;
-            };
-            self.next_solver += 1;
-            let applicability = solver.applicability(self.game, self.initial, self.config);
-            if applicability == Applicability::NotApplicable {
-                continue;
-            }
-            self.run_started = Instant::now();
-            if let Some(run) = solver.kernel_run(self.game, self.initial, self.view, self.config) {
-                self.run = Some(run);
-                self.run_applicability = applicability;
-                self.run_method = solver.method();
-                return false;
-            }
-            match solver.solve_detailed(self.game, self.initial, self.config) {
-                Err(e) => {
-                    self.done = Some(Err(e));
-                    return true;
-                }
-                Ok(detail) => {
-                    let started = self.run_started;
-                    self.record(solver.method(), applicability, &detail, started);
-                    if detail.solution.is_some() || applicability == Applicability::Conclusive {
-                        self.finish_with(detail.solution);
-                        return true;
-                    }
-                    // Inconclusive inline attempt: yield so the caller can
-                    // check the deadline before the next solver starts.
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Result<EngineSolution, GameError> {
-        self.done.expect("finish() called before the run completed")
-    }
-}
-
-/// The owned per-leaf state a stepped run borrows from (solver objects, SoA
-/// form, cache key) — kept separate from [`LeafRun`] so the run can borrow
-/// it without self-reference.
-struct LeafCtx<'a> {
-    config: SolverConfig,
-    solvers: Vec<Box<dyn Solver>>,
-    soa: SoAGame,
-    key: CacheKey<'a>,
-}
-
-impl<'a> LeafCtx<'a> {
-    fn build(kinds: &[SolverKind], config: SolverConfig, ctx: &EvalCtx<'a>) -> Self {
-        let methods: Vec<PureNashMethod> = kinds.iter().map(|k| k.method()).collect();
-        let key = cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
-        LeafCtx {
-            config,
-            solvers: kinds.iter().map(|k| k.build()).collect(),
-            soa: SoAGame::from_game(ctx.game),
-            key,
-        }
-    }
-}
-
-/// The deadline path of a single solve leaf: cache lookup, then the stepped
-/// walk with the clock checked between units. Completed runs are inserted
-/// into the warm tier exactly like an engine solve would.
-fn solve_leaf_stepped(
-    kinds: &[SolverKind],
-    config: &SolverConfig,
+/// One solve leaf: open the engine's run (a warm hit wins even against an
+/// already-expired deadline, keeping cached requests flowing under load),
+/// then step it with the clock checked before every step. Without a
+/// deadline this is exactly [`SolverEngine::solve_keyed`].
+fn solve_leaf(
+    leaf: &SolveLeaf,
     ctx: &EvalCtx<'_>,
-    deadline: Instant,
+    deadline: Option<Instant>,
 ) -> Result<SolveEval, WireError> {
-    let leaf = LeafCtx::build(kinds, *config, ctx);
-    if let Some(hit) = ctx.solve_cache.lookup(&leaf.key) {
-        record_slack(ctx, deadline);
-        return Ok(SolveEval::Done(hit));
-    }
+    let engine = leaf_engine(leaf, ctx)?;
+    let soa = OnceCell::new();
+    let mut run = match engine.open(ctx.game, ctx.initial, Some(ctx.instance), &soa) {
+        Opened::Hit(hit) => return Ok(done_by(ctx, deadline, hit)),
+        Opened::Run(run) => run,
+    };
     let mut scratch = KernelScratch::new();
-    let mut run = LeafRun::new(
-        &leaf.solvers,
-        &leaf.config,
-        ctx.game,
-        ctx.initial,
-        leaf.soa.view(),
-    );
     loop {
-        if Instant::now() >= deadline {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(SolveEval::Deadline);
         }
         if run.step(&mut scratch) {
             break;
         }
     }
-    match run.finish() {
-        Ok(solved) => {
-            ctx.solve_cache.insert(&leaf.key, solved.clone());
-            record_slack(ctx, deadline);
-            Ok(SolveEval::Done(solved))
-        }
-        Err(e) => Err(WireError::engine(&e)),
+    let solved = run.finish().map_err(|e| WireError::engine(&e))?;
+    Ok(done_by(ctx, deadline, solved))
+}
+
+/// A completed solve, recording the deadline slack it finished with.
+fn done_by(ctx: &EvalCtx<'_>, deadline: Option<Instant>, solved: EngineSolution) -> SolveEval {
+    if let Some(deadline) = deadline {
+        record_slack(ctx, deadline);
     }
+    SolveEval::Done(solved)
 }
 
 /// Lockstep race over solve leaves. Warm-tier hits complete in round zero;
-/// cold lanes advance one unit per round. The first completed lane holding
-/// an equilibrium — earliest round, lowest index — wins; if every lane
-/// completes without one, the first lane's outcome is returned. Completed
-/// cold lanes are inserted into the warm tier whether or not they win.
+/// cold lanes advance one run step per round. The first completed lane
+/// holding an equilibrium — earliest round, lowest index — wins; if every
+/// lane completes without one, the first lane's outcome is returned.
+/// Completed cold lanes file their answers in the warm tier whether or not
+/// they win; lanes still running when the race is decided file nothing.
 fn race_solve(
     children: &[Policy],
     ctx: &EvalCtx<'_>,
     deadline: Option<Instant>,
 ) -> Result<SolveEval, WireError> {
-    let mut leaves = Vec::with_capacity(children.len());
+    let mut engines = Vec::with_capacity(children.len());
     for child in children {
         let Policy::Solve(leaf) = child else {
             return Err(WireError::new(
@@ -786,65 +618,50 @@ fn race_solve(
                 "Race children must be Solve leaves",
             ));
         };
-        let (kinds, config) = leaf.resolve(&ctx.base_solver)?;
-        leaves.push(LeafCtx::build(&kinds, config, ctx));
+        engines.push(leaf_engine(leaf, ctx)?);
     }
-    let mut finished: Vec<Option<Result<EngineSolution, GameError>>> = leaves
-        .iter()
-        .map(|leaf| ctx.solve_cache.lookup(&leaf.key).map(Ok))
-        .collect();
-    let mut runs: Vec<Option<LeafRun<'_>>> = leaves
-        .iter()
-        .zip(&finished)
-        .map(|(leaf, hit)| {
-            hit.is_none().then(|| {
-                LeafRun::new(
-                    &leaf.solvers,
-                    &leaf.config,
-                    ctx.game,
-                    ctx.initial,
-                    leaf.soa.view(),
-                )
-            })
-        })
-        .collect();
+    // Every lane solves the same game, so they share one lazy pack.
+    let soa = OnceCell::new();
+    let mut finished: Vec<Option<Result<EngineSolution, GameError>>> = Vec::new();
+    let mut runs = Vec::new();
+    for engine in &engines {
+        match engine.open(ctx.game, ctx.initial, Some(ctx.instance), &soa) {
+            Opened::Hit(hit) => {
+                finished.push(Some(Ok(hit)));
+                runs.push(None);
+            }
+            Opened::Run(run) => {
+                finished.push(None);
+                runs.push(Some(run));
+            }
+        }
+    }
     let mut scratch = KernelScratch::new();
     loop {
         // Winner check at the round boundary: earliest round wins because
         // lanes only ever complete inside a round; ties break by index.
-        for done in &finished {
-            if let Some(Ok(solved)) = done {
-                if solved.solution.is_some() {
-                    if let Some(deadline) = deadline {
-                        record_slack(ctx, deadline);
-                    }
-                    return Ok(SolveEval::Done(solved.clone()));
-                }
-            }
+        let winner = finished
+            .iter()
+            .flatten()
+            .flatten()
+            .find(|solved| solved.solution.is_some());
+        if let Some(solved) = winner {
+            return Ok(done_by(ctx, deadline, solved.clone()));
         }
-        if finished.iter().all(|d| d.is_some()) {
+        if finished.iter().all(Option::is_some) {
             // Nobody found an equilibrium: the first lane's outcome stands.
             return match finished.swap_remove(0).expect("all finished") {
-                Ok(solved) => {
-                    if let Some(deadline) = deadline {
-                        record_slack(ctx, deadline);
-                    }
-                    Ok(SolveEval::Done(solved))
-                }
+                Ok(solved) => Ok(done_by(ctx, deadline, solved)),
                 Err(e) => Err(WireError::engine(&e)),
             };
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(SolveEval::Deadline);
         }
-        for (k, slot) in runs.iter_mut().enumerate() {
-            let Some(run) = slot.as_mut() else { continue };
+        for (slot, result) in runs.iter_mut().zip(&mut finished) {
+            let Some(run) = slot else { continue };
             if run.step(&mut scratch) {
-                let result = slot.take().expect("slot was just stepped").finish();
-                if let Ok(solved) = &result {
-                    ctx.solve_cache.insert(&leaves[k].key, solved.clone());
-                }
-                finished[k] = Some(result);
+                *result = slot.take().map(|run| run.finish());
             }
         }
     }
@@ -858,27 +675,25 @@ fn race_solve(
 /// because every combinator consults the warm tier before it does or
 /// decides anything else (leaves look up before stepping, races check
 /// round-zero winners before stepping or checking the clock, fallbacks
-/// return the first cached solution outright). Lookups are **counting**
-/// lookups, so a punted request's misses are later recounted by the worker
-/// — the documented cache-counter tolerance.
+/// return the first cached solution outright). Lookups are the engine's own
+/// **counting** lookups, so a punted request's misses are later recounted
+/// by the worker — the documented cache-counter tolerance.
 pub fn eval_solve_cached(policy: &Policy, ctx: &EvalCtx<'_>) -> Option<EngineSolution> {
+    let lookup = |leaf: &SolveLeaf| {
+        let (kinds, config) = leaf.resolve(&ctx.base_solver).ok()?;
+        let engine =
+            SolverEngine::from_kinds(config, &kinds).with_cache(Arc::clone(ctx.solve_cache));
+        Some(engine.lookup(ctx.game, ctx.initial, Some(ctx.instance)))
+    };
     match policy {
-        Policy::Solve(leaf) => {
-            let (kinds, config) = leaf.resolve(&ctx.base_solver).ok()?;
-            let methods: Vec<PureNashMethod> = kinds.iter().map(|k| k.method()).collect();
-            let key = cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
-            ctx.solve_cache.lookup(&key)
-        }
+        Policy::Solve(leaf) => lookup(leaf)?,
         Policy::Race(children) => {
             let mut hits = Vec::with_capacity(children.len());
             for child in children {
                 let Policy::Solve(leaf) = child else {
                     return None;
                 };
-                let (kinds, config) = leaf.resolve(&ctx.base_solver).ok()?;
-                let methods: Vec<PureNashMethod> = kinds.iter().map(|k| k.method()).collect();
-                let key = cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
-                hits.push(ctx.solve_cache.lookup(&key));
+                hits.push(lookup(leaf)?);
             }
             // Round zero of the lockstep race: the earliest lane (by index)
             // that completed from the cache *with* an equilibrium wins

@@ -11,7 +11,7 @@ use netuncert_serve::protocol::{
 use netuncert_serve::replay::Replayer;
 use netuncert_serve::state::{ServeConfig, ServeState};
 use netuncert_serve::workload::{
-    default_bracket_policy, default_solve_policy, mixed_request, wire_instance,
+    default_bracket_policy, default_solve_policy, mixed_request, race_policy, wire_instance,
 };
 use netuncert_serve::{Client, Server};
 
@@ -160,43 +160,91 @@ fn timeout_policy_yields_typed_deadline_without_blocking_the_pool() {
     handle.join().expect("server thread").expect("clean run");
 }
 
-/// The pass-resumable stepped path must agree with the engine's own
-/// monolithic walk: a generous deadline changes nothing but the key.
+/// A generous `Timeout` changes no engine output: the deadlined leaf steps
+/// the same engine run an undeadlined solve does. Each side is answered by
+/// its own service, so both solve cold instead of one replaying the other's
+/// warm-tier entry.
 #[test]
-fn stepped_evaluation_matches_the_engine_walk() {
-    let (addr, handle) = start(&ServeConfig::default());
-    let mut client = Client::connect(addr).expect("connect");
-
+fn a_generous_timeout_changes_no_engine_output() {
+    let direct_state = ServeState::new(&ServeConfig::default());
+    let timed_state = ServeState::new(&ServeConfig::default());
     for seed in [11, 12, 13, 14] {
         let instance = wire_instance(8, 4, seed);
-        let direct = client
-            .call(RequestBody::Solve(SolveRequest {
+        let direct = direct_state.handle_request(Request {
+            id: seed,
+            body: RequestBody::Solve(SolveRequest {
                 instance: instance.clone(),
                 policy: default_solve_policy(),
-            }))
-            .expect("direct solve");
-        let stepped = client
-            .call(RequestBody::Solve(SolveRequest {
+            }),
+        });
+        let timed = timed_state.handle_request(Request {
+            id: seed,
+            body: RequestBody::Solve(SolveRequest {
                 instance,
                 policy: Policy::Timeout(TimeoutPolicy {
                     ms: 600_000,
                     lower: Box::new(default_solve_policy()),
                 }),
-            }))
-            .expect("stepped solve");
-        let (ResponseBody::Solve(direct), ResponseBody::Solve(stepped)) =
-            (direct.body, stepped.body)
+            }),
+        });
+        let (ResponseBody::Solve(direct), ResponseBody::Solve(timed)) = (direct.body, timed.body)
         else {
             panic!("expected solve replies");
         };
         // Keys hash the whole request body (policies differ); everything
         // the engines produced must be identical.
-        assert_eq!(direct.outcome, stepped.outcome, "seed {seed}");
-        assert_eq!(direct.attempts, stepped.attempts, "seed {seed}");
+        assert_eq!(direct.outcome, timed.outcome, "seed {seed}");
+        assert_eq!(direct.attempts, timed.attempts, "seed {seed}");
+        assert!(!direct.attempts.is_empty());
     }
+}
 
-    shutdown(addr);
-    handle.join().expect("server thread").expect("clean run");
+/// Deadlined and raced solve leaves step the engine's own run, so they
+/// record the engine probes exactly like an undeadlined solve:
+/// `engine.attempt_ns` grows by the number of attempts each reply carries.
+#[test]
+fn deadlined_and_raced_solves_record_engine_attempts() {
+    let state = ServeState::new(&ServeConfig::default());
+    let attempts_recorded = || {
+        let response = state.handle_request(Request {
+            id: 0,
+            body: RequestBody::Metrics,
+        });
+        let ResponseBody::Metrics(metrics) = response.body else {
+            panic!("expected a metrics reply, got {response:?}");
+        };
+        metrics
+            .histograms
+            .iter()
+            .find(|h| h.name == "engine.attempt_ns")
+            .map_or(0, |h| h.count)
+    };
+    let deadlined = Policy::Timeout(TimeoutPolicy {
+        ms: 600_000,
+        lower: Box::new(default_solve_policy()),
+    });
+    // On instance 30 the local-search lane wins the race while the
+    // best-response lane is still running; a dropped lane records nothing,
+    // so the winner's attempts are all the race recorded.
+    for (seed, policy) in [(31, deadlined), (30, race_policy())] {
+        let before = attempts_recorded();
+        let response = state.handle_request(Request {
+            id: seed,
+            body: RequestBody::Solve(SolveRequest {
+                instance: wire_instance(8, 4, seed),
+                policy,
+            }),
+        });
+        let ResponseBody::Solve(reply) = response.body else {
+            panic!("expected a solve reply, got {response:?}");
+        };
+        assert!(!reply.attempts.is_empty(), "seed {seed}");
+        assert_eq!(
+            attempts_recorded() - before,
+            reply.attempts.len() as u64,
+            "seed {seed}"
+        );
+    }
 }
 
 /// A deadline that fires *inside* a Bracket leaf (mid-estimation, between

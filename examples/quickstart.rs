@@ -58,7 +58,10 @@ fn main() -> Result<()> {
     // since the game is general with 3 links).
     let tol = Tolerance::default();
     let initial = LinkLoads::zero(eg.links());
-    let solution = solve_pure_nash(&eg, &initial, tol)?.expect("a pure NE was found");
+    let solution = SolverEngine::paper_order(SolverConfig::with_tol(tol))
+        .solve(&eg, &initial)?
+        .solution
+        .expect("a pure NE was found");
     println!("\n== Pure Nash equilibrium ({:?}) ==", solution.method);
     for user in 0..eg.users() {
         println!(

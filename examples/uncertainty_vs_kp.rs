@@ -32,7 +32,9 @@ fn scenario() -> Result<()> {
     let eg = game.effective_game();
     let tol = Tolerance::default();
     let t = LinkLoads::zero(3);
-    let uncertain = solve_pure_nash(&eg, &t, tol)?
+    let uncertain = SolverEngine::paper_order(SolverConfig::with_tol(tol))
+        .solve(&eg, &t)?
+        .solution
         .expect("a pure NE exists")
         .profile;
     println!("optimistic-belief assignment:    {:?}", uncertain.choices());

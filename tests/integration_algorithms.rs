@@ -151,7 +151,11 @@ fn dispatcher_always_finds_an_equilibrium_and_labels_the_method() {
         ] {
             let game = spec.generate(&mut rng(seed, 16));
             let t = LinkLoads::zero(links);
-            let sol = solve_pure_nash(&game, &t, tol).unwrap().expect("found");
+            let sol = SolverEngine::paper_order(SolverConfig::with_tol(tol))
+                .solve(&game, &t)
+                .unwrap()
+                .solution
+                .expect("found");
             assert!(is_pure_nash(&game, &sol.profile, &t, tol));
             assert_eq!(sol.profile.users(), users);
             match (links, &spec) {

@@ -23,7 +23,11 @@ fn kp_baseline_and_core_model_agree_on_complete_information_games() {
         assert!(is_pure_nash(&eg, &lpt, &t, tol), "seed {seed}");
 
         // The model's dispatcher finds an equilibrium of the KP game.
-        let sol = solve_pure_nash(&eg, &t, tol).unwrap().expect("found");
+        let sol = SolverEngine::paper_order(SolverConfig::with_tol(tol))
+            .solve(&eg, &t)
+            .unwrap()
+            .solution
+            .expect("found");
         assert!(is_kp_pure_nash(&kp, &sol.profile), "seed {seed}");
     }
 }

@@ -1,6 +1,5 @@
 //! Integration tests for the unified `SolverEngine`: solver selection matches
-//! the paper's dispatch rules, the legacy `solve_pure_nash` wrapper stays
-//! behaviourally identical, and batch solving is invariant in the worker
+//! the paper's dispatch rules, and batch solving is invariant in the worker
 //! count.
 
 use instance_gen::{rng, CapacityDist, EffectiveSpec, WeightDist};
@@ -125,25 +124,6 @@ fn general_games_fall_through_to_best_response() {
         attempt.iterations.is_some(),
         "iterative methods report their step counts"
     );
-}
-
-#[test]
-fn wrapper_and_engine_agree_on_random_instances() {
-    let tol = Tolerance::default();
-    let spec = EffectiveSpec::General {
-        users: 4,
-        links: 3,
-        capacity: CapacityDist::Uniform { lo: 0.25, hi: 4.0 },
-        weights: WeightDist::Uniform { lo: 0.5, hi: 4.0 },
-    };
-    let engine = engine();
-    for task in 0..32u64 {
-        let game = spec.generate(&mut rng(7, task));
-        let initial = LinkLoads::zero(3);
-        let via_wrapper = solve_pure_nash(&game, &initial, tol).unwrap();
-        let via_engine = engine.solve(&game, &initial).unwrap().solution;
-        assert_eq!(via_wrapper, via_engine, "task {task}");
-    }
 }
 
 proptest! {

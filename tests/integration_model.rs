@@ -110,7 +110,11 @@ fn nash_equilibria_survive_the_round_trip_through_serde() {
         }
     }
 
-    let ne = solve_pure_nash(&eg, &t, tol).unwrap().unwrap();
+    let ne = SolverEngine::paper_order(SolverConfig::with_tol(tol))
+        .solve(&eg, &t)
+        .unwrap()
+        .solution
+        .unwrap();
     assert!(is_pure_nash(&back, &ne.profile, &t, tol));
 
     let full_json = serde_json::to_string(&game).expect("serialise full game");
