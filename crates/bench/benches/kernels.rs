@@ -16,7 +16,7 @@ use netuncert_bench::general_instance;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::EffectiveGame;
 use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
-use netuncert_core::solvers::kernel::SoAGame;
+use netuncert_core::solvers::kernel::SoAView;
 use netuncert_core::strategy::LinkLoads;
 use par_exec::ParallelConfig;
 
@@ -29,11 +29,20 @@ fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
 
-    // SoA flattening itself: the once-per-solve cost the kernels amortise.
+    // First touch of the kernel rows: a clone (which carries no derived
+    // rows) plus the one-off derivation of its reciprocals and weight
+    // order — what a cloned game pays on its first kernel solve.
     let game = general_instance(512, 16, 46);
-    group.bench_function(BenchmarkId::new("soa_pack", "n512_m16"), |b| {
-        b.iter(|| SoAGame::from_game(black_box(&game)))
-    });
+    group.bench_function(
+        BenchmarkId::new("kernel_rows_first_touch", "n512_m16"),
+        |b| {
+            b.iter(|| {
+                let fresh = black_box(&game).clone();
+                SoAView::from_game(&fresh);
+                fresh
+            })
+        },
+    );
 
     // Single solves in the huge regime, on the same instances as the
     // pre-kernel `local_search_huge` group so the columns line up.

@@ -3,6 +3,11 @@
 //! equilibrium across one churn edit costs a fraction of re-solving the
 //! edited game with `LocalSearch` from scratch.
 //!
+//! The `warm_*` rows time the by-reference `repair` (a clone of the game,
+//! then the in-place path); the `inplace_*` rows time `repair_in_place` on
+//! a resident game whose kernel rows are patched, not rebuilt — the
+//! service's session path.
+//!
 //! Every benchmarked path is certification-checked before timing: the
 //! repaired profile must pass `is_pure_nash` on the edited game, exactly
 //! as the repair contract demands.
@@ -89,6 +94,50 @@ fn bench_repair(c: &mut Criterion) {
                 &edited,
                 |b, edited| b.iter(|| engine.solve(black_box(edited), black_box(&initial))),
             );
+        }
+
+        // In place, as a session repairs: each iteration is one edit of a
+        // resident game from its last certified profile, and the edits
+        // alternate with their inverses so the game stays the same size.
+        let (user, link) = (n / 2, m / 2);
+        let toggles = [
+            (
+                "capacity",
+                GameEdit::CapacityChange {
+                    user,
+                    link,
+                    capacity: 2.5,
+                },
+                GameEdit::CapacityChange {
+                    user,
+                    link,
+                    capacity: game.capacity(user, link),
+                },
+            ),
+            (
+                "join_leave",
+                edits(n, m).swap_remove(1).1,
+                GameEdit::UserLeaves { user: n },
+            ),
+        ];
+        for (kind, forward, back) in toggles {
+            let mut resident = game.clone();
+            let mut profile = certified.clone();
+            let mut forward_turn = true;
+            group.bench_function(
+                BenchmarkId::new(format!("inplace_{kind}"), format!("n{n}_m{m}")),
+                |b| {
+                    b.iter(|| {
+                        let edit = if forward_turn { &forward } else { &back };
+                        forward_turn = !forward_turn;
+                        let (solved, _) = engine
+                            .repair_in_place(&mut resident, &initial, &profile, black_box(edit))
+                            .unwrap();
+                        profile = solved.solution.expect("repair certifies").profile;
+                    })
+                },
+            );
+            assert!(is_pure_nash(&resident, &profile, &initial, config.tol));
         }
     }
     group.finish();

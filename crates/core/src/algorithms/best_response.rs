@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::model::EffectiveGame;
 use crate::numeric::Tolerance;
-use crate::solvers::kernel::{run_to_completion, BestResponseRun, BrStart, KernelScratch, SoAGame};
+use crate::solvers::kernel::{run_to_completion, BestResponseRun, BrStart, KernelScratch};
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// How the next defecting user is selected at each step.
@@ -97,8 +97,7 @@ impl BestResponseDynamics {
         start: PureProfile,
         tol: Tolerance,
     ) -> Outcome {
-        let soa = SoAGame::from_game(game);
-        self.run_kernel(game, initial, soa.view(), BrStart::Profile(start), tol)
+        self.run_kernel(game, initial, BrStart::Profile(start), tol)
     }
 
     /// Runs the dynamics from the greedy starting profile (the kernel
@@ -109,15 +108,13 @@ impl BestResponseDynamics {
         initial: &LinkLoads,
         tol: Tolerance,
     ) -> Outcome {
-        let soa = SoAGame::from_game(game);
-        self.run_kernel(game, initial, soa.view(), BrStart::Greedy, tol)
+        self.run_kernel(game, initial, BrStart::Greedy, tol)
     }
 
     fn run_kernel(
         &self,
         game: &EffectiveGame,
         initial: &LinkLoads,
-        view: crate::solvers::kernel::SoAView<'_>,
         start: BrStart,
         tol: Tolerance,
     ) -> Outcome {
@@ -125,7 +122,6 @@ impl BestResponseDynamics {
         let mut run = BestResponseRun::new(
             game,
             initial,
-            view,
             start,
             self.max_steps as u64,
             matches!(self.rule, SelectionRule::LargestGain),

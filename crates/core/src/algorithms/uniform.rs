@@ -44,17 +44,9 @@ pub fn solve(game: &EffectiveGame, initial: &LinkLoads, tol: Tolerance) -> Resul
 
     // Step 3: process users in decreasing order of weight (ties by index so
     // the algorithm is deterministic).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        game.weight(b)
-            .partial_cmp(&game.weight(a))
-            .expect("weights are finite")
-            .then(a.cmp(&b))
-    });
-
     let mut loads = initial.clone();
     let mut assignment = vec![0usize; n];
-    for &user in &order {
+    for &user in game.weight_order() {
         // Step 4(a): the preferred link minimises (w_k + tʲ)/c_k; with uniform
         // beliefs c_k is link-independent, so this is the least-loaded link,
         // but we evaluate the full expression for faithfulness.

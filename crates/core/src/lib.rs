@@ -138,8 +138,8 @@ pub mod prelude {
         mixed_link_latency, mixed_min_latency, pure_user_latency, pure_user_latency_on_link,
     };
     pub use crate::model::{
-        Belief, BeliefProfile, CapacityState, EffectiveCapacities, EffectiveGame, Game, GameEdit,
-        StateSpace,
+        Belief, BeliefProfile, CapacityState, EditUndo, EffectiveCapacities, EffectiveGame, Game,
+        GameEdit, StateSpace,
     };
     pub use crate::numeric::Tolerance;
     pub use crate::obs::{
@@ -161,7 +161,7 @@ pub mod prelude {
         SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverEngine, SolverKind,
     };
     pub use crate::solvers::exhaustive::{all_pure_nash, social_optimum, SocialOptimum};
-    pub use crate::solvers::kernel::{KernelRun, KernelScratch, SoAArena, SoAGame, SoAView};
+    pub use crate::solvers::kernel::{KernelRun, KernelScratch, SoAGame, SoAView};
     pub use crate::solvers::local_search::LocalSearch;
     pub use crate::strategy::{LinkLoads, MixedProfile, PureProfile};
 }

@@ -17,14 +17,18 @@
 //! `i` equals row `i` and give user `i` a point-mass belief on state `i`), so
 //! [`EffectiveGame`] is exactly the class of games studied in the paper.
 
-use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::OnceLock;
+
+use serde::value::get_field;
+use serde::{Deserialize, Serialize, Value};
 
 use crate::error::{GameError, Result};
 use crate::numeric::{stable_sum, Tolerance};
 
 /// The `n × m` matrix of effective capacities `cᵢℓ`, stored row-major
 /// (row = user, column = link).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EffectiveCapacities {
     users: usize,
     links: usize,
@@ -48,13 +52,7 @@ impl EffectiveCapacities {
             });
         }
         for (idx, &c) in data.iter().enumerate() {
-            if !(c.is_finite() && c > 0.0) {
-                return Err(GameError::InvalidCapacity {
-                    state: idx / links,
-                    link: idx % links,
-                    value: c,
-                });
-            }
+            check_capacity(idx / links, idx % links, c)?;
         }
         Ok(EffectiveCapacities { users, links, data })
     }
@@ -146,6 +144,37 @@ impl EffectiveCapacities {
     }
 }
 
+/// Deserialization validates exactly like [`EffectiveCapacities::from_rows`].
+impl Deserialize for EffectiveCapacities {
+    fn from_value(v: &Value) -> std::result::Result<Self, serde::Error> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for `EffectiveCapacities`"))?;
+        EffectiveCapacities::from_rows(
+            usize::from_value(get_field(fields, "users")?)?,
+            usize::from_value(get_field(fields, "links")?)?,
+            Vec::from_value(get_field(fields, "data")?)?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
+/// A capacity must be finite and positive.
+fn check_capacity(state: usize, link: usize, value: f64) -> Result<()> {
+    if value.is_finite() && value > 0.0 {
+        return Ok(());
+    }
+    Err(GameError::InvalidCapacity { state, link, value })
+}
+
+/// A weight must be finite and positive.
+fn check_weight(user: usize, value: f64) -> Result<()> {
+    if value.is_finite() && value > 0.0 {
+        return Ok(());
+    }
+    Err(GameError::InvalidWeight { user, value })
+}
+
 /// A bounded, typed change to an [`EffectiveGame`] — the churn events an
 /// equilibrium service repairs against instead of re-solving from scratch.
 ///
@@ -194,12 +223,85 @@ impl GameEdit {
     }
 }
 
+/// How to undo one in-place [`EffectiveGame::edit`]:
+/// [`EffectiveGame::revert`] restores the pre-edit game, kernel rows
+/// included, bit for bit.
+#[derive(Debug)]
+pub struct EditUndo(Undo);
+
+#[derive(Debug)]
+enum Undo {
+    /// The inverse is an edit: the old capacity, or the joined user's leave.
+    Edit(GameEdit),
+    /// Re-insert a departed user at their old index.
+    Reinsert {
+        user: usize,
+        weight: f64,
+        row: Vec<f64>,
+    },
+}
+
 /// The reduced form of an uncertain routing game: traffic vector `w` plus the
 /// effective-capacity matrix. All algorithms in the crate operate on this type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// It is also the kernels' form: it owns their derived rows (the
+/// reciprocals `1/cᵢℓ` and the weight order), each computed on first use
+/// and patched by [`edit`](EffectiveGame::edit). Clones, equality, `Debug`
+/// and serde see only the weights and capacities.
 pub struct EffectiveGame {
     weights: Vec<f64>,
     capacities: EffectiveCapacities,
+    inv_caps: OnceLock<Vec<f64>>,
+    order: OnceLock<Vec<usize>>,
+}
+
+impl Clone for EffectiveGame {
+    fn clone(&self) -> Self {
+        EffectiveGame {
+            weights: self.weights.clone(),
+            capacities: self.capacities.clone(),
+            inv_caps: OnceLock::new(),
+            order: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for EffectiveGame {
+    fn eq(&self, other: &Self) -> bool {
+        self.weights == other.weights && self.capacities == other.capacities
+    }
+}
+
+impl fmt::Debug for EffectiveGame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EffectiveGame")
+            .field("weights", &self.weights)
+            .field("capacities", &self.capacities)
+            .finish()
+    }
+}
+
+impl Serialize for EffectiveGame {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("weights".to_string(), self.weights.to_value()),
+            ("capacities".to_string(), self.capacities.to_value()),
+        ])
+    }
+}
+
+/// Deserialization validates exactly like [`EffectiveGame::new`].
+impl Deserialize for EffectiveGame {
+    fn from_value(v: &Value) -> std::result::Result<Self, serde::Error> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for `EffectiveGame`"))?;
+        EffectiveGame::new(
+            Vec::from_value(get_field(fields, "weights")?)?,
+            EffectiveCapacities::from_value(get_field(fields, "capacities")?)?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
+    }
 }
 
 impl EffectiveGame {
@@ -212,13 +314,13 @@ impl EffectiveGame {
             });
         }
         for (user, &w) in weights.iter().enumerate() {
-            if !(w.is_finite() && w > 0.0) {
-                return Err(GameError::InvalidWeight { user, value: w });
-            }
+            check_weight(user, w)?;
         }
         Ok(EffectiveGame {
             weights,
             capacities,
+            inv_caps: OnceLock::new(),
+            order: OnceLock::new(),
         })
     }
 
@@ -282,14 +384,51 @@ impl EffectiveGame {
         self.capacities.is_user_independent(tol)
     }
 
-    /// Applies one [`GameEdit`], returning the edited game.
-    ///
-    /// Validation mirrors construction: a join must bring a positive finite
-    /// weight and a full row of positive finite capacities; a leave must
-    /// name an existing user and keep `n ≥ 2`; a capacity change must name
-    /// an in-range entry and a positive finite value. The receiver is
-    /// untouched — callers keep the pre-edit game for drift measurements.
+    /// The row-major reciprocals `1/cᵢℓ` the kernels multiply by, derived
+    /// once per game.
+    pub(crate) fn inv_caps(&self) -> &[f64] {
+        self.inv_caps
+            .get_or_init(|| self.capacities.data.iter().map(|&c| 1.0 / c).collect())
+    }
+
+    /// Users in decreasing weight order, ties by index — the LPT order,
+    /// sorted once per game.
+    pub(crate) fn weight_order(&self) -> &[usize] {
+        self.order.get_or_init(|| {
+            let mut order: Vec<usize> = (0..self.users()).collect();
+            order.sort_by(|&a, &b| {
+                self.weights[b]
+                    .partial_cmp(&self.weights[a])
+                    .expect("finite weights")
+                    .then(a.cmp(&b))
+            });
+            order
+        })
+    }
+
+    /// Whether the reciprocal rows have been derived.
+    #[cfg(test)]
+    pub(crate) fn has_kernel_rows(&self) -> bool {
+        self.inv_caps.get().is_some()
+    }
+
+    /// Applies one [`GameEdit`], returning the edited game: a clone, then
+    /// [`edit`](EffectiveGame::edit). The receiver is untouched — callers
+    /// keep the pre-edit game for drift measurements.
     pub fn apply_edit(&self, edit: &GameEdit) -> Result<Self> {
+        let mut edited = self.clone();
+        edited.edit(edit)?;
+        Ok(edited)
+    }
+
+    /// Applies one [`GameEdit`] in place and returns how to undo it.
+    ///
+    /// Validation mirrors construction but checks only the new values (and
+    /// indices, and `n ≥ 2` after a leave); a rejected edit changes nothing.
+    /// A capacity change rewrites one entry, a join appends one row, and a
+    /// leave memmoves its row out, so later users shift down one index and
+    /// keep their order. Existing kernel rows are patched, never rebuilt.
+    pub fn edit(&mut self, edit: &GameEdit) -> Result<EditUndo> {
         let (n, m) = (self.users(), self.links());
         match edit {
             GameEdit::UserJoins { weight, capacities } => {
@@ -300,11 +439,12 @@ impl EffectiveGame {
                         found: capacities.len(),
                     });
                 }
-                let mut weights = self.weights.clone();
-                weights.push(*weight);
-                let mut data = self.capacities.data.clone();
-                data.extend_from_slice(capacities);
-                EffectiveGame::new(weights, EffectiveCapacities::from_rows(n + 1, m, data)?)
+                for (link, &c) in capacities.iter().enumerate() {
+                    check_capacity(n, link, c)?;
+                }
+                check_weight(n, *weight)?;
+                self.insert_user(n, *weight, capacities);
+                Ok(EditUndo(Undo::Edit(GameEdit::UserLeaves { user: n })))
             }
             GameEdit::UserLeaves { user } => {
                 if *user >= n {
@@ -316,8 +456,12 @@ impl EffectiveGame {
                 if n - 1 < 2 {
                     return Err(GameError::TooFewUsers { n: n - 1 });
                 }
-                let keep: Vec<usize> = (0..n).filter(|&i| i != *user).collect();
-                self.restrict_users(&keep)
+                let (weight, row) = self.remove_user(*user);
+                Ok(EditUndo(Undo::Reinsert {
+                    user: *user,
+                    weight,
+                    row,
+                }))
             }
             GameEdit::CapacityChange {
                 user,
@@ -337,27 +481,78 @@ impl EffectiveGame {
                         links: m,
                     });
                 }
-                let mut data = self.capacities.data.clone();
-                data[user * m + link] = *capacity;
-                EffectiveGame::new(
-                    self.weights.clone(),
-                    EffectiveCapacities::from_rows(n, m, data)?,
-                )
+                check_capacity(*user, *link, *capacity)?;
+                let old = self.set_capacity(*user, *link, *capacity);
+                Ok(EditUndo(Undo::Edit(GameEdit::CapacityChange {
+                    user: *user,
+                    link: *link,
+                    capacity: old,
+                })))
             }
         }
     }
 
-    /// Returns the game restricted to the users selected by `keep` (in order).
-    ///
-    /// Used by the recursive algorithms (e.g. `Atwolinks`) that peel one user
-    /// off per round.
-    pub fn restrict_users(&self, keep: &[usize]) -> Result<Self> {
-        let weights: Vec<f64> = keep.iter().map(|&i| self.weights[i]).collect();
-        let rows: Vec<Vec<f64>> = keep
-            .iter()
-            .map(|&i| self.capacities.row(i).to_vec())
-            .collect();
-        EffectiveGame::from_rows(weights, rows)
+    /// Undoes the [`edit`](EffectiveGame::edit) that returned `undo`, which
+    /// must be the last edit applied to this game.
+    pub fn revert(&mut self, undo: EditUndo) {
+        match undo.0 {
+            Undo::Edit(inverse) => {
+                self.edit(&inverse)
+                    .expect("the inverse of an applied edit is valid");
+            }
+            Undo::Reinsert { user, weight, row } => self.insert_user(user, weight, &row),
+        }
+    }
+
+    /// Overwrites `cᵢˡ` (and its reciprocal), returning the old value.
+    fn set_capacity(&mut self, user: usize, link: usize, capacity: f64) -> f64 {
+        let idx = user * self.links() + link;
+        if let Some(inv_caps) = self.inv_caps.get_mut() {
+            inv_caps[idx] = 1.0 / capacity;
+        }
+        std::mem::replace(&mut self.capacities.data[idx], capacity)
+    }
+
+    /// Inserts a user at index `at`; users from `at` on shift up one index.
+    fn insert_user(&mut self, at: usize, weight: f64, row: &[f64]) {
+        let span = at * self.links()..at * self.links();
+        self.capacities
+            .data
+            .splice(span.clone(), row.iter().copied());
+        self.capacities.users += 1;
+        self.weights.insert(at, weight);
+        if let Some(inv_caps) = self.inv_caps.get_mut() {
+            inv_caps.splice(span, row.iter().map(|&c| 1.0 / c));
+        }
+        if let Some(order) = self.order.get_mut() {
+            for user in order.iter_mut() {
+                *user += usize::from(*user >= at);
+            }
+            let weights = &self.weights;
+            let place =
+                order.partition_point(|&u| weights[u] > weight || (weights[u] == weight && u < at));
+            order.insert(place, at);
+        }
+    }
+
+    /// Removes user `user`, returning their weight and capacity row; later
+    /// users shift down one index.
+    fn remove_user(&mut self, user: usize) -> (f64, Vec<f64>) {
+        let span = user * self.links()..(user + 1) * self.links();
+        let row = self.capacities.data.drain(span.clone()).collect();
+        self.capacities.users -= 1;
+        let weight = self.weights.remove(user);
+        if let Some(inv_caps) = self.inv_caps.get_mut() {
+            inv_caps.drain(span);
+        }
+        if let Some(order) = self.order.get_mut() {
+            order.retain_mut(|u| {
+                let keep = *u != user;
+                *u -= usize::from(*u > user);
+                keep
+            });
+        }
+        (weight, row)
     }
 }
 
@@ -533,18 +728,5 @@ mod tests {
             .kind(),
             "capacity"
         );
-    }
-
-    #[test]
-    fn restrict_users_keeps_selected_rows() {
-        let g = EffectiveGame::from_rows(
-            vec![1.0, 2.0, 3.0],
-            vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]],
-        )
-        .unwrap();
-        let r = g.restrict_users(&[0, 2]).unwrap();
-        assert_eq!(r.users(), 2);
-        assert_eq!(r.weights(), &[1.0, 3.0]);
-        assert_eq!(r.capacities().row(1), &[5.0, 6.0]);
     }
 }

@@ -6,6 +6,6 @@ mod game;
 mod state;
 
 pub use belief::{Belief, BeliefProfile};
-pub use effective::{EffectiveCapacities, EffectiveGame, GameEdit};
+pub use effective::{EditUndo, EffectiveCapacities, EffectiveGame, GameEdit};
 pub use game::Game;
 pub use state::{CapacityState, StateSpace};

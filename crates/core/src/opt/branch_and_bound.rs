@@ -179,13 +179,6 @@ fn search(
     seed_profile: &PureProfile,
     check: OptCheckpoint<'_>,
 ) -> SearchResult {
-    let mut order: Vec<usize> = (0..game.users()).collect();
-    order.sort_by(|&a, &b| {
-        game.weight(b)
-            .partial_cmp(&game.weight(a))
-            .expect("finite weights")
-            .then(a.cmp(&b))
-    });
     let seed_cost = match objective {
         Objective::Sum => pure_sc1(game, seed_profile, initial),
         Objective::Max => pure_sc2(game, seed_profile, initial),
@@ -194,7 +187,7 @@ fn search(
         game,
         initial,
         objective,
-        order: &order,
+        order: game.weight_order(),
         node_limit,
         check,
         expired: false,

@@ -32,7 +32,7 @@ use crate::opt::engine::{OptCheckpoint, OptConfig, OptEstimate, OptEstimator, Op
 use crate::opt::greedy;
 use crate::social_cost::{pure_sc1, pure_sc2};
 use crate::solvers::engine::Applicability;
-use crate::solvers::kernel::{SoAGame, SoAView};
+use crate::solvers::kernel::SoAView;
 use crate::solvers::local_search::SplitMix64;
 use crate::strategy::{LinkLoads, PureProfile};
 
@@ -323,9 +323,8 @@ impl OptEstimator for Descent {
         let budget = config.max_moves;
         let restarts = config.restarts.max(1);
         let per_restart = (budget / restarts as u64).max(1);
-        // One SoA flattening and one scratch serve every restart and pass.
-        let soa = SoAGame::from_game(game);
-        let view = soa.view();
+        // The game's rows and one scratch serve every restart and pass.
+        let view = SoAView::from_game(game);
         let mut scratch = DescentScratch::default();
         let portfolio = greedy::portfolio(view, initial);
         let mut upper1 = f64::INFINITY;

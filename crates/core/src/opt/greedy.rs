@@ -14,7 +14,7 @@ use crate::model::EffectiveGame;
 use crate::opt::engine::{OptCheckpoint, OptConfig, OptEstimate, OptEstimator, OptMethod};
 use crate::social_cost::{pure_sc1, pure_sc2};
 use crate::solvers::engine::Applicability;
-use crate::solvers::kernel::{SoAGame, SoAView};
+use crate::solvers::kernel::SoAView;
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// The start portfolio shared with `LocalSearch`: LPT-style greedy,
@@ -137,8 +137,7 @@ impl OptEstimator for LptGreedy {
         _config: &OptConfig,
         _check: OptCheckpoint<'_>,
     ) -> Result<OptEstimate> {
-        let soa = SoAGame::from_game(game);
-        let profiles = portfolio(soa.view(), initial);
+        let profiles = portfolio(SoAView::from_game(game), initial);
         let (upper1, upper2) = cheapest_costs(game, initial, &profiles);
         Ok(OptEstimate {
             opt1_upper: Some(upper1),
@@ -186,8 +185,7 @@ mod tests {
         for seed in [1u64, 23, 456] {
             let g = random_game(40, 6, seed);
             let t = LinkLoads::zero(6);
-            let soa = SoAGame::from_game(&g);
-            let profiles = portfolio(soa.view(), &t);
+            let profiles = portfolio(SoAView::from_game(&g), &t);
             assert_eq!(profiles[0], lpt_greedy_profile(&g, &t));
             assert_eq!(profiles[1], greedy_profile(&g, &t));
             assert_eq!(profiles[2], load_balanced_profile(&g, &t));
@@ -199,8 +197,7 @@ mod tests {
     fn the_portfolio_evaluates_every_start() {
         let g = mild_game();
         let t = LinkLoads::zero(2);
-        let soa = SoAGame::from_game(&g);
-        let profiles = portfolio(soa.view(), &t);
+        let profiles = portfolio(SoAView::from_game(&g), &t);
         assert_eq!(profiles.len(), 4);
         let (best1, best2) = cheapest_costs(&g, &t, &profiles);
         for p in &profiles {

@@ -9,12 +9,12 @@
 //! The walk exists once, as the pass-resumable [`EngineRun`]: skip solvers
 //! that are not applicable, stop at the first solution or at a conclusive
 //! no. Every entry point composes it. [`SolverEngine::solve`] steps one run
-//! to completion, [`SolverEngine::solve_batch`] steps many round-robin over
-//! views into one [`SoAArena`], [`SolverEngine::repair`] steps a run seeded
-//! with a warm local-search descent, and out-of-crate frontends (the serve
-//! layer's deadlines and races) step runs from [`SolverEngine::open`]
-//! themselves. A run is opened by a warm-tier lookup and writes the warm
-//! tier only when it finishes.
+//! to completion, [`SolverEngine::solve_batch`] fans solves out over a
+//! worker pool, [`SolverEngine::repair_in_place`] steps a run seeded with a
+//! warm local-search descent on a game it edits in place, and out-of-crate
+//! frontends (the serve layer's deadlines and races) step runs from
+//! [`SolverEngine::open`] themselves. A run is opened by a warm-tier lookup
+//! and writes the warm tier only when it finishes.
 //!
 //! Batches fan chunks out over [`par_exec::parallel_map`]; because every
 //! solver is deterministic and `parallel_map` reassembles outputs by task
@@ -22,7 +22,6 @@
 //! telemetry is, of course, not deterministic — determinism claims apply to
 //! the returned solutions.
 
-use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,8 +39,7 @@ use crate::obs::{elapsed_ns, Counter, Histogram, Recorder};
 use crate::solvers::cache::{self, CacheStats, SolveCache};
 use crate::solvers::exhaustive;
 use crate::solvers::kernel::{
-    repair_seed, BestResponseRun, BrStart, KernelRun, KernelScratch, LocalSearchRun, SoAArena,
-    SoAGame, SoAView,
+    repair_seed, BestResponseRun, BrStart, KernelRun, KernelScratch, LocalSearchRun, SoAView,
 };
 use crate::solvers::local_search::{self, LocalSearch};
 use crate::strategy::{LinkLoads, PureProfile};
@@ -152,10 +150,10 @@ pub trait Solver: Send + Sync {
         Ok(self.solve_detailed(game, initial, config)?.solution)
     }
 
-    /// A pass-resumable kernel run over `game`, if this solver has one.
+    /// A pass-resumable kernel run over `game`'s rows, if this solver has
+    /// one.
     ///
-    /// `view` must be the SoA form of `game` (typically a slice of the batch
-    /// arena). The engine asks for one only when the solver classified the
+    /// The engine asks for one only when the solver classified the
     /// instance as [`Applicability::Heuristic`], and then steps the returned
     /// run pass by pass in its [`EngineRun`]. Stepping it to completion must
     /// produce exactly what [`solve_detailed`](Solver::solve_detailed)
@@ -167,10 +165,9 @@ pub trait Solver: Send + Sync {
         &self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
-        view: SoAView<'a>,
         config: &SolverConfig,
     ) -> Option<Box<dyn KernelRun + 'a>> {
-        let _ = (game, initial, view, config);
+        let _ = (game, initial, config);
         None
     }
 }
@@ -179,9 +176,8 @@ fn is_zero_initial(initial: &LinkLoads) -> bool {
     initial.as_slice().iter().all(|&t| t == 0.0)
 }
 
-/// Instances per batch chunk: each worker task packs this many games into one
-/// [`SoAArena`] and advances their kernel runs interleaved. Fixed (never
-/// derived from the worker count), so chunk boundaries — and therefore batch
+/// Instances per batch chunk, one worker task each. Fixed (never derived
+/// from the worker count), so chunk boundaries — and therefore batch
 /// results — are identical for any parallelism.
 const BATCH_CHUNK: usize = 16;
 
@@ -351,13 +347,11 @@ impl Solver for BestResponse {
         &self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
-        view: SoAView<'a>,
         config: &SolverConfig,
     ) -> Option<Box<dyn KernelRun + 'a>> {
         Some(Box::new(BestResponseRun::new(
             game,
             initial,
-            view,
             BrStart::Greedy,
             config.max_steps as u64,
             matches!(config.rule, SelectionRule::LargestGain),
@@ -570,7 +564,8 @@ pub struct RepairTelemetry {
 /// certified on it, and how the repair path got there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
-    /// The edited game the solution is certified against.
+    /// The edited game the solution is certified against (the edited game
+    /// also when nothing certified).
     pub game: EffectiveGame,
     /// The certified solution (warm or cold-fallback) plus engine telemetry.
     pub solution: EngineSolution,
@@ -789,9 +784,7 @@ impl SolverEngine {
         initial: &LinkLoads,
         instance: Option<InstanceKey>,
     ) -> Result<EngineSolution> {
-        let soa = OnceCell::new();
-        let opened = self.open(game, initial, instance, &soa);
-        match opened {
+        match self.open(game, initial, instance) {
             Opened::Hit(hit) => Ok(hit),
             Opened::Run(mut run) => {
                 let mut scratch = KernelScratch::new();
@@ -804,25 +797,14 @@ impl SolverEngine {
     /// Opens a solve of `game` from `initial`: a counting warm-tier lookup
     /// when a cache is attached, else (or on a miss) an [`EngineRun`] to
     /// step. `instance` is the digest of `(game, initial)` when the caller
-    /// already has it. `soa` is where the run packs the SoA form of `game`,
-    /// at most once and only when a kernel-backed solver becomes active;
-    /// several runs over the same game may share one cell.
+    /// already has it. The run reads the game's own kernel rows, which the
+    /// game derives once, only when a kernel-backed solver becomes active;
+    /// several runs over the same game share them.
     pub fn open<'a>(
         &'a self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
         instance: Option<InstanceKey>,
-        soa: &'a OnceCell<SoAGame>,
-    ) -> Opened<'a> {
-        self.open_over(game, initial, instance, Rows::Lazy(soa))
-    }
-
-    fn open_over<'a>(
-        &'a self,
-        game: &'a EffectiveGame,
-        initial: &'a LinkLoads,
-        instance: Option<InstanceKey>,
-        rows: Rows<'a>,
     ) -> Opened<'a> {
         let key = self.warm_key(game, initial, instance);
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
@@ -830,7 +812,7 @@ impl SolverEngine {
                 return Opened::Hit(hit);
             }
         }
-        Opened::Run(Box::new(EngineRun::new(self, game, initial, rows, key)))
+        Opened::Run(Box::new(EngineRun::new(self, game, initial, key)))
     }
 
     /// Answers from the warm tier alone: a counting lookup of exactly the
@@ -865,21 +847,9 @@ impl SolverEngine {
     }
 
     /// Repairs a certified equilibrium across one [`GameEdit`] instead of
-    /// re-solving the edited game from scratch.
-    ///
-    /// `prev_certified` must be a profile of the **pre-edit** `game`
-    /// (typically certified by an earlier solve). The engine applies the
-    /// edit, carries the assignment over with [`repair_seed`], and descends
-    /// from it with a warm [`LocalSearchRun`] under the engine's normal
-    /// budgets — so the certification guarantee is identical to a cold
-    /// solve's: a returned solution passed `is_pure_nash` on the edited game.
-    /// If the warm run exhausts its budget uncertified, the engine falls
-    /// back to a cold [`solve`](SolverEngine::solve) (flagged in
-    /// [`RepairTelemetry::fallback_cold`]), so callers never lose the
-    /// guarantee; the stalled warm attempt stays visible in the telemetry.
-    ///
-    /// The repair path always runs local search regardless of the engine's
-    /// solver list; only the fallback walks the configured list.
+    /// re-solving the edited game from scratch: a clone of `game`, then
+    /// [`repair_in_place`](SolverEngine::repair_in_place). The receiver is
+    /// untouched; the outcome carries the edited game.
     pub fn repair(
         &self,
         game: &EffectiveGame,
@@ -887,17 +857,72 @@ impl SolverEngine {
         prev_certified: &PureProfile,
         edit: &GameEdit,
     ) -> Result<RepairOutcome> {
+        let mut edited = game.clone();
+        let (solution, repair) =
+            self.repair_in_place(&mut edited, initial, prev_certified, edit)?;
+        if solution.solution.is_none() {
+            // The in-place path restored the pre-edit game.
+            edited.edit(edit)?;
+        }
+        Ok(RepairOutcome {
+            game: edited,
+            solution,
+            repair,
+        })
+    }
+
+    /// Edits `game` in place and repairs a certified equilibrium across the
+    /// edit — the resident-session path, which copies neither the game nor
+    /// its kernel rows.
+    ///
+    /// `prev_certified` must be a profile of the **pre-edit** `game`. The
+    /// engine applies the edit with [`EffectiveGame::edit`], carries the
+    /// assignment over with [`repair_seed`], and descends from it with a
+    /// warm [`LocalSearchRun`] under the engine's normal budgets, so a
+    /// returned solution passed `is_pure_nash` on the edited game. If the
+    /// warm run stalls uncertified, the engine falls back to a cold
+    /// [`solve`](SolverEngine::solve) of the configured solver list
+    /// ([`RepairTelemetry::fallback_cold`]); the stalled warm attempt stays
+    /// visible in the telemetry.
+    ///
+    /// Failure-atomic: every validation runs before the first mutation, and
+    /// an error or an uncertified outcome restores the pre-edit game,
+    /// kernel rows included, bit for bit.
+    pub fn repair_in_place(
+        &self,
+        game: &mut EffectiveGame,
+        initial: &LinkLoads,
+        prev_certified: &PureProfile,
+        edit: &GameEdit,
+    ) -> Result<(EngineSolution, RepairTelemetry)> {
         prev_certified.validate(game)?;
-        let edited = game.apply_edit(edit)?;
-        let start = Instant::now();
-        let soa = SoAGame::from_game(&edited);
         let prev_loads = prev_certified.link_loads(game, initial);
-        let seed = repair_seed(soa.view(), prev_certified, &prev_loads, edit);
-        let warm_run = LocalSearchRun::with_seed(&edited, initial, soa.view(), &self.config, seed);
+        let undo = game.edit(edit)?;
+        let repaired = self.warm_repair(game, initial, prev_certified, &prev_loads, edit);
+        if !matches!(&repaired, Ok((solved, _)) if solved.solution.is_some()) {
+            game.revert(undo);
+        }
+        repaired
+    }
+
+    /// The warm descent (and cold fallback) of
+    /// [`repair_in_place`](SolverEngine::repair_in_place) on the already
+    /// edited `game`.
+    fn warm_repair(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        prev_certified: &PureProfile,
+        prev_loads: &[f64],
+        edit: &GameEdit,
+    ) -> Result<(EngineSolution, RepairTelemetry)> {
+        let start = Instant::now();
+        let seed = repair_seed(SoAView::from_game(game), prev_certified, prev_loads, edit);
+        let warm_run = LocalSearchRun::with_seed(game, initial, &self.config, seed);
         // The seeded descent is the run's only attempt: no solver list after
         // it, and no warm-tier key, since its answer is not this engine's
         // composition's.
-        let mut run = EngineRun::new(self, &edited, initial, Rows::View(soa.view()), None);
+        let mut run = EngineRun::new(self, game, initial, None);
         run.next_solver = self.solvers.len();
         run.active = Some(Active {
             run: Box::new(warm_run),
@@ -916,7 +941,7 @@ impl SolverEngine {
             fallback_cold: !warm.found,
         };
         if repair.fallback_cold {
-            solution = self.solve(&edited, initial)?;
+            solution = self.solve(game, initial)?;
             solution.telemetry.attempts.insert(0, warm);
         }
         solution.telemetry.total_wall_ns = elapsed_ns(start);
@@ -927,24 +952,18 @@ impl SolverEngine {
                 probes.repair_fallback.incr(1);
             }
         }
-        Ok(RepairOutcome {
-            game: edited,
-            solution,
-            repair,
-        })
+        Ok((solution, repair))
     }
 
     /// Solves every game in `games` (each from zero initial traffic) over the
     /// engine's worker pool.
     ///
-    /// Outputs are indexed like `games`. Instances are packed in fixed-size
-    /// chunks into an [`SoAArena`] and their [`EngineRun`]s are stepped
-    /// round-robin, one unit per instance per round, so the flat rows stay
-    /// hot and one [`KernelScratch`] serves a whole chunk. Chunk boundaries
-    /// depend only on the batch length and every run is deterministic, so
-    /// solutions are **bit-identical for any worker count** — and to solving
-    /// each instance sequentially with [`solve`](SolverEngine::solve), which
-    /// steps the very same run to completion.
+    /// Outputs are indexed like `games`. Instances are split into
+    /// fixed-size chunks, one worker task each, and every instance is
+    /// solved by [`solve`](SolverEngine::solve) over its own game's kernel
+    /// rows. Chunk boundaries depend only on the batch length and every
+    /// solve is deterministic, so solutions are **bit-identical for any
+    /// worker count** — and to solving each instance sequentially.
     pub fn solve_batch(&self, games: &[EffectiveGame]) -> Vec<Result<EngineSolution>> {
         let zeros: Vec<LinkLoads> = games.iter().map(|g| LinkLoads::zero(g.links())).collect();
         let items: Vec<(&EffectiveGame, &LinkLoads)> = games.iter().zip(&zeros).collect();
@@ -961,50 +980,20 @@ impl SolverEngine {
         self.solve_batch_items(&refs)
     }
 
-    /// The shared batch path: fixed-size chunks fanned out over the pool.
+    /// The shared batch path: fixed-size chunks fanned out over the pool,
+    /// each chunk solved in order.
     fn solve_batch_items(
         &self,
         items: &[(&EffectiveGame, &LinkLoads)],
     ) -> Vec<Result<EngineSolution>> {
         let chunks = chunk_ranges(items.len(), items.len().div_ceil(BATCH_CHUNK));
         let solved = parallel_map(&self.pool(), chunks.len(), |c| {
-            self.solve_chunk(&items[chunks[c].indices()])
+            items[chunks[c].indices()]
+                .iter()
+                .map(|&(game, initial)| self.solve(game, initial))
+                .collect::<Vec<_>>()
         });
         solved.into_iter().flatten().collect()
-    }
-
-    /// Solves one chunk: one run per instance over a view into the shared
-    /// [`SoAArena`], stepped round-robin until every run has finished.
-    fn solve_chunk(&self, items: &[(&EffectiveGame, &LinkLoads)]) -> Vec<Result<EngineSolution>> {
-        let arena = SoAArena::pack(items.iter().map(|&(game, _)| game));
-        let mut done = Vec::with_capacity(items.len());
-        let mut runs = Vec::with_capacity(items.len());
-        for (k, &(game, initial)) in items.iter().enumerate() {
-            match self.open_over(game, initial, None, Rows::View(arena.view(k))) {
-                Opened::Hit(hit) => {
-                    done.push(Some(Ok(hit)));
-                    runs.push(None);
-                }
-                Opened::Run(run) => {
-                    done.push(None);
-                    runs.push(Some(run));
-                }
-            }
-        }
-        let mut scratch = KernelScratch::new();
-        let mut open = runs.iter().flatten().count();
-        while open > 0 {
-            for (slot, result) in runs.iter_mut().zip(&mut done) {
-                let Some(run) = slot else { continue };
-                if run.step(&mut scratch) {
-                    *result = slot.take().map(|run| run.finish());
-                    open -= 1;
-                }
-            }
-        }
-        done.into_iter()
-            .map(|result| result.expect("every run finished"))
-            .collect()
     }
 
     /// Generates and solves `count` instances, building each from its task id
@@ -1038,23 +1027,6 @@ pub enum Opened<'a> {
     Run(Box<EngineRun<'a>>),
 }
 
-/// Where a run finds the SoA form of its game.
-enum Rows<'a> {
-    /// Packed into a caller-owned cell on first use.
-    Lazy(&'a OnceCell<SoAGame>),
-    /// A slice of an already packed batch arena (or a repair's own pack).
-    View(SoAView<'a>),
-}
-
-impl<'a> Rows<'a> {
-    fn view(&self, game: &EffectiveGame) -> SoAView<'a> {
-        match *self {
-            Rows::Lazy(cell) => cell.get_or_init(|| SoAGame::from_game(game)).view(),
-            Rows::View(view) => view,
-        }
-    }
-}
-
 /// The kernel run of the (heuristic) solver currently being attempted.
 struct Active<'a> {
     run: Box<dyn KernelRun + 'a>,
@@ -1070,11 +1042,11 @@ struct Active<'a> {
 /// inline solver, or the scan to the next applicable solver. Only
 /// [`Applicability::Heuristic`] attempts ask their solver for a
 /// [`Solver::kernel_run`]; conclusive attempts run inline as one atomic
-/// unit, so a closed-form instance never packs the SoA form. Stepping to
-/// completion and calling [`finish`](EngineRun::finish) is exactly
-/// [`SolverEngine::solve`]; the combinators differ only in pacing:
-/// `solve_batch` round-robins runs over arena views, and the serve layer
-/// checks a deadline between steps or steps several runs in lockstep.
+/// unit, so a closed-form instance never derives its kernel rows. Stepping
+/// to completion and calling [`finish`](EngineRun::finish) is exactly
+/// [`SolverEngine::solve`]; the serve layer's combinators differ only in
+/// pacing: they check a deadline between steps or step several runs in
+/// lockstep.
 ///
 /// Only `finish` writes the warm tier, so a run dropped early (a deadline
 /// fired, a race was decided) leaves no entry behind. The run records the
@@ -1084,7 +1056,6 @@ pub struct EngineRun<'a> {
     engine: &'a SolverEngine,
     game: &'a EffectiveGame,
     initial: &'a LinkLoads,
-    rows: Rows<'a>,
     /// The key of the missed warm-tier lookup that opened this run.
     key: Option<CacheKey<'a>>,
     /// Index into the solver list of the next solver to try.
@@ -1103,14 +1074,12 @@ impl<'a> EngineRun<'a> {
         engine: &'a SolverEngine,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
-        rows: Rows<'a>,
         key: Option<CacheKey<'a>>,
     ) -> Self {
         EngineRun {
             engine,
             game,
             initial,
-            rows,
             key,
             next_solver: 0,
             active: None,
@@ -1159,8 +1128,7 @@ impl<'a> EngineRun<'a> {
             }
             let started = Instant::now();
             if applicability == Applicability::Heuristic {
-                let view = self.rows.view(game);
-                if let Some(run) = solver.kernel_run(game, initial, view, config) {
+                if let Some(run) = solver.kernel_run(game, initial, config) {
                     self.active = Some(Active {
                         run,
                         method: solver.method(),
@@ -1343,11 +1311,10 @@ mod tests {
         let engine = SolverEngine::default().with_cache(Arc::clone(&cache));
         let game = general_game();
         let initial = LinkLoads::zero(3);
-        let soa = OnceCell::new();
         let mut scratch = KernelScratch::new();
 
         // A run dropped before `finish` leaves no entry behind.
-        let Opened::Run(mut run) = engine.open(&game, &initial, None, &soa) else {
+        let Opened::Run(mut run) = engine.open(&game, &initial, None) else {
             panic!("a cold cache cannot hit");
         };
         assert!(
@@ -1358,7 +1325,7 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
 
         // A finished run inserts exactly once.
-        let Opened::Run(mut run) = engine.open(&game, &initial, None, &soa) else {
+        let Opened::Run(mut run) = engine.open(&game, &initial, None) else {
             panic!("the dropped run stored nothing");
         };
         while !run.step(&mut scratch) {}
@@ -1368,7 +1335,7 @@ mod tests {
         assert_eq!((stats.misses, stats.entries), (2, 1));
 
         // A warm hit constructs no run and returns the stored answer.
-        let Opened::Hit(hit) = engine.open(&game, &initial, None, &soa) else {
+        let Opened::Hit(hit) = engine.open(&game, &initial, None) else {
             panic!("the finished run must have filled the warm tier");
         };
         assert_eq!(hit, cold);
@@ -1378,7 +1345,7 @@ mod tests {
     }
 
     #[test]
-    fn only_kernel_backed_attempts_pack_the_soa_form() {
+    fn only_kernel_backed_attempts_derive_kernel_rows() {
         let engine = SolverEngine::default();
         let mut scratch = KernelScratch::new();
         let two_links = EffectiveGame::from_rows(
@@ -1387,8 +1354,7 @@ mod tests {
         )
         .unwrap();
         let zero = LinkLoads::zero(2);
-        let soa = OnceCell::new();
-        let Opened::Run(mut run) = engine.open(&two_links, &zero, None, &soa) else {
+        let Opened::Run(mut run) = engine.open(&two_links, &zero, None) else {
             panic!("no cache, no hit");
         };
         assert!(run.step(&mut scratch), "Atwolinks is one atomic unit");
@@ -1396,16 +1362,21 @@ mod tests {
             run.finish().unwrap().method(),
             Some(PureNashMethod::TwoLinks)
         );
-        assert!(soa.get().is_none(), "a conclusive attempt must not pack");
+        assert!(
+            !two_links.has_kernel_rows(),
+            "a conclusive attempt must not derive kernel rows"
+        );
 
         let general = general_game();
         let zero = LinkLoads::zero(3);
-        let soa = OnceCell::new();
-        let Opened::Run(mut run) = engine.open(&general, &zero, None, &soa) else {
+        let Opened::Run(mut run) = engine.open(&general, &zero, None) else {
             panic!("no cache, no hit");
         };
         assert!(!run.step(&mut scratch));
-        assert!(soa.get().is_some(), "best response packs on activation");
+        assert!(
+            general.has_kernel_rows(),
+            "best response derives them on activation"
+        );
     }
 
     #[test]

@@ -3,27 +3,24 @@
 //!
 //! The accessor-shaped hot paths (`game.capacity(user, link)` plus an f64
 //! divide per candidate link) hide the flat `n × m` structure the model
-//! actually has. This module exposes that structure once per solve and lets
-//! every pass run on it:
+//! actually has. This module lets every pass run on that structure:
 //!
-//! * [`SoAGame`] — a flat, cache-friendly view of an
-//!   [`EffectiveGame`]: the weight vector, the row-major capacity matrix,
-//!   the row-major matrix of **precomputed reciprocals** (so cost
-//!   evaluation is a multiply, not a divide), and the decreasing-weight
-//!   user order (computed once, not once per LPT start). Construction
-//!   round-trips losslessly: [`SoAGame::to_game`] rebuilds the original
-//!   game bit-for-bit.
-//! * [`SoAArena`] — K games packed into one contiguous arena, for
-//!   [`SolverEngine::solve_batch`](crate::solvers::engine::SolverEngine::solve_batch)
-//!   to advance interleaved per pass while rows stay hot.
+//! * [`SoAView`] — a borrowed flat view of an [`EffectiveGame`]: the weight
+//!   vector, the row-major capacity matrix, the row-major matrix of
+//!   **precomputed reciprocals** (so cost evaluation is a multiply, not a
+//!   divide), and the decreasing-weight user order. All four rows live in
+//!   the game itself; there is no pack. The game derives the reciprocals
+//!   and the order once, on first kernel use, and its in-place
+//!   [`edit`](EffectiveGame::edit) patches them. Building a view copies
+//!   nothing.
 //! * [`KernelScratch`] — per-worker scratch (`loads`, improving-link lists)
-//!   reused across restarts, passes and batch items, so the steady state
+//!   reused across restarts, passes and lockstep runs, so the steady state
 //!   allocates nothing.
 //! * [`LocalSearchRun`] / [`BestResponseRun`] — pass-resumable solver state
-//!   machines. A single solve loops one run to completion; the batched
-//!   engine path round-robins `step` across K runs. Both paths execute the
-//!   same code on the same state, so batched results are bit-identical to
-//!   sequential ones **by construction**.
+//!   machines. A single solve loops one run to completion; the engine's
+//!   deadlines and races step runs pass by pass. Both paths execute the
+//!   same code on the same state, so their results are bit-identical **by
+//!   construction**.
 //!
 //! # Kernel contract: certification, not bit parity
 //!
@@ -46,92 +43,12 @@ use crate::solvers::engine::{SolverConfig, SolverDetail};
 use crate::solvers::local_search::SplitMix64;
 use crate::strategy::{LinkLoads, PureProfile};
 
-/// Flat, cache-friendly storage of one [`EffectiveGame`].
-///
-/// `caps` keeps the exact capacity bits (so the view round-trips losslessly
-/// and exact-arithmetic consumers like the opt aggregates stay bit-identical)
-/// while `inv_caps` carries the precomputed reciprocals the hot loops
-/// multiply by.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoAGame {
-    users: usize,
-    links: usize,
-    weights: Vec<f64>,
-    caps: Vec<f64>,
-    inv_caps: Vec<f64>,
-    order: Vec<usize>,
-}
-
-impl SoAGame {
-    /// Flattens `game` into SoA form. `O(nm)` plus one `O(n log n)` sort.
-    pub fn from_game(game: &EffectiveGame) -> Self {
-        let users = game.users();
-        let links = game.links();
-        let weights = game.weights().to_vec();
-        let mut caps = Vec::with_capacity(users * links);
-        for user in 0..users {
-            caps.extend_from_slice(game.capacities().row(user));
-        }
-        let inv_caps: Vec<f64> = caps.iter().map(|&c| 1.0 / c).collect();
-        let order = weight_order(&weights);
-        SoAGame {
-            users,
-            links,
-            weights,
-            caps,
-            inv_caps,
-            order,
-        }
-    }
-
-    /// Rebuilds the original [`EffectiveGame`], bit-for-bit.
-    pub fn to_game(&self) -> EffectiveGame {
-        let rows: Vec<Vec<f64>> = (0..self.users)
-            .map(|u| self.caps[u * self.links..(u + 1) * self.links].to_vec())
-            .collect();
-        EffectiveGame::from_rows(self.weights.clone(), rows)
-            .expect("an SoAGame only stores validated games")
-    }
-
-    /// Number of users `n`.
-    pub fn users(&self) -> usize {
-        self.users
-    }
-
-    /// Number of links `m`.
-    pub fn links(&self) -> usize {
-        self.links
-    }
-
-    /// The borrowed view the kernels run on.
-    pub fn view(&self) -> SoAView<'_> {
-        SoAView {
-            users: self.users,
-            links: self.links,
-            weights: &self.weights,
-            caps: &self.caps,
-            inv_caps: &self.inv_caps,
-            order: &self.order,
-        }
-    }
-}
-
-/// Users in decreasing weight order, ties by index — the LPT order, computed
-/// once per game instead of once per greedy start.
-fn weight_order(weights: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| {
-        weights[b]
-            .partial_cmp(&weights[a])
-            .expect("finite weights")
-            .then(a.cmp(&b))
-    });
-    order
-}
-
 /// A borrowed flat view of one game: what every kernel loop consumes.
 ///
-/// `Copy`, so passes can take it by value without borrow gymnastics.
+/// `caps` are the game's exact capacity bits (so exact-arithmetic consumers
+/// like the opt aggregates stay bit-identical), while `inv_caps` carries
+/// the precomputed reciprocals the hot loops multiply by. `Copy`, so passes
+/// can take it by value without borrow gymnastics.
 #[derive(Debug, Clone, Copy)]
 pub struct SoAView<'a> {
     /// Number of users `n`.
@@ -148,7 +65,25 @@ pub struct SoAView<'a> {
     pub order: &'a [usize],
 }
 
+/// Another name for [`SoAView`]: `SoAGame::from_game(&game)` builds the
+/// view of `game`'s rows.
+pub type SoAGame<'a> = SoAView<'a>;
+
 impl<'a> SoAView<'a> {
+    /// The view of `game`'s rows. Derives the game's reciprocals and
+    /// weight order on the first call (`O(nm)` plus one `O(n log n)` sort);
+    /// every later call copies nothing.
+    pub fn from_game(game: &'a EffectiveGame) -> Self {
+        SoAView {
+            users: game.users(),
+            links: game.links(),
+            weights: game.weights(),
+            caps: game.capacities().as_slice(),
+            inv_caps: game.inv_caps(),
+            order: game.weight_order(),
+        }
+    }
+
     /// User `user`'s reciprocal row (`m` entries, one slice borrow —
     /// no per-link bounds check in the loops that iterate it).
     #[inline]
@@ -169,72 +104,8 @@ impl<'a> SoAView<'a> {
     }
 }
 
-/// K games packed into contiguous SoA storage, advanced interleaved by the
-/// batched engine path.
-#[derive(Debug, Clone, Default)]
-pub struct SoAArena {
-    weights: Vec<f64>,
-    caps: Vec<f64>,
-    inv_caps: Vec<f64>,
-    order: Vec<usize>,
-    /// Per-game `(users, links, weight offset, matrix offset)`.
-    dims: Vec<(usize, usize, usize, usize)>,
-}
-
-impl SoAArena {
-    /// Packs `games` into one arena. Rows of consecutive games are adjacent,
-    /// so a pass interleaved over the batch keeps the cache hot.
-    pub fn pack<'g, I>(games: I) -> Self
-    where
-        I: IntoIterator<Item = &'g EffectiveGame>,
-    {
-        let mut arena = SoAArena::default();
-        for game in games {
-            let users = game.users();
-            let links = game.links();
-            let w_off = arena.weights.len();
-            let m_off = arena.caps.len();
-            arena.weights.extend_from_slice(game.weights());
-            for user in 0..users {
-                arena.caps.extend_from_slice(game.capacities().row(user));
-            }
-            arena
-                .inv_caps
-                .extend(arena.caps[m_off..].iter().map(|&c| 1.0 / c));
-            let order = weight_order(&arena.weights[w_off..]);
-            arena.order.extend(order);
-            arena.dims.push((users, links, w_off, m_off));
-        }
-        arena
-    }
-
-    /// Number of games packed.
-    pub fn len(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.dims.is_empty()
-    }
-
-    /// The view of game `k` — identical (including bits) to
-    /// `SoAGame::from_game(&games[k]).view()`.
-    pub fn view(&self, k: usize) -> SoAView<'_> {
-        let (users, links, w_off, m_off) = self.dims[k];
-        SoAView {
-            users,
-            links,
-            weights: &self.weights[w_off..w_off + users],
-            caps: &self.caps[m_off..m_off + users * links],
-            inv_caps: &self.inv_caps[m_off..m_off + users * links],
-            order: &self.order[w_off..w_off + users],
-        }
-    }
-}
-
-/// Per-worker scratch buffers reused across restarts, passes and batch
-/// items. Runs rebuild `loads` from their profile at the start of every
+/// Per-worker scratch buffers reused across restarts, passes and lockstep
+/// runs. Runs rebuild `loads` from their profile at the start of every
 /// pass, so nothing here persists between `step` calls — one scratch serves
 /// any number of interleaved runs.
 #[derive(Debug, Default)]
@@ -275,6 +146,21 @@ fn rebuild_loads(view: SoAView<'_>, initial: &[f64], choices: &[usize], loads: &
 // so at exact cost ties these can differ from the divide-based legacy
 // builders — the runs certify the final profile either way.
 
+/// The latency-minimal link for traffic `w` under `loads` (first wins).
+#[inline]
+fn cheapest_link(loads: &[f64], w: f64, inv: &[f64]) -> usize {
+    let mut best = 0usize;
+    let mut best_cost = f64::INFINITY;
+    for (link, (&load, &inv_c)) in loads.iter().zip(inv).enumerate() {
+        let cost = (load + w) * inv_c;
+        if cost < best_cost {
+            best_cost = cost;
+            best = link;
+        }
+    }
+    best
+}
+
 /// LPT-style greedy start (decreasing weight order, latency-minimal link).
 pub(crate) fn lpt_greedy_into(
     view: SoAView<'_>,
@@ -286,16 +172,7 @@ pub(crate) fn lpt_greedy_into(
     loads.copy_from_slice(initial);
     for &user in view.order {
         let w = view.weights[user];
-        let inv = view.inv_row(user);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (link, (&load, &inv_c)) in loads.iter().zip(inv).enumerate() {
-            let cost = (load + w) * inv_c;
-            if cost < best_cost {
-                best_cost = cost;
-                best = link;
-            }
-        }
+        let best = cheapest_link(loads, w, view.inv_row(user));
         choices[user] = best;
         loads[best] += w;
     }
@@ -312,16 +189,7 @@ pub(crate) fn greedy_into(
     loads.copy_from_slice(initial);
     for (user, choice) in choices.iter_mut().enumerate().take(view.users) {
         let w = view.weights[user];
-        let inv = view.inv_row(user);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (link, (&load, &inv_c)) in loads.iter().zip(inv).enumerate() {
-            let cost = (load + w) * inv_c;
-            if cost < best_cost {
-                best_cost = cost;
-                best = link;
-            }
-        }
+        let best = cheapest_link(loads, w, view.inv_row(user));
         *choice = best;
         loads[best] += w;
     }
@@ -391,18 +259,11 @@ pub fn repair_seed(
         GameEdit::UserJoins { .. } => {
             let mut choices = prev.choices().to_vec();
             let user = view.users - 1;
-            let w = view.weight(user);
-            let inv = view.inv_row(user);
-            let mut best = 0usize;
-            let mut best_cost = f64::INFINITY;
-            for (link, (&load, &inv_c)) in prev_loads.iter().zip(inv).enumerate() {
-                let cost = (load + w) * inv_c;
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = link;
-                }
-            }
-            choices.push(best);
+            choices.push(cheapest_link(
+                prev_loads,
+                view.weight(user),
+                view.inv_row(user),
+            ));
             PureProfile::new(choices)
         }
     }
@@ -418,7 +279,7 @@ pub fn repair_seed(
 /// Runs own their per-game state (profile, RNG, budget counters) and borrow
 /// everything transient from the [`KernelScratch`] handed to each step, so
 /// K interleaved runs share one scratch. Stepping a run to completion in a
-/// loop is exactly the single-solve path — there is no separate batch
+/// loop is exactly the single-solve path — there is no separate stepped
 /// implementation to diverge from.
 pub trait KernelRun {
     /// Advances one pass; `Some` when the solve has finished.
@@ -493,14 +354,9 @@ pub struct LocalSearchRun<'a> {
 }
 
 impl<'a> LocalSearchRun<'a> {
-    /// A run over `game` under `config`'s budgets. `view` must be the SoA
-    /// form of `game`.
-    pub fn new(
-        game: &'a EffectiveGame,
-        initial: &'a LinkLoads,
-        view: SoAView<'a>,
-        config: &SolverConfig,
-    ) -> Self {
+    /// A run over `game`'s rows under `config`'s budgets.
+    pub fn new(game: &'a EffectiveGame, initial: &'a LinkLoads, config: &SolverConfig) -> Self {
+        let view = SoAView::from_game(game);
         let budget = config.max_steps as u64;
         let restarts = config.restarts.max(1);
         LocalSearchRun {
@@ -538,12 +394,11 @@ impl<'a> LocalSearchRun<'a> {
     pub fn with_seed(
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
-        view: SoAView<'a>,
         config: &SolverConfig,
         seed: PureProfile,
     ) -> Self {
-        debug_assert_eq!(seed.users(), view.users, "seed must fit the game");
-        let mut run = LocalSearchRun::new(game, initial, view, config);
+        debug_assert_eq!(seed.users(), game.users(), "seed must fit the game");
+        let mut run = LocalSearchRun::new(game, initial, config);
         run.seed = Some(seed);
         run.warm = true;
         run
@@ -755,11 +610,10 @@ pub struct BestResponseRun<'a> {
 }
 
 impl<'a> BestResponseRun<'a> {
-    /// A run over `game` with `view` its SoA form.
+    /// A run over `game`'s rows.
     pub fn new(
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
-        view: SoAView<'a>,
         start: BrStart,
         max_steps: u64,
         largest_gain: bool,
@@ -768,11 +622,11 @@ impl<'a> BestResponseRun<'a> {
         BestResponseRun {
             game,
             initial,
-            view,
+            view: SoAView::from_game(game),
             tol,
             max_steps,
             largest_gain,
-            profile: PureProfile::new(vec![0; view.users]),
+            profile: PureProfile::new(vec![0; game.users()]),
             started: false,
             start,
             cursor: 0,
@@ -972,11 +826,16 @@ mod tests {
     }
 
     #[test]
-    fn soa_round_trips_bit_exactly() {
+    fn the_view_reads_the_games_own_rows() {
         let game = messy_game();
-        let soa = SoAGame::from_game(&game);
-        assert_eq!(soa.to_game(), game);
-        let view = soa.view();
+        let view = SoAView::from_game(&game);
+        assert_eq!(view.caps.as_ptr(), game.capacities().as_slice().as_ptr());
+        assert_eq!(view.weights.as_ptr(), game.weights().as_ptr());
+        assert_eq!(
+            view.inv_caps.as_ptr(),
+            SoAView::from_game(&game).inv_caps.as_ptr(),
+            "the derived rows are computed once"
+        );
         assert_eq!(view.users, 4);
         assert_eq!(view.links, 3);
         assert_eq!(view.cap_row(2), &[3.0, 3.0, 0.5]);
@@ -986,29 +845,12 @@ mod tests {
     }
 
     #[test]
-    fn arena_views_match_single_game_views() {
-        let games = [messy_game(), messy_game()];
-        let arena = SoAArena::pack(&games);
-        assert_eq!(arena.len(), 2);
-        for (k, game) in games.iter().enumerate() {
-            let single = SoAGame::from_game(game);
-            let sv = single.view();
-            let av = arena.view(k);
-            assert_eq!(av.weights, sv.weights);
-            assert_eq!(av.caps, sv.caps);
-            assert_eq!(av.inv_caps, sv.inv_caps);
-            assert_eq!(av.order, sv.order);
-        }
-    }
-
-    #[test]
     fn kernel_local_search_converges_and_certifies() {
         let game = messy_game();
         let initial = LinkLoads::zero(3);
         let config = SolverConfig::default();
-        let soa = SoAGame::from_game(&game);
         let mut scratch = KernelScratch::new();
-        let mut run = LocalSearchRun::new(&game, &initial, soa.view(), &config);
+        let mut run = LocalSearchRun::new(&game, &initial, &config);
         let detail = run_to_completion(&mut run, &mut scratch);
         let solution = detail.solution.expect("tiny instance converges");
         assert!(is_pure_nash(&game, &solution.profile, &initial, config.tol));
@@ -1020,13 +862,11 @@ mod tests {
         let game = messy_game();
         let initial = LinkLoads::zero(3);
         let config = SolverConfig::default();
-        let soa = SoAGame::from_game(&game);
         let mut scratch = KernelScratch::new();
         for largest_gain in [false, true] {
             let mut run = BestResponseRun::new(
                 &game,
                 &initial,
-                soa.view(),
                 BrStart::Greedy,
                 config.max_steps as u64,
                 largest_gain,
@@ -1043,9 +883,8 @@ mod tests {
         let game = messy_game();
         let initial = LinkLoads::zero(3);
         let config = SolverConfig::default();
-        let soa = SoAGame::from_game(&game);
         let mut scratch = KernelScratch::new();
-        let mut run = LocalSearchRun::new(&game, &initial, soa.view(), &config);
+        let mut run = LocalSearchRun::new(&game, &initial, &config);
         let prev = run_to_completion(&mut run, &mut scratch)
             .solution
             .expect("tiny instance converges")
@@ -1059,15 +898,15 @@ mod tests {
             capacity: 10.0,
         };
         let cap_game = game.apply_edit(&cap_edit).unwrap();
-        let cap_soa = SoAGame::from_game(&cap_game);
-        let seed = repair_seed(cap_soa.view(), &prev, prev_loads.as_slice(), &cap_edit);
+        let cap_view = SoAView::from_game(&cap_game);
+        let seed = repair_seed(cap_view, &prev, prev_loads.as_slice(), &cap_edit);
         assert_eq!(seed.choices(), prev.choices());
 
         // Leave: the departing user's choice is dropped, the rest shift.
         let leave = GameEdit::UserLeaves { user: 1 };
         let leave_game = game.apply_edit(&leave).unwrap();
-        let leave_soa = SoAGame::from_game(&leave_game);
-        let seed = repair_seed(leave_soa.view(), &prev, prev_loads.as_slice(), &leave);
+        let leave_view = SoAView::from_game(&leave_game);
+        let seed = repair_seed(leave_view, &prev, prev_loads.as_slice(), &leave);
         assert_eq!(seed.users(), 3);
         assert_eq!(seed.link(0), prev.link(0));
         assert_eq!(seed.link(1), prev.link(2));
@@ -1080,11 +919,10 @@ mod tests {
             capacities: vec![1.0, 2.0, 3.0],
         };
         let join_game = game.apply_edit(&join).unwrap();
-        let join_soa = SoAGame::from_game(&join_game);
-        let seed = repair_seed(join_soa.view(), &prev, prev_loads.as_slice(), &join);
+        let view = SoAView::from_game(&join_game);
+        let seed = repair_seed(view, &prev, prev_loads.as_slice(), &join);
         assert_eq!(seed.users(), 5);
         assert_eq!(&seed.choices()[..4], prev.choices());
-        let view = join_soa.view();
         let inv = view.inv_row(4);
         let placed = seed.link(4);
         for link in 0..3 {
@@ -1101,9 +939,8 @@ mod tests {
         let game = messy_game();
         let initial = LinkLoads::zero(3);
         let config = SolverConfig::default();
-        let soa = SoAGame::from_game(&game);
         let mut scratch = KernelScratch::new();
-        let mut run = LocalSearchRun::new(&game, &initial, soa.view(), &config);
+        let mut run = LocalSearchRun::new(&game, &initial, &config);
         let prev = run_to_completion(&mut run, &mut scratch)
             .solution
             .expect("tiny instance converges")
@@ -1115,10 +952,13 @@ mod tests {
             capacity: 0.05,
         };
         let edited = game.apply_edit(&edit).unwrap();
-        let edited_soa = SoAGame::from_game(&edited);
-        let seed = repair_seed(edited_soa.view(), &prev, prev_loads.as_slice(), &edit);
-        let mut warm =
-            LocalSearchRun::with_seed(&edited, &initial, edited_soa.view(), &config, seed);
+        let seed = repair_seed(
+            SoAView::from_game(&edited),
+            &prev,
+            prev_loads.as_slice(),
+            &edit,
+        );
+        let mut warm = LocalSearchRun::with_seed(&edited, &initial, &config, seed);
         let detail = run_to_completion(&mut warm, &mut scratch);
         let solution = detail.solution.expect("warm run converges");
         assert!(is_pure_nash(
@@ -1135,12 +975,10 @@ mod tests {
     fn a_zero_step_budget_gives_up_like_the_legacy_dynamics() {
         let game = messy_game();
         let initial = LinkLoads::zero(3);
-        let soa = SoAGame::from_game(&game);
         let mut scratch = KernelScratch::new();
         let mut run = BestResponseRun::new(
             &game,
             &initial,
-            soa.view(),
             BrStart::Profile(PureProfile::all_on(4, 0)),
             0,
             false,

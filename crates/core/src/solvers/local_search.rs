@@ -39,9 +39,7 @@ use crate::algorithms::PureNashMethod;
 use crate::error::Result;
 use crate::model::EffectiveGame;
 use crate::solvers::engine::{Applicability, Solver, SolverConfig, SolverDetail};
-use crate::solvers::kernel::{
-    run_to_completion, KernelRun, KernelScratch, LocalSearchRun, SoAGame, SoAView,
-};
+use crate::solvers::kernel::{run_to_completion, KernelRun, KernelScratch, LocalSearchRun};
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// Default restart budget of [`LocalSearch`] (`SolverConfig::restarts`).
@@ -80,18 +78,10 @@ impl SplitMix64 {
 /// each placed on the link minimising its own expected latency given the
 /// users already placed.
 pub fn lpt_greedy_profile(game: &EffectiveGame, initial: &LinkLoads) -> PureProfile {
-    let n = game.users();
     let m = game.links();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        game.weight(b)
-            .partial_cmp(&game.weight(a))
-            .expect("finite weights")
-            .then(a.cmp(&b))
-    });
     let mut loads = initial.clone();
-    let mut choices = vec![0usize; n];
-    for &user in &order {
+    let mut choices = vec![0usize; game.users()];
+    for &user in game.weight_order() {
         let w = game.weight(user);
         let mut best = 0usize;
         let mut best_cost = f64::INFINITY;
@@ -112,18 +102,10 @@ pub fn lpt_greedy_profile(game: &EffectiveGame, initial: &LinkLoads) -> PureProf
 /// with the least total weight so far (capacity-blind — deliberately a
 /// different shape from the latency-aware greedy starts).
 pub fn load_balanced_profile(game: &EffectiveGame, initial: &LinkLoads) -> PureProfile {
-    let n = game.users();
     let m = game.links();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        game.weight(b)
-            .partial_cmp(&game.weight(a))
-            .expect("finite weights")
-            .then(a.cmp(&b))
-    });
     let mut loads: Vec<f64> = initial.as_slice().to_vec();
-    let mut choices = vec![0usize; n];
-    for &user in &order {
+    let mut choices = vec![0usize; game.users()];
+    for &user in game.weight_order() {
         let mut best = 0usize;
         for link in 1..m {
             if loads[link] < loads[best] {
@@ -180,7 +162,7 @@ fn start_profile(
 ///
 /// The descent itself lives in [`LocalSearchRun`]: a pass-resumable
 /// state machine on the SoA kernel rows, shared verbatim between this
-/// single-solve path and the engine's interleaved batch path.
+/// single-solve path and the engine's stepped runs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalSearch;
 
@@ -204,9 +186,8 @@ impl Solver for LocalSearch {
         initial: &LinkLoads,
         config: &SolverConfig,
     ) -> Result<SolverDetail> {
-        let soa = SoAGame::from_game(game);
         let mut scratch = KernelScratch::new();
-        let mut run = LocalSearchRun::new(game, initial, soa.view(), config);
+        let mut run = LocalSearchRun::new(game, initial, config);
         Ok(run_to_completion(&mut run, &mut scratch))
     }
 
@@ -214,10 +195,9 @@ impl Solver for LocalSearch {
         &self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
-        view: SoAView<'a>,
         config: &SolverConfig,
     ) -> Option<Box<dyn KernelRun + 'a>> {
-        Some(Box::new(LocalSearchRun::new(game, initial, view, config)))
+        Some(Box::new(LocalSearchRun::new(game, initial, config)))
     }
 }
 

@@ -16,5 +16,5 @@ pub use engine::{
     Applicability, EngineRun, EngineSolution, Opened, RepairOutcome, RepairTelemetry,
     SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverDetail, SolverEngine, SolverKind,
 };
-pub use kernel::{KernelRun, KernelScratch, SoAArena, SoAGame, SoAView};
+pub use kernel::{KernelRun, KernelScratch, SoAGame, SoAView};
 pub use local_search::LocalSearch;

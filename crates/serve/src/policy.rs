@@ -37,7 +37,6 @@
 //! direct engine calls read and write the same entries and stay
 //! replay-exact.
 
-use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -573,8 +572,7 @@ fn solve_leaf(
     deadline: Option<Instant>,
 ) -> Result<SolveEval, WireError> {
     let engine = leaf_engine(leaf, ctx)?;
-    let soa = OnceCell::new();
-    let mut run = match engine.open(ctx.game, ctx.initial, Some(ctx.instance), &soa) {
+    let mut run = match engine.open(ctx.game, ctx.initial, Some(ctx.instance)) {
         Opened::Hit(hit) => return Ok(done_by(ctx, deadline, hit)),
         Opened::Run(run) => run,
     };
@@ -620,12 +618,11 @@ fn race_solve(
         };
         engines.push(leaf_engine(leaf, ctx)?);
     }
-    // Every lane solves the same game, so they share one lazy pack.
-    let soa = OnceCell::new();
+    // Every lane solves the same game, so they share its kernel rows.
     let mut finished: Vec<Option<Result<EngineSolution, GameError>>> = Vec::new();
     let mut runs = Vec::new();
     for engine in &engines {
-        match engine.open(ctx.game, ctx.initial, Some(ctx.instance), &soa) {
+        match engine.open(ctx.game, ctx.initial, Some(ctx.instance)) {
             Opened::Hit(hit) => {
                 finished.push(Some(Ok(hit)));
                 runs.push(None);

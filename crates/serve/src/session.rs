@@ -9,6 +9,12 @@
 //! *releases* the pinned game and profile (the entry is dropped, not
 //! tombstoned).
 //!
+//! Each session sits behind its own lock ([`SessionHandle`]). An `Edit`
+//! resolves the id under the store lock, releases it, then locks the one
+//! session and repairs its pinned game **in place**: nothing is cloned out
+//! or copied back, and concurrent edits to one session serialise, each
+//! repairing from the state the previous one left.
+//!
 //! Staleness is typed, never silent. Session ids are allocated
 //! sequentially, so a missing id tells its own history: an id below the
 //! allocation watermark was once live and has since been evicted or
@@ -21,12 +27,11 @@
 //! session.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use netuncert_core::prelude::{EffectiveGame, LinkLoads, PureProfile};
 
-/// One session's pinned state, cloned out of the store for the repair call
-/// (the store lock is never held across engine work).
+/// One session's pinned state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// The current game (the original upload with every accepted edit
@@ -40,11 +45,16 @@ pub struct SessionSnapshot {
     pub edits: u64,
 }
 
-/// How a session id resolved against the store.
+/// A live session: its pinned state behind the session's own lock.
+pub type SessionHandle = Arc<Mutex<SessionSnapshot>>;
+
+/// How a session id resolved against the store: to a copy of the pinned
+/// state ([`SessionStore::lookup`]) or to the live session
+/// ([`SessionStore::resolve`]).
 #[derive(Debug)]
-pub enum SessionLookup {
+pub enum SessionLookup<T = SessionSnapshot> {
     /// The session is live; here is its pinned state.
-    Found(SessionSnapshot),
+    Found(T),
     /// The id was once allocated but its session has been evicted (or
     /// explicitly released) since.
     Evicted,
@@ -68,7 +78,7 @@ pub enum SessionRemoval {
 }
 
 struct Entry {
-    snapshot: SessionSnapshot,
+    session: SessionHandle,
     /// Key into `recency`; rewritten on every touch.
     tick: u64,
 }
@@ -94,8 +104,8 @@ impl StoreInner {
 }
 
 /// A bounded LRU store of resident sessions. All methods take `&self`; one
-/// internal mutex serialises metadata updates, and the pinned state is
-/// cloned out so engine work never runs under the lock.
+/// internal mutex serialises metadata updates, and each session has its own
+/// lock, which no method holds while it waits for the store's.
 pub struct SessionStore {
     inner: Mutex<StoreInner>,
     capacity: usize,
@@ -124,7 +134,7 @@ impl SessionStore {
         initial: LinkLoads,
         profile: PureProfile,
     ) -> (u64, Option<u64>) {
-        let mut inner = self.inner.lock().expect("session lock poisoned");
+        let mut inner = self.inner.lock().expect("session store lock poisoned");
         let evicted = if inner.entries.len() >= self.capacity {
             let (&tick, &victim) = inner.recency.iter().next().expect("non-empty at capacity");
             inner.recency.remove(&tick);
@@ -140,12 +150,12 @@ impl SessionStore {
         inner.entries.insert(
             id,
             Entry {
-                snapshot: SessionSnapshot {
+                session: Arc::new(Mutex::new(SessionSnapshot {
                     game,
                     initial,
                     profile,
                     edits: 0,
-                },
+                })),
                 tick,
             },
         );
@@ -153,10 +163,11 @@ impl SessionStore {
         (id, evicted)
     }
 
-    /// Resolves a session id, cloning its pinned state out and marking it
-    /// most recently used.
-    pub fn lookup(&self, id: u64) -> SessionLookup {
-        let mut inner = self.inner.lock().expect("session lock poisoned");
+    /// Resolves a session id to the live session, marking it most recently
+    /// used. The store lock is released on return; lock the handle to read
+    /// or edit the session in place.
+    pub fn resolve(&self, id: u64) -> SessionLookup<SessionHandle> {
+        let mut inner = self.inner.lock().expect("session store lock poisoned");
         if !inner.entries.contains_key(&id) {
             return if id != 0 && id < inner.next_id {
                 SessionLookup::Evicted
@@ -165,44 +176,57 @@ impl SessionStore {
             };
         }
         inner.touch(id);
-        SessionLookup::Found(inner.entries[&id].snapshot.clone())
+        SessionLookup::Found(Arc::clone(&inner.entries[&id].session))
+    }
+
+    /// Resolves a session id, cloning its pinned state out and marking it
+    /// most recently used.
+    pub fn lookup(&self, id: u64) -> SessionLookup {
+        match self.resolve(id) {
+            SessionLookup::Found(session) => {
+                SessionLookup::Found(session.lock().expect("session lock poisoned").clone())
+            }
+            SessionLookup::Evicted => SessionLookup::Evicted,
+            SessionLookup::Unknown => SessionLookup::Unknown,
+        }
     }
 
     /// Replaces a session's game and certified profile after an accepted
     /// edit, bumping its edit count. Returns `false` (and stores nothing)
     /// when the session was evicted or released in the meantime.
     pub fn update(&self, id: u64, game: EffectiveGame, profile: PureProfile) -> bool {
-        let mut inner = self.inner.lock().expect("session lock poisoned");
-        let Some(entry) = inner.entries.get_mut(&id) else {
+        let SessionLookup::Found(session) = self.resolve(id) else {
             return false;
         };
-        entry.snapshot.game = game;
-        entry.snapshot.profile = profile;
-        entry.snapshot.edits += 1;
-        inner.touch(id);
+        let mut pinned = session.lock().expect("session lock poisoned");
+        pinned.game = game;
+        pinned.profile = profile;
+        pinned.edits += 1;
         true
     }
 
-    /// Releases a session, dropping its pinned state.
+    /// Releases a session, dropping its pinned state once an edit still
+    /// running on it has finished.
     pub fn remove(&self, id: u64) -> SessionRemoval {
-        let mut inner = self.inner.lock().expect("session lock poisoned");
-        match inner.entries.remove(&id) {
-            Some(entry) => {
-                inner.recency.remove(&entry.tick);
-                SessionRemoval::Released {
-                    edits: entry.snapshot.edits,
-                }
-            }
-            None if id != 0 && id < inner.next_id => SessionRemoval::Evicted,
-            None => SessionRemoval::Unknown,
-        }
+        let mut inner = self.inner.lock().expect("session store lock poisoned");
+        let Some(entry) = inner.entries.remove(&id) else {
+            return if id != 0 && id < inner.next_id {
+                SessionRemoval::Evicted
+            } else {
+                SessionRemoval::Unknown
+            };
+        };
+        inner.recency.remove(&entry.tick);
+        drop(inner);
+        let edits = entry.session.lock().expect("session lock poisoned").edits;
+        SessionRemoval::Released { edits }
     }
 
     /// Live sessions right now.
     pub fn len(&self) -> usize {
         self.inner
             .lock()
-            .expect("session lock poisoned")
+            .expect("session store lock poisoned")
             .entries
             .len()
     }

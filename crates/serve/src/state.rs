@@ -31,7 +31,7 @@ use crate::protocol::{
     Request, Response, ResponseBody, SolveOutcome, StatsReply, UploadReply, Verb, WireCacheStats,
     WireError, WireSolution,
 };
-use crate::session::{SessionLookup, SessionRemoval, SessionStore};
+use crate::session::{SessionLookup, SessionRemoval, SessionSnapshot, SessionStore};
 
 /// Service configuration: pool size, queue bound, warm-tier bounds, wire
 /// limits.
@@ -186,22 +186,37 @@ pub struct ServeState {
     counters: Mutex<Counters>,
     draining: AtomicBool,
     sessions: SessionStore,
+    /// The resident-session engine: local search (the repair path's warm
+    /// backend) with the exhaustive solver as the conclusive small-game
+    /// fallback. Sessions bypass the policy tree — a session must end every
+    /// accepted request with a *certified profile* to repair from, so the
+    /// portfolio is fixed rather than client-composed. Probes record into
+    /// the service registry, so `engine.repair_ns` / `repair.moves` /
+    /// `repair.fallback_cold` surface through the `Metrics` verb.
+    session_engine: SolverEngine,
     obs: ObsHandles,
 }
 
 impl ServeState {
     /// A fresh state with LRU warm tiers sized by `config`.
     pub fn new(config: &ServeConfig) -> Self {
+        let obs = ObsHandles::new(config.queue_depth);
+        let base_solver = SolverConfig::default();
         ServeState {
             solve_cache: Arc::new(SolveCache::lru(config.solve_cache_capacity)),
             opt_cache: Arc::new(OptCache::lru(config.opt_cache_capacity)),
-            base_solver: SolverConfig::default(),
+            base_solver,
             base_opt: OptConfig::default(),
             limits: config.limits,
             counters: Mutex::new(Counters::default()),
             draining: AtomicBool::new(false),
             sessions: SessionStore::new(config.session_capacity),
-            obs: ObsHandles::new(config.queue_depth),
+            session_engine: SolverEngine::from_kinds(
+                base_solver,
+                &[SolverKind::LocalSearch, SolverKind::Exhaustive],
+            )
+            .with_recorder(obs.recorder.clone()),
+            obs,
         }
     }
 
@@ -209,6 +224,11 @@ impl ServeState {
     /// writers and tests).
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.obs.registry)
+    }
+
+    /// The resident-session store (for inspection by tests and tools).
+    pub fn sessions(&self) -> &SessionStore {
+        &self.sessions
     }
 
     /// The pre-resolved metric handles (for the socket layer).
@@ -502,21 +522,6 @@ impl ServeState {
         Some(body)
     }
 
-    /// The resident-session engine: local search (the repair path's warm
-    /// backend) with the exhaustive solver as the conclusive small-game
-    /// fallback. Sessions bypass the policy tree — a session must end every
-    /// accepted request with a *certified profile* to repair from, so the
-    /// portfolio is fixed rather than client-composed. Probes record into
-    /// the service registry, so `engine.repair_ns` / `repair.moves` /
-    /// `repair.fallback_cold` surface through the `Metrics` verb.
-    fn session_engine(&self) -> SolverEngine {
-        SolverEngine::from_kinds(
-            self.base_solver,
-            &[SolverKind::LocalSearch, SolverKind::Exhaustive],
-        )
-        .with_recorder(self.obs.recorder.clone())
-    }
-
     /// `Upload`: validate, solve cold, pin the game plus its certified
     /// profile, hand out the session id. Nothing is pinned unless the solve
     /// certified.
@@ -528,7 +533,7 @@ impl ServeState {
             Ok(built) => built,
             Err(err) => return ResponseBody::Error(err),
         };
-        let solved = match self.session_engine().solve(&game, &initial) {
+        let solved = match self.session_engine.solve(&game, &initial) {
             Ok(solved) => solved,
             Err(e) => return ResponseBody::Error(WireError::engine(&e)),
         };
@@ -553,14 +558,14 @@ impl ServeState {
         })
     }
 
-    /// `Edit`: resolve the session, apply the edit, warm-start repair from
-    /// the pinned certified profile, re-pin the repaired state. A stale id
-    /// is a typed [`ErrorKind::SessionEvicted`] / [`ErrorKind::UnknownSession`]
-    /// — never a silent cold solve. On any failure the session keeps its
-    /// last certified state.
+    /// `Edit`: resolve the session, lock it, and repair its pinned game in
+    /// place from the pinned certified profile. A stale id is a typed
+    /// [`ErrorKind::SessionEvicted`] / [`ErrorKind::UnknownSession`] — never
+    /// a silent cold solve. On any failure the session keeps its last
+    /// certified state.
     fn handle_edit(&self, request: &EditRequest) -> ResponseBody {
-        let snapshot = match self.sessions.lookup(request.session) {
-            SessionLookup::Found(snapshot) => snapshot,
+        let session = match self.sessions.resolve(request.session) {
+            SessionLookup::Found(session) => session,
             SessionLookup::Evicted => {
                 return ResponseBody::Error(WireError::new(
                     ErrorKind::SessionEvicted,
@@ -577,10 +582,19 @@ impl ServeState {
                 ))
             }
         };
+        // The store lock is already released. The session's own lock
+        // serialises concurrent edits to it, so each one repairs from the
+        // state the previous one left. A session evicted meanwhile is still
+        // repaired; the *next* edit gets the typed SessionEvicted answer.
+        let mut pinned = session.lock().expect("session lock poisoned");
+        let SessionSnapshot {
+            game,
+            initial,
+            profile,
+            edits,
+        } = &mut *pinned;
         let edit = request.edit.to_edit();
-        if matches!(edit, GameEdit::UserJoins { .. })
-            && snapshot.game.users() >= self.limits.max_users
-        {
+        if matches!(edit, GameEdit::UserJoins { .. }) && game.users() >= self.limits.max_users {
             return ResponseBody::Error(WireError::new(
                 ErrorKind::Oversize,
                 format!(
@@ -589,20 +603,14 @@ impl ServeState {
                 ),
             ));
         }
-        // The store lock is already released: repair runs unlocked on the
-        // cloned snapshot. Concurrent edits to one session serialise only
-        // at the final update (last writer wins) — sessions are a
-        // single-writer resource by contract.
-        let outcome = match self.session_engine().repair(
-            &snapshot.game,
-            &snapshot.initial,
-            &snapshot.profile,
-            &edit,
-        ) {
-            Ok(outcome) => outcome,
+        let (solved, repair) = match self
+            .session_engine
+            .repair_in_place(game, initial, profile, &edit)
+        {
+            Ok(repaired) => repaired,
             Err(e) => return ResponseBody::Error(WireError::engine(&e)),
         };
-        let Some(solution) = outcome.solution.solution else {
+        let Some(solution) = solved.solution else {
             return ResponseBody::Error(WireError::new(
                 ErrorKind::Engine,
                 "neither the warm repair nor the cold fallback certified; session unchanged",
@@ -612,14 +620,12 @@ impl ServeState {
             choices: solution.profile.choices().to_vec(),
             method: solve_method_id(solution.method).to_string(),
         };
-        // If the session was evicted while repairing, the update is a no-op
-        // and the *next* edit gets the typed SessionEvicted answer.
-        self.sessions
-            .update(request.session, outcome.game, solution.profile);
+        *profile = solution.profile;
+        *edits += 1;
         ResponseBody::Edit(EditReply {
             session: request.session,
             solution: wire,
-            repair: wire_repair(&outcome.repair),
+            repair: wire_repair(&repair),
         })
     }
 

@@ -147,3 +147,81 @@ fn client_pool_reuses_connections_across_checkouts() {
     shutdown(addr);
     handle.join().expect("server thread").expect("clean run");
 }
+
+/// Two threads edit disjoint `(user, link)` entries of one session through
+/// one service. Every accepted edit must land in the pinned game: no edit
+/// may repair from a stale copy and overwrite another's result, and the
+/// edit count must match what the game holds.
+#[test]
+fn concurrent_edits_to_one_session_all_apply() {
+    use netuncert_serve::protocol::{Request, WireEdit};
+    use netuncert_serve::session::SessionLookup;
+    use netuncert_serve::state::ServeState;
+
+    const PER_THREAD: usize = 50;
+    let (users, links) = (128, 6);
+    let state = ServeState::new(&ServeConfig::default());
+    let (instance, _) = churn_session(31, users, links, 0);
+    let mut expected =
+        EffectiveGame::from_rows(instance.weights.clone(), instance.capacities.clone())
+            .expect("workload instances are valid");
+    let response = state.handle_request(Request {
+        id: 1,
+        body: RequestBody::Upload(UploadRequest { instance }),
+    });
+    let ResponseBody::Upload(upload) = response.body else {
+        panic!("upload did not pin: {:?}", response.body);
+    };
+    // Thread t edits rows t, t + 2, t + 4, …: disjoint entries, so the
+    // final game does not depend on how the two streams interleave.
+    let stream = |thread: usize| -> Vec<WireEdit> {
+        (0..PER_THREAD)
+            .map(|k| WireEdit::Capacity {
+                user: (thread + 2 * k) % users,
+                link: k % links,
+                capacity: 5.0 + (thread * PER_THREAD + k) as f64 / 8.0,
+            })
+            .collect()
+    };
+    for thread in 0..2 {
+        for edit in stream(thread) {
+            expected = expected.apply_edit(&edit.to_edit()).expect("valid edit");
+        }
+    }
+    // Both streams start together, so their edits overlap.
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for thread in 0..2 {
+            let (state, edits, start) = (&state, stream(thread), &start);
+            scope.spawn(move || {
+                start.wait();
+                for (k, edit) in edits.into_iter().enumerate() {
+                    let response = state.handle_request(Request {
+                        id: (2 + thread * PER_THREAD + k) as u64,
+                        body: RequestBody::Edit(EditRequest {
+                            session: upload.session,
+                            edit,
+                        }),
+                    });
+                    assert!(
+                        matches!(response.body, ResponseBody::Edit(_)),
+                        "edit rejected: {:?}",
+                        response.body
+                    );
+                }
+            });
+        }
+    });
+    let SessionLookup::Found(pinned) = state.sessions().lookup(upload.session) else {
+        panic!("the session is live");
+    };
+    assert_eq!(pinned.game, expected, "an accepted edit was lost");
+    assert_eq!(pinned.edits, 2 * PER_THREAD as u64);
+    let zero = LinkLoads::zero(links);
+    assert!(is_pure_nash(
+        &pinned.game,
+        &pinned.profile,
+        &zero,
+        Tolerance::default()
+    ));
+}

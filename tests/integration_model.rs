@@ -124,6 +124,42 @@ fn nash_equilibria_survive_the_round_trip_through_serde() {
     assert_eq!(full_back.states().len(), game.states().len());
 }
 
+/// Deserialization goes through the validating constructors: a payload the
+/// constructors reject is an error, never a game that panics on first use.
+/// Serialized bytes are unchanged.
+#[test]
+fn deserialization_validates_like_construction() {
+    let rejected = [
+        // Three entries for a 2 × 2 matrix (and a negative weight).
+        r#"{"weights":[-1.0,1.0],"capacities":{"users":2,"links":2,"data":[1.0,1.0,1.0]}}"#,
+        r#"{"weights":[1.0,1.0],"capacities":{"users":2,"links":2,"data":[1.0,1.0,1.0]}}"#,
+        r#"{"weights":[-1.0,1.0],"capacities":{"users":2,"links":2,"data":[1.0,1.0,1.0,1.0]}}"#,
+        r#"{"weights":[1.0,1.0],"capacities":{"users":2,"links":2,"data":[1.0,0.0,1.0,1.0]}}"#,
+        r#"{"weights":[1.0,1.0,1.0],"capacities":{"users":2,"links":2,"data":[1.0,1.0,1.0,1.0]}}"#,
+        r#"{"weights":[1.0],"capacities":{"users":1,"links":2,"data":[1.0,1.0]}}"#,
+        r#"{"weights":[1.0,1.0],"capacities":{"users":2,"links":2}}"#,
+    ];
+    for json in rejected {
+        assert!(
+            serde_json::from_str::<EffectiveGame>(json).is_err(),
+            "{json} must be rejected"
+        );
+    }
+    assert!(serde_json::from_str::<EffectiveCapacities>(
+        r#"{"users":2,"links":2,"data":[1.0,1.0,1.0]}"#
+    )
+    .is_err());
+
+    let json =
+        r#"{"weights":[1.5,2.0],"capacities":{"users":2,"links":2,"data":[1.0,2.0,3.0,4.5]}}"#;
+    let game: EffectiveGame = serde_json::from_str(json).expect("a valid game deserializes");
+    assert_eq!(
+        game,
+        EffectiveGame::from_rows(vec![1.5, 2.0], vec![vec![1.0, 2.0], vec![3.0, 4.5]]).unwrap()
+    );
+    assert_eq!(serde_json::to_string(&game).unwrap(), json);
+}
+
 #[test]
 fn social_costs_relate_sensibly_on_generated_games() {
     // SC2 ≤ SC1 ≤ n · SC2 for any profile, and OPT obeys the same sandwich.
