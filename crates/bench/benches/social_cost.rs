@@ -1,6 +1,7 @@
 //! E9 — social-cost machinery (Section 2, Theorems 4.11/4.12): cost of
-//! evaluating SC1/SC2, of computing the exact social optimum, and of the
-//! FMNE-vs-pure-NE worst-case comparison performed by the experiments.
+//! evaluating SC1/SC2 of mixed and of pure profiles, of computing the exact
+//! social optimum, and of the FMNE-vs-pure-NE worst-case comparison
+//! performed by the experiments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -8,9 +9,9 @@ use std::hint::black_box;
 use netuncert_bench::{general_instance, mild_instance};
 use netuncert_core::fully_mixed::fully_mixed_nash;
 use netuncert_core::numeric::Tolerance;
-use netuncert_core::social_cost::{sc1, sc2};
+use netuncert_core::social_cost::{pure_sc1, pure_sc2, sc1, sc2};
 use netuncert_core::solvers::exhaustive::{all_pure_nash, social_optimum};
-use netuncert_core::strategy::{LinkLoads, MixedProfile};
+use netuncert_core::strategy::{LinkLoads, MixedProfile, PureProfile};
 
 fn bench_social_cost(c: &mut Criterion) {
     let tol = Tolerance::default();
@@ -28,6 +29,24 @@ fn bench_social_cost(c: &mut Criterion) {
         });
     }
     costs.finish();
+
+    // The pure-profile costs every OPT upper-bound backend evaluates per
+    // candidate profile (four per LptGreedy estimate, six per Descent
+    // restart), on a loaded network at the perfbench scale.
+    let mut pure = c.benchmark_group("pure_sc1_sc2_evaluation");
+    pure.sample_size(30);
+    let (n, m) = (512usize, 16usize);
+    let game = general_instance(n, m, 42);
+    let initial = LinkLoads::new((0..m).map(|l| l as f64).collect()).unwrap();
+    let profile = PureProfile::new((0..n).map(|i| i % m).collect());
+    let label = format!("n{n}_m{m}");
+    pure.bench_with_input(BenchmarkId::new("pure_sc1", &label), &n, |b, _| {
+        b.iter(|| pure_sc1(black_box(&game), black_box(&profile), black_box(&initial)))
+    });
+    pure.bench_with_input(BenchmarkId::new("pure_sc2", &label), &n, |b, _| {
+        b.iter(|| pure_sc2(black_box(&game), black_box(&profile), black_box(&initial)))
+    });
+    pure.finish();
 
     let mut optimum = c.benchmark_group("exhaustive_social_optimum");
     optimum.sample_size(10);

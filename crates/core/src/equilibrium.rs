@@ -79,8 +79,8 @@ pub fn satisfies_pure_nash(
 ///
 /// This is the canonical certification predicate every solver's returned
 /// profile must pass, so it is kept `O(n·m)`: link loads are accumulated once
-/// (in user index order, exactly as [`link_load`]) and each hypothetical move
-/// is evaluated as `(loads[ℓ] + wᵢ) / cᵢˡ`. That associates the sum as
+/// by [`PureProfile::link_loads`] (in user index order) and each hypothetical
+/// move is evaluated as `(loads[ℓ] + wᵢ) / cᵢˡ`. That associates the sum as
 /// `(t + Σw) + wᵢ` where the per-query [`pure_user_latency_on_link`] computes
 /// `(t + wᵢ) + Σw` — mathematically identical, and any bit-level rounding
 /// difference is far inside the comparison tolerance.
@@ -90,10 +90,7 @@ pub fn is_pure_nash(
     initial: &LinkLoads,
     tol: Tolerance,
 ) -> bool {
-    let mut loads: Vec<f64> = (0..game.links()).map(|l| initial.load(l)).collect();
-    for k in 0..game.users() {
-        loads[profile.link(k)] += game.weight(k);
-    }
+    let loads = profile.link_loads(game, initial);
     (0..game.users()).all(|user| {
         let from = profile.link(user);
         let w = game.weight(user);

@@ -128,11 +128,20 @@ pub fn mixed_min_latency(
 /// Minimum expected latency of every user under `P` (the vector the social
 /// costs SC1/SC2 are built from).
 pub fn mixed_min_latencies(game: &EffectiveGame, profile: &MixedProfile) -> Vec<f64> {
-    let expected = profile.expected_traffic(game);
+    mixed_min_latencies_with_traffic(game, profile, &profile.expected_traffic(game))
+}
+
+/// As [`mixed_min_latencies`], with the per-link traffic supplied by the
+/// caller (the social-cost measure paths add the initial traffic to it).
+pub(crate) fn mixed_min_latencies_with_traffic(
+    game: &EffectiveGame,
+    profile: &MixedProfile,
+    traffic: &[f64],
+) -> Vec<f64> {
     (0..game.users())
         .map(|user| {
             let latencies: Vec<f64> = (0..game.links())
-                .map(|l| mixed_link_latency_with_traffic(game, profile, &expected, user, l))
+                .map(|l| mixed_link_latency_with_traffic(game, profile, traffic, user, l))
                 .collect();
             latencies[argmin(&latencies)]
         })

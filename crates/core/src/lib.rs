@@ -151,9 +151,9 @@ pub mod prelude {
         OptMethod, OptOutcome, OptRun,
     };
     pub use crate::social_cost::{
-        checked_ratio, cr_bound_general, cr_bound_uniform_beliefs, measure, measure_bracketed,
-        pure_equilibrium_spectrum, pure_poa_and_pos, ratio_bracket, sc1, sc2, BracketedCostReport,
-        CostReport, EquilibriumSpectrum, RatioBracket,
+        checked_ratio, cr_bound_general, cr_bound_uniform_beliefs, measure, measure_against,
+        measure_bracketed, pure_equilibrium_spectrum, pure_poa_and_pos, ratio_bracket, sc1, sc2,
+        BracketedCostReport, CostReport, EquilibriumSpectrum, RatioBracket,
     };
     pub use crate::solvers::cache::{CacheStats, SolveCache};
     pub use crate::solvers::engine::{

@@ -310,7 +310,7 @@ impl OptEstimator for Descent {
 
     // The deadline is polled between restarts and between the two descent
     // phases inside one. The first restart always evaluates its start
-    // profile (one cheap O(nm) pass), so even an instantly-expired
+    // profile (one cheap O(n + m) load pass), so even an instantly-expired
     // checkpoint returns certified finite upper bounds — every bound here
     // is a real profile's cost.
     fn estimate_under(
@@ -465,5 +465,83 @@ mod tests {
         // Bounds are the best start-portfolio costs — still real profiles.
         assert!(estimate.opt1_upper.unwrap().is_finite());
         assert!(estimate.opt2_upper.unwrap().is_finite());
+    }
+
+    #[test]
+    fn greedy_and_descent_bounds_keep_their_recorded_bits() {
+        use crate::opt::greedy::LptGreedy;
+        // (n, m, seed, loaded) → the LptGreedy and Descent upper bounds as
+        // f64 bits, recorded when `pure_sc1`/`pure_sc2` still summed each
+        // user's load by a scan over all users. The one-pass costs must
+        // reproduce every bound bit for bit, with and without initial
+        // traffic.
+        let pins: [(usize, usize, u64, bool, [u64; 4]); 4] = [
+            (
+                64,
+                8,
+                1,
+                false,
+                [
+                    0x4084e23c6d401748,
+                    0x402edcb44e3eefd8,
+                    0x4084013720de6359,
+                    0x4027a717f5e94ced,
+                ],
+            ),
+            (
+                64,
+                8,
+                2,
+                true,
+                [
+                    0x4085875d9b5956ef,
+                    0x4030d6343eb1a1f6,
+                    0x4084b3709b5c2237,
+                    0x40297975187e2797,
+                ],
+            ),
+            (
+                512,
+                16,
+                3,
+                false,
+                [
+                    0x40d3b2b18cca2fb9,
+                    0x404ce59659659658,
+                    0x40d32329919771d8,
+                    0x4046dfffffffffff,
+                ],
+            ),
+            (
+                512,
+                16,
+                4,
+                true,
+                [
+                    0x40d3835b32bbeed8,
+                    0x4049d0d3a5bd1504,
+                    0x40d2e77e6c5ce78a,
+                    0x404691f64a6ffad4,
+                ],
+            ),
+        ];
+        for (n, m, seed, loaded, bits) in pins {
+            let game = random_game(n, m, seed);
+            let initial = if loaded {
+                LinkLoads::new((0..m).map(|l| (l % 3) as f64 * 1.5).collect()).unwrap()
+            } else {
+                LinkLoads::zero(m)
+            };
+            let config = OptConfig::default();
+            let lpt = LptGreedy.estimate(&game, &initial, &config).unwrap();
+            let descent = Descent.estimate(&game, &initial, &config).unwrap();
+            let got = [
+                lpt.opt1_upper.unwrap().to_bits(),
+                lpt.opt2_upper.unwrap().to_bits(),
+                descent.opt1_upper.unwrap().to_bits(),
+                descent.opt2_upper.unwrap().to_bits(),
+            ];
+            assert_eq!(got, bits, "n={n} m={m} seed={seed} loaded={loaded}");
+        }
     }
 }

@@ -5,9 +5,12 @@
 //! [`local_search`](crate::solvers::local_search) start portfolio) is
 //! evaluated under **both** social costs, and the cheapest profile per
 //! objective certifies an upper bound — a bound witnessed by an actual
-//! assignment can never undercut the optimum. This is the cheap `O(nm log n)`
-//! backend; the [`Descent`](crate::opt::descent::Descent) backend refines
-//! these same starts when a tighter bracket is worth more moves.
+//! assignment can never undercut the optimum. This is the cheap backend:
+//! the four starts cost `O(nm)` to build on the game's cached weight order
+//! (sorted once, `O(n log n)`, on first use), and each is costed in one
+//! `O(n + m)` load pass. The [`Descent`](crate::opt::descent::Descent)
+//! backend refines these same starts when a tighter bracket is worth more
+//! moves.
 
 use crate::error::Result;
 use crate::model::EffectiveGame;
@@ -128,8 +131,8 @@ impl OptEstimator for LptGreedy {
         Applicability::Heuristic
     }
 
-    // Atomic: one portfolio evaluation is a single O(n·m) unit of work, so
-    // the checkpoint is deliberately ignored.
+    // Atomic: building and costing the portfolio is a single O(n·m) unit of
+    // work, so the checkpoint is deliberately ignored.
     fn estimate_under(
         &self,
         game: &EffectiveGame,

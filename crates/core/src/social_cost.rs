@@ -23,7 +23,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{GameError, Result};
-use crate::latency::{mixed_min_latencies, pure_user_latency};
+use crate::latency::{mixed_min_latencies, mixed_min_latencies_with_traffic};
 use crate::model::EffectiveGame;
 use crate::numeric::stable_sum;
 use crate::opt::{self, OptBracket, OptEngine, OptOutcome, SocialOptimum};
@@ -42,20 +42,32 @@ pub fn sc2(game: &EffectiveGame, profile: &MixedProfile) -> f64 {
         .fold(f64::MIN, f64::max)
 }
 
+/// Every user's expected latency `λᵢ = (t^{σᵢ} + Σ_{k: σₖ=σᵢ} wₖ) / cᵢ^{σᵢ}`
+/// in a pure profile, from one [`PureProfile::link_loads`] pass. The loads
+/// are summed in user-index order, exactly as
+/// [`pure_user_latency`](crate::latency::pure_user_latency) sums them, so
+/// each entry is bit-identical to the per-user form at `O(n + m)` in total.
+fn pure_latencies(game: &EffectiveGame, profile: &PureProfile, initial: &LinkLoads) -> Vec<f64> {
+    let loads = profile.link_loads(game, initial);
+    profile
+        .choices()
+        .iter()
+        .enumerate()
+        .map(|(user, &link)| loads[link] / game.capacity(user, link))
+        .collect()
+}
+
 /// Sum of the users' expected latencies in a pure profile (the quantity
-/// minimised by `OPT1`).
+/// minimised by `OPT1`). One load pass: `O(n + m)`.
 pub fn pure_sc1(game: &EffectiveGame, profile: &PureProfile, initial: &LinkLoads) -> f64 {
-    let latencies: Vec<f64> = (0..game.users())
-        .map(|i| pure_user_latency(game, profile, initial, i))
-        .collect();
-    stable_sum(&latencies)
+    stable_sum(&pure_latencies(game, profile, initial))
 }
 
 /// Maximum of the users' expected latencies in a pure profile (the quantity
-/// minimised by `OPT2`).
+/// minimised by `OPT2`). One load pass: `O(n + m)`.
 pub fn pure_sc2(game: &EffectiveGame, profile: &PureProfile, initial: &LinkLoads) -> f64 {
-    (0..game.users())
-        .map(|i| pure_user_latency(game, profile, initial, i))
+    pure_latencies(game, profile, initial)
+        .into_iter()
         .fold(f64::MIN, f64::max)
 }
 
@@ -104,7 +116,19 @@ pub struct CostReport {
     pub cr2: f64,
 }
 
-/// Measures a mixed profile against the exact social optima of the game.
+/// `(SC1, SC2)` of a mixed profile on top of the initial traffic `t`: every
+/// link's expected traffic starts at `tˡ`, so the costs are priced like the
+/// optima they are divided by. With `t = 0` this is exactly
+/// `(`[`sc1`]`, `[`sc2`]`)`, bit for bit.
+fn costs_under(game: &EffectiveGame, profile: &MixedProfile, initial: &LinkLoads) -> (f64, f64) {
+    let mut traffic = initial.as_slice().to_vec();
+    profile.add_expected_traffic(game, &mut traffic);
+    let mins = mixed_min_latencies_with_traffic(game, profile, &traffic);
+    (stable_sum(&mins), mins.into_iter().fold(f64::MIN, f64::max))
+}
+
+/// Measures a mixed profile against the exact social optima of the game,
+/// both priced on top of the initial traffic `initial`.
 ///
 /// # Errors
 /// Fails when the profile space exceeds `limit`, or with
@@ -117,8 +141,7 @@ pub fn measure(
     limit: u128,
 ) -> Result<CostReport> {
     let optimum = social_optimum(game, initial, limit)?;
-    let sc1 = sc1(game, profile);
-    let sc2 = sc2(game, profile);
+    let (sc1, sc2) = costs_under(game, profile, initial);
     Ok(CostReport {
         sc1,
         sc2,
@@ -193,9 +216,23 @@ pub fn measure_bracketed(
     initial: &LinkLoads,
     engine: &OptEngine,
 ) -> Result<BracketedCostReport> {
-    let outcome: OptOutcome = engine.estimate(game, initial)?;
-    let sc1 = sc1(game, profile);
-    let sc2 = sc2(game, profile);
+    measure_against(game, profile, initial, &engine.estimate(game, initial)?)
+}
+
+/// Measures a mixed profile against already computed optimum brackets
+/// (`outcome` must bracket the optima of `game` under `initial`). The
+/// profile's costs are priced on top of `initial`, like the optima.
+///
+/// # Errors
+/// [`GameError::ZeroOptimum`] / [`GameError::EmptyBracket`] when a ratio
+/// interval cannot be formed (checked for `OPT1` first).
+pub fn measure_against(
+    game: &EffectiveGame,
+    profile: &MixedProfile,
+    initial: &LinkLoads,
+    outcome: &OptOutcome,
+) -> Result<BracketedCostReport> {
+    let (sc1, sc2) = costs_under(game, profile, initial);
     Ok(BracketedCostReport {
         sc1,
         sc2,
@@ -356,6 +393,46 @@ mod tests {
             let report = measure(&g, &mixed, &t, 10_000).unwrap();
             assert!(report.cr1 >= 1.0 - 1e-9);
             assert!(report.cr2 >= 1.0 - 1e-9);
+        }
+    }
+
+    /// Two users on two links with ten units of initial traffic on each.
+    fn loaded_game() -> (EffectiveGame, LinkLoads) {
+        let g =
+            EffectiveGame::from_rows(vec![1.0, 2.0], vec![vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
+        (g, LinkLoads::new(vec![10.0, 10.0]).unwrap())
+    }
+
+    #[test]
+    fn measure_prices_the_profile_on_top_of_initial_traffic() {
+        // Profile [0, 1] loads the links to (11, 12). User 0's cheapest link
+        // is link 1 at (1 + 12)/2 = 6.5, user 1's is link 0 at (2 + 11)/2 =
+        // 6.5. OPT1 = 11.5 and OPT2 = 6 are both profile [1, 0]. Without t
+        // the costs would be 2.5 and 1.5, and CR1 would fall below one.
+        let (g, t) = loaded_game();
+        let p = MixedProfile::from_pure(&PureProfile::new(vec![0, 1]), 2);
+        let report = measure(&g, &p, &t, 100).unwrap();
+        assert_eq!((report.sc1, report.sc2), (13.0, 6.5));
+        assert_eq!((report.opt1, report.opt2), (11.5, 6.0));
+        assert_eq!(report.cr1, 13.0 / 11.5);
+        let bracketed = measure_bracketed(&g, &p, &t, &OptEngine::default()).unwrap();
+        assert_eq!((bracketed.sc1, bracketed.sc2), (13.0, 6.5));
+        assert_eq!(bracketed.cr1.lower, report.cr1);
+        assert_eq!(bracketed.cr2.upper, report.cr2);
+    }
+
+    #[test]
+    fn a_pure_equilibrium_under_initial_traffic_measures_at_its_pure_cost() {
+        let (g, t) = loaded_game();
+        let tol = Tolerance::default();
+        let equilibria = all_pure_nash(&g, &t, tol, 100).unwrap();
+        assert_eq!(equilibria, vec![PureProfile::new(vec![1, 0])]);
+        for ne in equilibria {
+            let mixed = MixedProfile::from_pure(&ne, 2);
+            let report = measure(&g, &mixed, &t, 100).unwrap();
+            assert!(tol.eq(report.sc1, pure_sc1(&g, &ne, &t)));
+            assert!(tol.eq(report.sc2, pure_sc2(&g, &ne, &t)));
+            assert_eq!((report.cr1, report.cr2), (1.0, 1.0));
         }
     }
 

@@ -236,13 +236,19 @@ impl MixedProfile {
     /// Expected traffic `Wˡ = Σᵢ pᵢˡ wᵢ` on every link.
     pub fn expected_traffic(&self, game: &EffectiveGame) -> Vec<f64> {
         let mut traffic = vec![0.0; self.links];
+        self.add_expected_traffic(game, &mut traffic);
+        traffic
+    }
+
+    /// Adds `pᵢˡ wᵢ` to `traffic[ℓ]` for every user in index order, so a
+    /// vector that starts at the initial traffic `t` ends at `t + W`.
+    pub(crate) fn add_expected_traffic(&self, game: &EffectiveGame, traffic: &mut [f64]) {
         for user in 0..self.users {
             let w = game.weight(user);
             for (link, item) in traffic.iter_mut().enumerate() {
                 *item += self.prob(user, link) * w;
             }
         }
-        traffic
     }
 
     /// Validates the profile dimensions against a game.

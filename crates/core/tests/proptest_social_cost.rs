@@ -4,14 +4,16 @@
 use proptest::prelude::*;
 
 use netuncert_core::fully_mixed::fully_mixed_nash;
-use netuncert_core::latency::mixed_min_latencies;
+use netuncert_core::latency::{mixed_min_latencies, pure_user_latency};
 use netuncert_core::model::EffectiveGame;
-use netuncert_core::numeric::Tolerance;
+use netuncert_core::numeric::{stable_sum, Tolerance};
+use netuncert_core::opt::OptEngine;
 use netuncert_core::social_cost::{
-    cr_bound_general, cr_bound_uniform_beliefs, measure, pure_sc1, pure_sc2, sc1, sc2,
+    cr_bound_general, cr_bound_uniform_beliefs, measure, measure_bracketed, pure_sc1, pure_sc2,
+    sc1, sc2,
 };
 use netuncert_core::solvers::exhaustive::{all_pure_nash, social_optimum};
-use netuncert_core::strategy::{LinkLoads, MixedProfile};
+use netuncert_core::strategy::{LinkLoads, MixedProfile, PureProfile};
 
 fn weight() -> impl Strategy<Value = f64> {
     0.25f64..3.0
@@ -43,8 +45,80 @@ fn uniform_beliefs_game(
     })
 }
 
+/// A game of `2..=max_users` users (the smallest game the model admits) on
+/// `2..=max_links` links, initial loads that are zero on about a third of
+/// the links, and a pure profile that leaves links `span..m` empty for a
+/// random `span ≥ 1` (with `span = 1` every user shares link 0).
+fn loaded_profile(
+    max_users: usize,
+    max_links: usize,
+) -> impl Strategy<Value = (EffectiveGame, LinkLoads, PureProfile)> {
+    (2usize..=max_users, 2usize..=max_links).prop_flat_map(|(n, m)| {
+        let weights = proptest::collection::vec(weight(), n);
+        let rows = proptest::collection::vec(proptest::collection::vec(capacity(), m), n);
+        let loads = proptest::collection::vec((0u32..3, 0.0f64..4.0), m);
+        let choices =
+            (1usize..=m).prop_flat_map(move |span| proptest::collection::vec(0usize..span, n));
+        (weights, rows, loads, choices).prop_map(|(w, rows, loads, choices)| {
+            let game = EffectiveGame::from_rows(w, rows).expect("valid");
+            let t = loads
+                .into_iter()
+                .map(|(zero, load)| if zero == 0 { 0.0 } else { load })
+                .collect();
+            (
+                game,
+                LinkLoads::new(t).expect("valid"),
+                PureProfile::new(choices),
+            )
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The one-pass pure costs are bit-identical to the sum and the max of
+    /// the per-user latencies, which each scan every user for their load.
+    #[test]
+    fn pure_costs_match_the_per_user_oracle_bit_for_bit(
+        (game, t, profile) in loaded_profile(9, 5)
+    ) {
+        let latencies: Vec<f64> = (0..game.users())
+            .map(|i| pure_user_latency(&game, &profile, &t, i))
+            .collect();
+        let max = latencies.iter().copied().fold(f64::MIN, f64::max);
+        prop_assert_eq!(pure_sc1(&game, &profile, &t).to_bits(), stable_sum(&latencies).to_bits());
+        prop_assert_eq!(pure_sc2(&game, &profile, &t).to_bits(), max.to_bits());
+    }
+
+    /// The measure paths price a profile on top of the initial traffic: a
+    /// pure equilibrium under `t` reports its own pure costs, and never
+    /// beats the optimum computed under the same `t`. With `t = 0` the
+    /// reported costs are exactly `sc1`/`sc2`.
+    #[test]
+    fn measured_equilibria_under_initial_traffic_cost_their_pure_costs(
+        (game, t, _profile) in loaded_profile(4, 3)
+    ) {
+        let tol = Tolerance::default();
+        let engine = OptEngine::default();
+        for ne in all_pure_nash(&game, &t, tol, 1_000_000).unwrap() {
+            let mixed = MixedProfile::from_pure(&ne, game.links());
+            let report = measure(&game, &mixed, &t, 1_000_000).unwrap();
+            prop_assert!(tol.eq(report.sc1, pure_sc1(&game, &ne, &t)),
+                "sc1 {} vs pure {}", report.sc1, pure_sc1(&game, &ne, &t));
+            prop_assert!(tol.eq(report.sc2, pure_sc2(&game, &ne, &t)),
+                "sc2 {} vs pure {}", report.sc2, pure_sc2(&game, &ne, &t));
+            prop_assert!(report.cr1 >= 1.0 - 1e-9 && report.cr2 >= 1.0 - 1e-9);
+            let bracketed = measure_bracketed(&game, &mixed, &t, &engine).unwrap();
+            prop_assert_eq!(bracketed.sc1.to_bits(), report.sc1.to_bits());
+            prop_assert_eq!(bracketed.sc2.to_bits(), report.sc2.to_bits());
+
+            let zero = LinkLoads::zero(game.links());
+            let unloaded = measure(&game, &mixed, &zero, 1_000_000).unwrap();
+            prop_assert_eq!(unloaded.sc1.to_bits(), sc1(&game, &mixed).to_bits());
+            prop_assert_eq!(unloaded.sc2.to_bits(), sc2(&game, &mixed).to_bits());
+        }
+    }
 
     /// Basic sandwich relations: SC2 ≤ SC1 ≤ n·SC2, for mixed and pure costs.
     #[test]

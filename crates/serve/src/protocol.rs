@@ -25,7 +25,7 @@ use netuncert_core::prelude::{
     EngineSolution, GameEdit, GameError, OptBracket, OptOutcome, PureNashMethod, RepairTelemetry,
     SolverAttempt,
 };
-use netuncert_core::social_cost::RatioBracket;
+use netuncert_core::social_cost::BracketedCostReport;
 
 use crate::policy::Policy;
 
@@ -118,7 +118,8 @@ pub struct BracketRequest {
 }
 
 /// A `Measure` request: instance + pure profile + bracket policy for the
-/// optimum side of the coordination ratios.
+/// optimum side of the coordination ratios. The profile's social costs are
+/// priced on top of the instance's initial loads, like the optima.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeasureRequest {
     /// The game to measure in.
@@ -938,23 +939,17 @@ pub fn wire_bracket_reply(key: String, outcome: &OptOutcome) -> BracketReply {
     }
 }
 
-/// Builds the wire cost report from measured costs, brackets and ratios.
-pub fn wire_cost_report(
-    sc1: f64,
-    sc2: f64,
-    outcome: &OptOutcome,
-    cr1: &RatioBracket,
-    cr2: &RatioBracket,
-) -> WireCostReport {
+/// Projects a [`BracketedCostReport`] onto the wire form.
+pub fn wire_cost_report(report: &BracketedCostReport) -> WireCostReport {
     WireCostReport {
-        sc1,
-        sc2,
-        opt1: wire_bracket(&outcome.opt1),
-        opt2: wire_bracket(&outcome.opt2),
-        cr1_lower: cr1.lower,
-        cr1_upper: cr1.upper,
-        cr2_lower: cr2.lower,
-        cr2_upper: cr2.upper,
+        sc1: report.sc1,
+        sc2: report.sc2,
+        opt1: wire_bracket(&report.opt1),
+        opt2: wire_bracket(&report.opt2),
+        cr1_lower: report.cr1.lower,
+        cr1_upper: report.cr1.upper,
+        cr2_lower: report.cr2.lower,
+        cr2_upper: report.cr2.upper,
     }
 }
 

@@ -19,7 +19,7 @@ use netuncert_core::prelude::{
     EffectiveGame, GameEdit, LinkLoads, MixedProfile, OptCache, OptConfig, OptOutcome, PureProfile,
     SolveCache, SolverConfig, SolverEngine, SolverKind,
 };
-use netuncert_core::social_cost::{ratio_bracket, sc1, sc2};
+use netuncert_core::social_cost::measure_against;
 
 use crate::compile::{Built, BuiltRequest, Compute, Instance};
 use crate::decode::{self, Decoded, Framing, Plain};
@@ -471,7 +471,7 @@ impl ServeState {
                 }
                 Verb::Measure => {
                     let done = policy::eval_bracket_cached(policy, &ctx)?;
-                    self.measure_body(key, &instance.game, &pure, &done.outcome)
+                    self.measure_body(key, instance, &pure, &done.outcome)
                 }
             });
         }
@@ -503,7 +503,7 @@ impl ServeState {
             },
             Verb::Measure => match policy::eval_bracket(policy, &ctx, None) {
                 Ok(BracketEval::Done(done)) => {
-                    self.measure_body(key, &instance.game, &pure, &done.outcome)
+                    self.measure_body(key, instance, &pure, &done.outcome)
                 }
                 // A partial bracket's lower ends may still be at zero (no
                 // lower backend ran), where the ratio arithmetic is
@@ -655,29 +655,24 @@ impl ServeState {
     }
 
     /// The report body for a measured profile against completed brackets
-    /// (shared by the worker path and the warm fast path).
+    /// (shared by the worker path and the warm fast path). The profile is
+    /// priced on top of the instance's initial traffic, like the brackets.
     fn measure_body(
         &self,
         key: String,
-        game: &EffectiveGame,
+        instance: &Instance,
         pure: &PureProfile,
         outcome: &OptOutcome,
     ) -> ResponseBody {
+        let game = &instance.game;
         let profile = MixedProfile::from_pure(pure, game.links());
-        let cost1 = sc1(game, &profile);
-        let cost2 = sc2(game, &profile);
-        let cr1 = match ratio_bracket(cost1, &outcome.opt1, "OPT1") {
-            Ok(cr) => cr,
-            Err(e) => return ResponseBody::Error(WireError::engine(&e)),
-        };
-        let cr2 = match ratio_bracket(cost2, &outcome.opt2, "OPT2") {
-            Ok(cr) => cr,
-            Err(e) => return ResponseBody::Error(WireError::engine(&e)),
-        };
-        ResponseBody::Measure(MeasureReply {
-            key,
-            outcome: MeasureOutcome::Report(wire_cost_report(cost1, cost2, outcome, &cr1, &cr2)),
-        })
+        match measure_against(game, &profile, &instance.initial, outcome) {
+            Ok(report) => ResponseBody::Measure(MeasureReply {
+                key,
+                outcome: MeasureOutcome::Report(wire_cost_report(&report)),
+            }),
+            Err(e) => ResponseBody::Error(WireError::engine(&e)),
+        }
     }
 
     /// One stats snapshot. The request counters come from a single pass

@@ -3,10 +3,12 @@
 
 use std::time::{Duration, Instant};
 
+use netuncert_core::prelude::{EffectiveGame, LinkLoads, PureProfile, Tolerance};
+use netuncert_core::social_cost::pure_sc1;
 use netuncert_serve::policy::{BracketLeaf, Policy, SolveLeaf, TimeoutPolicy};
 use netuncert_serve::protocol::{
-    BracketOutcome, BracketRequest, Request, RequestBody, Response, ResponseBody, SolveOutcome,
-    SolveRequest,
+    BracketOutcome, BracketRequest, MeasureOutcome, MeasureRequest, Request, RequestBody, Response,
+    ResponseBody, SolveOutcome, SolveRequest, WireCostReport, WireInstance,
 };
 use netuncert_serve::replay::Replayer;
 use netuncert_serve::state::{ServeConfig, ServeState};
@@ -412,6 +414,78 @@ fn signed_zero_initial_loads_share_one_warm_tier_entry() {
     };
     assert_eq!(stats.solve_cache.entries, 1);
     assert_eq!(stats.solve_cache.hits, 1);
+}
+
+/// A served `Measure` prices the profile on top of the instance's initial
+/// loads, like the brackets it divides by: the certified equilibrium of a
+/// loaded instance reports its own pure cost, and the ratio stays ≥ 1.
+#[test]
+fn served_measure_counts_the_initial_loads() {
+    let state = ServeState::new(&ServeConfig::default());
+    let measure = |instance: &WireInstance, profile: Vec<usize>| -> WireCostReport {
+        let body = state
+            .handle_request(Request {
+                id: 2,
+                body: RequestBody::Measure(MeasureRequest {
+                    instance: instance.clone(),
+                    profile,
+                    policy: Policy::Bracket(BracketLeaf {
+                        backends: vec!["exhaustive".into()],
+                        width_goal: None,
+                        restarts: None,
+                    }),
+                }),
+            })
+            .body;
+        let ResponseBody::Measure(reply) = body else {
+            panic!("expected a measure reply, got {body:?}");
+        };
+        let MeasureOutcome::Report(report) = reply.outcome else {
+            panic!("expected a cost report, got {:?}", reply.outcome);
+        };
+        report
+    };
+
+    // Two users, ten units on each link. Profile [0, 1] costs 13 under
+    // the loads (each user's cheapest link is the other one, at 6.5);
+    // without them it would report 2.5 against OPT1 = 11.5.
+    let small = WireInstance {
+        weights: vec![1.0, 2.0],
+        capacities: vec![vec![1.0, 2.0], vec![2.0, 1.0]],
+        initial: Some(vec![10.0, 10.0]),
+    };
+    let report = measure(&small, vec![0, 1]);
+    assert_eq!((report.sc1, report.opt1.lower), (13.0, 11.5));
+    assert!(report.cr1_lower >= 1.0 && report.cr2_lower >= 1.0);
+
+    let mut instance = wire_instance(6, 3, 11);
+    instance.initial = Some(vec![20.0, 0.0, 35.0]);
+    let body = state
+        .handle_request(Request {
+            id: 1,
+            body: RequestBody::Solve(SolveRequest {
+                instance: instance.clone(),
+                policy: default_solve_policy(),
+            }),
+        })
+        .body;
+    let ResponseBody::Solve(solved) = body else {
+        panic!("expected a solve reply, got {body:?}");
+    };
+    let SolveOutcome::Solution(ne) = solved.outcome else {
+        panic!("the loaded instance must solve, got {:?}", solved.outcome);
+    };
+    let report = measure(&instance, ne.choices.clone());
+    let game = EffectiveGame::from_rows(instance.weights.clone(), instance.capacities.clone())
+        .expect("valid game");
+    let t = LinkLoads::new(instance.initial.clone().expect("loads")).expect("valid loads");
+    let pure = pure_sc1(&game, &PureProfile::new(ne.choices), &t);
+    assert!(
+        Tolerance::default().eq(report.sc1, pure),
+        "served sc1 {} vs pure cost {pure}",
+        report.sc1
+    );
+    assert!(report.cr1_lower >= 1.0 - 1e-9 && report.cr2_lower >= 1.0 - 1e-9);
 }
 
 /// Reader threads exit with their connections and the acceptor drops their
