@@ -16,7 +16,7 @@
 //! * [`search_counterexample`] — the search routine itself, so further
 //!   counterexamples can be generated deterministically from a seed;
 //! * [`from_effective_game`] — the embedding of a belief-induced
-//!   [`EffectiveGame`](netuncert_core::model::EffectiveGame) into
+//!   [`EffectiveGame`] into
 //!   [`UserSpecificGame`], witnessing that the paper's model is an instance of
 //!   the user-specific class.
 

@@ -65,7 +65,7 @@ impl Outcome {
     }
 }
 
-/// Configuration for [`run`].
+/// Configuration for [`run`](BestResponseDynamics::run).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BestResponseDynamics {
     /// Maximum number of individual moves before giving up.

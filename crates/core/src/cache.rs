@@ -180,8 +180,8 @@ impl ContentHasher {
 /// One digest serves every instance-keyed table: the solve and opt warm
 /// tiers key on it, and the serve layer derives its reply key from it. A
 /// caller that already holds the digest (the serve layer computes it once
-/// per request) passes it to `SolverEngine::solve_keyed` /
-/// `OptEngine::estimate_keyed` instead of paying the pass again; a wrong
+/// per request) passes it to `SolverEngine::open` / `OptEngine::open`
+/// instead of paying the pass again; a wrong
 /// digest can only cause misses, because hits compare the full content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InstanceKey(u64);

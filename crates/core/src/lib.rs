@@ -148,7 +148,7 @@ pub mod prelude {
     };
     pub use crate::opt::{
         OptBackendKind, OptBracket, OptCache, OptCheckpoint, OptConfig, OptEngine, OptEstimator,
-        OptMethod, OptOutcome, OptRun,
+        OptMethod, OptOpened, OptOutcome, OptRun, OptWalk,
     };
     pub use crate::social_cost::{
         checked_ratio, cr_bound_general, cr_bound_uniform_beliefs, measure, measure_against,

@@ -16,7 +16,7 @@ use crate::numeric::Tolerance;
 ///
 /// Most computations go through [`Game::effective_game`], which collapses the
 /// states and beliefs into the per-user effective-capacity matrix described in
-/// [`crate::model::effective`].
+/// [`EffectiveGame`](crate::model::EffectiveGame).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Game {
     weights: Vec<f64>,

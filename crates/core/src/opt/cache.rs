@@ -75,16 +75,19 @@ impl OptCache {
     }
 
     /// Looks up a key (from [`cache_key`]), counting the outcome as a hit
-    /// or a miss. Public for out-of-crate engine frontends (the serve
-    /// layer): everything stored under a key built by [`cache_key`] is
-    /// exactly what a cold estimate with that method list and config
-    /// returned.
-    pub fn lookup(&self, key: &CacheKey<'_>) -> Option<OptOutcome> {
+    /// or a miss.
+    ///
+    /// Everything stored under a key built by [`cache_key`] is exactly what
+    /// a cold [`OptEngine::estimate`](super::engine::OptEngine::estimate)
+    /// with that method list and config returned. Frontends read through
+    /// [`OptEngine::open`](super::engine::OptEngine::open).
+    pub(crate) fn lookup(&self, key: &CacheKey<'_>) -> Option<OptOutcome> {
         self.inner.lookup(key)
     }
 
-    /// Stores a cold estimate under its key.
-    pub fn insert(&self, key: &CacheKey<'_>, outcome: OptOutcome) {
+    /// Stores a cold estimate under its key; written only by a complete
+    /// [`OptWalk`](super::engine::OptWalk).
+    pub(crate) fn insert(&self, key: &CacheKey<'_>, outcome: OptOutcome) {
         self.inner.insert(key, outcome);
     }
 }
@@ -102,7 +105,7 @@ fn method_tag(method: OptMethod) -> u8 {
 /// Builds the warm-tier key for one estimate: the engine fingerprint
 /// (method list and the full opt budget set, the adaptive width goal
 /// included) plus the instance, filed under its [`InstanceKey`] digest.
-pub fn cache_key<'a>(
+pub(crate) fn cache_key<'a>(
     methods: &[OptMethod],
     config: &OptConfig,
     game: &'a EffectiveGame,

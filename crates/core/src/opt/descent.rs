@@ -17,7 +17,7 @@
 //!   profile toward balance and unlocks the next max-reducing move.
 //! * **Restart portfolio.** The same smart starts as `LocalSearch` (LPT
 //!   greedy, index greedy, load-balanced, spread) followed by seeded
-//!   perturbations of the LPT start drawn from a [`SplitMix64`] stream
+//!   perturbations of the LPT start drawn from a `SplitMix64` stream
 //!   keyed by [`OptConfig::opt_seed`] — fully deterministic, so brackets
 //!   are bit-identical across threads and shards.
 //!

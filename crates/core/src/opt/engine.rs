@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::InstanceKey;
+use crate::cache::{CacheKey, InstanceKey};
 use crate::error::{GameError, Result};
 use crate::model::EffectiveGame;
 use crate::numeric::Tolerance;
@@ -278,12 +278,13 @@ impl OptEstimate {
 
 /// A cooperative cancellation token threaded through the estimators.
 ///
-/// The engine and the long-running backends poll [`expired`]
-/// (`OptCheckpoint::expired`) between units of work — estimators in the
-/// engine walk, restarts and phases inside [`Descent`], bisection steps
-/// inside [`Relaxation`], node batches inside [`BranchAndBound`] — and stop
-/// early when it fires, keeping every bound already merged *certified*: an
-/// interrupted run degrades to a looser bracket, never to a wrong one.
+/// The engine and the long-running backends poll
+/// [`expired`](OptCheckpoint::expired) between units of work — estimators
+/// in the engine walk, restarts and phases inside [`Descent`], bisection
+/// steps inside [`Relaxation`], node batches inside [`BranchAndBound`] — and
+/// stop early when it fires, keeping every bound already merged
+/// *certified*: an interrupted run degrades to a looser bracket, never to a
+/// wrong one.
 ///
 /// [`OptCheckpoint::never`] is free (a `None` branch, no clock reads), so
 /// undeadlined estimates are bit-identical with and without the plumbing.
@@ -494,9 +495,9 @@ impl OptOutcome {
     }
 }
 
-/// The result of a deadline-aware [`OptEngine::estimate_under`] walk: the
-/// certified (possibly partial) outcome plus whether the checkpoint fired
-/// before the composition completed.
+/// The result of an [`OptWalk::run`]: the certified (possibly partial)
+/// outcome plus whether the checkpoint fired before the composition
+/// completed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptRun {
     /// The certified brackets. When [`deadlined`](OptRun::deadlined) is
@@ -627,7 +628,9 @@ impl OptEngine {
     /// Brackets both social optima of `game` with initial traffic `initial`.
     ///
     /// Walks the estimator list in order, merging every contribution; stops
-    /// early once both brackets are exact.
+    /// early once both brackets are exact. With a cache attached
+    /// ([`with_cache`](OptEngine::with_cache)), repeated estimates of a
+    /// bit-identical instance return the stored outcome.
     ///
     /// # Errors
     /// [`GameError::EmptyBracket`] when the composition produced no finite
@@ -635,76 +638,41 @@ impl OptEngine {
     /// certified bounds cross beyond floating-point noise; estimator-level
     /// errors propagate.
     pub fn estimate(&self, game: &EffectiveGame, initial: &LinkLoads) -> Result<OptOutcome> {
-        self.estimate_cached(game, initial, None)
+        match self.open(game, initial, None) {
+            OptOpened::Hit(hit) => Ok(hit),
+            OptOpened::Walk(walk) => Ok(walk.run(OptCheckpoint::never())?.outcome),
+        }
     }
 
-    /// [`estimate`](OptEngine::estimate) with the instance digest supplied
-    /// by the caller (see `SolverEngine::solve_keyed`): the same cache
-    /// entries, without a second pass over the instance.
-    pub fn estimate_keyed(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        instance: InstanceKey,
-    ) -> Result<OptOutcome> {
-        self.estimate_cached(game, initial, Some(instance))
-    }
-
-    fn estimate_cached(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
+    /// Opens an estimate of `game` from `initial`: a counting warm-tier
+    /// lookup when a cache is attached, else (or on a miss) an [`OptWalk`]
+    /// to run. `instance` is the digest of `(game, initial)` when the caller
+    /// already has it; a digest that does not match the instance can only
+    /// cost misses, never change an answer.
+    pub fn open<'a>(
+        &'a self,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
         instance: Option<InstanceKey>,
-    ) -> Result<OptOutcome> {
-        let Some(cache) = &self.cache else {
-            return Ok(self
-                .estimate_cold(game, initial, OptCheckpoint::never())?
-                .outcome);
-        };
-        let key_start = self.recorder.now();
-        let instance = instance.unwrap_or_else(|| InstanceKey::of(game, initial));
-        let key = cache::cache_key(&self.methods(), &self.config, game, initial, instance);
-        if let (Some(probes), Some(start)) = (&self.probes, key_start) {
-            probes.key_ns.record(elapsed_ns(start));
+    ) -> OptOpened<'a> {
+        let key = self.cache.as_ref().map(|cache| {
+            let key_start = self.recorder.now();
+            let instance = instance.unwrap_or_else(|| InstanceKey::of(game, initial));
+            let key = cache::cache_key(&self.methods(), &self.config, game, initial, instance);
+            if let (Some(probes), Some(start)) = (&self.probes, key_start) {
+                probes.key_ns.record(elapsed_ns(start));
+            }
+            (cache, key)
+        });
+        if let Some(hit) = key.as_ref().and_then(|(cache, key)| cache.lookup(key)) {
+            return OptOpened::Hit(hit);
         }
-        if let Some(hit) = cache.lookup(&key) {
-            return Ok(hit);
-        }
-        let fill_start = self.recorder.now();
-        let outcome = self
-            .estimate_cold(game, initial, OptCheckpoint::never())?
-            .outcome;
-        if let (Some(probes), Some(start)) = (&self.probes, fill_start) {
-            probes.fill_ns.record(elapsed_ns(start));
-        }
-        cache.insert(&key, outcome.clone());
-        Ok(outcome)
-    }
-
-    /// Deadline-aware variant of [`estimate`](OptEngine::estimate): walks
-    /// the composition under a cooperative checkpoint and returns the
-    /// certified best-so-far [`OptRun`] when it fires mid-walk — estimators
-    /// not yet run are recorded in [`OptTelemetry::skipped`].
-    ///
-    /// This path deliberately bypasses any attached cache in both
-    /// directions: a deadlined walk must never poison the warm tier with a
-    /// partial bracket, and callers that want hit-before-deadline semantics
-    /// (e.g. the serve layer) manage the lookup themselves. The first
-    /// estimator always gets to run, so a checkpoint that is already
-    /// expired on entry still yields a usable bracket whenever the leading
-    /// backend can certify one cheaply.
-    ///
-    /// # Errors
-    /// Same contract as [`estimate`](OptEngine::estimate); in particular a
-    /// walk interrupted before any upper-bound backend ran is a
-    /// [`GameError::EmptyBracket`].
-    pub fn estimate_under(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        check: OptCheckpoint<'_>,
-    ) -> Result<OptRun> {
-        self.estimate_cold(game, initial, check)
+        OptOpened::Walk(OptWalk {
+            engine: self,
+            game,
+            initial,
+            key: key.map(|(_, key)| key),
+        })
     }
 
     fn estimate_cold(
@@ -828,6 +796,57 @@ impl OptEngine {
     }
 }
 
+/// How [`OptEngine::open`] began an estimate.
+pub enum OptOpened<'a> {
+    /// The warm tier already held the outcome; nothing runs.
+    Hit(OptOutcome),
+    /// A cold walk, to be run by [`OptWalk::run`].
+    Walk(OptWalk<'a>),
+}
+
+/// One cold estimate of one instance, opened by a warm-tier miss (or by an
+/// engine without a cache).
+pub struct OptWalk<'a> {
+    engine: &'a OptEngine,
+    game: &'a EffectiveGame,
+    initial: &'a LinkLoads,
+    /// The key of the missed warm-tier lookup that opened this walk.
+    key: Option<CacheKey<'a>>,
+}
+
+impl OptWalk<'_> {
+    /// Walks the composition under a cooperative checkpoint and returns the
+    /// certified best-so-far [`OptRun`] when it fires mid-walk — estimators
+    /// not yet run are recorded in [`OptTelemetry::skipped`]. With
+    /// [`OptCheckpoint::never`] this is exactly the cold half of
+    /// [`OptEngine::estimate`].
+    ///
+    /// Only a **complete** walk is filed in the warm tier (recording
+    /// `cache.opt.fill_ns`): a deadlined walk must never poison it with a
+    /// partial bracket. The first estimator always gets to run, so a
+    /// checkpoint that is already expired on entry still yields a usable
+    /// bracket whenever the leading backend can certify one cheaply.
+    ///
+    /// # Errors
+    /// Same contract as [`OptEngine::estimate`]; in particular a walk
+    /// interrupted before any upper-bound backend ran is a
+    /// [`GameError::EmptyBracket`].
+    pub fn run(self, check: OptCheckpoint<'_>) -> Result<OptRun> {
+        let engine = self.engine;
+        let fill_start = engine.recorder.now();
+        let run = engine.estimate_cold(self.game, self.initial, check)?;
+        if let (Some(cache), Some(key)) = (&engine.cache, &self.key) {
+            if !run.deadlined {
+                if let (Some(probes), Some(start)) = (&engine.probes, fill_start) {
+                    probes.fill_ns.record(elapsed_ns(start));
+                }
+                cache.insert(key, run.outcome.clone());
+            }
+        }
+        Ok(run)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,6 +857,26 @@ mod tests {
             vec![vec![2.0, 2.2], vec![2.1, 1.9], vec![2.0, 2.0]],
         )
         .unwrap()
+    }
+
+    /// The bound backends only: a walk over them can be cut short.
+    const BOUNDS: [OptBackendKind; 3] = [
+        OptBackendKind::LptGreedy,
+        OptBackendKind::Descent,
+        OptBackendKind::Relaxation,
+    ];
+
+    /// Opens and runs one cold walk of `engine` (which must miss).
+    fn walk(
+        engine: &OptEngine,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        check: OptCheckpoint<'_>,
+    ) -> Result<OptRun> {
+        let OptOpened::Walk(walk) = engine.open(game, initial, None) else {
+            panic!("expected a warm-tier miss");
+        };
+        walk.run(check)
     }
 
     #[test]
@@ -1040,9 +1079,7 @@ mod tests {
         let initial = LinkLoads::zero(2);
         let engine = OptEngine::default();
         let classic = engine.estimate(&game, &initial).unwrap();
-        let run = engine
-            .estimate_under(&game, &initial, OptCheckpoint::never())
-            .unwrap();
+        let run = walk(&engine, &game, &initial, OptCheckpoint::never()).unwrap();
         assert!(!run.deadlined);
         // Telemetry wall clocks differ between runs; the brackets must not.
         assert_eq!(run.outcome.opt1, classic.opt1);
@@ -1060,18 +1097,9 @@ mod tests {
         // Bound backends only, so the walk has more than one estimator to
         // skip; the leading LptGreedy always runs and certifies an upper
         // bound even though the deadline fired before the walk began.
-        let engine = OptEngine::from_kinds(
-            OptConfig::default(),
-            &[
-                OptBackendKind::LptGreedy,
-                OptBackendKind::Descent,
-                OptBackendKind::Relaxation,
-            ],
-        );
+        let engine = OptEngine::from_kinds(OptConfig::default(), &BOUNDS);
         let expired = || true;
-        let run = engine
-            .estimate_under(&game, &initial, OptCheckpoint::new(&expired))
-            .unwrap();
+        let run = walk(&engine, &game, &initial, OptCheckpoint::new(&expired)).unwrap();
         assert!(run.deadlined);
         assert!(run.outcome.opt1.upper.is_finite());
         assert!(!run.outcome.opt1.exact && !run.outcome.opt2.exact);
@@ -1102,22 +1130,47 @@ mod tests {
         let engine = OptEngine::from_kinds(OptConfig::default(), &[OptBackendKind::Relaxation]);
         let expired = || true;
         assert!(matches!(
-            engine.estimate_under(&game, &initial, OptCheckpoint::new(&expired)),
+            walk(&engine, &game, &initial, OptCheckpoint::new(&expired)),
             Err(GameError::EmptyBracket { .. })
         ));
     }
 
     #[test]
-    fn estimate_under_bypasses_the_cache_in_both_directions() {
+    fn open_answers_hits_first_and_files_only_complete_walks() {
         let cache = Arc::new(OptCache::new());
-        let engine = OptEngine::default().with_cache(Arc::clone(&cache));
+        let engine =
+            OptEngine::from_kinds(OptConfig::default(), &BOUNDS).with_cache(Arc::clone(&cache));
         let game = mild_game();
         let initial = LinkLoads::zero(2);
-        engine
-            .estimate_under(&game, &initial, OptCheckpoint::never())
+
+        // A deadlined walk files nothing.
+        let expired = || true;
+        let partial = walk(&engine, &game, &initial, OptCheckpoint::new(&expired)).unwrap();
+        assert!(partial.deadlined);
+        assert_eq!(cache.stats().entries, 0);
+
+        // A complete walk files exactly what an uncached estimate returns.
+        let complete = walk(&engine, &game, &initial, OptCheckpoint::never()).unwrap();
+        assert!(!complete.deadlined);
+        assert_eq!(cache.stats().entries, 1);
+        let uncached = OptEngine::from_kinds(OptConfig::default(), &BOUNDS)
+            .estimate(&game, &initial)
             .unwrap();
+        assert_eq!(complete.outcome.opt1, uncached.opt1);
+        assert_eq!(complete.outcome.opt2, uncached.opt2);
+        assert_eq!(
+            complete.outcome.telemetry.attempts.len(),
+            uncached.telemetry.attempts.len()
+        );
+
+        // A hit answers before any walk runs, and `estimate` reads it too.
+        let OptOpened::Hit(hit) = engine.open(&game, &initial, None) else {
+            panic!("the complete walk must have filled the warm tier");
+        };
+        assert_eq!(hit, complete.outcome);
+        assert_eq!(engine.estimate(&game, &initial).unwrap(), complete.outcome);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod relaxation;
 pub use cache::OptCache;
 pub use engine::{
     OptAttempt, OptBackendKind, OptBracket, OptCheckpoint, OptConfig, OptEngine, OptEstimate,
-    OptEstimator, OptMethod, OptOutcome, OptRun, OptTelemetry,
+    OptEstimator, OptMethod, OptOpened, OptOutcome, OptRun, OptTelemetry, OptWalk,
 };
 pub use exhaustive::{social_optimum, SocialOptimum};
 

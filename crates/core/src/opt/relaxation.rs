@@ -24,7 +24,7 @@
 //!   what keeps the `OPT2` bracket tight when `n/m` is large: with many
 //!   users per link the attainable minima sit well below `c_max`, heavy
 //!   users are barred from their slow links, and the DP knows both.
-//!   The bisection shares one memoised DP ([`VolumeDp`]): each column is
+//!   The bisection shares one memoised DP (`VolumeDp`): each column is
 //!   sorted once, a step's filtered columns are masks of that order, and a
 //!   column's filtered count fixes its contents. So each step keeps the DP
 //!   rows of the links before the first one whose count changed, restarts

@@ -12,7 +12,7 @@
 //! closed-form upper bounds on the coordination ratio, reproduced here as
 //! [`cr_bound_uniform_beliefs`] and [`cr_bound_general`].
 //!
-//! Optimum computation is delegated to the [`opt`](crate::opt) subsystem:
+//! Optimum computation is delegated to the [`opt`] subsystem:
 //! [`social_optimum`] is its exhaustive backend (exact, small games), and
 //! [`measure_bracketed`] consumes a whole [`OptEngine`] to report *interval*
 //! coordination ratios `CRᵢ ∈ [SCᵢ/upperᵢ, SCᵢ/lowerᵢ]` from certified

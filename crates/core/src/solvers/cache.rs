@@ -99,8 +99,7 @@ impl SolveCache {
     /// Everything stored under a key built by [`cache_key`] is exactly what
     /// a cold [`SolverEngine::solve`](super::engine::SolverEngine::solve)
     /// with that method list and config returned. Frontends read through
-    /// [`SolverEngine::open`](super::engine::SolverEngine::open) or
-    /// [`SolverEngine::lookup`](super::engine::SolverEngine::lookup).
+    /// [`SolverEngine::open`](super::engine::SolverEngine::open).
     pub(crate) fn lookup(&self, key: &CacheKey<'_>) -> Option<EngineSolution> {
         self.inner.lookup(key)
     }

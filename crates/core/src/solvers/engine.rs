@@ -761,30 +761,7 @@ impl SolverEngine {
     /// repeated solves of a bit-identical instance return the stored
     /// solution-plus-telemetry instead of re-running the solvers.
     pub fn solve(&self, game: &EffectiveGame, initial: &LinkLoads) -> Result<EngineSolution> {
-        self.solve_cached(game, initial, None)
-    }
-
-    /// [`solve`](SolverEngine::solve) with the instance digest supplied by
-    /// the caller, for frontends that already computed it (the serve layer
-    /// digests each request once at decode time). Reads and writes the same
-    /// cache entries as `solve`; a digest that does not match the instance
-    /// can only cost misses, never change an answer.
-    pub fn solve_keyed(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        instance: InstanceKey,
-    ) -> Result<EngineSolution> {
-        self.solve_cached(game, initial, Some(instance))
-    }
-
-    fn solve_cached(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        instance: Option<InstanceKey>,
-    ) -> Result<EngineSolution> {
-        match self.open(game, initial, instance) {
+        match self.open(game, initial, None) {
             Opened::Hit(hit) => Ok(hit),
             Opened::Run(mut run) => {
                 let mut scratch = KernelScratch::new();
@@ -797,53 +774,30 @@ impl SolverEngine {
     /// Opens a solve of `game` from `initial`: a counting warm-tier lookup
     /// when a cache is attached, else (or on a miss) an [`EngineRun`] to
     /// step. `instance` is the digest of `(game, initial)` when the caller
-    /// already has it. The run reads the game's own kernel rows, which the
-    /// game derives once, only when a kernel-backed solver becomes active;
-    /// several runs over the same game share them.
+    /// already has it; a digest that does not match the instance can only
+    /// cost misses, never change an answer. The run reads the game's own
+    /// kernel rows, which the game derives once, only when a kernel-backed
+    /// solver becomes active; several runs over the same game share them.
     pub fn open<'a>(
         &'a self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
         instance: Option<InstanceKey>,
     ) -> Opened<'a> {
-        let key = self.warm_key(game, initial, instance);
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(hit) = cache.lookup(key) {
-                return Opened::Hit(hit);
+        let key = self.cache.as_ref().map(|cache| {
+            let key_start = self.recorder.now();
+            let instance = instance.unwrap_or_else(|| InstanceKey::of(game, initial));
+            let key = cache::cache_key(&self.methods(), &self.config, game, initial, instance);
+            if let (Some(probes), Some(start)) = (&self.probes, key_start) {
+                probes.key_ns.record(elapsed_ns(start));
             }
+            (cache, key)
+        });
+        if let Some(hit) = key.as_ref().and_then(|(cache, key)| cache.lookup(key)) {
+            return Opened::Hit(hit);
         }
+        let key = key.map(|(_, key)| key);
         Opened::Run(Box::new(EngineRun::new(self, game, initial, key)))
-    }
-
-    /// Answers from the warm tier alone: a counting lookup of exactly the
-    /// entry [`solve`](SolverEngine::solve) would read, or `None` on a miss
-    /// or without a cache. Never solves anything.
-    pub fn lookup(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        instance: Option<InstanceKey>,
-    ) -> Option<EngineSolution> {
-        let key = self.warm_key(game, initial, instance)?;
-        self.cache.as_ref()?.lookup(&key)
-    }
-
-    /// The warm-tier key of `(game, initial)` under this engine's
-    /// composition and budgets; `None` without a cache.
-    fn warm_key<'a>(
-        &self,
-        game: &'a EffectiveGame,
-        initial: &'a LinkLoads,
-        instance: Option<InstanceKey>,
-    ) -> Option<CacheKey<'a>> {
-        self.cache.as_ref()?;
-        let key_start = self.recorder.now();
-        let instance = instance.unwrap_or_else(|| InstanceKey::of(game, initial));
-        let key = cache::cache_key(&self.methods(), &self.config, game, initial, instance);
-        if let (Some(probes), Some(start)) = (&self.probes, key_start) {
-            probes.key_ns.record(elapsed_ns(start));
-        }
-        Some(key)
     }
 
     /// Repairs a certified equilibrium across one [`GameEdit`] instead of
@@ -1339,7 +1293,10 @@ mod tests {
             panic!("the finished run must have filled the warm tier");
         };
         assert_eq!(hit, cold);
-        assert_eq!(engine.lookup(&game, &initial, None), Some(cold));
+        let Opened::Hit(hit) = engine.open(&game, &initial, None) else {
+            panic!("a stored answer must keep hitting");
+        };
+        assert_eq!(hit, cold);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
     }

@@ -579,7 +579,7 @@ impl KernelRun for LocalSearchRun<'_> {
 
 /// How a [`BestResponseRun`] starts.
 pub enum BrStart {
-    /// The kernel index-order greedy start ([`greedy_into`]).
+    /// The kernel index-order greedy start (`greedy_into`).
     Greedy,
     /// An explicit start profile.
     Profile(PureProfile),

@@ -18,7 +18,7 @@
 //!   seeded random perturbations of the LPT start.
 //! * **Annealed tie-breaking.** Early restarts begin with a randomised phase
 //!   (any strictly improving link may be chosen, ties broken by a seeded
-//!   [`SplitMix64`] stream); the phase length halves with every restart, so
+//!   `SplitMix64` stream); the phase length halves with every restart, so
 //!   later restarts are pure steepest-descent. Everything is derived from
 //!   [`SolverConfig::ls_seed`] and the restart index — never from global
 //!   state — so results are bit-identical across thread counts and shards.

@@ -13,7 +13,7 @@
 //! links cost nobody anything), so [`social_optimum`] delegates to the
 //! `netuncert_core::opt` subsystem's exhaustive backend and
 //! [`coordination_ratio`] is guarded by the same
-//! [`checked_ratio`](netuncert_core::social_cost::checked_ratio) used by
+//! [`checked_ratio`] used by
 //! the subjective ratio paths — a zero optimum is a typed error, not ∞.
 
 use netuncert_core::error::{GameError, Result};
@@ -102,7 +102,7 @@ pub fn social_optimum(game: &KpGame, limit: u128) -> Result<(f64, PureProfile)> 
 ///
 /// # Errors
 /// Fails when the outcome space exceeds `limit`, or with
-/// [`GameError::ZeroOptimum`](netuncert_core::error::GameError::ZeroOptimum)
+/// [`GameError::ZeroOptimum`]
 /// when the optimum degenerates to zero.
 pub fn coordination_ratio(game: &KpGame, profile: &MixedProfile, limit: u128) -> Result<f64> {
     let sc = expected_max_congestion(game, profile, limit)?;

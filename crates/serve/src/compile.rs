@@ -4,22 +4,24 @@
 //! [`BuiltRequest::build`] then validates each instance into the engine's
 //! [`EffectiveGame`] and, for the compute verbs, takes its one pass over the
 //! content: the [`InstanceKey`] digest the warm tiers file the instance
-//! under, and the reply key derived from it. The connection reader's
-//! fast-path probe runs on the built form, and a punted request hands the
-//! *same* built form to the worker inside its job — nothing is decoded,
-//! validated or hashed twice. This is the cnmc `build() → Built…` shape
-//! (SNIPPETS.md, snippets 1–2): the wire description compiles into the
-//! form that is executed.
+//! under, and the reply key derived from it. It also compiles the request's
+//! policy into the plan the interpreter walks ([`crate::policy`]), every
+//! leaf's solvers or estimators resolved and its budgets merged. The
+//! connection reader's warm probe runs on the built form, and a punted
+//! request hands the *same* built form to the worker inside its job —
+//! nothing is decoded, validated, resolved or hashed twice. This is the
+//! cnmc `build() → Built…` shape (SNIPPETS.md, snippets 1–2): the wire
+//! description compiles into the form that is executed.
 //!
 //! [`Request`]: crate::protocol::Request
 
 use std::time::Instant;
 
 use netuncert_core::obs::elapsed_ns;
-use netuncert_core::prelude::{EffectiveGame, InstanceKey, LinkLoads};
+use netuncert_core::prelude::{EffectiveGame, InstanceKey, LinkLoads, PureProfile};
 
 use crate::decode::{Decoded, DecodedBody, Plain};
-use crate::policy::Policy;
+use crate::policy::{compile_bracket, compile_solve, BracketPlan, SolvePlan};
 use crate::protocol::{compute_key, Verb, WireError};
 
 /// One request, decoded and built: validated games, digests and reply
@@ -42,16 +44,22 @@ pub(crate) enum Built {
     Plain(Plain),
 }
 
-/// A built compute request. An instance that failed validation keeps its
-/// typed error here: the handler reports policy errors first, as the
-/// validation order requires.
+/// A built compute request. A policy or an instance that failed
+/// validation keeps its typed error here: the handler reports the policy
+/// error first, then the instance error, as the validation order requires.
 #[derive(Debug)]
 pub(crate) struct Compute {
-    pub(crate) verb: Verb,
-    pub(crate) policy: Policy,
-    /// The `Measure` profile (empty for the other verbs).
-    pub(crate) profile: Vec<usize>,
+    pub(crate) plan: Result<Plan, WireError>,
     pub(crate) instance: Result<Instance, WireError>,
+}
+
+/// A compute verb with its policy compiled.
+#[derive(Debug)]
+pub(crate) enum Plan {
+    Solve(SolvePlan),
+    Bracket(BracketPlan),
+    /// The brackets' plan and the profile to price against them.
+    Measure(BracketPlan, PureProfile),
 }
 
 /// A validated, digested instance.
@@ -88,12 +96,13 @@ impl BuiltRequest {
                         key,
                     }
                 });
-                Built::Compute(Compute {
-                    verb,
-                    policy,
-                    profile,
-                    instance,
-                })
+                let plan = match verb {
+                    Verb::Solve => compile_solve(&policy).map(Plan::Solve),
+                    Verb::Bracket => compile_bracket(&policy).map(Plan::Bracket),
+                    Verb::Measure => compile_bracket(&policy)
+                        .map(|plan| Plan::Measure(plan, PureProfile::new(profile))),
+                };
+                Built::Compute(Compute { plan, instance })
             }
             DecodedBody::Upload(rows) => Built::Upload(rows.build()),
             DecodedBody::Plain(plain) => Built::Plain(plain),

@@ -34,7 +34,8 @@
 //! - [`protocol`] — wire types, size limits, typed errors, request keys
 //! - `decode` / `compile` (internal) — the one decode path from bytes to
 //!   the built request every handler runs on
-//! - [`policy`] — the policy tree and its pass-resumable interpreter
+//! - [`policy`] — the policy tree, the plan each request compiles it to,
+//!   and the one pass-resumable interpreter the reader and workers share
 //! - [`state`] — engine-side service state (caches, budgets, counters)
 //! - [`session`] — the bounded resident-session store behind
 //!   `Upload`/`Edit`/`Release`

@@ -1,4 +1,5 @@
-//! The declarative request-policy tree and its interpreter.
+//! The declarative request-policy tree, the plan it compiles to, and the
+//! one interpreter that walks the plan.
 //!
 //! Requests do not pick a single algorithm; they carry a policy tree in the
 //! geph5 `RouteDescriptor` idiom (SNIPPETS.md, snippet 3):
@@ -26,13 +27,26 @@
 //!   deadline is threaded into the estimator walk as an
 //!   [`OptCheckpoint`], which the long-running estimators poll between
 //!   units of work (branch-and-bound node batches, bisection iterations,
-//!   descent restarts). A deadline that fires mid-leaf yields a
-//!   [`BracketEval::Partial`] carrying the certified best-so-far brackets.
+//!   descent restarts). A deadline that fires mid-leaf yields a partial
+//!   answer carrying the certified best-so-far brackets.
 //!
-//! Every leaf shares the service's warm tier. A solve leaf opens and steps
-//! runs of the very `SolverEngine` a direct call with the same composition
-//! and budgets builds; a bracket leaf keys with the same core function
-//! (`opt::cache::cache_key`) as a direct `OptEngine` call. Both use the
+//! A request's policy is compiled once, when the request is built: the
+//! compile step checks the tree against the verb, resolves every leaf's
+//! registry ids, merges its budget overrides onto the core defaults, and
+//! produces a solve plan or a bracket plan. A plan cannot hold a Bracket
+//! leaf in a solve tree, a Race child that is not a solve leaf, or a
+//! combinator without children, so nothing is checked twice.
+//!
+//! One interpreter walks a plan under a budget. A worker walks it *cold*,
+//! under the deadline of any `Timeout` node. The connection reader walks
+//! the same plan *warm-only*: every leaf opens its engine exactly as on a
+//! worker, and the first cold step — a leaf's warm-tier miss, or any
+//! `Timeout` node — ends the walk with a punt, which hands the request to a
+//! worker. Every other step is the same combinator code in both modes, so
+//! whatever the reader answers is what a worker would have answered.
+//!
+//! Every leaf reaches the service's warm tier only through its engine's own
+//! `open` ([`SolverEngine::open`], [`OptEngine::open`]), keyed with the
 //! instance digest the request was built with, so service answers and
 //! direct engine calls read and write the same entries and stay
 //! replay-exact.
@@ -43,10 +57,9 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use netuncert_core::obs::{Recorder, SpanId};
-use netuncert_core::opt::cache::cache_key as opt_cache_key;
 use netuncert_core::prelude::{
     EffectiveGame, EngineSolution, GameError, InstanceKey, KernelScratch, LinkLoads, Opened,
-    OptBackendKind, OptCache, OptCheckpoint, OptConfig, OptEngine, OptMethod, OptOutcome,
+    OptBackendKind, OptCache, OptCheckpoint, OptConfig, OptEngine, OptOpened, OptOutcome,
     SolveCache, SolverConfig, SolverEngine, SolverKind,
 };
 
@@ -94,7 +107,7 @@ impl Policy {
 }
 
 /// A solve leaf: solver registry ids (in engine order) plus optional budget
-/// overrides on top of the service's base [`SolverConfig`].
+/// overrides on top of the default [`SolverConfig`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolveLeaf {
     /// Registry ids accepted by `SolverKind::parse` (e.g. `"local_search"`).
@@ -106,7 +119,7 @@ pub struct SolveLeaf {
 }
 
 /// A bracket leaf: estimator registry ids plus an optional adaptive width
-/// goal on top of the service's base [`OptConfig`].
+/// goal on top of the default [`OptConfig`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BracketLeaf {
     /// Registry ids accepted by `OptBackendKind::parse` (e.g. `"lpt"`).
@@ -126,23 +139,12 @@ pub struct TimeoutPolicy {
     pub lower: Box<Policy>,
 }
 
-/// Which leaf kind a request's policy tree must bottom out in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyMode {
-    /// `Solve` requests: only [`Policy::Solve`] leaves.
-    Solve,
-    /// `Bracket`/`Measure` requests: only [`Policy::Bracket`] leaves.
-    Bracket,
-}
-
 impl SolveLeaf {
-    /// Resolves registry ids and merges budget overrides onto `base`.
-    fn resolve(&self, base: &SolverConfig) -> Result<(Vec<SolverKind>, SolverConfig), WireError> {
+    /// Resolves registry ids and merges budget overrides onto the core
+    /// defaults.
+    fn compile(&self) -> Result<SolveSpec, WireError> {
         if self.solvers.is_empty() {
-            return Err(WireError::new(
-                ErrorKind::InvalidRequest,
-                "a Solve leaf needs at least one solver id",
-            ));
+            return Err(invalid("a Solve leaf needs at least one solver id"));
         }
         let mut kinds = Vec::with_capacity(self.solvers.len());
         for id in &self.solvers {
@@ -156,27 +158,24 @@ impl SolveLeaf {
                 }
             }
         }
-        let mut config = *base;
+        let mut config = SolverConfig::default();
         if let Some(restarts) = self.restarts {
             config.restarts = restarts as usize;
         }
         if let Some(max_steps) = self.max_steps {
             config.max_steps = max_steps as usize;
         }
-        Ok((kinds, config))
+        Ok(SolveSpec { kinds, config })
     }
 }
 
 impl BracketLeaf {
-    /// Resolves registry ids and validates/merges the width goal onto
-    /// `base`. The goal is checked here so a bad request becomes a typed
-    /// error instead of tripping `OptEngine`'s constructor contract.
-    fn resolve(&self, base: &OptConfig) -> Result<(Vec<OptBackendKind>, OptConfig), WireError> {
+    /// Resolves registry ids and validates/merges the width goal onto the
+    /// core defaults. The goal is checked here so a bad request becomes a
+    /// typed error instead of tripping `OptEngine`'s constructor contract.
+    fn compile(&self) -> Result<BracketSpec, WireError> {
         if self.backends.is_empty() {
-            return Err(WireError::new(
-                ErrorKind::InvalidRequest,
-                "a Bracket leaf needs at least one backend id",
-            ));
+            return Err(invalid("a Bracket leaf needs at least one backend id"));
         }
         let mut kinds = Vec::with_capacity(self.backends.len());
         for id in &self.backends {
@@ -190,107 +189,163 @@ impl BracketLeaf {
                 }
             }
         }
-        let mut config = *base;
+        let mut config = OptConfig::default();
         if let Some(goal) = self.width_goal {
             if !(goal.is_finite() && goal > 1.0) {
-                return Err(WireError::new(
-                    ErrorKind::InvalidRequest,
-                    format!("width_goal must be a finite ratio above 1.0, got {goal}"),
-                ));
+                return Err(invalid(format!(
+                    "width_goal must be a finite ratio above 1.0, got {goal}"
+                )));
             }
             config.width_goal = Some(goal);
         }
         if let Some(restarts) = self.restarts {
             config.restarts = restarts as usize;
         }
-        Ok((kinds, config))
+        Ok(BracketSpec { kinds, config })
     }
 }
 
-/// Validates a policy tree for `mode` without evaluating anything: leaf
-/// kinds match the request verb, registry ids resolve, deadlines are
-/// positive, `Race` only wraps solve leaves, and the nesting depth is
-/// bounded.
-pub fn validate(policy: &Policy, mode: PolicyMode) -> Result<(), WireError> {
-    validate_at(policy, mode, 0)
+/// A compiled solve leaf: its solver composition and its budgets.
+#[derive(Debug)]
+pub(crate) struct SolveSpec {
+    kinds: Vec<SolverKind>,
+    config: SolverConfig,
 }
 
-fn validate_at(policy: &Policy, mode: PolicyMode, depth: usize) -> Result<(), WireError> {
-    if depth > MAX_POLICY_DEPTH {
-        return Err(WireError::new(
-            ErrorKind::InvalidRequest,
-            format!("policy tree deeper than {MAX_POLICY_DEPTH}"),
-        ));
+/// A compiled bracket leaf: its estimator composition and its budgets,
+/// the width goal included.
+#[derive(Debug)]
+pub(crate) struct BracketSpec {
+    kinds: Vec<OptBackendKind>,
+    config: OptConfig,
+}
+
+/// A combinator's children: at least one, by construction.
+#[derive(Debug)]
+pub(crate) struct Children<T>(Vec<T>);
+
+impl<T> Children<T> {
+    /// The earlier children and the last one.
+    fn split_last(&self) -> (&[T], &T) {
+        let (last, init) = self.0.split_last().expect("children are never empty");
+        (init, last)
     }
-    match policy {
-        Policy::Solve(leaf) => {
-            if mode != PolicyMode::Solve {
-                return Err(WireError::new(
-                    ErrorKind::InvalidRequest,
-                    "a Solve leaf is not allowed in a bracket policy",
-                ));
-            }
-            leaf.resolve(&SolverConfig::default()).map(|_| ())
-        }
-        Policy::Bracket(leaf) => {
-            if mode != PolicyMode::Bracket {
-                return Err(WireError::new(
-                    ErrorKind::InvalidRequest,
-                    "a Bracket leaf is not allowed in a solve policy",
-                ));
-            }
-            leaf.resolve(&OptConfig::default()).map(|_| ())
-        }
+}
+
+/// A compiled `Solve` policy.
+#[derive(Debug)]
+pub(crate) enum SolvePlan {
+    /// One solver composition.
+    Leaf(SolveSpec),
+    /// Solve leaves stepped in lockstep; the first equilibrium wins.
+    Race(Children<SolveSpec>),
+    /// Children tried in order until one finds an equilibrium.
+    Fallback(Children<SolvePlan>),
+    /// The inner plan under a deadline this long after it starts.
+    Timeout(Duration, Box<SolvePlan>),
+}
+
+/// A compiled `Bracket`/`Measure` policy.
+#[derive(Debug)]
+pub(crate) enum BracketPlan {
+    /// One estimator composition.
+    Leaf(BracketSpec),
+    /// Children tried in order until one meets its width goal.
+    Fallback(Children<BracketPlan>),
+    /// The inner plan under a deadline this long after it starts.
+    Timeout(Duration, Box<BracketPlan>),
+}
+
+/// Compiles a `Solve` request's policy. Only solve leaves are allowed,
+/// registry ids must resolve, deadlines must be in range, `Race` may only
+/// wrap solve leaves, and the nesting depth is bounded. The first error in
+/// tree order is the answer.
+pub(crate) fn compile_solve(policy: &Policy) -> Result<SolvePlan, WireError> {
+    compile_solve_at(policy, 0)
+}
+
+/// Compiles a `Bracket` or `Measure` request's policy: only bracket leaves,
+/// `Fallback` and `Timeout` are allowed, under the same checks as
+/// [`compile_solve`].
+pub(crate) fn compile_bracket(policy: &Policy) -> Result<BracketPlan, WireError> {
+    compile_bracket_at(policy, 0)
+}
+
+fn compile_solve_at(policy: &Policy, depth: usize) -> Result<SolvePlan, WireError> {
+    check_depth(depth)?;
+    Ok(match policy {
+        Policy::Solve(leaf) => SolvePlan::Leaf(leaf.compile()?),
         Policy::Race(children) => {
-            if mode != PolicyMode::Solve {
-                return Err(WireError::new(
-                    ErrorKind::InvalidRequest,
-                    "Race is only defined for solve policies",
-                ));
-            }
-            if children.is_empty() {
-                return Err(WireError::new(
-                    ErrorKind::InvalidRequest,
-                    "Race needs at least one child",
-                ));
-            }
-            for child in children {
-                match child {
-                    Policy::Solve(leaf) => leaf.resolve(&SolverConfig::default()).map(|_| ())?,
-                    _ => {
-                        return Err(WireError::new(
-                            ErrorKind::InvalidRequest,
-                            "Race children must be Solve leaves",
-                        ))
-                    }
-                }
-            }
-            Ok(())
+            let lanes = children.iter().map(|child| match child {
+                Policy::Solve(leaf) => leaf.compile(),
+                _ => Err(invalid("Race children must be Solve leaves")),
+            });
+            SolvePlan::Race(children_of(lanes, "Race needs at least one child")?)
         }
-        Policy::Fallback(children) => {
-            if children.is_empty() {
-                return Err(WireError::new(
-                    ErrorKind::InvalidRequest,
-                    "Fallback needs at least one child",
-                ));
-            }
-            for child in children {
-                validate_at(child, mode, depth + 1)?;
-            }
-            Ok(())
+        Policy::Fallback(children) => SolvePlan::Fallback(children_of(
+            children
+                .iter()
+                .map(|child| compile_solve_at(child, depth + 1)),
+            "Fallback needs at least one child",
+        )?),
+        Policy::Timeout(timeout) => SolvePlan::Timeout(
+            deadline_limit(timeout.ms)?,
+            Box::new(compile_solve_at(&timeout.lower, depth + 1)?),
+        ),
+        Policy::Bracket(_) => {
+            return Err(invalid("a Bracket leaf is not allowed in a solve policy"))
         }
-        Policy::Timeout(timeout) => {
-            check_deadline_ms(timeout.ms)?;
-            validate_at(&timeout.lower, mode, depth + 1)
-        }
+    })
+}
+
+fn compile_bracket_at(policy: &Policy, depth: usize) -> Result<BracketPlan, WireError> {
+    check_depth(depth)?;
+    Ok(match policy {
+        Policy::Bracket(leaf) => BracketPlan::Leaf(leaf.compile()?),
+        Policy::Fallback(children) => BracketPlan::Fallback(children_of(
+            children
+                .iter()
+                .map(|child| compile_bracket_at(child, depth + 1)),
+            "Fallback needs at least one child",
+        )?),
+        Policy::Timeout(timeout) => BracketPlan::Timeout(
+            deadline_limit(timeout.ms)?,
+            Box::new(compile_bracket_at(&timeout.lower, depth + 1)?),
+        ),
+        Policy::Solve(_) => return Err(invalid("a Solve leaf is not allowed in a bracket policy")),
+        Policy::Race(_) => return Err(invalid("Race is only defined for solve policies")),
+    })
+}
+
+/// Collects compiled children, stopping at the first error; `empty` is the
+/// error for a combinator without any.
+fn children_of<T>(
+    compiled: impl Iterator<Item = Result<T, WireError>>,
+    empty: &str,
+) -> Result<Children<T>, WireError> {
+    let children = compiled.collect::<Result<Vec<T>, WireError>>()?;
+    if children.is_empty() {
+        return Err(invalid(empty));
     }
+    Ok(Children(children))
+}
+
+fn check_depth(depth: usize) -> Result<(), WireError> {
+    if depth > MAX_POLICY_DEPTH {
+        return Err(invalid(format!(
+            "policy tree deeper than {MAX_POLICY_DEPTH}"
+        )));
+    }
+    Ok(())
+}
+
+fn invalid(message: impl Into<String>) -> WireError {
+    WireError::new(ErrorKind::InvalidRequest, message)
 }
 
 /// Rejects non-positive and over-long deadlines as
-/// [`ErrorKind::InvalidDeadline`] (shared by validation and evaluation, so
-/// a tree that skipped validation still cannot reach the `Instant` math
-/// with a degenerate value).
-fn check_deadline_ms(ms: i64) -> Result<(), WireError> {
+/// [`ErrorKind::InvalidDeadline`]; a compiled deadline is at most an hour.
+fn deadline_limit(ms: i64) -> Result<Duration, WireError> {
     if ms <= 0 {
         return Err(WireError::new(
             ErrorKind::InvalidDeadline,
@@ -303,84 +358,127 @@ fn check_deadline_ms(ms: i64) -> Result<(), WireError> {
             format!("deadline must be at most {MAX_DEADLINE_MS} ms (one hour), got {ms} ms"),
         ));
     }
-    Ok(())
+    Ok(Duration::from_millis(ms as u64))
 }
 
-/// Resolves a validated `ms` against the clock and an optional outer
-/// deadline. `checked_add` is a second line of defence behind
-/// [`check_deadline_ms`]: even a value that slipped past validation can
-/// only become a typed error, never an `Instant` overflow panic.
-fn resolve_deadline(ms: i64, outer: Option<Instant>) -> Result<Instant, WireError> {
-    check_deadline_ms(ms)?;
-    let inner = Instant::now()
-        .checked_add(Duration::from_millis(ms as u64))
-        .ok_or_else(|| {
-            WireError::new(
-                ErrorKind::InvalidDeadline,
-                format!("deadline of {ms} ms is beyond representable time"),
-            )
-        })?;
+/// Resolves a compiled deadline against the clock and an optional outer
+/// deadline. `checked_add` keeps even an `Instant` at the edge of
+/// representable time a typed error, never an overflow panic.
+fn resolve_deadline(limit: Duration, outer: Option<Instant>) -> Result<Instant, WireError> {
+    let inner = Instant::now().checked_add(limit).ok_or_else(|| {
+        WireError::new(
+            ErrorKind::InvalidDeadline,
+            format!(
+                "deadline of {} ms is beyond representable time",
+                limit.as_millis()
+            ),
+        )
+    })?;
     Ok(outer.map_or(inner, |outer| outer.min(inner)))
 }
 
-/// Everything a policy evaluation needs from the service.
-pub struct EvalCtx<'a> {
-    /// The validated instance.
-    pub game: &'a EffectiveGame,
-    /// Its initial link loads.
-    pub initial: &'a LinkLoads,
-    /// The digest of `(game, initial)`, computed once when the request was
-    /// built; every leaf's warm-tier key reuses it.
-    pub instance: InstanceKey,
-    /// The shared solve warm tier.
-    pub solve_cache: &'a Arc<SolveCache>,
-    /// The shared opt warm tier.
-    pub opt_cache: &'a Arc<OptCache>,
-    /// Base solver budgets that leaves override.
-    pub base_solver: SolverConfig,
-    /// Base opt budgets that leaves override.
-    pub base_opt: OptConfig,
-    /// Observability probes; threaded into every engine a leaf builds. The
-    /// disabled default keeps policy evaluation probe-free.
-    pub recorder: Recorder,
-    /// Parent span for the per-leaf spans (the request-level span opened by
-    /// the handler), if one is being recorded.
-    pub parent_span: Option<SpanId>,
+/// How far one walk of a plan may go.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Budget {
+    /// The connection reader's probe: answer from the warm tier, or punt at
+    /// the first cold step (a leaf's warm-tier miss, or a `Timeout` node).
+    WarmOnly,
+    /// A worker's walk: cold work allowed, until the deadline if one is set.
+    Cold(Option<Instant>),
 }
 
-/// Records how much deadline was left when an evaluation completed — the
-/// "slack" a timed-out policy tree finished with. No-op when disabled.
-fn record_slack(ctx: &EvalCtx<'_>, deadline: Instant) {
-    if !ctx.recorder.enabled() {
-        return;
+impl Budget {
+    /// The budget of a `Timeout` node's inner plan: the tighter of `limit`
+    /// from now and any outer deadline. `None` for a warm-only walk, which
+    /// leaves deadline bookkeeping to a worker.
+    fn under(self, limit: Duration) -> Result<Option<Budget>, WireError> {
+        match self {
+            Budget::WarmOnly => Ok(None),
+            Budget::Cold(outer) => Ok(Some(Budget::Cold(Some(resolve_deadline(limit, outer)?)))),
+        }
     }
-    let slack = deadline
-        .checked_duration_since(Instant::now())
-        .map_or(0, |left| left.as_nanos().min(u128::from(u64::MAX)) as u64);
-    ctx.recorder.record("policy.deadline_slack_ns", slack);
+
+    /// The deadline a completed walk is measured against.
+    fn deadline(self) -> Option<Instant> {
+        match self {
+            Budget::WarmOnly => None,
+            Budget::Cold(deadline) => deadline,
+        }
+    }
 }
 
-/// How a solve policy ended.
-pub enum SolveEval {
+/// Everything a policy walk needs from the service.
+pub(crate) struct EvalCtx<'a> {
+    /// The validated instance.
+    pub(crate) game: &'a EffectiveGame,
+    /// Its initial link loads.
+    pub(crate) initial: &'a LinkLoads,
+    /// The digest of `(game, initial)`, computed once when the request was
+    /// built; every leaf's engine keys the warm tier with it.
+    pub(crate) instance: InstanceKey,
+    /// The shared solve warm tier.
+    pub(crate) solve_cache: &'a Arc<SolveCache>,
+    /// The shared opt warm tier.
+    pub(crate) opt_cache: &'a Arc<OptCache>,
+    /// Observability probes; threaded into every engine a leaf builds.
+    pub(crate) recorder: Recorder,
+    /// The request-level span a worker's walk opens its per-leaf spans
+    /// under; a warm-only probe has none and opens none.
+    pub(crate) parent_span: Option<SpanId>,
+}
+
+impl EvalCtx<'_> {
+    /// Runs one leaf inside its span, when the walk has a request span.
+    fn in_leaf_span<T>(&self, name: &str, leaf: impl FnOnce() -> T) -> T {
+        let span = self
+            .parent_span
+            .map(|parent| self.recorder.span_under(name, Some(parent)));
+        let out = leaf();
+        if let Some(span) = span {
+            span.finish();
+        }
+        out
+    }
+
+    /// Records how much deadline was left when a walk under one completed —
+    /// the "slack" a timed-out policy tree finished with.
+    fn record_slack(&self, budget: Budget) {
+        let Some(deadline) = budget.deadline() else {
+            return;
+        };
+        if !self.recorder.enabled() {
+            return;
+        }
+        let slack = deadline
+            .checked_duration_since(Instant::now())
+            .map_or(0, |left| left.as_nanos().min(u128::from(u64::MAX)) as u64);
+        self.recorder.record("policy.deadline_slack_ns", slack);
+    }
+}
+
+/// How a solve walk ended.
+pub(crate) enum SolveEval {
     /// The policy completed; the engine solution may or may not hold an
     /// equilibrium.
     Done(EngineSolution),
     /// A deadline fired before the policy completed.
     Deadline,
+    /// A warm-only walk reached cold work; a worker must answer.
+    Punt,
 }
 
 /// A completed bracket leaf plus whether its own width goal was met (always
-/// `true` for leaves without a goal) — what [`Policy::Fallback`] dispatches
+/// `true` for leaves without a goal) — what a bracket `Fallback` dispatches
 /// on.
-pub struct BracketDone {
+pub(crate) struct BracketDone {
     /// The certified outcome.
-    pub outcome: OptOutcome,
+    pub(crate) outcome: OptOutcome,
     /// Whether both brackets meet the leaf's width goal.
-    pub goal_met: bool,
+    goal_met: bool,
 }
 
-/// How a bracket policy ended.
-pub enum BracketEval {
+/// How a bracket walk ended.
+pub(crate) enum BracketEval {
     /// The policy completed with certified brackets.
     Done(BracketDone),
     /// A deadline fired inside a bracket leaf; the certified best-so-far
@@ -388,236 +486,60 @@ pub enum BracketEval {
     Partial(OptOutcome),
     /// A deadline fired before any leaf produced anything certifiable.
     Deadline,
+    /// A warm-only walk reached cold work; a worker must answer.
+    Punt,
 }
 
-/// Evaluates a solve policy. `deadline`, when set, is enforced at pass
-/// granularity (see the [module docs](self)).
-pub fn eval_solve(
-    policy: &Policy,
+/// Walks a solve plan under `budget` (see the [module docs](self)).
+pub(crate) fn eval_solve(
+    plan: &SolvePlan,
     ctx: &EvalCtx<'_>,
-    deadline: Option<Instant>,
+    budget: Budget,
 ) -> Result<SolveEval, WireError> {
-    match policy {
-        Policy::Solve(leaf) => {
-            let span = ctx.recorder.span_under("solve_leaf", ctx.parent_span);
-            let result = solve_leaf(leaf, ctx, deadline);
-            span.finish();
-            result
-        }
-        Policy::Race(children) => race_solve(children, ctx, deadline),
-        Policy::Fallback(children) => {
-            for (i, child) in children.iter().enumerate() {
-                let last = i + 1 == children.len();
-                match eval_solve(child, ctx, deadline) {
+    match plan {
+        SolvePlan::Leaf(spec) => ctx.in_leaf_span("solve_leaf", || {
+            race(std::slice::from_ref(spec), ctx, budget)
+        }),
+        SolvePlan::Race(lanes) => race(&lanes.0, ctx, budget),
+        SolvePlan::Fallback(children) => {
+            let (earlier, last) = children.split_last();
+            for child in earlier {
+                match eval_solve(child, ctx, budget) {
                     Ok(SolveEval::Done(solved)) if solved.solution.is_some() => {
                         return Ok(SolveEval::Done(solved))
                     }
-                    other if last => return other,
-                    // No solution, deadline, or a failing child: fall through
-                    // to the next sibling.
+                    Ok(SolveEval::Punt) => return Ok(SolveEval::Punt),
+                    // No solution, deadline, or a failing child: fall
+                    // through to the next sibling.
                     _ => {}
                 }
             }
-            Err(WireError::new(
-                ErrorKind::InvalidRequest,
-                "Fallback needs at least one child",
-            ))
+            eval_solve(last, ctx, budget)
         }
-        Policy::Timeout(timeout) => {
-            let effective = resolve_deadline(timeout.ms, deadline)?;
-            eval_solve(&timeout.lower, ctx, Some(effective))
-        }
-        Policy::Bracket(_) => Err(WireError::new(
-            ErrorKind::InvalidRequest,
-            "a Bracket leaf is not allowed in a solve policy",
-        )),
+        SolvePlan::Timeout(limit, lower) => match budget.under(*limit)? {
+            Some(inner) => eval_solve(lower, ctx, inner),
+            None => Ok(SolveEval::Punt),
+        },
     }
 }
 
-/// Evaluates a bracket policy. Under a deadline, a bracket leaf is **not**
-/// atomic: the estimator walk polls an [`OptCheckpoint`] between units of
-/// work, so an expired deadline yields the certified best-so-far brackets
-/// as [`BracketEval::Partial`] instead of an all-or-nothing answer.
-pub fn eval_bracket(
-    policy: &Policy,
-    ctx: &EvalCtx<'_>,
-    deadline: Option<Instant>,
-) -> Result<BracketEval, WireError> {
-    match policy {
-        Policy::Bracket(leaf) => {
-            let (kinds, config) = leaf.resolve(&ctx.base_opt)?;
-            let span = ctx.recorder.span_under("bracket_leaf", ctx.parent_span);
-            let result = match deadline {
-                // No deadline: this IS a direct engine call sharing the warm
-                // tier — trivially bit-identical to in-process replay.
-                None => {
-                    let engine = OptEngine::from_kinds(config, &kinds)
-                        .with_cache(Arc::clone(ctx.opt_cache))
-                        .with_recorder(ctx.recorder.clone());
-                    match engine.estimate_keyed(ctx.game, ctx.initial, ctx.instance) {
-                        Ok(outcome) => Ok(BracketEval::Done(leaf_done(leaf, outcome))),
-                        Err(e) => Err(WireError::engine(&e)),
-                    }
-                }
-                Some(deadline) => bracket_leaf_under(leaf, &kinds, config, ctx, deadline),
-            };
-            span.finish();
-            result
-        }
-        Policy::Fallback(children) => {
-            // The most recent child that completed but missed its goal.
-            let mut missed: Option<BracketDone> = None;
-            for (i, child) in children.iter().enumerate() {
-                let last = i + 1 == children.len();
-                match eval_bracket(child, ctx, deadline) {
-                    Ok(BracketEval::Done(done)) if done.goal_met || last => {
-                        return Ok(BracketEval::Done(done))
-                    }
-                    Ok(BracketEval::Done(done)) => missed = Some(done),
-                    // A partial bracket means the deadline has already
-                    // fired: later children could at best add a plain
-                    // Deadline, losing the certified bounds — return it.
-                    Ok(BracketEval::Partial(outcome)) => return Ok(BracketEval::Partial(outcome)),
-                    // The last child failed (e.g. every backend in it is
-                    // inapplicable at this size) or hit the deadline: the
-                    // certified bounds of an earlier goal miss beat no
-                    // answer.
-                    other if last => {
-                        return match missed {
-                            Some(done) => Ok(BracketEval::Done(done)),
-                            None => other,
-                        }
-                    }
-                    // Goal miss, deadline, or a failing child (e.g. a
-                    // composition with no finite upper bound): fall through.
-                    _ => {}
-                }
-            }
-            Err(WireError::new(
-                ErrorKind::InvalidRequest,
-                "Fallback needs at least one child",
-            ))
-        }
-        Policy::Timeout(timeout) => {
-            let effective = resolve_deadline(timeout.ms, deadline)?;
-            eval_bracket(&timeout.lower, ctx, Some(effective))
-        }
-        Policy::Solve(_) | Policy::Race(_) => Err(WireError::new(
-            ErrorKind::InvalidRequest,
-            "only Bracket leaves (and Fallback/Timeout) are allowed in a bracket policy",
-        )),
-    }
-}
-
-/// Wraps a completed outcome with the leaf's width-goal verdict.
-fn leaf_done(leaf: &BracketLeaf, outcome: OptOutcome) -> BracketDone {
-    let goal_met = leaf
-        .width_goal
-        .is_none_or(|goal| outcome.opt1.meets_goal(goal) && outcome.opt2.meets_goal(goal));
-    BracketDone { outcome, goal_met }
-}
-
-/// The deadline path of a single bracket leaf: a counting warm-tier lookup
-/// (a hit wins even against an already-expired deadline, keeping cached
-/// requests flowing under load), then a cold `estimate_under` walk with the
-/// deadline threaded in as an [`OptCheckpoint`]. Only **complete** walks
-/// are inserted into the warm tier — a partial bracket must never poison
-/// it.
-fn bracket_leaf_under(
-    leaf: &BracketLeaf,
-    kinds: &[OptBackendKind],
-    config: OptConfig,
-    ctx: &EvalCtx<'_>,
-    deadline: Instant,
-) -> Result<BracketEval, WireError> {
-    let methods: Vec<OptMethod> = kinds.iter().map(|k| k.method()).collect();
-    let key = opt_cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
-    if let Some(hit) = ctx.opt_cache.lookup(&key) {
-        record_slack(ctx, deadline);
-        return Ok(BracketEval::Done(leaf_done(leaf, hit)));
-    }
-    let expired = move || Instant::now() >= deadline;
-    let engine = OptEngine::from_kinds(config, kinds).with_recorder(ctx.recorder.clone());
-    match engine.estimate_under(ctx.game, ctx.initial, OptCheckpoint::new(&expired)) {
-        Ok(run) if run.deadlined => Ok(BracketEval::Partial(run.outcome)),
-        Ok(run) => {
-            ctx.opt_cache.insert(&key, run.outcome.clone());
-            record_slack(ctx, deadline);
-            Ok(BracketEval::Done(leaf_done(leaf, run.outcome)))
-        }
-        // A walk cut down before any upper-bound backend ran has nothing
-        // certifiable to report — the plain deadline outcome, not an error.
-        Err(GameError::EmptyBracket { .. }) if expired() => Ok(BracketEval::Deadline),
-        Err(e) => Err(WireError::engine(&e)),
-    }
-}
-
-/// The engine a solve leaf names: its composition and budgets over the
-/// service's warm tier and recorder — exactly the engine a direct
-/// in-process call would build.
-fn leaf_engine(leaf: &SolveLeaf, ctx: &EvalCtx<'_>) -> Result<SolverEngine, WireError> {
-    let (kinds, config) = leaf.resolve(&ctx.base_solver)?;
-    Ok(SolverEngine::from_kinds(config, &kinds)
-        .with_cache(Arc::clone(ctx.solve_cache))
-        .with_recorder(ctx.recorder.clone()))
-}
-
-/// One solve leaf: open the engine's run (a warm hit wins even against an
-/// already-expired deadline, keeping cached requests flowing under load),
-/// then step it with the clock checked before every step. Without a
-/// deadline this is exactly [`SolverEngine::solve_keyed`].
-fn solve_leaf(
-    leaf: &SolveLeaf,
-    ctx: &EvalCtx<'_>,
-    deadline: Option<Instant>,
-) -> Result<SolveEval, WireError> {
-    let engine = leaf_engine(leaf, ctx)?;
-    let mut run = match engine.open(ctx.game, ctx.initial, Some(ctx.instance)) {
-        Opened::Hit(hit) => return Ok(done_by(ctx, deadline, hit)),
-        Opened::Run(run) => run,
-    };
-    let mut scratch = KernelScratch::new();
-    loop {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(SolveEval::Deadline);
-        }
-        if run.step(&mut scratch) {
-            break;
-        }
-    }
-    let solved = run.finish().map_err(|e| WireError::engine(&e))?;
-    Ok(done_by(ctx, deadline, solved))
-}
-
-/// A completed solve, recording the deadline slack it finished with.
-fn done_by(ctx: &EvalCtx<'_>, deadline: Option<Instant>, solved: EngineSolution) -> SolveEval {
-    if let Some(deadline) = deadline {
-        record_slack(ctx, deadline);
-    }
-    SolveEval::Done(solved)
-}
-
-/// Lockstep race over solve leaves. Warm-tier hits complete in round zero;
-/// cold lanes advance one run step per round. The first completed lane
-/// holding an equilibrium — earliest round, lowest index — wins; if every
-/// lane completes without one, the first lane's outcome is returned.
-/// Completed cold lanes file their answers in the warm tier whether or not
-/// they win; lanes still running when the race is decided file nothing.
-fn race_solve(
-    children: &[Policy],
-    ctx: &EvalCtx<'_>,
-    deadline: Option<Instant>,
-) -> Result<SolveEval, WireError> {
-    let mut engines = Vec::with_capacity(children.len());
-    for child in children {
-        let Policy::Solve(leaf) = child else {
-            return Err(WireError::new(
-                ErrorKind::InvalidRequest,
-                "Race children must be Solve leaves",
-            ));
-        };
-        engines.push(leaf_engine(leaf, ctx)?);
-    }
+/// The lockstep walk over solve lanes (a leaf is a race of one). Every lane
+/// opens its engine first, so warm-tier hits complete in round zero; cold
+/// lanes advance one run step per round, with the budget checked before
+/// every round. The first completed lane holding an equilibrium — earliest
+/// round, lowest index — wins; if every lane completes without one, the
+/// first lane's outcome stands. Completed cold lanes file their answers in
+/// the warm tier whether or not they win; lanes still running when the race
+/// is decided file nothing.
+fn race(lanes: &[SolveSpec], ctx: &EvalCtx<'_>, budget: Budget) -> Result<SolveEval, WireError> {
+    let engines: Vec<SolverEngine> = lanes
+        .iter()
+        .map(|spec| {
+            SolverEngine::from_kinds(spec.config, &spec.kinds)
+                .with_cache(Arc::clone(ctx.solve_cache))
+                .with_recorder(ctx.recorder.clone())
+        })
+        .collect();
     // Every lane solves the same game, so they share its kernel rows.
     let mut finished: Vec<Option<Result<EngineSolution, GameError>>> = Vec::new();
     let mut runs = Vec::new();
@@ -635,25 +557,30 @@ fn race_solve(
     }
     let mut scratch = KernelScratch::new();
     loop {
-        // Winner check at the round boundary: earliest round wins because
-        // lanes only ever complete inside a round; ties break by index.
+        // Decided at the round boundary: earliest round wins because lanes
+        // only ever complete inside a round; ties break by index.
         let winner = finished
             .iter()
-            .flatten()
-            .flatten()
-            .find(|solved| solved.solution.is_some());
-        if let Some(solved) = winner {
-            return Ok(done_by(ctx, deadline, solved.clone()));
-        }
-        if finished.iter().all(Option::is_some) {
-            // Nobody found an equilibrium: the first lane's outcome stands.
-            return match finished.swap_remove(0).expect("all finished") {
-                Ok(solved) => Ok(done_by(ctx, deadline, solved)),
+            .position(|lane| matches!(lane, Some(Ok(solved)) if solved.solution.is_some()));
+        let decided = winner.or_else(|| finished.iter().all(Option::is_some).then_some(0));
+        if let Some(lane) = decided {
+            return match finished
+                .swap_remove(lane)
+                .expect("a decided lane has finished")
+            {
+                Ok(solved) => {
+                    ctx.record_slack(budget);
+                    Ok(SolveEval::Done(solved))
+                }
                 Err(e) => Err(WireError::engine(&e)),
             };
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(SolveEval::Deadline);
+        match budget {
+            Budget::WarmOnly => return Ok(SolveEval::Punt),
+            Budget::Cold(Some(deadline)) if Instant::now() >= deadline => {
+                return Ok(SolveEval::Deadline)
+            }
+            Budget::Cold(_) => {}
         }
         for (slot, result) in runs.iter_mut().zip(&mut finished) {
             let Some(run) = slot else { continue };
@@ -664,87 +591,101 @@ fn race_solve(
     }
 }
 
-/// Answers a solve policy **purely from the warm tier**, or punts with
-/// `None` when any cold work (or any deadline bookkeeping) would be needed.
-///
-/// This is the connection reader's fast path under back-pressure: a
-/// `Some` here is exactly what the full [`eval_solve`] walk would return,
-/// because every combinator consults the warm tier before it does or
-/// decides anything else (leaves look up before stepping, races check
-/// round-zero winners before stepping or checking the clock, fallbacks
-/// return the first cached solution outright). Lookups are the engine's own
-/// **counting** lookups, so a punted request's misses are later recounted
-/// by the worker — the documented cache-counter tolerance.
-pub fn eval_solve_cached(policy: &Policy, ctx: &EvalCtx<'_>) -> Option<EngineSolution> {
-    let lookup = |leaf: &SolveLeaf| {
-        let (kinds, config) = leaf.resolve(&ctx.base_solver).ok()?;
-        let engine =
-            SolverEngine::from_kinds(config, &kinds).with_cache(Arc::clone(ctx.solve_cache));
-        Some(engine.lookup(ctx.game, ctx.initial, Some(ctx.instance)))
-    };
-    match policy {
-        Policy::Solve(leaf) => lookup(leaf)?,
-        Policy::Race(children) => {
-            let mut hits = Vec::with_capacity(children.len());
-            for child in children {
-                let Policy::Solve(leaf) = child else {
-                    return None;
-                };
-                hits.push(lookup(leaf)?);
-            }
-            // Round zero of the lockstep race: the earliest lane (by index)
-            // that completed from the cache *with* an equilibrium wins
-            // before any cold lane gets to step.
-            if let Some(winner) = hits
-                .iter()
-                .flatten()
-                .find(|solved| solved.solution.is_some())
-            {
-                return Some(winner.clone());
-            }
-            // All lanes warm, none with a solution: lane 0's outcome stands.
-            if hits.iter().all(Option::is_some) {
-                return hits.swap_remove(0);
-            }
-            None
+/// Walks a bracket plan under `budget`. Under a deadline, a bracket leaf
+/// is **not** atomic: the estimator walk polls an [`OptCheckpoint`] between
+/// units of work, so an expired deadline yields the certified best-so-far
+/// brackets as [`BracketEval::Partial`] instead of an all-or-nothing answer.
+pub(crate) fn eval_bracket(
+    plan: &BracketPlan,
+    ctx: &EvalCtx<'_>,
+    budget: Budget,
+) -> Result<BracketEval, WireError> {
+    match plan {
+        BracketPlan::Leaf(spec) => {
+            ctx.in_leaf_span("bracket_leaf", || bracket_leaf(spec, ctx, budget))
         }
-        Policy::Fallback(children) => {
-            for (i, child) in children.iter().enumerate() {
-                let last = i + 1 == children.len();
-                let solved = eval_solve_cached(child, ctx)?;
-                if solved.solution.is_some() || last {
-                    return Some(solved);
+        BracketPlan::Fallback(children) => {
+            let (earlier, last) = children.split_last();
+            // The most recent child that completed but missed its goal.
+            let mut missed: Option<BracketDone> = None;
+            for child in earlier {
+                match eval_bracket(child, ctx, budget) {
+                    Ok(BracketEval::Done(done)) if done.goal_met => {
+                        return Ok(BracketEval::Done(done))
+                    }
+                    Ok(BracketEval::Done(done)) => missed = Some(done),
+                    // A partial bracket means the deadline has already
+                    // fired: later children could at best add a plain
+                    // Deadline, losing the certified bounds — return it.
+                    Ok(BracketEval::Partial(outcome)) => return Ok(BracketEval::Partial(outcome)),
+                    Ok(BracketEval::Punt) => return Ok(BracketEval::Punt),
+                    // A deadline or a failing child (e.g. a composition with
+                    // no finite upper bound): fall through.
+                    _ => {}
                 }
-                // Cached but unsolved: the full walk falls through too.
             }
-            None
+            match eval_bracket(last, ctx, budget) {
+                // The last child failed (e.g. every backend in it is
+                // inapplicable at this size) or hit the deadline: the
+                // certified bounds of an earlier goal miss beat no answer.
+                other @ (Ok(BracketEval::Deadline) | Err(_)) => {
+                    missed.map_or(other, |done| Ok(BracketEval::Done(done)))
+                }
+                other => other,
+            }
         }
-        Policy::Timeout(_) | Policy::Bracket(_) => None,
+        BracketPlan::Timeout(limit, lower) => match budget.under(*limit)? {
+            Some(inner) => eval_bracket(lower, ctx, inner),
+            None => Ok(BracketEval::Punt),
+        },
     }
 }
 
-/// The bracket twin of [`eval_solve_cached`]: answers a bracket policy
-/// purely from the warm tier, or punts with `None`.
-pub fn eval_bracket_cached(policy: &Policy, ctx: &EvalCtx<'_>) -> Option<BracketDone> {
-    match policy {
-        Policy::Bracket(leaf) => {
-            let (kinds, config) = leaf.resolve(&ctx.base_opt).ok()?;
-            let methods: Vec<OptMethod> = kinds.iter().map(|k| k.method()).collect();
-            let key = opt_cache_key(&methods, &config, ctx.game, ctx.initial, ctx.instance);
-            let hit = ctx.opt_cache.lookup(&key)?;
-            Some(leaf_done(leaf, hit))
-        }
-        Policy::Fallback(children) => {
-            for (i, child) in children.iter().enumerate() {
-                let last = i + 1 == children.len();
-                let done = eval_bracket_cached(child, ctx)?;
-                if done.goal_met || last {
-                    return Some(done);
-                }
-            }
-            None
-        }
-        Policy::Timeout(_) | Policy::Solve(_) | Policy::Race(_) => None,
+/// One bracket leaf: open the engine (a counting warm-tier lookup; a hit
+/// wins even against an already-expired deadline, keeping cached requests
+/// flowing under load), then, on a worker, run the cold walk with the
+/// deadline threaded in as an [`OptCheckpoint`]. The engine files only a
+/// complete walk in the warm tier.
+fn bracket_leaf(
+    spec: &BracketSpec,
+    ctx: &EvalCtx<'_>,
+    budget: Budget,
+) -> Result<BracketEval, WireError> {
+    let engine = OptEngine::from_kinds(spec.config, &spec.kinds)
+        .with_cache(Arc::clone(ctx.opt_cache))
+        .with_recorder(ctx.recorder.clone());
+    let walk = match engine.open(ctx.game, ctx.initial, Some(ctx.instance)) {
+        OptOpened::Hit(hit) => return Ok(BracketEval::Done(spec.done(ctx, budget, hit))),
+        OptOpened::Walk(walk) => walk,
+    };
+    let Budget::Cold(deadline) = budget else {
+        return Ok(BracketEval::Punt);
+    };
+    let expired = move || deadline.is_some_and(|deadline| Instant::now() >= deadline);
+    let check = match deadline {
+        Some(_) => OptCheckpoint::new(&expired),
+        None => OptCheckpoint::never(),
+    };
+    match walk.run(check) {
+        Ok(run) if run.deadlined => Ok(BracketEval::Partial(run.outcome)),
+        Ok(run) => Ok(BracketEval::Done(spec.done(ctx, budget, run.outcome))),
+        // A walk cut down before any upper-bound backend ran has nothing
+        // certifiable to report — the plain deadline outcome, not an error.
+        Err(GameError::EmptyBracket { .. }) if expired() => Ok(BracketEval::Deadline),
+        Err(e) => Err(WireError::engine(&e)),
+    }
+}
+
+impl BracketSpec {
+    /// A completed outcome with this leaf's width-goal verdict, recording
+    /// the deadline slack it finished with.
+    fn done(&self, ctx: &EvalCtx<'_>, budget: Budget, outcome: OptOutcome) -> BracketDone {
+        ctx.record_slack(budget);
+        let goal_met = self
+            .config
+            .width_goal
+            .is_none_or(|goal| outcome.opt1.meets_goal(goal) && outcome.opt2.meets_goal(goal));
+        BracketDone { outcome, goal_met }
     }
 }
 
@@ -775,42 +716,35 @@ mod tests {
             ms: 50,
             lower: Box::new(Policy::Fallback(vec![race, leaf(&["exhaustive"])])),
         });
-        validate(&wrapped, PolicyMode::Solve).unwrap();
+        compile_solve(&wrapped).unwrap();
         let brackets = Policy::Fallback(vec![
             bracket_leaf(&["lpt", "relaxation"], Some(1.5)),
             bracket_leaf(&["exhaustive", "branch_and_bound", "descent"], None),
         ]);
-        validate(&brackets, PolicyMode::Bracket).unwrap();
+        compile_bracket(&brackets).unwrap();
     }
 
     #[test]
     fn validation_rejects_unknown_ids_and_kind_mismatches() {
-        let err = validate(&leaf(&["alien"]), PolicyMode::Solve).unwrap_err();
+        let err = compile_solve(&leaf(&["alien"])).unwrap_err();
         assert_eq!(err.kind, ErrorKind::UnknownPolicy);
-        let err = validate(&leaf(&["local_search"]), PolicyMode::Bracket).unwrap_err();
+        let err = compile_bracket(&leaf(&["local_search"])).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
-        let err = validate(&bracket_leaf(&["lpt"], None), PolicyMode::Solve).unwrap_err();
+        let err = compile_solve(&bracket_leaf(&["lpt"], None)).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
-        let err = validate(
-            &Policy::Race(vec![bracket_leaf(&["lpt"], None)]),
-            PolicyMode::Solve,
-        )
-        .unwrap_err();
+        let err = compile_solve(&Policy::Race(vec![bracket_leaf(&["lpt"], None)])).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
-        let err = validate(&bracket_leaf(&["lpt"], Some(0.5)), PolicyMode::Bracket).unwrap_err();
+        let err = compile_bracket(&bracket_leaf(&["lpt"], Some(0.5))).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
     }
 
     #[test]
     fn validation_rejects_bad_deadlines_and_deep_nests() {
         for ms in [0, -5] {
-            let err = validate(
-                &Policy::Timeout(TimeoutPolicy {
-                    ms,
-                    lower: Box::new(leaf(&["two_links"])),
-                }),
-                PolicyMode::Solve,
-            )
+            let err = compile_solve(&Policy::Timeout(TimeoutPolicy {
+                ms,
+                lower: Box::new(leaf(&["two_links"])),
+            }))
             .unwrap_err();
             assert_eq!(err.kind, ErrorKind::InvalidDeadline);
         }
@@ -818,7 +752,7 @@ mod tests {
         for _ in 0..=MAX_POLICY_DEPTH {
             deep = Policy::Fallback(vec![deep]);
         }
-        let err = validate(&deep, PolicyMode::Solve).unwrap_err();
+        let err = compile_solve(&deep).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
     }
 
@@ -826,37 +760,36 @@ mod tests {
     fn over_long_deadlines_are_rejected_not_overflowed() {
         // i64::MAX ms used to overflow `Instant + Duration` and panic the
         // worker; now every over-cap value is a typed InvalidDeadline from
-        // validation AND from the evaluator's own resolution step.
+        // the compile step, so no plan holds one.
         for ms in [MAX_DEADLINE_MS + 1, i64::MAX] {
             let wrapped = Policy::Timeout(TimeoutPolicy {
                 ms,
                 lower: Box::new(leaf(&["two_links"])),
             });
-            let err = validate(&wrapped, PolicyMode::Solve).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::InvalidDeadline);
-            let err = resolve_deadline(ms, None).unwrap_err();
+            let err = compile_solve(&wrapped).unwrap_err();
             assert_eq!(err.kind, ErrorKind::InvalidDeadline);
         }
         // The cap itself is fine.
-        resolve_deadline(MAX_DEADLINE_MS, None).unwrap();
+        let limit = deadline_limit(MAX_DEADLINE_MS).unwrap();
+        resolve_deadline(limit, None).unwrap();
     }
 
     #[test]
     fn nested_deadlines_resolve_to_the_tighter_instant() {
         let outer = Instant::now();
-        let resolved = resolve_deadline(1_000, Some(outer)).unwrap();
+        let resolved = resolve_deadline(Duration::from_secs(1), Some(outer)).unwrap();
         assert_eq!(resolved, outer);
-        let resolved = resolve_deadline(1, None).unwrap();
+        let resolved = resolve_deadline(Duration::from_millis(1), None).unwrap();
         assert!(resolved > Instant::now() - Duration::from_secs(1));
     }
 
     #[test]
     fn empty_leaves_and_combinators_are_rejected() {
-        let err = validate(&leaf(&[]), PolicyMode::Solve).unwrap_err();
+        let err = compile_solve(&leaf(&[])).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
-        let err = validate(&Policy::Fallback(Vec::new()), PolicyMode::Solve).unwrap_err();
+        let err = compile_solve(&Policy::Fallback(Vec::new())).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
-        let err = validate(&Policy::Race(Vec::new()), PolicyMode::Solve).unwrap_err();
+        let err = compile_solve(&Policy::Race(Vec::new())).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidRequest);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every request and response is one JSON object on one line. Requests carry
 //! a client-chosen `id` that the matching response echoes, an instance (for
-//! the compute verbs) and a declarative [`Policy`](crate::policy::Policy)
+//! the compute verbs) and a declarative [`Policy`]
 //! tree describing *how* to answer. Responses are **deterministic**: the
 //! wire types strip every wall-clock field the engines record, so the bytes
 //! of a reply depend only on the request — which is what makes the service
@@ -156,7 +156,7 @@ pub struct ReleaseRequest {
 }
 
 /// A churn edit on the wire, mirroring
-/// [`GameEdit`](netuncert_core::model::GameEdit).
+/// [`GameEdit`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WireEdit {
     /// A new user joins with traffic `weight` and capacity row

@@ -5,11 +5,12 @@
 //! lightweight reader thread per connection, and a **fixed pool** of worker
 //! threads that do all engine work. Reader threads parse frames and answer
 //! three classes of request themselves — parse failures, `Stats`/`Shutdown`
-//! and validation errors, and anything resolvable purely from the warm tier
-//! ([`ServeState::try_handle_fast`]) — and enqueue everything else on a
+//! and validation errors, and any compute request whose compiled policy the
+//! worker's own walk answers from the warm tier alone (the warm-only probe,
+//! `ServeState::try_handle_fast`) — and enqueue everything else on a
 //! **depth-capped** queue the workers share. A request that finds the queue
 //! full is rejected immediately with a typed
-//! [`ErrorKind::Busy`](crate::protocol::ErrorKind::Busy) carrying the
+//! [`ErrorKind::Busy`] carrying the
 //! observed depth and the cap: under overload the service answers `Busy`
 //! promptly and keeps serving cached requests through the reader fast path,
 //! instead of queueing without bound behind the slow work.

@@ -2,33 +2,33 @@
 //! handler every worker runs.
 //!
 //! [`ServeState`] is the whole service minus the sockets: the shared
-//! LRU warm tier ([`SolveCache`]/[`OptCache`]), the base budgets leaves
-//! override, the request counters, and the draining flag. Keeping it
-//! socket-free is what makes the replay harness possible — a fresh
-//! `ServeState` driven in-process answers byte-for-byte like the TCP
-//! service (see [`replay`](crate::replay)).
+//! LRU warm tier ([`SolveCache`]/[`OptCache`]), the request counters, the
+//! resident sessions, and the draining flag. Keeping it socket-free is
+//! what makes the replay harness possible — a fresh `ServeState` driven
+//! in-process answers byte-for-byte like the TCP service (see
+//! [`replay`](crate::replay)).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use netuncert_core::obs::{
-    elapsed_ns, Counter as ObsCounter, Gauge, Histogram, Recorder, Registry,
+    elapsed_ns, Counter as ObsCounter, Gauge, Histogram, Recorder, Registry, Span,
 };
 use netuncert_core::prelude::{
-    EffectiveGame, GameEdit, LinkLoads, MixedProfile, OptCache, OptConfig, OptOutcome, PureProfile,
+    EffectiveGame, GameEdit, LinkLoads, MixedProfile, OptCache, OptOutcome, PureProfile,
     SolveCache, SolverConfig, SolverEngine, SolverKind,
 };
 use netuncert_core::social_cost::measure_against;
 
-use crate::compile::{Built, BuiltRequest, Compute, Instance};
+use crate::compile::{Built, BuiltRequest, Compute, Instance, Plan};
 use crate::decode::{self, Decoded, Framing, Plain};
-use crate::policy::{self, BracketEval, EvalCtx, PolicyMode, SolveEval};
+use crate::policy::{self, BracketEval, Budget, EvalCtx, SolveEval};
 use crate::protocol::{
     deadline_solve_reply, solve_method_id, wire_bracket_reply, wire_brackets, wire_cost_report,
     wire_metrics, wire_repair, wire_solve_reply, BracketOutcome, BracketReply, EditReply,
     EditRequest, ErrorKind, Limits, MeasureOutcome, MeasureReply, ReleaseReply, ReleaseRequest,
-    Request, Response, ResponseBody, SolveOutcome, StatsReply, UploadReply, Verb, WireCacheStats,
+    Request, Response, ResponseBody, SolveOutcome, StatsReply, UploadReply, WireCacheStats,
     WireError, WireSolution,
 };
 use crate::session::{SessionLookup, SessionRemoval, SessionSnapshot, SessionStore};
@@ -40,17 +40,15 @@ pub struct ServeConfig {
     /// Fixed worker-pool size.
     pub workers: usize,
     /// Bound on the shared job queue; an arriving request that finds the
-    /// queue at this depth is rejected with a typed
-    /// [`ErrorKind::Busy`](crate::protocol::ErrorKind::Busy) instead of
-    /// queueing without bound.
+    /// queue at this depth is rejected with a typed [`ErrorKind::Busy`]
+    /// instead of queueing without bound.
     pub queue_depth: usize,
     /// LRU capacity of the solve warm tier, entries.
     pub solve_cache_capacity: usize,
     /// LRU capacity of the opt warm tier, entries.
     pub opt_cache_capacity: usize,
-    /// Bound on concurrently pinned resident sessions
-    /// ([`SessionStore`](crate::session::SessionStore)); inserting past it
-    /// evicts the least-recently-used session.
+    /// Bound on concurrently pinned resident sessions ([`SessionStore`]);
+    /// inserting past it evicts the least-recently-used session.
     pub session_capacity: usize,
     /// Wire-level size caps.
     pub limits: Limits,
@@ -180,8 +178,6 @@ fn by_framing(registry: &Registry, name: &str) -> [Arc<Histogram>; 3] {
 pub struct ServeState {
     solve_cache: Arc<SolveCache>,
     opt_cache: Arc<OptCache>,
-    base_solver: SolverConfig,
-    base_opt: OptConfig,
     limits: Limits,
     counters: Mutex<Counters>,
     draining: AtomicBool,
@@ -201,18 +197,15 @@ impl ServeState {
     /// A fresh state with LRU warm tiers sized by `config`.
     pub fn new(config: &ServeConfig) -> Self {
         let obs = ObsHandles::new(config.queue_depth);
-        let base_solver = SolverConfig::default();
         ServeState {
             solve_cache: Arc::new(SolveCache::lru(config.solve_cache_capacity)),
             opt_cache: Arc::new(OptCache::lru(config.opt_cache_capacity)),
-            base_solver,
-            base_opt: OptConfig::default(),
             limits: config.limits,
             counters: Mutex::new(Counters::default()),
             draining: AtomicBool::new(false),
             sessions: SessionStore::new(config.session_capacity),
             session_engine: SolverEngine::from_kinds(
-                base_solver,
+                SolverConfig::default(),
                 &[SolverKind::LocalSearch, SolverKind::Exhaustive],
             )
             .with_recorder(obs.recorder.clone()),
@@ -325,8 +318,8 @@ impl ServeState {
                 "service is draining after a Shutdown request",
             )),
             Built::Compute(compute) => self
-                .compute(&compute, false)
-                .expect("the full walk always answers"),
+                .compute(&compute, Budget::Cold(None))
+                .expect("a cold walk always answers"),
             Built::Upload(instance) => self.handle_upload(instance),
             Built::Plain(Plain::Edit(edit)) => self.handle_edit(&edit),
             Built::Plain(Plain::Release(release)) => self.handle_release(&release),
@@ -381,24 +374,28 @@ impl ServeState {
     /// The connection reader's fast path: answers a request **without a
     /// worker** when no engine work is needed — `Stats`/`Shutdown`,
     /// draining rejections, validation errors, and any compute verb whose
-    /// policy resolves entirely from the warm tier. Hands the request back
-    /// (`Err`) when it needs cold engine work (or carries a `Timeout`
-    /// policy, whose deadline bookkeeping belongs on a worker); the caller
-    /// then queues that same built request for a worker.
+    /// compiled plan completes from the warm tier alone. A compute verb
+    /// runs the worker's own walk under a warm-only budget, which punts at
+    /// the first cold step (a leaf's warm-tier miss, or any `Timeout`
+    /// node); the request is then handed back (`Err`) and the caller queues
+    /// that same built request for a worker.
     ///
     /// Everything answered here is byte-identical to what a worker would
-    /// have produced for the same request; only the warm tier's hit/miss
-    /// counters can differ (a punted request's probe misses are recounted
-    /// by the worker — the documented tolerance).
+    /// have produced for the same request, because it is the same walk.
+    /// Only the warm tier's hit/miss counters can differ (a punted
+    /// request's probe misses are recounted by the worker — the documented
+    /// tolerance).
     pub(crate) fn try_handle_fast(
         &self,
         request: BuiltRequest,
     ) -> Result<Response, Box<BuiltRequest>> {
         match &request.body {
-            Built::Compute(compute) if !self.draining() => match self.compute(compute, true) {
-                Some(body) => Ok(self.finish(request.id, body)),
-                None => Err(Box::new(request)),
-            },
+            Built::Compute(compute) if !self.draining() => {
+                match self.compute(compute, Budget::WarmOnly) {
+                    Some(body) => Ok(self.finish(request.id, body)),
+                    None => Err(Box::new(request)),
+                }
+            }
             // Upload and Edit always run engines — never fast.
             Built::Upload(_) | Built::Plain(Plain::Edit(_)) if !self.draining() => {
                 Err(Box::new(request))
@@ -409,43 +406,20 @@ impl ServeState {
         }
     }
 
-    fn eval_ctx<'a>(
-        &'a self,
-        instance: &'a Instance,
-        parent_span: Option<netuncert_core::obs::SpanId>,
-    ) -> EvalCtx<'a> {
-        EvalCtx {
-            game: &instance.game,
-            initial: &instance.initial,
-            instance: instance.digest,
-            solve_cache: &self.solve_cache,
-            opt_cache: &self.opt_cache,
-            base_solver: self.base_solver,
-            base_opt: self.base_opt,
-            recorder: self.obs.recorder.clone(),
-            parent_span,
-        }
-    }
-
-    /// Answers a compute verb: policy validation, then the instance's
-    /// deferred validation error, then the `Measure` profile, then the
-    /// policy walk. With `fast` set the walk runs purely from the warm tier
-    /// and `None` means "punt to a worker"; without it the answer is
-    /// always `Some`.
-    fn compute(&self, request: &Compute, fast: bool) -> Option<ResponseBody> {
-        let mode = match request.verb {
-            Verb::Solve => PolicyMode::Solve,
-            Verb::Bracket | Verb::Measure => PolicyMode::Bracket,
+    /// Answers a compute verb: the policy's compile error, then the
+    /// instance's validation error, then the `Measure` profile's, then one
+    /// walk of the compiled plan under `budget`. `None` means a warm-only
+    /// walk punted; a cold walk always answers.
+    fn compute(&self, request: &Compute, budget: Budget) -> Option<ResponseBody> {
+        let plan = match &request.plan {
+            Ok(plan) => plan,
+            Err(err) => return Some(ResponseBody::Error(err.clone())),
         };
-        if let Err(err) = policy::validate(&request.policy, mode) {
-            return Some(ResponseBody::Error(err));
-        }
         let instance = match &request.instance {
             Ok(instance) => instance,
             Err(err) => return Some(ResponseBody::Error(err.clone())),
         };
-        let pure = PureProfile::new(request.profile.clone());
-        if request.verb == Verb::Measure {
+        if let Plan::Measure(_, pure) = plan {
             if let Err(e) = pure.validate(&instance.game) {
                 return Some(ResponseBody::Error(WireError::new(
                     ErrorKind::InvalidRequest,
@@ -453,41 +427,33 @@ impl ServeState {
                 )));
             }
         }
-        let policy = &request.policy;
-        let key = instance.key.clone();
-        if fast {
-            if policy.has_timeout() {
-                return None;
-            }
-            let ctx = self.eval_ctx(instance, None);
-            return Some(match request.verb {
-                Verb::Solve => {
-                    let solved = policy::eval_solve_cached(policy, &ctx)?;
-                    ResponseBody::Solve(wire_solve_reply(key, &solved))
-                }
-                Verb::Bracket => {
-                    let done = policy::eval_bracket_cached(policy, &ctx)?;
-                    ResponseBody::Bracket(wire_bracket_reply(key, &done.outcome))
-                }
-                Verb::Measure => {
-                    let done = policy::eval_bracket_cached(policy, &ctx)?;
-                    self.measure_body(key, instance, &pure, &done.outcome)
-                }
-            });
-        }
-        let span = self.obs.recorder.span(match request.verb {
-            Verb::Solve => "solve",
-            Verb::Bracket => "bracket",
-            Verb::Measure => "measure",
+        // A worker's walk is one request-level span; the reader's warm
+        // probe opens none.
+        let span = matches!(budget, Budget::Cold(_)).then(|| {
+            self.obs.recorder.span(match plan {
+                Plan::Solve(_) => "solve",
+                Plan::Bracket(_) => "bracket",
+                Plan::Measure(..) => "measure",
+            })
         });
-        let ctx = self.eval_ctx(instance, Some(span.id()));
-        let body = match request.verb {
-            Verb::Solve => match policy::eval_solve(policy, &ctx, None) {
+        let ctx = EvalCtx {
+            game: &instance.game,
+            initial: &instance.initial,
+            instance: instance.digest,
+            solve_cache: &self.solve_cache,
+            opt_cache: &self.opt_cache,
+            recorder: self.obs.recorder.clone(),
+            parent_span: span.as_ref().map(Span::id),
+        };
+        let key = instance.key.clone();
+        let body = match plan {
+            Plan::Solve(plan) => match policy::eval_solve(plan, &ctx, budget) {
                 Ok(SolveEval::Done(solved)) => ResponseBody::Solve(wire_solve_reply(key, &solved)),
                 Ok(SolveEval::Deadline) => ResponseBody::Solve(deadline_solve_reply(key)),
+                Ok(SolveEval::Punt) => return None,
                 Err(err) => ResponseBody::Error(err),
             },
-            Verb::Bracket => match policy::eval_bracket(policy, &ctx, None) {
+            Plan::Bracket(plan) => match policy::eval_bracket(plan, &ctx, budget) {
                 Ok(BracketEval::Done(done)) => {
                     ResponseBody::Bracket(wire_bracket_reply(key, &done.outcome))
                 }
@@ -499,11 +465,12 @@ impl ServeState {
                     key,
                     outcome: BracketOutcome::DeadlineExceeded,
                 }),
+                Ok(BracketEval::Punt) => return None,
                 Err(err) => ResponseBody::Error(err),
             },
-            Verb::Measure => match policy::eval_bracket(policy, &ctx, None) {
+            Plan::Measure(plan, pure) => match policy::eval_bracket(plan, &ctx, budget) {
                 Ok(BracketEval::Done(done)) => {
-                    self.measure_body(key, instance, &pure, &done.outcome)
+                    self.measure_body(key, instance, pure, &done.outcome)
                 }
                 // A partial bracket's lower ends may still be at zero (no
                 // lower backend ran), where the ratio arithmetic is
@@ -515,10 +482,13 @@ impl ServeState {
                         outcome: MeasureOutcome::DeadlineExceeded,
                     })
                 }
+                Ok(BracketEval::Punt) => return None,
                 Err(err) => ResponseBody::Error(err),
             },
         };
-        span.finish();
+        if let Some(span) = span {
+            span.finish();
+        }
         Some(body)
     }
 
@@ -654,9 +624,9 @@ impl ServeState {
         }
     }
 
-    /// The report body for a measured profile against completed brackets
-    /// (shared by the worker path and the warm fast path). The profile is
-    /// priced on top of the instance's initial traffic, like the brackets.
+    /// The report body for a measured profile against completed brackets.
+    /// The profile is priced on top of the instance's initial traffic, like
+    /// the brackets.
     fn measure_body(
         &self,
         key: String,
@@ -715,5 +685,226 @@ impl ServeState {
     /// contract (see [`replay`](crate::replay)) the same way `Stats` does.
     fn metrics_reply(&self) -> ResponseBody {
         ResponseBody::Metrics(wire_metrics(&self.obs.registry.snapshot()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::{Policy, SolveLeaf, TimeoutPolicy};
+    use crate::protocol::{BracketRequest, MeasureRequest, RequestBody, SolveRequest};
+    use crate::workload::{
+        default_bracket_policy, default_solve_policy, race_policy, wire_instance,
+    };
+
+    /// The instance every case runs on: a general 8×3 game on which the
+    /// `lpt,relaxation` bracket misses the 1.5 width goal and the starved
+    /// leaves below find no equilibrium.
+    const USERS: usize = 8;
+    const LINKS: usize = 3;
+
+    fn solve(policy: Policy) -> Request {
+        Request {
+            id: 7,
+            body: RequestBody::Solve(SolveRequest {
+                instance: wire_instance(USERS, LINKS, 0),
+                policy,
+            }),
+        }
+    }
+
+    fn bracket(policy: Policy) -> Request {
+        Request {
+            id: 7,
+            body: RequestBody::Bracket(BracketRequest {
+                instance: wire_instance(USERS, LINKS, 0),
+                policy,
+            }),
+        }
+    }
+
+    fn solve_leaf(id: &str, budget: Option<u64>) -> Policy {
+        Policy::Solve(SolveLeaf {
+            solvers: vec![id.into()],
+            restarts: budget,
+            max_steps: budget,
+        })
+    }
+
+    /// A solve leaf with no moves and no restarts: it completes without an
+    /// equilibrium on this instance.
+    fn starved(id: &str) -> Policy {
+        solve_leaf(id, Some(0))
+    }
+
+    /// The two children of `workload::default_bracket_policy()`.
+    fn bracket_children() -> (Policy, Policy) {
+        let Policy::Fallback(children) = default_bracket_policy() else {
+            unreachable!("the default bracket policy is a Fallback");
+        };
+        let [first, second] = <[Policy; 2]>::try_from(children).expect("two children");
+        (first, second)
+    }
+
+    fn line(response: &Response) -> String {
+        serde_json::to_string(response).expect("wire types always serialise")
+    }
+
+    /// The reader's answer on `state`, or `None` when it punts.
+    fn fast(state: &ServeState, request: &Request) -> Option<String> {
+        let built = BuiltRequest::build(
+            Decoded::from_request(request.clone(), &state.limits),
+            |_| {},
+        );
+        state
+            .try_handle_fast(built)
+            .ok()
+            .map(|response| line(&response))
+    }
+
+    /// A worker's answer on `state`.
+    fn worker(state: &ServeState, request: &Request) -> String {
+        line(&state.handle_request(request.clone()))
+    }
+
+    /// Warms two twin states with `warm`, then checks that a cold state's
+    /// reader punts on `request`, and that the warm reader punts exactly
+    /// when `answers` is false and otherwise answers byte for byte what the
+    /// twin's worker answers.
+    fn check(warm: &[Request], request: Request, answers: bool) {
+        let config = ServeConfig::default();
+        assert_eq!(
+            fast(&ServeState::new(&config), &request),
+            None,
+            "a cold state must punt"
+        );
+        let (probed, twin) = (ServeState::new(&config), ServeState::new(&config));
+        for state in [&probed, &twin] {
+            for request in warm {
+                state.handle_request(request.clone());
+            }
+        }
+        let probe = fast(&probed, &request);
+        if !answers {
+            assert_eq!(probe, None, "expected a punt for {request:?}");
+            return;
+        }
+        let probe = probe.unwrap_or_else(|| panic!("expected a warm answer for {request:?}"));
+        assert_eq!(probe, worker(&twin, &request));
+    }
+
+    /// Whether `request` solves to an equilibrium on a fresh state.
+    fn solves(request: Request) -> bool {
+        let state = ServeState::new(&ServeConfig::default());
+        let ResponseBody::Solve(reply) = state.handle_request(request).body else {
+            panic!("expected a solve reply");
+        };
+        matches!(reply.outcome, SolveOutcome::Solution(_))
+    }
+
+    #[test]
+    fn a_warm_solve_leaf_answers_like_the_worker() {
+        let request = solve(default_solve_policy());
+        check(std::slice::from_ref(&request), request.clone(), true);
+    }
+
+    #[test]
+    fn a_race_with_one_warm_solved_lane_answers_in_round_zero() {
+        // Lane 1 (local search) is warm with an equilibrium; lane 0 (best
+        // response) is cold and never gets to step.
+        assert!(solves(solve(solve_leaf("local_search", None))));
+        check(
+            &[solve(solve_leaf("local_search", None))],
+            solve(race_policy()),
+            true,
+        );
+        // A warm fallback child behind a race that would have to step
+        // cannot answer: the race comes first.
+        check(
+            &[solve(solve_leaf("exhaustive", None))],
+            solve(race_policy()),
+            false,
+        );
+    }
+
+    #[test]
+    fn a_race_of_warm_unsolved_lanes_answers_with_lane_zero() {
+        let race = Policy::Race(vec![starved("best_response"), starved("local_search")]);
+        assert!(!solves(solve(starved("best_response"))));
+        assert!(!solves(solve(starved("local_search"))));
+        let warm = [
+            solve(starved("best_response")),
+            solve(starved("local_search")),
+        ];
+        check(&warm, solve(race.clone()), true);
+        // With one lane cold the race would have to step: punt.
+        check(&warm[..1], solve(race), false);
+    }
+
+    #[test]
+    fn a_solve_fallback_moves_past_a_warm_unsolved_child() {
+        let fallback = Policy::Fallback(vec![
+            starved("best_response"),
+            solve_leaf("exhaustive", None),
+        ]);
+        let warm = [
+            solve(starved("best_response")),
+            solve(solve_leaf("exhaustive", None)),
+        ];
+        check(&warm, solve(fallback.clone()), true);
+        check(&warm[..1], solve(fallback), false);
+    }
+
+    #[test]
+    fn a_bracket_fallback_answers_only_when_every_child_it_reaches_is_warm() {
+        let (first, second) = bracket_children();
+        // The first child misses its goal on this instance.
+        let state = ServeState::new(&ServeConfig::default());
+        let ResponseBody::Bracket(reply) = state.handle_request(bracket(first.clone())).body else {
+            panic!("expected a bracket reply");
+        };
+        let BracketOutcome::Brackets(brackets) = reply.outcome else {
+            panic!("expected brackets");
+        };
+        assert!(brackets.opt2.upper > 1.5 * brackets.opt2.lower);
+        check(
+            &[bracket(first.clone())],
+            bracket(default_bracket_policy()),
+            false,
+        );
+        check(
+            &[bracket(second.clone())],
+            bracket(default_bracket_policy()),
+            false,
+        );
+        check(
+            &[bracket(first), bracket(second)],
+            bracket(default_bracket_policy()),
+            true,
+        );
+    }
+
+    #[test]
+    fn a_warm_measure_answers_like_the_worker() {
+        let (first, _) = bracket_children();
+        let request = Request {
+            id: 7,
+            body: RequestBody::Measure(MeasureRequest {
+                instance: wire_instance(USERS, LINKS, 0),
+                profile: vec![0; USERS],
+                policy: first.clone(),
+            }),
+        };
+        check(&[bracket(first)], request, true);
+    }
+
+    #[test]
+    fn a_timeout_always_punts_even_when_warm() {
+        let leaf = default_solve_policy();
+        let timed = Policy::Timeout(TimeoutPolicy {
+            ms: 60_000,
+            lower: Box::new(leaf.clone()),
+        });
+        check(&[solve(leaf)], solve(timed), false);
     }
 }

@@ -1,5 +1,5 @@
 //! E11 — the Milchtaich counterexample and why it does not apply to the
-//! paper's model (Section 3 / prior work [17]).
+//! paper's model (Section 3 / prior work \[17\]).
 //!
 //! Three measurements:
 //!

@@ -4,12 +4,13 @@
 //! The paper's worst-case and PoA experiments stop where `mⁿ` outruns the
 //! exhaustive budget. This experiment opens the regime beyond that wall:
 //! random general instances up to `n = 512, m = 16` are solved by the
-//! multi-restart [`LocalSearch`] backend and, for comparison, by plain
-//! best-response dynamics; every returned profile is certified by the
-//! equilibrium checker ([`is_pure_nash`]) — the same predicate the
-//! differential harness uses — so a "solved" cell can never rest on an
-//! unverified fixed point. The cell verdict (`holds`) is about the new
-//! backend: `LocalSearch` must certify an equilibrium on every sample.
+//! multi-restart [`LocalSearch`](SolverKind::LocalSearch) backend and,
+//! for comparison, by plain best-response dynamics; every returned
+//! profile is certified by the equilibrium checker ([`is_pure_nash`]) —
+//! the same predicate the differential harness uses — so a "solved" cell
+//! can never rest on an unverified fixed point. The cell verdict (`holds`)
+//! is about the new backend: `LocalSearch` must certify an equilibrium
+//! on every sample.
 //! Best-response dynamics is the reported baseline — its certification
 //! rate and move counts appear in the table (and as metrics) but a BR
 //! budget exhaustion does not fail the experiment.

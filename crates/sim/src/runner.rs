@@ -2,7 +2,7 @@
 //!
 //! Since the declarative-experiment redesign this module is a thin,
 //! source-compatible facade over the registry ([`crate::experiments::all`])
-//! and the sharded [`SweepRunner`](crate::sweep::SweepRunner); `run_all`
+//! and the sharded [`SweepRunner`]; `run_all`
 //! produces exactly what a sharded sweep merges back together.
 
 use crate::config::ExperimentConfig;

@@ -2,6 +2,8 @@
 //! end on a small configuration, every outcome is consistent with the paper,
 //! and the reports serialise and render.
 
+use std::sync::OnceLock;
+
 use sim_harness::{render_markdown, run_all, runner, ExperimentConfig, ExperimentOutcome};
 
 fn tiny_config() -> ExperimentConfig {
@@ -12,9 +14,16 @@ fn tiny_config() -> ExperimentConfig {
     }
 }
 
+/// The suite's report under [`tiny_config`], computed once per test binary:
+/// the read-only tests below all inspect the same report.
+fn tiny_report() -> &'static [ExperimentOutcome] {
+    static REPORT: OnceLock<Vec<ExperimentOutcome>> = OnceLock::new();
+    REPORT.get_or_init(|| run_all(&tiny_config()).expect("reports assemble"))
+}
+
 #[test]
 fn the_full_suite_is_consistent_with_the_paper() {
-    let outcomes = run_all(&tiny_config()).expect("reports assemble");
+    let outcomes = tiny_report();
     assert_eq!(outcomes.len(), 12, "every experiment in DESIGN.md must run");
     let failing: Vec<&ExperimentOutcome> = outcomes.iter().filter(|o| !o.holds).collect();
     assert!(
@@ -29,8 +38,7 @@ fn the_full_suite_is_consistent_with_the_paper() {
 
 #[test]
 fn experiment_ids_match_the_design_document() {
-    let outcomes = run_all(&tiny_config()).expect("reports assemble");
-    let ids: Vec<&str> = outcomes.iter().map(|o| o.id.as_str()).collect();
+    let ids: Vec<&str> = tiny_report().iter().map(|o| o.id.as_str()).collect();
     assert_eq!(
         ids,
         vec!["E4", "E5", "E6", "E7/E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16",]
@@ -39,10 +47,10 @@ fn experiment_ids_match_the_design_document() {
 
 #[test]
 fn reports_render_and_serialise() {
-    let outcomes = run_all(&tiny_config()).expect("reports assemble");
-    let md = render_markdown(&outcomes);
+    let outcomes = tiny_report();
+    let md = render_markdown(outcomes);
     assert!(md.contains("# Experiment report"));
-    for outcome in &outcomes {
+    for outcome in outcomes {
         assert!(
             md.contains(&outcome.id),
             "markdown missing section {}",
@@ -54,14 +62,15 @@ fn reports_render_and_serialise() {
             outcome.id
         );
     }
-    let json = runner::to_json(&outcomes).expect("outcomes serialise");
+    let json = runner::to_json(outcomes).expect("outcomes serialise");
     let back: Vec<ExperimentOutcome> = serde_json::from_str(&json).expect("round trip");
     assert_eq!(back, outcomes);
 }
 
 #[test]
 fn results_are_deterministic_in_the_seed() {
-    let a = run_all(&tiny_config()).expect("reports assemble");
+    // The shared report is the first run; `b` is a second, independent one.
+    let a = tiny_report();
     let b = run_all(&tiny_config()).expect("reports assemble");
     assert_eq!(
         a, b,
@@ -74,7 +83,7 @@ fn results_are_deterministic_in_the_seed() {
     };
     let c = run_all(&different_seed).expect("reports assemble");
     // Different seed changes the numbers (tables), though claims still hold.
-    assert_ne!(a, c);
+    assert_ne!(a, c.as_slice());
     assert!(c.iter().all(|o| o.holds));
 }
 
