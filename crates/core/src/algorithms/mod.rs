@@ -35,6 +35,21 @@ pub enum PureNashMethod {
     Exhaustive,
 }
 
+impl PureNashMethod {
+    /// The stable registry id of this method: the CLI's `--solvers` names
+    /// and the serve wire's `method` field.
+    pub fn id(self) -> &'static str {
+        match self {
+            PureNashMethod::TwoLinks => "two_links",
+            PureNashMethod::Symmetric => "symmetric",
+            PureNashMethod::UniformBeliefs => "uniform",
+            PureNashMethod::BestResponse => "best_response",
+            PureNashMethod::LocalSearch => "local_search",
+            PureNashMethod::Exhaustive => "exhaustive",
+        }
+    }
+}
+
 /// A pure Nash equilibrium together with the method that found it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PureNashSolution {

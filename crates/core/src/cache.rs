@@ -345,11 +345,19 @@ impl<V> Table<V> {
     }
 }
 
+/// Entry cap of a [`BoundedCache::new`] cache: enough for any in-process
+/// sweep while bounding a million-instance, mostly-miss workload to a few GB
+/// at worst. Use [`BoundedCache::lru`] to tighten or loosen it.
+pub const DEFAULT_CAPACITY: usize = 1 << 20;
+
 /// A thread-safe content-addressed memoisation table with an LRU capacity
 /// bound.
 ///
-/// See the [module docs](self) for the key discipline and the bound. Values must be `Clone` (hits hand out copies) and the whole
-/// cache is `Sync`, shared as `Arc<...>` across threads and engines.
+/// See the [module docs](self) for the key discipline and the bound. Values
+/// must be `Clone` (hits hand out copies) and the whole cache is `Sync`,
+/// shared as `Arc<...>` across threads and engines. Only the engines read
+/// and write entries (`lookup`/`insert` are crate-private): a warm tier
+/// holds nothing but complete cold runs.
 #[derive(Debug)]
 pub struct BoundedCache<V> {
     table: Mutex<Table<V>>,
@@ -359,9 +367,24 @@ pub struct BoundedCache<V> {
     evictions: AtomicU64,
 }
 
+impl<V: Clone> Default for BoundedCache<V> {
+    fn default() -> Self {
+        BoundedCache::lru(DEFAULT_CAPACITY)
+    }
+}
+
 impl<V: Clone> BoundedCache<V> {
-    /// An empty cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    /// An empty cache holding at most [`DEFAULT_CAPACITY`] entries.
+    pub fn new() -> Self {
+        BoundedCache::default()
+    }
+
+    /// An empty cache holding at most `capacity` entries; at capacity, the
+    /// least-recently-used entry is evicted to admit a new one (lookups
+    /// refresh recency). Evictions are counted in [`CacheStats::evictions`]
+    /// and can never change results — an evicted instance is simply
+    /// recomputed on its next miss.
+    pub fn lru(capacity: usize) -> Self {
         BoundedCache {
             table: Mutex::new(Table {
                 map: HashMap::new(),
@@ -403,7 +426,7 @@ impl<V: Clone> BoundedCache<V> {
 
     /// Looks up a key, counting the outcome as a hit or a miss. A hit also
     /// refreshes the entry's recency.
-    pub fn lookup(&self, key: &CacheKey<'_>) -> Option<V> {
+    pub(crate) fn lookup(&self, key: &CacheKey<'_>) -> Option<V> {
         let mut table = self.table.lock().expect("cache lock poisoned");
         let found = table.touch(key).map(|entry| entry.value.clone());
         let counter = if found.is_some() {
@@ -422,7 +445,7 @@ impl<V: Clone> BoundedCache<V> {
     /// Re-inserting a stored key updates it in place and never evicts. Two
     /// threads may race to insert the same key; both computed the same
     /// deterministic value, so either insert is correct.
-    pub fn insert(&self, key: &CacheKey<'_>, value: V) {
+    pub(crate) fn insert(&self, key: &CacheKey<'_>, value: V) {
         let mut table = self.table.lock().expect("cache lock poisoned");
         if let Some(entry) = table.touch(key) {
             entry.value = value;
@@ -493,7 +516,7 @@ mod tests {
     #[test]
     fn lru_bound_evicts_the_least_recently_used_entry() {
         let keys = Keys::new(4);
-        let cache = BoundedCache::new(2);
+        let cache = BoundedCache::lru(2);
         cache.insert(&keys.key(1), "a");
         cache.insert(&keys.key(2), "b");
         // Touch key 1 so key 2 becomes the LRU victim.
@@ -515,7 +538,7 @@ mod tests {
     #[test]
     fn lru_eviction_follows_insert_order_without_lookups() {
         let keys = Keys::new(5);
-        let cache = BoundedCache::new(2);
+        let cache = BoundedCache::lru(2);
         for i in 1..=4 {
             cache.insert(&keys.key(i), i);
         }
@@ -529,7 +552,7 @@ mod tests {
     #[test]
     fn reinserting_a_stored_key_never_evicts() {
         let keys = Keys::new(3);
-        let cache = BoundedCache::new(2);
+        let cache = BoundedCache::lru(2);
         cache.insert(&keys.key(1), 1);
         cache.insert(&keys.key(2), 2);
         cache.insert(&keys.key(1), 10);
@@ -541,7 +564,7 @@ mod tests {
     #[test]
     fn a_zero_capacity_lru_cache_admits_nothing() {
         let keys = Keys::new(2);
-        let cache = BoundedCache::new(0);
+        let cache = BoundedCache::lru(0);
         cache.insert(&keys.key(1), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.lookup(&keys.key(1)), None);
@@ -556,7 +579,7 @@ mod tests {
         let keys = Keys::new(3);
         let forced =
             |i: usize| CacheKey::new(b"test".to_vec(), InstanceKey(7), &keys.games[i], &keys.zero);
-        let cache = BoundedCache::new(4);
+        let cache = BoundedCache::lru(4);
         cache.insert(&forced(0), "first");
         cache.insert(&forced(1), "second");
         assert_eq!(cache.len(), 2);
@@ -566,7 +589,7 @@ mod tests {
         // The same instance under its true digest is another slot.
         assert_eq!(cache.lookup(&keys.key(0)), None);
         // Eviction removes exactly the victim from a shared bucket.
-        let cache = BoundedCache::new(2);
+        let cache = BoundedCache::lru(2);
         cache.insert(&forced(0), "first");
         cache.insert(&forced(1), "second");
         cache.insert(&forced(2), "third");
@@ -584,7 +607,7 @@ mod tests {
         let key =
             |initial| CacheKey::new(Vec::new(), InstanceKey::of(&game, initial), &game, initial);
         assert_eq!(key(&pos), key(&neg));
-        let cache = BoundedCache::new(1);
+        let cache = BoundedCache::lru(1);
         cache.insert(&key(&pos), 1);
         assert_eq!(cache.lookup(&key(&neg)), Some(1));
     }

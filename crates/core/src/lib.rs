@@ -144,7 +144,6 @@ pub mod prelude {
     pub use crate::numeric::Tolerance;
     pub use crate::obs::{
         Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Recorder, Registry, Span,
-        SpanId,
     };
     pub use crate::opt::{
         OptBackendKind, OptBracket, OptCache, OptCheckpoint, OptConfig, OptEngine, OptEstimator,

@@ -7,22 +7,17 @@
 //!   atomics; recording is lock-free and callers may clone their `Arc`
 //!   handles freely across threads.
 //! * **[`Registry`]** — a named, get-or-create directory of instruments.
-//!   It is *global-but-injectable*: call [`Registry::global()`] for the
-//!   process-wide default, or construct one per subsystem (the serve layer
-//!   owns its own so in-process replays never pollute live metrics). The
-//!   registry lock is taken only when resolving a name to a handle, never
-//!   when recording.
+//!   Each subsystem constructs its own (the serve layer owns one per
+//!   service instance, so in-process replays never pollute live metrics).
+//!   The registry lock is taken only when resolving a name to a handle,
+//!   never when recording.
 //! * **[`Recorder`]** — the hot-loop façade. A disabled recorder is a
-//!   `None` and every method is an inlined early return; building the crate
-//!   with `--no-default-features` (dropping the `obs` feature) compiles the
-//!   record path out entirely. Engine code is instrumented through a
-//!   `Recorder`, so solving with the default disabled recorder costs one
-//!   predictable branch per probe.
+//!   `None`: it resolves no handles and reads no clock, so engine code
+//!   instrumented through a `Recorder` pays one predictable branch per
+//!   probe when solving with the default disabled recorder.
 //!
 //! [`Span`]s time a region with a monotonic [`Instant`] and record the
-//! elapsed nanoseconds into a histogram on [`Span::finish`]. Parenthood is
-//! an explicit handle passed by the caller — there is no thread-local
-//! ambient context to corrupt under the serve layer's worker pool.
+//! elapsed nanoseconds into a histogram on [`Span::finish`].
 //!
 //! Histograms use 65 fixed log2 buckets: bucket `i` holds every value whose
 //! bit length is `i` (bucket 0 holds only zero). Percentile readout returns
@@ -32,7 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Number of log2 buckets in a [`Histogram`]: one per possible bit length
@@ -43,15 +38,6 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 #[inline]
 pub fn bucket_index(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
-}
-
-/// Smallest value that lands in bucket `index`.
-#[inline]
-pub fn bucket_floor(index: usize) -> u64 {
-    match index {
-        0 => 0,
-        i => 1u64 << (i - 1),
-    }
 }
 
 /// Largest value that lands in bucket `index` (saturating at `u64::MAX`).
@@ -71,11 +57,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `by` to the counter. Lock-free.
     #[inline]
     pub fn incr(&self, by: u64) {
@@ -98,11 +79,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the gauge to an absolute value.
     #[inline]
     pub fn set(&self, value: u64) {
@@ -173,20 +149,6 @@ impl Histogram {
     /// Sum of all recorded values (wrapping on overflow).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Adds every observation of `other` into `self`.
-    ///
-    /// Merging is bucket-wise addition, so a histogram merged from `k`
-    /// shards reports exactly the percentiles of the union of their
-    /// observations.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.load_buckets()) {
-            if theirs != 0 {
-                mine.fetch_add(theirs, Ordering::Relaxed);
-            }
-        }
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
     }
 
     /// Nearest-rank percentile (`p` in `[0, 100]`), reported as the upper
@@ -268,53 +230,24 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// Identifier of a [`Span`], unique within its [`Registry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(u64);
-
-impl SpanId {
-    /// The raw id value.
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
 /// A timed region. Created by [`Recorder::span`]; [`Span::finish`] records
-/// the elapsed nanoseconds into the histogram `span.<name>`.
-///
-/// Parenthood is explicit: pass the parent span to
-/// [`Recorder::child_span`]. There is no thread-local current-span stack,
-/// so spans can be handed across worker threads safely.
+/// the elapsed nanoseconds into the histogram `span.<name>`. A span holds no
+/// thread-local state, so it can be handed across worker threads safely.
 #[derive(Debug)]
 pub struct Span {
-    id: SpanId,
-    parent: Option<SpanId>,
-    start: Option<Instant>,
-    sink: Option<Arc<Histogram>>,
+    live: Option<(Instant, Arc<Histogram>)>,
 }
 
 impl Span {
-    /// This span's id (0 when the recorder is disabled).
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
-    /// The explicit parent handle, if one was given.
-    pub fn parent(&self) -> Option<SpanId> {
-        self.parent
-    }
-
     /// Ends the span, recording elapsed nanoseconds into its histogram.
     /// Returns the elapsed time (0 when the recorder is disabled).
     pub fn finish(self) -> u64 {
-        match (self.start, self.sink) {
-            (Some(start), Some(sink)) => {
-                let ns = elapsed_ns(start);
-                sink.record(ns);
-                ns
-            }
-            _ => 0,
-        }
+        let Some((start, sink)) = self.live else {
+            return 0;
+        };
+        let ns = elapsed_ns(start);
+        sink.record(ns);
+        ns
     }
 }
 
@@ -334,8 +267,29 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    next_span: AtomicU64,
+}
+
+/// Get-or-create `name` in one instrument map.
+fn resolve<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().expect("obs registry poisoned");
+    if let Some(existing) = map.get(name) {
+        return Arc::clone(existing);
+    }
+    let created = Arc::new(T::default());
+    map.insert(name.to_string(), Arc::clone(&created));
+    created
+}
+
+/// A name-sorted copy of one instrument map, read through `read`.
+fn read_all<T, R>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    read: impl Fn(&T) -> R,
+) -> Vec<(String, R)> {
+    map.lock()
+        .expect("obs registry poisoned")
+        .iter()
+        .map(|(name, instrument)| (name.clone(), read(instrument)))
+        .collect()
 }
 
 impl Registry {
@@ -344,80 +298,27 @@ impl Registry {
         Self::default()
     }
 
-    /// The process-wide default registry.
-    ///
-    /// Subsystems that need isolation (the serve layer, replay harnesses)
-    /// should construct their own instead of sharing this one.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
-    }
-
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("obs registry poisoned");
-        if let Some(existing) = map.get(name) {
-            return Arc::clone(existing);
-        }
-        let created = Arc::new(Counter::new());
-        map.insert(name.to_string(), Arc::clone(&created));
-        created
+        resolve(&self.counters, name)
     }
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("obs registry poisoned");
-        if let Some(existing) = map.get(name) {
-            return Arc::clone(existing);
-        }
-        let created = Arc::new(Gauge::new());
-        map.insert(name.to_string(), Arc::clone(&created));
-        created
+        resolve(&self.gauges, name)
     }
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("obs registry poisoned");
-        if let Some(existing) = map.get(name) {
-            return Arc::clone(existing);
-        }
-        let created = Arc::new(Histogram::new());
-        map.insert(name.to_string(), Arc::clone(&created));
-        created
+        resolve(&self.histograms, name)
     }
 
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    fn next_span_id(&self) -> SpanId {
-        SpanId(self.next_span.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    /// A consistent, name-sorted snapshot of every instrument.
+    /// A name-sorted snapshot of every instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("obs registry poisoned")
-            .iter()
-            .map(|(name, c)| (name.clone(), c.value()))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("obs registry poisoned")
-            .iter()
-            .map(|(name, g)| (name.clone(), g.value()))
-            .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("obs registry poisoned")
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
-            .collect();
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: read_all(&self.counters, Counter::value),
+            gauges: read_all(&self.gauges, Gauge::value),
+            histograms: read_all(&self.histograms, Histogram::snapshot),
         }
     }
 }
@@ -435,11 +336,11 @@ pub struct MetricsSnapshot {
 
 /// The hot-loop instrumentation façade: a registry handle that may be absent.
 ///
-/// Every probe method starts with an inlined `None` check, so a disabled
-/// recorder costs one predicted branch — and with the crate's `obs` feature
-/// off, the probe bodies compile out entirely. Clock reads go through
-/// [`Recorder::now`], which returns `None` when disabled so instrumented
-/// loops skip the `Instant::now()` syscall too.
+/// Callers resolve their handles once ([`Recorder::histogram`],
+/// [`Recorder::counter`]) and record through them; a disabled recorder
+/// resolves `None`, so every probe costs one predicted branch. Clock reads
+/// go through [`Recorder::now`], which returns `None` when disabled so
+/// instrumented loops skip the `Instant::now()` call too.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     registry: Option<Arc<Registry>>,
@@ -458,144 +359,32 @@ impl Recorder {
         }
     }
 
-    /// Whether probes are live.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.registry.is_some()
-    }
-
-    /// The attached registry, if any.
-    pub fn attached(&self) -> Option<&Arc<Registry>> {
-        self.registry.as_ref()
-    }
-
     /// `Instant::now()` when enabled; `None` (no clock read) when disabled.
     #[inline]
     pub fn now(&self) -> Option<Instant> {
-        #[cfg(feature = "obs")]
-        {
-            self.registry.as_ref().map(|_| Instant::now())
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            None
-        }
+        self.registry.as_ref().map(|_| Instant::now())
     }
 
-    /// Records elapsed nanoseconds since a [`Recorder::now`] timestamp into
-    /// histogram `name`. A `None` start (disabled at probe time) is a no-op.
-    #[inline]
-    pub fn record_since(&self, name: &str, start: Option<Instant>) {
-        #[cfg(feature = "obs")]
-        if let (Some(registry), Some(start)) = (self.registry.as_ref(), start) {
-            registry.histogram(name).record(elapsed_ns(start));
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (name, start);
-        }
-    }
-
-    /// Records `value` into histogram `name`.
-    #[inline]
-    pub fn record(&self, name: &str, value: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(registry) = self.registry.as_ref() {
-            registry.histogram(name).record(value);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (name, value);
-        }
-    }
-
-    /// Adds `by` to counter `name`.
-    #[inline]
-    pub fn incr(&self, name: &str, by: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(registry) = self.registry.as_ref() {
-            registry.counter(name).incr(by);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (name, by);
-        }
-    }
-
-    /// Sets gauge `name` to `value`.
-    #[inline]
-    pub fn gauge_set(&self, name: &str, value: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(registry) = self.registry.as_ref() {
-            registry.gauge(name).set(value);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (name, value);
-        }
-    }
-
-    /// Resolves a histogram handle for hot paths that want to skip the
-    /// name lookup per record. `None` when disabled.
+    /// Resolves the histogram `name` once, for hot paths that record
+    /// through the handle. `None` when disabled.
     pub fn histogram(&self, name: &str) -> Option<Arc<Histogram>> {
-        #[cfg(feature = "obs")]
-        {
-            self.registry.as_ref().map(|r| r.histogram(name))
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = name;
-            None
-        }
+        self.registry.as_ref().map(|r| r.histogram(name))
     }
 
-    /// Resolves a counter handle for hot paths that want to skip the name
-    /// lookup per increment. `None` when disabled.
+    /// Resolves the counter `name` once, for hot paths that increment
+    /// through the handle. `None` when disabled.
     pub fn counter(&self, name: &str) -> Option<Arc<Counter>> {
-        #[cfg(feature = "obs")]
-        {
-            self.registry.as_ref().map(|r| r.counter(name))
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = name;
-            None
-        }
+        self.registry.as_ref().map(|r| r.counter(name))
     }
 
-    /// Opens a root span; elapsed time is recorded into `span.<name>` on
+    /// Opens a span; elapsed time is recorded into `span.<name>` on
     /// [`Span::finish`].
     pub fn span(&self, name: &str) -> Span {
-        self.open_span(name, None)
-    }
-
-    /// Opens a span with an explicit parent handle.
-    pub fn child_span(&self, name: &str, parent: &Span) -> Span {
-        self.open_span(name, Some(parent.id()))
-    }
-
-    /// Opens a span under an optional parent id — for callers that thread
-    /// parenthood through a context struct rather than a `&Span` borrow.
-    pub fn span_under(&self, name: &str, parent: Option<SpanId>) -> Span {
-        self.open_span(name, parent)
-    }
-
-    fn open_span(&self, name: &str, parent: Option<SpanId>) -> Span {
-        #[cfg(feature = "obs")]
-        if let Some(registry) = self.registry.as_ref() {
-            return Span {
-                id: registry.next_span_id(),
-                parent,
-                start: Some(Instant::now()),
-                sink: Some(registry.histogram(&format!("span.{name}"))),
-            };
-        }
-        let _ = name;
         Span {
-            id: SpanId(0),
-            parent,
-            start: None,
-            sink: None,
+            live: self
+                .registry
+                .as_ref()
+                .map(|r| (Instant::now(), r.histogram(&format!("span.{name}")))),
         }
     }
 }
@@ -608,7 +397,6 @@ mod tests {
     fn bucket_boundaries_are_exact_powers_of_two() {
         // Zero has its own bucket.
         assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_floor(0), 0);
         assert_eq!(bucket_ceil(0), 0);
         // Bucket i covers [2^(i-1), 2^i - 1].
         for i in 1..64 {
@@ -616,7 +404,6 @@ mod tests {
             let ceil = (1u64 << i) - 1;
             assert_eq!(bucket_index(floor), i, "floor of bucket {i}");
             assert_eq!(bucket_index(ceil), i, "ceil of bucket {i}");
-            assert_eq!(bucket_floor(i), floor);
             assert_eq!(bucket_ceil(i), ceil);
             // The boundary neighbours land in the adjacent buckets.
             assert_eq!(bucket_index(floor - 1), i - 1);
@@ -628,7 +415,6 @@ mod tests {
         assert_eq!(bucket_index(u64::MAX), 64);
         assert_eq!(bucket_index(1u64 << 63), 64);
         assert_eq!(bucket_ceil(64), u64::MAX);
-        assert_eq!(bucket_floor(64), 1u64 << 63);
     }
 
     #[test]
@@ -668,24 +454,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_bucketwise_union() {
-        let (a, b) = (Histogram::new(), Histogram::new());
-        for v in [1u64, 5, 9] {
-            a.record(v);
-        }
-        for v in [2u64, 500, 900] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.sum(), 1 + 5 + 9 + 2 + 500 + 900);
-        // p99 now comes from b's tail.
-        assert_eq!(bucket_index(a.percentile(99.0)), bucket_index(900));
-    }
-
-    #[test]
     fn gauge_sub_saturates_at_zero() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.add(3);
         g.sub(5);
         assert_eq!(g.value(), 0);
@@ -717,41 +487,23 @@ mod tests {
     #[test]
     fn disabled_recorder_is_a_no_op() {
         let recorder = Recorder::disabled();
-        assert!(!recorder.enabled());
         assert!(recorder.now().is_none());
-        recorder.record("x", 1);
-        recorder.incr("y", 1);
-        recorder.gauge_set("z", 1);
-        let span = recorder.span("leaf");
-        assert_eq!(span.id().value(), 0);
-        assert_eq!(span.finish(), 0);
+        assert_eq!(recorder.span("leaf").finish(), 0);
         assert!(recorder.histogram("x").is_none());
+        assert!(recorder.counter("y").is_none());
     }
 
     #[test]
-    fn spans_record_into_named_histograms_with_explicit_parents() {
+    fn spans_record_into_named_histograms() {
         let registry = Arc::new(Registry::new());
         let recorder = Recorder::new(Arc::clone(&registry));
-        let root = recorder.span("request");
-        let child = recorder.child_span("leaf", &root);
-        assert_eq!(child.parent(), Some(root.id()));
-        assert_ne!(child.id(), root.id());
-        child.finish();
-        root.finish();
+        assert!(recorder.now().is_some());
+        let outer = recorder.span("request");
+        recorder.span("leaf").finish();
+        outer.finish();
         let snap = registry.snapshot();
         let names: Vec<&str> = snap.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["span.leaf", "span.request"]);
         assert!(snap.histograms.iter().all(|(_, h)| h.count == 1));
-    }
-
-    #[test]
-    fn recorder_record_since_times_real_elapsed() {
-        let registry = Arc::new(Registry::new());
-        let recorder = Recorder::new(Arc::clone(&registry));
-        let start = recorder.now();
-        assert!(start.is_some());
-        recorder.record_since("tick", start);
-        let snap = registry.snapshot();
-        assert_eq!(snap.histograms[0].1.count, 1);
     }
 }

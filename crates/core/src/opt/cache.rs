@@ -16,81 +16,22 @@ use crate::cache::{BoundedCache, CacheKey, InstanceKey};
 use crate::model::EffectiveGame;
 use crate::numeric::canonical_bits;
 use crate::opt::engine::{OptConfig, OptMethod, OptOutcome};
-use crate::solvers::cache::CacheStats;
 use crate::strategy::LinkLoads;
 
-/// Entry cap used by [`OptCache::new`] (same rationale as the solve cache).
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
 /// A thread-safe memoisation table in front of the opt engine's estimate
-/// path.
+/// path: a [`BoundedCache`] of [`OptOutcome`]s.
 ///
 /// At capacity the least-recently-used entry is evicted and counted in
-/// [`CacheStats`]. See the [module docs](self) for the key discipline.
-#[derive(Debug)]
-pub struct OptCache {
-    inner: BoundedCache<OptOutcome>,
-}
-
-impl Default for OptCache {
-    fn default() -> Self {
-        OptCache::lru(DEFAULT_CAPACITY)
-    }
-}
-
-impl OptCache {
-    /// An empty cache holding at most [`DEFAULT_CAPACITY`] entries.
-    pub fn new() -> Self {
-        OptCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` entries; at capacity, the
-    /// least-recently-used entry is evicted to admit a new one. Eviction
-    /// can never change brackets — an evicted instance is re-estimated on
-    /// its next miss.
-    pub fn lru(capacity: usize) -> Self {
-        OptCache {
-            inner: BoundedCache::new(capacity),
-        }
-    }
-
-    /// The entry cap this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-
-    /// Current hit/miss/entry/eviction counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Number of distinct estimated instances stored.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether nothing has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Looks up a key (from [`cache_key`]), counting the outcome as a hit
-    /// or a miss.
-    ///
-    /// Everything stored under a key built by [`cache_key`] is exactly what
-    /// a cold [`OptEngine::estimate`](super::engine::OptEngine::estimate)
-    /// with that method list and config returned. Frontends read through
-    /// [`OptEngine::open`](super::engine::OptEngine::open).
-    pub(crate) fn lookup(&self, key: &CacheKey<'_>) -> Option<OptOutcome> {
-        self.inner.lookup(key)
-    }
-
-    /// Stores a cold estimate under its key; written only by a complete
-    /// [`OptWalk`](super::engine::OptWalk).
-    pub(crate) fn insert(&self, key: &CacheKey<'_>, outcome: OptOutcome) {
-        self.inner.insert(key, outcome);
-    }
-}
+/// [`CacheStats`](crate::cache::CacheStats). See the [module docs](self)
+/// for the key discipline. Everything stored under a key built by
+/// `cache_key` is exactly what a cold [`OptEngine::estimate`] with that
+/// method list and config returned: frontends read through
+/// [`OptEngine::open`], and only a complete
+/// [`OptWalk`](super::engine::OptWalk) writes.
+///
+/// [`OptEngine::estimate`]: super::engine::OptEngine::estimate
+/// [`OptEngine::open`]: super::engine::OptEngine::open
+pub type OptCache = BoundedCache<OptOutcome>;
 
 fn method_tag(method: OptMethod) -> u8 {
     match method {

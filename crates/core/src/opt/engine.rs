@@ -78,6 +78,18 @@ pub enum OptMethod {
 }
 
 impl OptMethod {
+    /// The stable registry id of this method: the CLI's `--opt-backends`
+    /// names and the serve wire's `method` field.
+    pub fn id(self) -> &'static str {
+        match self {
+            OptMethod::Exhaustive => "exhaustive",
+            OptMethod::BranchAndBound => "branch_and_bound",
+            OptMethod::LptGreedy => "lpt",
+            OptMethod::Descent => "descent",
+            OptMethod::Relaxation => "relaxation",
+        }
+    }
+
     /// Static cost rank used by the adaptive ([`OptConfig::width_goal`])
     /// engine mode: cheap certified bounds first (the greedy portfolio and
     /// the closed-form relaxations), the exact searches next, the
@@ -397,15 +409,10 @@ impl OptBackendKind {
         OptBackendKind::Relaxation,
     ];
 
-    /// The stable CLI/registry id of this backend.
+    /// The stable CLI/registry id of this backend: its method's
+    /// [`OptMethod::id`].
     pub fn id(self) -> &'static str {
-        match self {
-            OptBackendKind::Exhaustive => "exhaustive",
-            OptBackendKind::BranchAndBound => "branch_and_bound",
-            OptBackendKind::LptGreedy => "lpt",
-            OptBackendKind::Descent => "descent",
-            OptBackendKind::Relaxation => "relaxation",
-        }
+        self.method().id()
     }
 
     /// Parses a CLI/registry id produced by [`OptBackendKind::id`].
@@ -540,9 +547,7 @@ impl OptProbes {
             key_ns: recorder.histogram("cache.opt.key_ns")?,
             fill_ns: recorder.histogram("cache.opt.fill_ns")?,
             estimator_ns: recorder.histogram("opt.estimator_ns")?,
-            deadlined: recorder
-                .attached()
-                .map(|registry| registry.counter("opt.deadlined"))?,
+            deadlined: recorder.counter("opt.deadlined")?,
         })
     }
 }

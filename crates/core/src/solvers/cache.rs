@@ -18,9 +18,9 @@
 //! embed the engine's method list and budgets, so engines with different
 //! strategies never collide.
 //!
-//! The capacity mechanics (a least-recently-used bound) live in the shared
-//! [`crate::cache`] module; this module owns the solve-specific key
-//! discipline.
+//! The table itself (a least-recently-used bound, the default capacity)
+//! is the shared [`crate::cache`] module's; this module owns the
+//! solve-specific key discipline.
 //!
 //! [`SolverEngine::solve`]: super::engine::SolverEngine::solve
 //! [`SolverEngine::with_cache`]: super::engine::SolverEngine::with_cache
@@ -35,82 +35,19 @@ use crate::numeric::canonical_bits;
 use crate::solvers::engine::{EngineSolution, SolverConfig};
 use crate::strategy::LinkLoads;
 
-/// Entry cap used by [`SolveCache::new`]; enough for any in-process sweep
-/// while bounding a million-instance, mostly-miss workload to a few GB at
-/// worst. Use [`SolveCache::lru`] to tighten or loosen it.
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-/// A thread-safe memoisation table in front of the engine's solve path.
+/// A thread-safe memoisation table in front of the engine's solve path: a
+/// [`BoundedCache`] of [`EngineSolution`]s.
 ///
 /// At capacity the least-recently-used entry is evicted and counted in
 /// [`CacheStats`]. See the [module docs](self) for the key discipline and
-/// guarantees.
-#[derive(Debug)]
-pub struct SolveCache {
-    inner: BoundedCache<EngineSolution>,
-}
-
-impl Default for SolveCache {
-    fn default() -> Self {
-        SolveCache::lru(DEFAULT_CAPACITY)
-    }
-}
-
-impl SolveCache {
-    /// An empty cache holding at most [`DEFAULT_CAPACITY`] entries.
-    pub fn new() -> Self {
-        SolveCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` entries; at capacity, the
-    /// least-recently-used entry is evicted to admit a new one (lookups
-    /// refresh recency). Evictions are counted in [`CacheStats::evictions`]
-    /// and can never change results — an evicted instance is simply
-    /// re-solved on its next miss.
-    pub fn lru(capacity: usize) -> Self {
-        SolveCache {
-            inner: BoundedCache::new(capacity),
-        }
-    }
-
-    /// The entry cap this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-
-    /// Current hit/miss/entry/eviction counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Number of distinct solved instances stored.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether nothing has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Looks up a key (from [`cache_key`]), counting the outcome as a hit
-    /// or a miss.
-    ///
-    /// Everything stored under a key built by [`cache_key`] is exactly what
-    /// a cold [`SolverEngine::solve`](super::engine::SolverEngine::solve)
-    /// with that method list and config returned. Frontends read through
-    /// [`SolverEngine::open`](super::engine::SolverEngine::open).
-    pub(crate) fn lookup(&self, key: &CacheKey<'_>) -> Option<EngineSolution> {
-        self.inner.lookup(key)
-    }
-
-    /// Stores a cold solve under its key (see
-    /// [`lookup`](SolveCache::lookup) for the contract); written only by a
-    /// finished [`EngineRun`](super::engine::EngineRun).
-    pub(crate) fn insert(&self, key: &CacheKey<'_>, solution: EngineSolution) {
-        self.inner.insert(key, solution);
-    }
-}
+/// guarantees. Everything stored under a key built by `cache_key` is
+/// exactly what a cold [`SolverEngine::solve`] with that method list and
+/// config returned: frontends read through [`SolverEngine::open`], and only
+/// a finished [`EngineRun`](super::engine::EngineRun) writes.
+///
+/// [`SolverEngine::solve`]: super::engine::SolverEngine::solve
+/// [`SolverEngine::open`]: super::engine::SolverEngine::open
+pub type SolveCache = BoundedCache<EngineSolution>;
 
 fn method_tag(method: PureNashMethod) -> u8 {
     match method {

@@ -463,16 +463,10 @@ impl SolverKind {
         SolverKind::Exhaustive,
     ];
 
-    /// The stable CLI/registry id of this backend.
+    /// The stable CLI/registry id of this backend: its method's
+    /// [`PureNashMethod::id`].
     pub fn id(self) -> &'static str {
-        match self {
-            SolverKind::TwoLinks => "two_links",
-            SolverKind::Symmetric => "symmetric",
-            SolverKind::UniformBeliefs => "uniform",
-            SolverKind::BestResponse => "best_response",
-            SolverKind::LocalSearch => "local_search",
-            SolverKind::Exhaustive => "exhaustive",
-        }
+        self.method().id()
     }
 
     /// Parses a CLI/registry id produced by [`SolverKind::id`].

@@ -1,6 +1,6 @@
 //! Property-based and concurrency tests for the observability layer.
 //!
-//! The histogram contract under test: `record`/`merge`/`percentile` must
+//! The histogram contract under test: `record`/`percentile` must
 //! agree with a sorted-vector oracle up to bucket resolution — a reported
 //! percentile is the upper bound of the log2 bucket that contains the
 //! nearest-rank order statistic, so it lands in the *same* bucket as the
@@ -70,25 +70,6 @@ proptest! {
         prop_assert!(snap.p99 <= snap.max);
         let bucket_total: u64 = snap.buckets.iter().map(|&(_, n)| n).sum();
         prop_assert_eq!(bucket_total, snap.count);
-    }
-
-    /// Merging two histograms is indistinguishable from recording the
-    /// union of their observations into one.
-    #[test]
-    fn merge_equals_union(left in observations(), right in observations()) {
-        let (a, b, union) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for &v in &left {
-            a.record(v);
-            union.record(v);
-        }
-        for &v in &right {
-            b.record(v);
-            union.record(v);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.snapshot(), union.snapshot());
-        // The merge source is left untouched.
-        prop_assert_eq!(b.count(), right.len() as u64);
     }
 }
 

@@ -245,10 +245,27 @@ fn drive_churn(addr: &str, seed: u64, binary: bool) -> ChurnCounts {
 /// queue-wait/service counts equal to the compute requests issued, plus
 /// repair-provenance count equality (`repair.moves` and `engine.repair_ns`
 /// must both have observed exactly the successful repairs).
+///
+/// On a service this run owns (`expected_compute` known), a `Stats` reply
+/// fetched just before on the same connection must read the counters
+/// `Metrics` exports: `rejected` equals `serve.admit_busy`, and the
+/// `serve.replies.*` counters sum to `requests + 1` (the `Stats` request
+/// is counted between the two snapshots).
 fn check_metrics(addr: &str, expected_compute: Option<u64>, expected_repairs: Option<u64>) -> bool {
     let mut client = Client::connect(addr).unwrap_or_else(|e| {
         eprintln!("connect for metrics: {e}");
         std::process::exit(1);
+    });
+    let stats = expected_compute.map(|_| {
+        let response = client.call(RequestBody::Stats).unwrap_or_else(|e| {
+            eprintln!("stats call: {e}");
+            std::process::exit(1);
+        });
+        let ResponseBody::Stats(stats) = response.body else {
+            eprintln!("Stats request did not return a Stats reply");
+            std::process::exit(1);
+        };
+        stats
     });
     let response = client.call(RequestBody::Metrics).unwrap_or_else(|e| {
         eprintln!("metrics call: {e}");
@@ -288,6 +305,35 @@ fn check_metrics(addr: &str, expected_compute: Option<u64>, expected_repairs: Op
                     ok = false;
                 }
             }
+        }
+    }
+    if let Some(stats) = stats {
+        let counter = |name: &str| {
+            let found = metrics.counters.iter().find(|c| c.name == name);
+            found.map(|c| c.value)
+        };
+        let replies: Option<u64> = [
+            "serve.replies.ok",
+            "serve.replies.error",
+            "serve.replies.deadline",
+        ]
+        .into_iter()
+        .map(counter)
+        .sum();
+        if replies != Some(stats.requests + 1) {
+            eprintln!(
+                "serve.replies.* sum to {replies:?}, expected Stats.requests + 1 = {}",
+                stats.requests + 1
+            );
+            ok = false;
+        }
+        let admit_busy = counter("serve.admit_busy");
+        if admit_busy != Some(stats.rejected) {
+            eprintln!(
+                "serve.admit_busy is {admit_busy:?}, Stats.rejected is {}",
+                stats.rejected
+            );
+            ok = false;
         }
     }
     if let Some(expected) = expected_repairs {

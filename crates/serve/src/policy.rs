@@ -56,7 +56,6 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use netuncert_core::obs::{Recorder, SpanId};
 use netuncert_core::prelude::{
     EffectiveGame, EngineSolution, GameError, InstanceKey, KernelScratch, LinkLoads, Opened,
     OptBackendKind, OptCache, OptCheckpoint, OptConfig, OptEngine, OptOpened, OptOutcome,
@@ -64,6 +63,7 @@ use netuncert_core::prelude::{
 };
 
 use crate::protocol::{ErrorKind, WireError};
+use crate::state::ObsHandles;
 
 /// Deepest accepted policy nesting; anything deeper is rejected as
 /// [`ErrorKind::InvalidRequest`] before evaluation.
@@ -420,19 +420,16 @@ pub(crate) struct EvalCtx<'a> {
     pub(crate) solve_cache: &'a Arc<SolveCache>,
     /// The shared opt warm tier.
     pub(crate) opt_cache: &'a Arc<OptCache>,
-    /// Observability probes; threaded into every engine a leaf builds.
-    pub(crate) recorder: Recorder,
-    /// The request-level span a worker's walk opens its per-leaf spans
-    /// under; a warm-only probe has none and opens none.
-    pub(crate) parent_span: Option<SpanId>,
+    /// The service's instruments; its recorder is threaded into every
+    /// engine a leaf builds.
+    pub(crate) obs: &'a ObsHandles,
 }
 
 impl EvalCtx<'_> {
-    /// Runs one leaf inside its span, when the walk has a request span.
-    fn in_leaf_span<T>(&self, name: &str, leaf: impl FnOnce() -> T) -> T {
-        let span = self
-            .parent_span
-            .map(|parent| self.recorder.span_under(name, Some(parent)));
+    /// Runs one leaf inside its span on a worker's (cold) walk; the
+    /// reader's warm-only probe opens none.
+    fn in_leaf_span<T>(&self, name: &str, budget: Budget, leaf: impl FnOnce() -> T) -> T {
+        let span = matches!(budget, Budget::Cold(_)).then(|| self.obs.recorder.span(name));
         let out = leaf();
         if let Some(span) = span {
             span.finish();
@@ -446,13 +443,10 @@ impl EvalCtx<'_> {
         let Some(deadline) = budget.deadline() else {
             return;
         };
-        if !self.recorder.enabled() {
-            return;
-        }
         let slack = deadline
             .checked_duration_since(Instant::now())
             .map_or(0, |left| left.as_nanos().min(u128::from(u64::MAX)) as u64);
-        self.recorder.record("policy.deadline_slack_ns", slack);
+        self.obs.deadline_slack().record(slack);
     }
 }
 
@@ -497,7 +491,7 @@ pub(crate) fn eval_solve(
     budget: Budget,
 ) -> Result<SolveEval, WireError> {
     match plan {
-        SolvePlan::Leaf(spec) => ctx.in_leaf_span("solve_leaf", || {
+        SolvePlan::Leaf(spec) => ctx.in_leaf_span("solve_leaf", budget, || {
             race(std::slice::from_ref(spec), ctx, budget)
         }),
         SolvePlan::Race(lanes) => race(&lanes.0, ctx, budget),
@@ -537,7 +531,7 @@ fn race(lanes: &[SolveSpec], ctx: &EvalCtx<'_>, budget: Budget) -> Result<SolveE
         .map(|spec| {
             SolverEngine::from_kinds(spec.config, &spec.kinds)
                 .with_cache(Arc::clone(ctx.solve_cache))
-                .with_recorder(ctx.recorder.clone())
+                .with_recorder(ctx.obs.recorder.clone())
         })
         .collect();
     // Every lane solves the same game, so they share its kernel rows.
@@ -602,7 +596,7 @@ pub(crate) fn eval_bracket(
 ) -> Result<BracketEval, WireError> {
     match plan {
         BracketPlan::Leaf(spec) => {
-            ctx.in_leaf_span("bracket_leaf", || bracket_leaf(spec, ctx, budget))
+            ctx.in_leaf_span("bracket_leaf", budget, || bracket_leaf(spec, ctx, budget))
         }
         BracketPlan::Fallback(children) => {
             let (earlier, last) = children.split_last();
@@ -653,7 +647,7 @@ fn bracket_leaf(
 ) -> Result<BracketEval, WireError> {
     let engine = OptEngine::from_kinds(spec.config, &spec.kinds)
         .with_cache(Arc::clone(ctx.opt_cache))
-        .with_recorder(ctx.recorder.clone());
+        .with_recorder(ctx.obs.recorder.clone());
     let walk = match engine.open(ctx.game, ctx.initial, Some(ctx.instance)) {
         OptOpened::Hit(hit) => return Ok(BracketEval::Done(spec.done(ctx, budget, hit))),
         OptOpened::Walk(walk) => walk,

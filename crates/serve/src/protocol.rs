@@ -20,10 +20,9 @@ use serde::{Deserialize, Serialize};
 
 use netuncert_core::cache::{ContentHasher, InstanceKey};
 use netuncert_core::obs::MetricsSnapshot;
-use netuncert_core::opt::{OptAttempt, OptMethod};
+use netuncert_core::opt::OptAttempt;
 use netuncert_core::prelude::{
-    EngineSolution, GameEdit, GameError, OptBracket, OptOutcome, PureNashMethod, RepairTelemetry,
-    SolverAttempt,
+    EngineSolution, GameEdit, GameError, OptBracket, OptOutcome, RepairTelemetry, SolverAttempt,
 };
 use netuncert_core::social_cost::BracketedCostReport;
 
@@ -842,32 +841,9 @@ fn hash_policy(h: &mut ContentHasher, policy: &Policy) {
     }
 }
 
-/// Registry id of a solver method (matches `SolverKind::id`).
-pub fn solve_method_id(method: PureNashMethod) -> &'static str {
-    match method {
-        PureNashMethod::TwoLinks => "two_links",
-        PureNashMethod::Symmetric => "symmetric",
-        PureNashMethod::UniformBeliefs => "uniform",
-        PureNashMethod::BestResponse => "best_response",
-        PureNashMethod::LocalSearch => "local_search",
-        PureNashMethod::Exhaustive => "exhaustive",
-    }
-}
-
-/// Registry id of an opt method (matches `OptBackendKind::id`).
-pub fn opt_method_id(method: OptMethod) -> &'static str {
-    match method {
-        OptMethod::Exhaustive => "exhaustive",
-        OptMethod::BranchAndBound => "branch_and_bound",
-        OptMethod::LptGreedy => "lpt",
-        OptMethod::Descent => "descent",
-        OptMethod::Relaxation => "relaxation",
-    }
-}
-
 fn wire_attempt(attempt: &SolverAttempt) -> WireAttempt {
     WireAttempt {
-        method: solve_method_id(attempt.method).to_string(),
+        method: attempt.method.id().to_string(),
         iterations: attempt.iterations,
         restarts: attempt.restarts,
         found: attempt.found,
@@ -876,7 +852,7 @@ fn wire_attempt(attempt: &SolverAttempt) -> WireAttempt {
 
 fn wire_opt_attempt(attempt: &OptAttempt) -> WireOptAttempt {
     WireOptAttempt {
-        method: opt_method_id(attempt.method).to_string(),
+        method: attempt.method.id().to_string(),
         iterations: attempt.iterations,
         exact: attempt.exact,
     }
@@ -897,7 +873,7 @@ pub fn wire_solve_reply(key: String, solved: &EngineSolution) -> SolveReply {
     let outcome = match &solved.solution {
         Some(solution) => SolveOutcome::Solution(WireSolution {
             choices: solution.profile.choices().to_vec(),
-            method: solve_method_id(solution.method).to_string(),
+            method: solution.method.id().to_string(),
         }),
         None => SolveOutcome::NoSolution,
     };
@@ -1163,16 +1139,5 @@ mod tests {
         let line = serde_json::to_string(&response).unwrap();
         let back: Response = serde_json::from_str(&line).unwrap();
         assert_eq!(response, back);
-    }
-
-    #[test]
-    fn method_ids_match_the_engine_registries() {
-        use netuncert_core::prelude::{OptBackendKind, SolverKind};
-        for kind in SolverKind::ALL {
-            assert_eq!(solve_method_id(kind.method()), kind.id());
-        }
-        for kind in OptBackendKind::ALL {
-            assert_eq!(opt_method_id(kind.method()), kind.id());
-        }
     }
 }

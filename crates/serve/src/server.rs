@@ -309,8 +309,12 @@ fn respond(state: &ServeState, queue: &JobQueue, request: BuiltRequest) -> Respo
             })
         }
         Err(PushError::Full(depth)) => {
+            // The only tally of a rejection (`Stats.rejected` reads it).
             obs.admit_busy.incr(1);
-            state.busy_response(id, depth, queue.capacity)
+            Response {
+                id,
+                body: ResponseBody::Error(WireError::busy(depth, queue.capacity)),
+            }
         }
         Err(PushError::Closed(job)) => {
             // Late drain: the pool is gone, so the reader evaluates the job

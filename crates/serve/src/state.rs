@@ -2,18 +2,18 @@
 //! handler every worker runs.
 //!
 //! [`ServeState`] is the whole service minus the sockets: the shared
-//! LRU warm tier ([`SolveCache`]/[`OptCache`]), the request counters, the
-//! resident sessions, and the draining flag. Keeping it socket-free is
-//! what makes the replay harness possible — a fresh `ServeState` driven
+//! LRU warm tier ([`SolveCache`]/[`OptCache`]), the metrics registry that
+//! holds its request counters, the resident sessions, and the draining
+//! flag. Keeping it socket-free is what makes the replay harness possible — a fresh `ServeState` driven
 //! in-process answers byte-for-byte like the TCP service (see
 //! [`replay`](crate::replay)).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use netuncert_core::obs::{
-    elapsed_ns, Counter as ObsCounter, Gauge, Histogram, Recorder, Registry, Span,
+    elapsed_ns, Counter as ObsCounter, Gauge, Histogram, Recorder, Registry,
 };
 use netuncert_core::prelude::{
     EffectiveGame, GameEdit, LinkLoads, MixedProfile, OptCache, OptOutcome, PureProfile,
@@ -25,11 +25,10 @@ use crate::compile::{Built, BuiltRequest, Compute, Instance, Plan};
 use crate::decode::{self, Decoded, Framing, Plain};
 use crate::policy::{self, BracketEval, Budget, EvalCtx, SolveEval};
 use crate::protocol::{
-    deadline_solve_reply, solve_method_id, wire_bracket_reply, wire_brackets, wire_cost_report,
-    wire_metrics, wire_repair, wire_solve_reply, BracketOutcome, BracketReply, EditReply,
-    EditRequest, ErrorKind, Limits, MeasureOutcome, MeasureReply, ReleaseReply, ReleaseRequest,
-    Request, Response, ResponseBody, SolveOutcome, StatsReply, UploadReply, WireCacheStats,
-    WireError, WireSolution,
+    deadline_solve_reply, wire_bracket_reply, wire_brackets, wire_cost_report, wire_metrics,
+    wire_repair, wire_solve_reply, BracketOutcome, BracketReply, EditReply, EditRequest, ErrorKind,
+    Limits, MeasureOutcome, MeasureReply, ReleaseReply, ReleaseRequest, Request, Response,
+    ResponseBody, SolveOutcome, StatsReply, UploadReply, WireCacheStats, WireError, WireSolution,
 };
 use crate::session::{SessionLookup, SessionRemoval, SessionSnapshot, SessionStore};
 
@@ -65,19 +64,6 @@ impl Default for ServeConfig {
             limits: Limits::default(),
         }
     }
-}
-
-/// The request counters, grouped under one lock so a [`StatsReply`]
-/// snapshot is a single consistent cut: `errors + deadline_hits` can never
-/// exceed `requests` in any observed snapshot, which independent relaxed
-/// atomics could not promise (a request counted in `errors` before its
-/// `requests` bump was visible).
-#[derive(Debug, Default, Clone, Copy)]
-struct Counters {
-    requests: u64,
-    errors: u64,
-    deadline_hits: u64,
-    rejected: u64,
 }
 
 /// Pre-resolved handles into the service's metrics registry.
@@ -128,6 +114,16 @@ pub(crate) struct ObsHandles {
     /// Sessions pushed out of the bounded store by newer uploads
     /// (`serve.session_evictions`).
     pub(crate) session_evictions: Arc<ObsCounter>,
+    /// Finished replies, one counter per class: answered
+    /// (`serve.replies.ok`), a typed error (`serve.replies.error`), or a
+    /// deadline outcome (`serve.replies.deadline`). Every finished reply
+    /// lands in exactly one, so `Stats.requests` is their sum.
+    replies_ok: Arc<ObsCounter>,
+    replies_error: Arc<ObsCounter>,
+    replies_deadline: Arc<ObsCounter>,
+    /// Deadline left when a walk under one completed
+    /// (`policy.deadline_slack_ns`), resolved by the first such walk.
+    deadline_slack: OnceLock<Arc<Histogram>>,
 }
 
 impl ObsHandles {
@@ -149,10 +145,21 @@ impl ObsHandles {
             admit_inline: registry.counter("serve.admit_inline"),
             sessions: registry.gauge("serve.sessions"),
             session_evictions: registry.counter("serve.session_evictions"),
+            replies_ok: registry.counter("serve.replies.ok"),
+            replies_error: registry.counter("serve.replies.error"),
+            replies_deadline: registry.counter("serve.replies.deadline"),
+            deadline_slack: OnceLock::new(),
             registry,
         };
         handles.queue_capacity.set(queue_capacity as u64);
         handles
+    }
+
+    /// The `policy.deadline_slack_ns` histogram, registered on first use so
+    /// a `Metrics` reply lists it only once a deadlined walk has completed.
+    pub(crate) fn deadline_slack(&self) -> &Histogram {
+        self.deadline_slack
+            .get_or_init(|| self.registry.histogram("policy.deadline_slack_ns"))
     }
 
     /// Records into the aggregate histogram and, for a framed request, its
@@ -179,7 +186,6 @@ pub struct ServeState {
     solve_cache: Arc<SolveCache>,
     opt_cache: Arc<OptCache>,
     limits: Limits,
-    counters: Mutex<Counters>,
     draining: AtomicBool,
     sessions: SessionStore,
     /// The resident-session engine: local search (the repair path's warm
@@ -201,7 +207,6 @@ impl ServeState {
             solve_cache: Arc::new(SolveCache::lru(config.solve_cache_capacity)),
             opt_cache: Arc::new(OptCache::lru(config.opt_cache_capacity)),
             limits: config.limits,
-            counters: Mutex::new(Counters::default()),
             draining: AtomicBool::new(false),
             sessions: SessionStore::new(config.session_capacity),
             session_engine: SolverEngine::from_kinds(
@@ -327,48 +332,27 @@ impl ServeState {
         self.finish(request.id, body)
     }
 
-    /// Counts one handled request under a single counter pass and seals the
-    /// response envelope. Classifying the *finished* body here (instead of
-    /// sprinkling counter bumps through the handlers) is what lets every
-    /// counter for one request move under one lock acquisition.
+    /// Counts one handled request in exactly one reply counter, by its
+    /// finished body, and seals the response envelope.
     fn finish(&self, id: u64, body: ResponseBody) -> Response {
-        let errored = matches!(body, ResponseBody::Error(_));
-        let deadlined = matches!(
-            &body,
-            ResponseBody::Solve(reply) if matches!(reply.outcome, SolveOutcome::DeadlineExceeded)
-        ) || matches!(
-            &body,
-            ResponseBody::Bracket(reply) if matches!(
+        let deadlined = match &body {
+            ResponseBody::Solve(reply) => matches!(reply.outcome, SolveOutcome::DeadlineExceeded),
+            ResponseBody::Bracket(reply) => matches!(
                 reply.outcome,
                 BracketOutcome::DeadlineExceeded | BracketOutcome::Partial(_)
-            )
-        ) || matches!(
-            &body,
-            ResponseBody::Measure(reply) if matches!(reply.outcome, MeasureOutcome::DeadlineExceeded)
-        );
-        let mut counters = self.counters.lock().expect("counter lock poisoned");
-        counters.requests += 1;
-        if errored {
-            counters.errors += 1;
-        }
-        if deadlined {
-            counters.deadline_hits += 1;
-        }
-        drop(counters);
+            ),
+            ResponseBody::Measure(reply) => {
+                matches!(reply.outcome, MeasureOutcome::DeadlineExceeded)
+            }
+            _ => false,
+        };
+        let class = match body {
+            ResponseBody::Error(_) => &self.obs.replies_error,
+            _ if deadlined => &self.obs.replies_deadline,
+            _ => &self.obs.replies_ok,
+        };
+        class.incr(1);
         Response { id, body }
-    }
-
-    /// The admission rejection for a full job queue: counts one `rejected`
-    /// (and nothing else — the request never reaches the engines) and
-    /// returns the typed [`ErrorKind::Busy`] response.
-    pub fn busy_response(&self, id: u64, depth: usize, capacity: usize) -> Response {
-        let mut counters = self.counters.lock().expect("counter lock poisoned");
-        counters.rejected += 1;
-        drop(counters);
-        Response {
-            id,
-            body: ResponseBody::Error(WireError::busy(depth, capacity)),
-        }
     }
 
     /// The connection reader's fast path: answers a request **without a
@@ -442,8 +426,7 @@ impl ServeState {
             instance: instance.digest,
             solve_cache: &self.solve_cache,
             opt_cache: &self.opt_cache,
-            recorder: self.obs.recorder.clone(),
-            parent_span: span.as_ref().map(Span::id),
+            obs: &self.obs,
         };
         let key = instance.key.clone();
         let body = match plan {
@@ -515,7 +498,7 @@ impl ServeState {
         };
         let wire = WireSolution {
             choices: solution.profile.choices().to_vec(),
-            method: solve_method_id(solution.method).to_string(),
+            method: solution.method.id().to_string(),
         };
         let (session, evicted) = self.sessions.insert(game, initial, solution.profile);
         if evicted.is_some() {
@@ -588,7 +571,7 @@ impl ServeState {
         };
         let wire = WireSolution {
             choices: solution.profile.choices().to_vec(),
-            method: solve_method_id(solution.method).to_string(),
+            method: solution.method.id().to_string(),
         };
         *profile = solution.profile;
         *edits += 1;
@@ -645,14 +628,18 @@ impl ServeState {
         }
     }
 
-    /// One stats snapshot. The request counters come from a single pass
-    /// under the counter lock, so they are mutually consistent; the cache
-    /// counters are sampled *after* that cut and may run slightly ahead of
-    /// it (and may over-count misses: a reader's fast-path probe that punts
-    /// to a worker records the miss twice). Tests pin the tolerance, not
-    /// exact cache counts.
+    /// One stats snapshot, read from the registry `Metrics` exports. Each
+    /// reply counter is read once and `requests` is their sum, so
+    /// `errors + deadline_hits <= requests` holds in every snapshot; a
+    /// `Busy` rejection is counted once, in `serve.admit_busy`. The cache
+    /// counters are sampled after the reply counters and may run slightly
+    /// ahead of them (and may over-count misses: a reader's fast-path probe
+    /// that punts to a worker records the miss twice). Tests pin the
+    /// tolerance, not exact cache counts.
     fn stats_reply(&self) -> ResponseBody {
-        let counters = *self.counters.lock().expect("counter lock poisoned");
+        let errors = self.obs.replies_error.value();
+        let deadline_hits = self.obs.replies_deadline.value();
+        let requests = self.obs.replies_ok.value() + errors + deadline_hits;
         let solve = self.solve_cache.stats();
         let opt = self.opt_cache.stats();
         ResponseBody::Stats(StatsReply {
@@ -670,10 +657,10 @@ impl ServeState {
                 evictions: opt.evictions,
                 capacity: self.opt_cache.capacity() as u64,
             },
-            requests: counters.requests,
-            errors: counters.errors,
-            deadline_hits: counters.deadline_hits,
-            rejected: counters.rejected,
+            requests,
+            errors,
+            deadline_hits,
+            rejected: self.obs.admit_busy.value(),
             queue_depth: self.obs.queue_depth.value(),
             queue_capacity: self.obs.queue_capacity.value(),
             busy_workers: self.obs.busy_workers.value(),

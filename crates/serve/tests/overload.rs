@@ -15,7 +15,8 @@ use serde::Deserialize;
 use netuncert_serve::frame;
 use netuncert_serve::policy::{BracketLeaf, Policy, SolveLeaf, TimeoutPolicy};
 use netuncert_serve::protocol::{
-    BracketRequest, ErrorKind, Request, RequestBody, Response, ResponseBody, SolveRequest,
+    BracketRequest, ErrorKind, MetricsReply, Request, RequestBody, Response, ResponseBody,
+    SolveRequest,
 };
 use netuncert_serve::state::{ServeConfig, ServeState};
 use netuncert_serve::workload::{default_solve_policy, wire_instance};
@@ -166,6 +167,12 @@ fn saturated_queue_answers_typed_busy_while_warm_requests_keep_flowing() {
         stats.errors + stats.deadline_hits <= stats.requests,
         "inconsistent snapshot: {stats:?}"
     );
+    // `Stats.rejected` and the admission counter are one instrument.
+    let response = client.call(RequestBody::Metrics).expect("metrics");
+    let ResponseBody::Metrics(metrics) = response.body else {
+        panic!("expected metrics, got {response:?}");
+    };
+    assert_eq!(counter(&metrics, "serve.admit_busy"), stats.rejected);
 
     shutdown(addr);
     handle.join().expect("server thread").expect("clean run");
@@ -461,6 +468,38 @@ fn concurrent_counter_snapshots_are_single_consistent_cuts() {
     };
     // Every hammered request plus every poll (Stats counts as a request).
     assert_eq!(stats.requests, (THREADS * PER_THREAD) as u64 + polls);
+
+    // `Metrics` exports the counters `Stats` reads: one reply class each.
+    // The final `Stats` request counts itself, as ok, after its snapshot.
+    let metrics_line = serde_json::to_string(&Request {
+        id: 10,
+        body: RequestBody::Metrics,
+    })
+    .unwrap();
+    let raw = state.handle_line(&metrics_line);
+    let response: Response = serde_json::from_str(&raw).expect("metrics parses");
+    let ResponseBody::Metrics(metrics) = response.body else {
+        panic!("expected metrics, got {raw}");
+    };
+    assert_eq!(
+        counter(&metrics, "serve.replies.ok"),
+        stats.requests - stats.errors - stats.deadline_hits + 1
+    );
+    assert_eq!(counter(&metrics, "serve.replies.error"), stats.errors);
+    assert_eq!(
+        counter(&metrics, "serve.replies.deadline"),
+        stats.deadline_hits
+    );
+}
+
+/// The value of counter `name` in a `Metrics` reply.
+fn counter(metrics: &MetricsReply, name: &str) -> u64 {
+    metrics
+        .counters
+        .iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("counter {name} missing"))
+        .value
 }
 
 /// A random small solve-policy tree bottoming out in cheap local-search
