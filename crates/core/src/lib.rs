@@ -31,6 +31,10 @@
 //!   ([`OptEngine`](opt::OptEngine)): exact, upper-bound and lower-bound
 //!   backends merged into `OPT1`/`OPT2` brackets for games beyond the
 //!   exhaustive wall.
+//! * [`method_list`] — [`MethodList`](method_list::MethodList), the one
+//!   validated, ordered list of solver, estimator or belief-model kinds
+//!   that every CLI flag, shard stamp and served policy leaf resolves
+//!   registry ids through.
 //! * [`game_graph`] — explicit defection graphs, equilibrium sinks and cycle
 //!   detection (used by the `n = 3` and potential-game analyses).
 //! * [`potential`] — exact/ordinal potential analysis (Section 3.2).
@@ -113,6 +117,7 @@ pub mod error;
 pub mod fully_mixed;
 pub mod game_graph;
 pub mod latency;
+pub mod method_list;
 pub mod model;
 pub mod numeric;
 pub mod obs;
@@ -137,6 +142,7 @@ pub mod prelude {
     pub use crate::latency::{
         mixed_link_latency, mixed_min_latency, pure_user_latency, pure_user_latency_on_link,
     };
+    pub use crate::method_list::{MethodKind, MethodList, MethodListError};
     pub use crate::model::{
         Belief, BeliefProfile, CapacityState, EditUndo, EffectiveCapacities, EffectiveGame, Game,
         GameEdit, StateSpace,

@@ -136,6 +136,15 @@ pub struct OptConfig {
     pub width_goal: Option<f64>,
 }
 
+impl OptConfig {
+    /// Whether `goal` is a usable [`width_goal`](OptConfig::width_goal):
+    /// finite and `> 1.0`. A width of 1 is exactness, so nothing below it
+    /// can ever be met and the adaptive mode would silently run in full.
+    pub fn is_valid_width_goal(goal: f64) -> bool {
+        goal.is_finite() && goal > 1.0
+    }
+}
+
 impl Default for OptConfig {
     fn default() -> Self {
         OptConfig {
@@ -580,7 +589,7 @@ impl OptEngine {
     pub fn with_estimators(config: OptConfig, estimators: Vec<Box<dyn OptEstimator>>) -> Self {
         if let Some(goal) = config.width_goal {
             assert!(
-                goal.is_finite() && goal > 1.0,
+                OptConfig::is_valid_width_goal(goal),
                 "a width goal must be a finite ratio above 1.0, got {goal}"
             );
         }

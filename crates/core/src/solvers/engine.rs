@@ -631,20 +631,7 @@ impl SolverEngine {
     /// polynomial special cases, then best-response dynamics, then
     /// exhaustive enumeration.
     pub fn paper_order(config: SolverConfig) -> Self {
-        SolverEngine {
-            solvers: vec![
-                Box::new(TwoLinks),
-                Box::new(Symmetric),
-                Box::new(UniformBeliefs),
-                Box::new(BestResponse),
-                Box::new(Exhaustive),
-            ],
-            config,
-            parallel: None,
-            cache: None,
-            recorder: Recorder::disabled(),
-            probes: None,
-        }
+        SolverEngine::from_kinds(config, &SolverKind::PAPER_ORDER)
     }
 
     /// An engine over the given [`SolverKind`]s, tried in order — the
@@ -712,11 +699,6 @@ impl SolverEngine {
     /// The worker pool the batch methods will use.
     fn pool(&self) -> ParallelConfig {
         self.parallel.unwrap_or_else(ParallelConfig::from_env)
-    }
-
-    /// Appends a solver to the end of the strategy list.
-    pub fn push_solver(&mut self, solver: Box<dyn Solver>) {
-        self.solvers.push(solver);
     }
 
     /// The shared budgets.

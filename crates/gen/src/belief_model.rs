@@ -32,6 +32,7 @@
 
 use rand::{Rng, RngCore};
 
+use netuncert_core::method_list::MethodKind;
 use netuncert_core::model::{Belief, BeliefProfile, StateSpace};
 
 /// The state index the models treat as the realised ("true") network.
@@ -274,8 +275,8 @@ impl BeliefModel for PartialObservability {
 }
 
 /// The built-in belief models, as data — the registry behind the
-/// experiment harness's `--belief-model` selection, mirroring
-/// `SolverKind`/`OptBackendKind`.
+/// experiment harness's `--belief-model` selection, a
+/// [`MethodKind`] like `SolverKind`/`OptBackendKind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeliefModelKind {
     /// Sharpened exact knowledge of the true state — [`ExactKnowledge`].
@@ -311,11 +312,6 @@ impl BeliefModelKind {
         }
     }
 
-    /// Parses a CLI/registry id produced by [`BeliefModelKind::id`].
-    pub fn parse(s: &str) -> Option<BeliefModelKind> {
-        BeliefModelKind::ALL.into_iter().find(|k| k.id() == s)
-    }
-
     /// A small stable tag for deriving rng substreams per model.
     pub fn tag(self) -> u64 {
         match self {
@@ -339,10 +335,20 @@ impl BeliefModelKind {
     }
 }
 
+impl MethodKind for BeliefModelKind {
+    const ALL: &'static [Self] = &BeliefModelKind::ALL;
+    const NOUN: &'static str = "belief model";
+    const KNOWN: &'static str = "models";
+    fn id(self) -> &'static str {
+        BeliefModelKind::id(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng;
+    use netuncert_core::method_list::MethodList;
     use netuncert_core::numeric::Tolerance;
 
     fn states() -> StateSpace {
@@ -358,10 +364,11 @@ mod tests {
     #[test]
     fn kind_registry_round_trips() {
         for kind in BeliefModelKind::ALL {
-            assert_eq!(BeliefModelKind::parse(kind.id()), Some(kind));
+            let parsed = MethodList::<BeliefModelKind>::parse(kind.id()).unwrap();
+            assert_eq!(parsed.kinds(), &[kind]);
             assert_eq!(kind.build().kind(), kind);
         }
-        assert_eq!(BeliefModelKind::parse("alien"), None);
+        assert!(MethodList::<BeliefModelKind>::parse("alien").is_err());
         let tags: Vec<u64> = BeliefModelKind::ALL.iter().map(|k| k.tag()).collect();
         let mut deduped = tags.clone();
         deduped.dedup();

@@ -57,9 +57,9 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use netuncert_core::prelude::{
-    EffectiveGame, EngineSolution, GameError, InstanceKey, KernelScratch, LinkLoads, Opened,
-    OptBackendKind, OptCache, OptCheckpoint, OptConfig, OptEngine, OptOpened, OptOutcome,
-    SolveCache, SolverConfig, SolverEngine, SolverKind,
+    EffectiveGame, EngineSolution, GameError, InstanceKey, KernelScratch, LinkLoads, MethodKind,
+    MethodList, MethodListError, Opened, OptBackendKind, OptCache, OptCheckpoint, OptConfig,
+    OptEngine, OptOpened, OptOutcome, SolveCache, SolverConfig, SolverEngine, SolverKind,
 };
 
 use crate::protocol::{ErrorKind, WireError};
@@ -110,7 +110,8 @@ impl Policy {
 /// overrides on top of the default [`SolverConfig`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolveLeaf {
-    /// Registry ids accepted by `SolverKind::parse` (e.g. `"local_search"`).
+    /// Solver registry ids (e.g. `"local_search"`), in engine order, each at
+    /// most once.
     pub solvers: Vec<String>,
     /// Restart-budget override for `LocalSearch`, or `null`.
     pub restarts: Option<u64>,
@@ -122,7 +123,8 @@ pub struct SolveLeaf {
 /// goal on top of the default [`OptConfig`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BracketLeaf {
-    /// Registry ids accepted by `OptBackendKind::parse` (e.g. `"lpt"`).
+    /// Estimator registry ids (e.g. `"lpt"`), in engine order, each at most
+    /// once.
     pub backends: Vec<String>,
     /// Adaptive width goal (finite, `> 1.0`), or `null` for fixed budgets.
     pub width_goal: Option<f64>,
@@ -139,25 +141,25 @@ pub struct TimeoutPolicy {
     pub lower: Box<Policy>,
 }
 
+/// Resolves a leaf's registry ids into a [`MethodList`]: an unknown id is
+/// [`ErrorKind::UnknownPolicy`]; an empty list (answered with `empty`) or a
+/// repeated id is [`ErrorKind::InvalidRequest`].
+fn method_list<K: MethodKind>(ids: &[String], empty: &str) -> Result<MethodList<K>, WireError> {
+    MethodList::from_ids(ids).map_err(|e| match e {
+        MethodListError::Unknown(id) => WireError::new(
+            ErrorKind::UnknownPolicy,
+            format!("unknown {} id `{id}`", K::NOUN),
+        ),
+        MethodListError::Empty => invalid(empty),
+        duplicate @ MethodListError::Duplicate(_) => invalid(duplicate.to_string()),
+    })
+}
+
 impl SolveLeaf {
     /// Resolves registry ids and merges budget overrides onto the core
     /// defaults.
     fn compile(&self) -> Result<SolveSpec, WireError> {
-        if self.solvers.is_empty() {
-            return Err(invalid("a Solve leaf needs at least one solver id"));
-        }
-        let mut kinds = Vec::with_capacity(self.solvers.len());
-        for id in &self.solvers {
-            match SolverKind::parse(id) {
-                Some(kind) => kinds.push(kind),
-                None => {
-                    return Err(WireError::new(
-                        ErrorKind::UnknownPolicy,
-                        format!("unknown solver id `{id}`"),
-                    ))
-                }
-            }
-        }
+        let kinds = method_list(&self.solvers, "a Solve leaf needs at least one solver id")?;
         let mut config = SolverConfig::default();
         if let Some(restarts) = self.restarts {
             config.restarts = restarts as usize;
@@ -174,24 +176,13 @@ impl BracketLeaf {
     /// core defaults. The goal is checked here so a bad request becomes a
     /// typed error instead of tripping `OptEngine`'s constructor contract.
     fn compile(&self) -> Result<BracketSpec, WireError> {
-        if self.backends.is_empty() {
-            return Err(invalid("a Bracket leaf needs at least one backend id"));
-        }
-        let mut kinds = Vec::with_capacity(self.backends.len());
-        for id in &self.backends {
-            match OptBackendKind::parse(id) {
-                Some(kind) => kinds.push(kind),
-                None => {
-                    return Err(WireError::new(
-                        ErrorKind::UnknownPolicy,
-                        format!("unknown opt backend id `{id}`"),
-                    ))
-                }
-            }
-        }
+        let kinds = method_list(
+            &self.backends,
+            "a Bracket leaf needs at least one backend id",
+        )?;
         let mut config = OptConfig::default();
         if let Some(goal) = self.width_goal {
-            if !(goal.is_finite() && goal > 1.0) {
+            if !OptConfig::is_valid_width_goal(goal) {
                 return Err(invalid(format!(
                     "width_goal must be a finite ratio above 1.0, got {goal}"
                 )));
@@ -208,7 +199,7 @@ impl BracketLeaf {
 /// A compiled solve leaf: its solver composition and its budgets.
 #[derive(Debug)]
 pub(crate) struct SolveSpec {
-    kinds: Vec<SolverKind>,
+    kinds: MethodList<SolverKind>,
     config: SolverConfig,
 }
 
@@ -216,7 +207,7 @@ pub(crate) struct SolveSpec {
 /// the width goal included.
 #[derive(Debug)]
 pub(crate) struct BracketSpec {
-    kinds: Vec<OptBackendKind>,
+    kinds: MethodList<OptBackendKind>,
     config: OptConfig,
 }
 
@@ -529,7 +520,7 @@ fn race(lanes: &[SolveSpec], ctx: &EvalCtx<'_>, budget: Budget) -> Result<SolveE
     let engines: Vec<SolverEngine> = lanes
         .iter()
         .map(|spec| {
-            SolverEngine::from_kinds(spec.config, &spec.kinds)
+            SolverEngine::from_kinds(spec.config, spec.kinds.kinds())
                 .with_cache(Arc::clone(ctx.solve_cache))
                 .with_recorder(ctx.obs.recorder.clone())
         })
@@ -645,7 +636,7 @@ fn bracket_leaf(
     ctx: &EvalCtx<'_>,
     budget: Budget,
 ) -> Result<BracketEval, WireError> {
-    let engine = OptEngine::from_kinds(spec.config, &spec.kinds)
+    let engine = OptEngine::from_kinds(spec.config, spec.kinds.kinds())
         .with_cache(Arc::clone(ctx.opt_cache))
         .with_recorder(ctx.obs.recorder.clone());
     let walk = match engine.open(ctx.game, ctx.initial, Some(ctx.instance)) {

@@ -87,6 +87,46 @@ fn unknown_bracket_backends_yield_unknown_policy() {
     assert_eq!(kind, ErrorKind::UnknownPolicy);
 }
 
+/// A leaf names each solver or backend at most once: a repeat would run the
+/// same method twice on a miss and key the request apart from the
+/// deduplicated list. An unknown id still wins over a repeat before it.
+#[test]
+fn duplicated_leaf_ids_yield_invalid_request() {
+    let state = state();
+    let policy = Policy::Solve(SolveLeaf {
+        solvers: vec!["best_response".into(), "best_response".into()],
+        restarts: None,
+        max_steps: None,
+    });
+    let line = solve_request(5, wire_instance(4, 3, 1), policy);
+    let response: Response = serde_json::from_str(&state.handle_line(&line)).unwrap();
+    let ResponseBody::Error(err) = response.body else {
+        panic!("a duplicated Solve leaf was answered");
+    };
+    assert_eq!(err.kind, ErrorKind::InvalidRequest);
+    assert_eq!(err.message, "solver `best_response` was selected twice");
+
+    let bracket = |backends: &[&str]| Request {
+        id: 6,
+        body: RequestBody::Bracket(netuncert_serve::protocol::BracketRequest {
+            instance: wire_instance(4, 3, 1),
+            policy: Policy::Bracket(BracketLeaf {
+                backends: backends.iter().map(|id| id.to_string()).collect(),
+                width_goal: None,
+                restarts: None,
+            }),
+        }),
+    };
+    let line = serde_json::to_string(&bracket(&["lpt", "relaxation", "lpt"])).unwrap();
+    let (id, kind) = error_kind(&state.handle_line(&line)).expect("typed error");
+    assert_eq!(id, 6);
+    assert_eq!(kind, ErrorKind::InvalidRequest);
+
+    let line = serde_json::to_string(&bracket(&["lpt", "lpt", "annealing"])).unwrap();
+    let (_, kind) = error_kind(&state.handle_line(&line)).expect("typed error");
+    assert_eq!(kind, ErrorKind::UnknownPolicy);
+}
+
 #[test]
 fn zero_and_negative_deadlines_yield_invalid_deadline() {
     let state = state();

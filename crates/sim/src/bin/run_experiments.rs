@@ -38,23 +38,21 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use instance_gen::BeliefModelKind;
+use netuncert_core::method_list::{MethodKind, MethodList};
 use netuncert_core::opt::OptBackendKind;
 use netuncert_core::solvers::SolverKind;
-use sim_harness::config::{validate_width_goal, BeliefSelection, IntensityLadder};
+use sim_harness::config::{validate_width_goal, IntensityLadder};
 use sim_harness::sweep::{ShardFile, SweepRunner};
-use sim_harness::{
-    experiments, render_markdown, runner, Experiment, ExperimentConfig, OptSelection, Shard,
-    SolverSelection,
-};
+use sim_harness::{experiments, render_markdown, runner, Experiment, ExperimentConfig, Shard};
 
 struct Args {
     samples: usize,
     seed: u64,
     threads: usize,
     restarts: usize,
-    solvers: SolverSelection,
-    opt_backends: OptSelection,
-    belief_models: BeliefSelection,
+    solvers: MethodList<SolverKind>,
+    opt_backends: MethodList<OptBackendKind>,
+    belief_models: MethodList<BeliefModelKind>,
     intensities: IntensityLadder,
     width_goal: Option<f64>,
     experiment_ids: Vec<String>,
@@ -81,6 +79,15 @@ fn experiment_listing() -> String {
     out
 }
 
+/// Appends one registry's section of the usage text: its title, its flag
+/// and its ids.
+fn push_registry<K: MethodKind>(out: &mut String, title: &str, flag: &str) {
+    out.push_str(&format!("\n{title} ({flag}, ordered, comma-separated):\n"));
+    for kind in K::ALL {
+        out.push_str(&format!("  {}\n", kind.id()));
+    }
+}
+
 fn usage() -> String {
     let mut out = String::from(
         "usage: run_experiments [--samples N] [--seed S] [--threads T]\n\
@@ -92,18 +99,9 @@ fn usage() -> String {
          registered experiments:\n",
     );
     out.push_str(&experiment_listing());
-    out.push_str("\nsolver backends (--solvers, ordered, comma-separated):\n");
-    for kind in SolverKind::ALL {
-        out.push_str(&format!("  {}\n", kind.id()));
-    }
-    out.push_str("\nopt backends (--opt-backends, ordered, comma-separated):\n");
-    for kind in OptBackendKind::ALL {
-        out.push_str(&format!("  {}\n", kind.id()));
-    }
-    out.push_str("\nbelief models (--belief-model, ordered, comma-separated):\n");
-    for kind in BeliefModelKind::ALL {
-        out.push_str(&format!("  {}\n", kind.id()));
-    }
+    push_registry::<SolverKind>(&mut out, "solver backends", "--solvers");
+    push_registry::<OptBackendKind>(&mut out, "opt backends", "--opt-backends");
+    push_registry::<BeliefModelKind>(&mut out, "belief models", "--belief-model");
     out.push_str(
         "\n--intensity takes the belief-noise ladder (non-negative, strictly increasing,\n\
          e.g. 0.5,1.5,4) and --width-goal a finite bracket-width ratio above 1.0 that\n\
@@ -113,15 +111,16 @@ fn usage() -> String {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let defaults = ExperimentConfig::default();
     let mut args = Args {
-        samples: ExperimentConfig::default().samples,
-        seed: ExperimentConfig::default().seed,
+        samples: defaults.samples,
+        seed: defaults.seed,
         threads: 0,
-        restarts: ExperimentConfig::default().restarts,
-        solvers: SolverSelection::paper(),
-        opt_backends: OptSelection::default_order(),
-        belief_models: BeliefSelection::all_models(),
-        intensities: IntensityLadder::standard(),
+        restarts: defaults.restarts,
+        solvers: defaults.solvers,
+        opt_backends: defaults.opt_backends,
+        belief_models: defaults.belief_models,
+        intensities: defaults.intensities,
         width_goal: None,
         experiment_ids: Vec::new(),
         shard: Shard::solo(),
@@ -164,19 +163,19 @@ fn parse_args() -> Result<Args, String> {
                 let list = iter
                     .next()
                     .ok_or("--solvers requires a comma-separated backend list")?;
-                args.solvers = SolverSelection::parse(&list)?;
+                args.solvers = MethodList::parse(&list).map_err(|e| e.to_string())?;
             }
             "--opt-backends" => {
                 let list = iter
                     .next()
                     .ok_or("--opt-backends requires a comma-separated backend list")?;
-                args.opt_backends = OptSelection::parse(&list)?;
+                args.opt_backends = MethodList::parse(&list).map_err(|e| e.to_string())?;
             }
             "--belief-model" => {
                 let list = iter
                     .next()
                     .ok_or("--belief-model requires a comma-separated model list")?;
-                args.belief_models = BeliefSelection::parse(&list)?;
+                args.belief_models = MethodList::parse(&list).map_err(|e| e.to_string())?;
             }
             "--intensity" => {
                 let list = iter

@@ -5,363 +5,10 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use instance_gen::BeliefModelKind;
+use netuncert_core::method_list::MethodList;
 use netuncert_core::opt::{OptBackendKind, OptConfig, OptEngine};
 use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
 use par_exec::ParallelConfig;
-
-/// An ordered, duplicate-free selection of solver backends — the engine
-/// composition every experiment's generic solves run through, selectable on
-/// the CLI via `run_experiments --solvers` (comma-separated
-/// [`SolverKind::id`]s).
-///
-/// Kept `Copy` (a fixed-capacity inline list) so [`ExperimentConfig`] stays
-/// a plain value type; [`SolverSelection::MAX`] comfortably holds every
-/// built-in backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverSelection {
-    kinds: [SolverKind; SolverSelection::MAX],
-    len: u8,
-}
-
-impl SolverSelection {
-    /// Capacity of a selection (more than the number of built-in backends).
-    pub const MAX: usize = 8;
-
-    /// The paper's dispatch order — the default used when `--solvers` is
-    /// not given, keeping every historical result bit-identical.
-    pub fn paper() -> Self {
-        SolverSelection::new(&SolverKind::PAPER_ORDER)
-            .expect("the paper order is a valid selection")
-    }
-
-    /// A selection from an explicit kind list (non-empty, no duplicates, at
-    /// most [`SolverSelection::MAX`] entries).
-    pub fn new(kinds: &[SolverKind]) -> Result<Self, String> {
-        if kinds.is_empty() {
-            return Err("a solver selection must name at least one solver".into());
-        }
-        if kinds.len() > SolverSelection::MAX {
-            return Err(format!(
-                "a solver selection holds at most {} solvers, got {}",
-                SolverSelection::MAX,
-                kinds.len()
-            ));
-        }
-        let mut stored = [SolverKind::Exhaustive; SolverSelection::MAX];
-        for (i, &kind) in kinds.iter().enumerate() {
-            if kinds[..i].contains(&kind) {
-                return Err(format!("solver `{}` was selected twice", kind.id()));
-            }
-            stored[i] = kind;
-        }
-        Ok(SolverSelection {
-            kinds: stored,
-            len: kinds.len() as u8,
-        })
-    }
-
-    /// Parses the CLI form: comma-separated [`SolverKind::id`]s, e.g.
-    /// `"two_links,local_search,exhaustive"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let kinds: Vec<SolverKind> = s
-            .split(',')
-            .map(str::trim)
-            .filter(|part| !part.is_empty())
-            .map(|part| {
-                SolverKind::parse(part).ok_or_else(|| {
-                    format!(
-                        "unknown solver `{part}`; known solvers: {}",
-                        SolverKind::ALL.map(|k| k.id()).join(", ")
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        SolverSelection::new(&kinds)
-    }
-
-    /// The selected kinds, in engine order.
-    pub fn kinds(&self) -> &[SolverKind] {
-        &self.kinds[..self.len as usize]
-    }
-
-    /// The selected ids, in engine order (the form stamped into shard files).
-    pub fn ids(&self) -> Vec<String> {
-        self.kinds().iter().map(|k| k.id().to_string()).collect()
-    }
-
-    /// Builds a [`SolverEngine`] over this selection.
-    pub fn engine(&self, config: SolverConfig) -> SolverEngine {
-        SolverEngine::from_kinds(config, self.kinds())
-    }
-}
-
-impl Default for SolverSelection {
-    fn default() -> Self {
-        SolverSelection::paper()
-    }
-}
-
-impl fmt::Display for SolverSelection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.ids().join(","))
-    }
-}
-
-impl Serialize for SolverSelection {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.kinds()
-                .iter()
-                .map(|k| serde::Value::Str(k.id().to_string()))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for SolverSelection {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let ids: Vec<String> = Deserialize::from_value(v)?;
-        let kinds: Vec<SolverKind> = ids
-            .iter()
-            .map(|id| {
-                SolverKind::parse(id)
-                    .ok_or_else(|| serde::Error::custom(format!("unknown solver id `{id}`")))
-            })
-            .collect::<Result<_, _>>()?;
-        SolverSelection::new(&kinds).map_err(serde::Error::custom)
-    }
-}
-
-/// An ordered, duplicate-free selection of OPT-estimator backends — the
-/// engine composition behind every certified optimum bracket, selectable on
-/// the CLI via `run_experiments --opt-backends` (comma-separated
-/// [`OptBackendKind::id`]s). The opt-side twin of [`SolverSelection`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptSelection {
-    kinds: [OptBackendKind; OptSelection::MAX],
-    len: u8,
-}
-
-impl OptSelection {
-    /// Capacity of a selection (more than the number of built-in backends).
-    pub const MAX: usize = 8;
-
-    /// The default composition: every built-in backend in
-    /// [`OptBackendKind::ALL`] order (exact first, then bounds).
-    pub fn default_order() -> Self {
-        OptSelection::new(&OptBackendKind::ALL).expect("the default order is a valid selection")
-    }
-
-    /// A selection from an explicit kind list (non-empty, no duplicates, at
-    /// most [`OptSelection::MAX`] entries).
-    pub fn new(kinds: &[OptBackendKind]) -> Result<Self, String> {
-        if kinds.is_empty() {
-            return Err("an opt selection must name at least one backend".into());
-        }
-        if kinds.len() > OptSelection::MAX {
-            return Err(format!(
-                "an opt selection holds at most {} backends, got {}",
-                OptSelection::MAX,
-                kinds.len()
-            ));
-        }
-        let mut stored = [OptBackendKind::Exhaustive; OptSelection::MAX];
-        for (i, &kind) in kinds.iter().enumerate() {
-            if kinds[..i].contains(&kind) {
-                return Err(format!("opt backend `{}` was selected twice", kind.id()));
-            }
-            stored[i] = kind;
-        }
-        Ok(OptSelection {
-            kinds: stored,
-            len: kinds.len() as u8,
-        })
-    }
-
-    /// Parses the CLI form: comma-separated [`OptBackendKind::id`]s, e.g.
-    /// `"exhaustive,descent,relaxation"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let kinds: Vec<OptBackendKind> = s
-            .split(',')
-            .map(str::trim)
-            .filter(|part| !part.is_empty())
-            .map(|part| {
-                OptBackendKind::parse(part).ok_or_else(|| {
-                    format!(
-                        "unknown opt backend `{part}`; known backends: {}",
-                        OptBackendKind::ALL.map(|k| k.id()).join(", ")
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        OptSelection::new(&kinds)
-    }
-
-    /// The selected kinds, in engine order.
-    pub fn kinds(&self) -> &[OptBackendKind] {
-        &self.kinds[..self.len as usize]
-    }
-
-    /// The selected ids, in engine order (the form stamped into shard files).
-    pub fn ids(&self) -> Vec<String> {
-        self.kinds().iter().map(|k| k.id().to_string()).collect()
-    }
-
-    /// Builds an [`OptEngine`] over this selection.
-    pub fn engine(&self, config: OptConfig) -> OptEngine {
-        OptEngine::from_kinds(config, self.kinds())
-    }
-}
-
-impl Default for OptSelection {
-    fn default() -> Self {
-        OptSelection::default_order()
-    }
-}
-
-impl fmt::Display for OptSelection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.ids().join(","))
-    }
-}
-
-impl Serialize for OptSelection {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.kinds()
-                .iter()
-                .map(|k| serde::Value::Str(k.id().to_string()))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for OptSelection {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let ids: Vec<String> = Deserialize::from_value(v)?;
-        let kinds: Vec<OptBackendKind> = ids
-            .iter()
-            .map(|id| {
-                OptBackendKind::parse(id)
-                    .ok_or_else(|| serde::Error::custom(format!("unknown opt backend id `{id}`")))
-            })
-            .collect::<Result<_, _>>()?;
-        OptSelection::new(&kinds).map_err(serde::Error::custom)
-    }
-}
-
-/// An ordered, duplicate-free selection of belief models — the model axis
-/// of the `belief_noise` experiment's grid, selectable on the CLI via
-/// `run_experiments --belief-model` (comma-separated
-/// [`BeliefModelKind::id`]s). The belief-side twin of [`SolverSelection`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeliefSelection {
-    kinds: [BeliefModelKind; BeliefSelection::MAX],
-    len: u8,
-}
-
-impl BeliefSelection {
-    /// Capacity of a selection (more than the number of built-in models).
-    pub const MAX: usize = 8;
-
-    /// The default selection: every built-in model in
-    /// [`BeliefModelKind::ALL`] order.
-    pub fn all_models() -> Self {
-        BeliefSelection::new(&BeliefModelKind::ALL).expect("the full model list is valid")
-    }
-
-    /// A selection from an explicit kind list (non-empty, no duplicates, at
-    /// most [`BeliefSelection::MAX`] entries).
-    pub fn new(kinds: &[BeliefModelKind]) -> Result<Self, String> {
-        if kinds.is_empty() {
-            return Err("a belief-model selection must name at least one model".into());
-        }
-        if kinds.len() > BeliefSelection::MAX {
-            return Err(format!(
-                "a belief-model selection holds at most {} models, got {}",
-                BeliefSelection::MAX,
-                kinds.len()
-            ));
-        }
-        let mut stored = [BeliefModelKind::Exact; BeliefSelection::MAX];
-        for (i, &kind) in kinds.iter().enumerate() {
-            if kinds[..i].contains(&kind) {
-                return Err(format!("belief model `{}` was selected twice", kind.id()));
-            }
-            stored[i] = kind;
-        }
-        Ok(BeliefSelection {
-            kinds: stored,
-            len: kinds.len() as u8,
-        })
-    }
-
-    /// Parses the CLI form: comma-separated [`BeliefModelKind::id`]s, e.g.
-    /// `"exact,noise,partial"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let kinds: Vec<BeliefModelKind> = s
-            .split(',')
-            .map(str::trim)
-            .filter(|part| !part.is_empty())
-            .map(|part| {
-                BeliefModelKind::parse(part).ok_or_else(|| {
-                    format!(
-                        "unknown belief model `{part}`; known models: {}",
-                        BeliefModelKind::ALL.map(|k| k.id()).join(", ")
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        BeliefSelection::new(&kinds)
-    }
-
-    /// The selected kinds, in grid order.
-    pub fn kinds(&self) -> &[BeliefModelKind] {
-        &self.kinds[..self.len as usize]
-    }
-
-    /// The selected ids, in grid order (the form stamped into shard files).
-    pub fn ids(&self) -> Vec<String> {
-        self.kinds().iter().map(|k| k.id().to_string()).collect()
-    }
-}
-
-impl Default for BeliefSelection {
-    fn default() -> Self {
-        BeliefSelection::all_models()
-    }
-}
-
-impl fmt::Display for BeliefSelection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.ids().join(","))
-    }
-}
-
-impl Serialize for BeliefSelection {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.kinds()
-                .iter()
-                .map(|k| serde::Value::Str(k.id().to_string()))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for BeliefSelection {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let ids: Vec<String> = Deserialize::from_value(v)?;
-        let kinds: Vec<BeliefModelKind> = ids
-            .iter()
-            .map(|id| {
-                BeliefModelKind::parse(id)
-                    .ok_or_else(|| serde::Error::custom(format!("unknown belief model id `{id}`")))
-            })
-            .collect::<Result<_, _>>()?;
-        BeliefSelection::new(&kinds).map_err(serde::Error::custom)
-    }
-}
 
 /// The strictly increasing ladder of belief-noise intensities swept by the
 /// `belief_noise` experiment's grid — CLI `run_experiments --intensity`
@@ -469,11 +116,9 @@ impl Deserialize for IntensityLadder {
     }
 }
 
-/// Validates a CLI/stamp width goal: finite and `> 1.0` (a multiplicative
-/// bracket width of 1 is exactness; below that nothing can ever satisfy
-/// the goal and the adaptive mode would silently degrade to fixed mode).
+/// Validates a CLI/stamp width goal ([`OptConfig::is_valid_width_goal`]).
 pub fn validate_width_goal(goal: f64) -> Result<f64, String> {
-    if goal.is_finite() && goal > 1.0 {
+    if OptConfig::is_valid_width_goal(goal) {
         Ok(goal)
     } else {
         Err(format!(
@@ -503,13 +148,16 @@ pub struct ExperimentConfig {
     /// Restart budget for the local-search backend.
     pub restarts: usize,
     /// The solver backends (and their order) behind every generic engine
-    /// solve, i.e. [`CellCtx::engine`](crate::experiment::CellCtx::engine).
-    pub solvers: SolverSelection,
+    /// solve, i.e. [`CellCtx::engine`](crate::experiment::CellCtx::engine);
+    /// CLI `run_experiments --solvers`.
+    pub solvers: MethodList<SolverKind>,
     /// The OPT-estimator backends (and their order) behind every certified
-    /// optimum bracket, i.e. [`CellCtx::opt_engine`](crate::experiment::CellCtx::opt_engine).
-    pub opt_backends: OptSelection,
-    /// The belief models spanned by the `belief_noise` experiment's grid.
-    pub belief_models: BeliefSelection,
+    /// optimum bracket, i.e. [`CellCtx::opt_engine`](crate::experiment::CellCtx::opt_engine);
+    /// CLI `run_experiments --opt-backends`.
+    pub opt_backends: MethodList<OptBackendKind>,
+    /// The belief models spanned by the `belief_noise` experiment's grid;
+    /// CLI `run_experiments --belief-model`.
+    pub belief_models: MethodList<BeliefModelKind>,
     /// The belief-noise intensity ladder spanned by the `belief_noise`
     /// experiment's grid.
     pub intensities: IntensityLadder,
@@ -532,9 +180,11 @@ impl Default for ExperimentConfig {
             profile_limit: 2_000_000,
             max_steps: 100_000,
             restarts: SolverConfig::default().restarts,
-            solvers: SolverSelection::paper(),
-            opt_backends: OptSelection::default_order(),
-            belief_models: BeliefSelection::all_models(),
+            // The paper's dispatch order keeps every historical result
+            // bit-identical.
+            solvers: MethodList::new(&SolverKind::PAPER_ORDER).expect("the paper order is valid"),
+            opt_backends: MethodList::all(),
+            belief_models: MethodList::all(),
             intensities: IntensityLadder::standard(),
             width_goal: None,
         }
@@ -584,8 +234,7 @@ impl ExperimentConfig {
     /// budgets and worker pool; experiments route all generic equilibrium
     /// solving through it.
     pub fn solver_engine(&self) -> SolverEngine {
-        self.solvers
-            .engine(self.solver_config())
+        SolverEngine::from_kinds(self.solver_config(), self.solvers.kinds())
             .with_parallelism(self.parallel())
     }
 
@@ -607,13 +256,14 @@ impl ExperimentConfig {
     /// An [`OptEngine`] over this configuration's opt-backend selection and
     /// budgets; experiments route all social-optimum bracketing through it.
     pub fn opt_engine(&self) -> OptEngine {
-        self.opt_backends.engine(self.opt_config())
+        OptEngine::from_kinds(self.opt_config(), self.opt_backends.kinds())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netuncert_core::method_list::{MethodKind, MethodListError};
 
     #[test]
     fn presets_have_sensible_relative_sizes() {
@@ -649,94 +299,79 @@ mod tests {
         assert_eq!(explicit.parallel().threads(), 2);
     }
 
-    #[test]
-    fn the_default_selection_is_the_paper_order() {
-        let selection = SolverSelection::default();
-        assert_eq!(selection.kinds(), &SolverKind::PAPER_ORDER);
+    /// One row per registry: the default list, a trimmed parse, input
+    /// that must be rejected, and the exact JSON bytes of the parsed list.
+    fn check_method_list<K: MethodKind>(
+        default: MethodList<K>,
+        default_ids: &str,
+        input: &str,
+        parsed_kinds: &[K],
+        (duplicated, repeated): (&str, K),
+        json: &str,
+    ) {
+        assert_eq!(default.to_string(), default_ids);
+        let parsed = MethodList::<K>::parse(input).unwrap();
+        assert_eq!(parsed.kinds(), parsed_kinds);
+        assert_eq!(MethodList::<K>::parse(""), Err(MethodListError::Empty));
+        assert_eq!(MethodList::<K>::parse(" , "), Err(MethodListError::Empty));
         assert_eq!(
-            selection.to_string(),
-            "two_links,symmetric,uniform,best_response,exhaustive"
+            MethodList::<K>::parse("nonsense"),
+            Err(MethodListError::Unknown("nonsense".into()))
+        );
+        assert_eq!(
+            MethodList::<K>::parse(duplicated),
+            Err(MethodListError::Duplicate(repeated))
+        );
+
+        assert_eq!(serde_json::to_string(&parsed).unwrap(), json);
+        let back: MethodList<K> = serde_json::from_str(json).unwrap();
+        assert_eq!(back, parsed);
+        assert!(serde_json::from_str::<MethodList<K>>("[\"alien\"]").is_err());
+        assert!(serde_json::from_str::<MethodList<K>>("[]").is_err());
+    }
+
+    #[test]
+    fn method_lists_parse_validate_and_round_trip() {
+        let cfg = ExperimentConfig::default();
+        assert_eq!(cfg.solvers.kinds(), &SolverKind::PAPER_ORDER);
+        check_method_list(
+            cfg.solvers,
+            "two_links,symmetric,uniform,best_response,exhaustive",
+            "local_search, exhaustive",
+            &[SolverKind::LocalSearch, SolverKind::Exhaustive],
+            ("exhaustive,exhaustive", SolverKind::Exhaustive),
+            "[\"local_search\",\"exhaustive\"]",
+        );
+        assert_eq!(cfg.opt_backends.kinds(), &OptBackendKind::ALL);
+        check_method_list(
+            cfg.opt_backends,
+            "exhaustive,branch_and_bound,lpt,descent,relaxation",
+            "descent, relaxation",
+            &[OptBackendKind::Descent, OptBackendKind::Relaxation],
+            ("descent,descent", OptBackendKind::Descent),
+            "[\"descent\",\"relaxation\"]",
+        );
+        assert_eq!(cfg.belief_models.kinds(), &BeliefModelKind::ALL);
+        check_method_list(
+            cfg.belief_models,
+            "exact,noise,adversarial,correlated,partial",
+            "noise, partial",
+            &[BeliefModelKind::Noise, BeliefModelKind::Partial],
+            ("noise,noise", BeliefModelKind::Noise),
+            "[\"noise\",\"partial\"]",
         );
     }
 
     #[test]
-    fn selections_parse_validate_and_round_trip() {
-        let parsed = SolverSelection::parse("local_search, exhaustive").unwrap();
+    fn unknown_ids_name_the_registry() {
+        let err = MethodList::<OptBackendKind>::parse("lpt,alien").unwrap_err();
         assert_eq!(
-            parsed.kinds(),
-            &[SolverKind::LocalSearch, SolverKind::Exhaustive]
+            err.to_string(),
+            "unknown opt backend `alien`; known backends: \
+             exhaustive, branch_and_bound, lpt, descent, relaxation"
         );
-        assert!(SolverSelection::parse("").is_err());
-        assert!(SolverSelection::parse("nonsense").is_err());
-        assert!(SolverSelection::parse("exhaustive,exhaustive").is_err());
-
-        let json = serde_json::to_string(&parsed).unwrap();
-        assert_eq!(json, "[\"local_search\",\"exhaustive\"]");
-        let back: SolverSelection = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, parsed);
-        assert!(serde_json::from_str::<SolverSelection>("[\"alien\"]").is_err());
-    }
-
-    #[test]
-    fn opt_selections_parse_validate_and_round_trip() {
-        use netuncert_core::opt::OptMethod;
-        let default = OptSelection::default();
-        assert_eq!(default.kinds(), &OptBackendKind::ALL);
-        assert_eq!(
-            default.to_string(),
-            "exhaustive,branch_and_bound,lpt,descent,relaxation"
-        );
-
-        let parsed = OptSelection::parse("descent, relaxation").unwrap();
-        assert_eq!(
-            parsed.kinds(),
-            &[OptBackendKind::Descent, OptBackendKind::Relaxation]
-        );
-        assert!(OptSelection::parse("").is_err());
-        assert!(OptSelection::parse("nonsense").is_err());
-        assert!(OptSelection::parse("descent,descent").is_err());
-
-        let json = serde_json::to_string(&parsed).unwrap();
-        assert_eq!(json, "[\"descent\",\"relaxation\"]");
-        let back: OptSelection = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, parsed);
-        assert!(serde_json::from_str::<OptSelection>("[\"alien\"]").is_err());
-
-        let cfg = ExperimentConfig {
-            opt_backends: parsed,
-            ..ExperimentConfig::default()
-        };
-        assert_eq!(
-            cfg.opt_engine().methods(),
-            vec![OptMethod::Descent, OptMethod::Relaxation]
-        );
-        assert_eq!(cfg.opt_config().profile_limit, cfg.profile_limit);
-        assert_eq!(cfg.opt_config().max_moves, cfg.max_steps as u64);
-    }
-
-    #[test]
-    fn belief_selections_parse_validate_and_round_trip() {
-        let default = BeliefSelection::default();
-        assert_eq!(default.kinds(), &BeliefModelKind::ALL);
-        assert_eq!(
-            default.to_string(),
-            "exact,noise,adversarial,correlated,partial"
-        );
-
-        let parsed = BeliefSelection::parse("noise, partial").unwrap();
-        assert_eq!(
-            parsed.kinds(),
-            &[BeliefModelKind::Noise, BeliefModelKind::Partial]
-        );
-        assert!(BeliefSelection::parse("").is_err());
-        assert!(BeliefSelection::parse("nonsense").is_err());
-        assert!(BeliefSelection::parse("noise,noise").is_err());
-
-        let json = serde_json::to_string(&parsed).unwrap();
-        assert_eq!(json, "[\"noise\",\"partial\"]");
-        let back: BeliefSelection = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, parsed);
-        assert!(serde_json::from_str::<BeliefSelection>("[\"alien\"]").is_err());
+        let err = MethodList::<BeliefModelKind>::parse("noise,noise").unwrap_err();
+        assert_eq!(err.to_string(), "belief model `noise` was selected twice");
     }
 
     #[test]
@@ -788,15 +423,23 @@ mod tests {
 
     #[test]
     fn the_selection_drives_the_engine_composition() {
+        use netuncert_core::algorithms::PureNashMethod;
+        use netuncert_core::opt::OptMethod;
         let cfg = ExperimentConfig {
-            solvers: SolverSelection::parse("local_search,exhaustive").unwrap(),
+            solvers: MethodList::parse("local_search,exhaustive").unwrap(),
+            opt_backends: MethodList::parse("descent,relaxation").unwrap(),
             ..ExperimentConfig::default()
         };
-        use netuncert_core::algorithms::PureNashMethod;
         assert_eq!(
             cfg.solver_engine().methods(),
             vec![PureNashMethod::LocalSearch, PureNashMethod::Exhaustive]
         );
         assert_eq!(cfg.solver_config().restarts, cfg.restarts);
+        assert_eq!(
+            cfg.opt_engine().methods(),
+            vec![OptMethod::Descent, OptMethod::Relaxation]
+        );
+        assert_eq!(cfg.opt_config().profile_limit, cfg.profile_limit);
+        assert_eq!(cfg.opt_config().max_moves, cfg.max_steps as u64);
     }
 }

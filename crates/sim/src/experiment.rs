@@ -73,7 +73,7 @@ impl CellCtx<'_> {
     /// wired to the cell's worker pool and (when enabled) the sweep's
     /// shared cache.
     pub fn engine(&self) -> SolverEngine {
-        self.attach(self.config.solvers.engine(self.config.solver_config()))
+        self.attach(self.config.solver_engine())
     }
 
     /// Wires an arbitrary engine to the cell's worker pool and shared cache;

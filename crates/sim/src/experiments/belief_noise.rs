@@ -40,14 +40,13 @@
 //!
 //! [`BeliefModel`]: instance_gen::BeliefModel
 //! [`LocalSearch`]: netuncert_core::solvers::LocalSearch
-//! [`OptEngine`]: netuncert_core::opt::OptEngine
 //! [`OptConfig::width_goal`]: netuncert_core::opt::OptConfig
 
 use instance_gen::{BeliefKind, BeliefModelKind, CapacityDist, GameSpec, WeightDist, TRUE_STATE};
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::{BeliefProfile, Game};
 use netuncert_core::opt::exhaustive::social_optimum;
-use netuncert_core::opt::{OptConfig, OptMethod};
+use netuncert_core::opt::{OptConfig, OptEngine, OptMethod};
 use netuncert_core::social_cost::{pure_sc1, pure_sc2, ratio_bracket};
 use netuncert_core::solvers::exhaustive::profile_count;
 use netuncert_core::solvers::{SolverEngine, SolverKind};
@@ -219,10 +218,13 @@ impl Experiment for BeliefNoise {
             solver_config,
             &[SolverKind::LocalSearch],
         ));
-        let opt_engine = ctx.attach_opt(config.opt_backends.engine(OptConfig {
-            width_goal: Some(goal),
-            ..config.opt_config()
-        }));
+        let opt_engine = ctx.attach_opt(OptEngine::from_kinds(
+            OptConfig {
+                width_goal: Some(goal),
+                ..config.opt_config()
+            },
+            config.opt_backends.kinds(),
+        ));
         let exhaustive_applies = profile_count(n, m) <= config.profile_limit;
         let initial = LinkLoads::zero(m);
 
@@ -410,7 +412,8 @@ pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BeliefSelection, IntensityLadder};
+    use crate::config::IntensityLadder;
+    use netuncert_core::method_list::MethodList;
 
     fn tiny() -> ExperimentConfig {
         let mut config = ExperimentConfig::quick();
@@ -435,7 +438,7 @@ mod tests {
     #[test]
     fn the_grid_spans_the_configured_model_and_intensity_axes() {
         let mut config = tiny();
-        config.belief_models = BeliefSelection::parse("exact,partial").unwrap();
+        config.belief_models = MethodList::parse("exact,partial").unwrap();
         config.intensities = IntensityLadder::parse("0.25,2").unwrap();
         let grid = BeliefNoise.grid(&config);
         assert_eq!(grid.len(), 2 * 2 * size_grid().len());

@@ -243,7 +243,7 @@ pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptSelection;
+    use netuncert_core::method_list::MethodList;
 
     #[test]
     fn quick_run_brackets_every_size_within_the_width_goal() {
@@ -263,7 +263,7 @@ mod tests {
         // contains-the-exhaustive-optimum anchor instead of exactness.
         let mut config = ExperimentConfig::quick();
         config.samples = 2;
-        config.opt_backends = OptSelection::parse("lpt,descent,relaxation").unwrap();
+        config.opt_backends = MethodList::parse("lpt,descent,relaxation").unwrap();
         let outcome = run(&config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
     }

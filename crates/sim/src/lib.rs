@@ -29,9 +29,7 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use config::{
-    BeliefSelection, ExperimentConfig, IntensityLadder, OptSelection, SolverSelection,
-};
+pub use config::{ExperimentConfig, IntensityLadder};
 pub use experiment::{Cell, CellCtx, CellResult, Experiment};
 pub use report::{ExperimentOutcome, ReportError, Table};
 pub use runner::{render_markdown, run_all};

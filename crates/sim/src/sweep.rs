@@ -24,9 +24,12 @@ use netuncert_core::opt::OptCache;
 use netuncert_core::solvers::cache::{CacheStats, SolveCache};
 use par_exec::parallel_map;
 
-use crate::config::{
-    BeliefSelection, ExperimentConfig, IntensityLadder, OptSelection, SolverSelection,
-};
+use instance_gen::BeliefModelKind;
+use netuncert_core::method_list::MethodList;
+use netuncert_core::opt::OptBackendKind;
+use netuncert_core::solvers::SolverKind;
+
+use crate::config::{ExperimentConfig, IntensityLadder};
 use crate::experiment::{Cell, CellCtx, CellResult, Experiment};
 use crate::experiments;
 use crate::report::{ExperimentOutcome, ReportError};
@@ -655,14 +658,14 @@ pub struct ShardFile {
     pub max_steps: usize,
     /// Local-search restart budget the records were computed with.
     pub restarts: usize,
-    /// The solver selection (engine composition) the records were computed
-    /// with, as [`SolverKind::id`](netuncert_core::solvers::SolverKind::id)s.
-    pub solvers: SolverSelection,
-    /// The OPT-backend selection the records were computed with, as
-    /// [`OptBackendKind::id`](netuncert_core::opt::OptBackendKind::id)s.
-    pub opt_backends: OptSelection,
-    /// The belief-model selection spanning the `belief_noise` grid.
-    pub belief_models: BeliefSelection,
+    /// The solver list (engine composition) the records were computed with,
+    /// stamped as [`SolverKind::id`]s.
+    pub solvers: MethodList<SolverKind>,
+    /// The OPT-backend list the records were computed with, stamped as
+    /// [`OptBackendKind::id`]s.
+    pub opt_backends: MethodList<OptBackendKind>,
+    /// The belief-model list spanning the `belief_noise` grid.
+    pub belief_models: MethodList<BeliefModelKind>,
     /// The intensity ladder spanning the `belief_noise` grid.
     pub intensities: IntensityLadder,
     /// The adaptive bracket width goal the records were computed with
@@ -946,17 +949,45 @@ mod tests {
         let err = back.check_config(&other_restarts).unwrap_err();
         assert!(err.contains("restarts"), "{err}");
         let other_solvers = ExperimentConfig {
-            solvers: crate::config::SolverSelection::parse("local_search,exhaustive").unwrap(),
+            solvers: MethodList::parse("local_search,exhaustive").unwrap(),
             ..config
         };
         let err = back.check_config(&other_solvers).unwrap_err();
         assert!(err.contains("solvers"), "{err}");
         let other_opt = ExperimentConfig {
-            opt_backends: crate::config::OptSelection::parse("descent,relaxation").unwrap(),
+            opt_backends: MethodList::parse("descent,relaxation").unwrap(),
             ..config
         };
         let err = back.check_config(&other_opt).unwrap_err();
         assert!(err.contains("opt_backends"), "{err}");
+    }
+
+    /// The durable format, byte for byte: a shard file written by an
+    /// earlier build under non-default method lists, intensities, width goal
+    /// and shard still parses, re-serialises to the same bytes, and merges
+    /// under the configuration of its flags.
+    #[test]
+    fn a_recorded_shard_file_round_trips_byte_for_byte() {
+        // run_experiments --samples 1 --experiment three_users
+        //   --solvers local_search,exhaustive --opt-backends descent,relaxation
+        //   --belief-model noise,partial --intensity 0.25,2 --width-goal 1.3
+        //   --shard 1/2 --json shard_file.json
+        let recorded = include_str!("../tests/golden/shard_file.json");
+        let file = ShardFile::from_json(recorded).unwrap();
+        assert_eq!(file.to_json().unwrap(), recorded);
+        let config = ExperimentConfig {
+            samples: 1,
+            solvers: MethodList::parse("local_search,exhaustive").unwrap(),
+            opt_backends: MethodList::parse("descent,relaxation").unwrap(),
+            belief_models: MethodList::parse("noise,partial").unwrap(),
+            intensities: IntensityLadder::parse("0.25,2").unwrap(),
+            width_goal: Some(1.3),
+            ..ExperimentConfig::default()
+        };
+        file.check_config(&config).unwrap();
+        file.check_shard(Shard::new(1, 2).unwrap()).unwrap();
+        let err = file.check_config(&ExperimentConfig::default()).unwrap_err();
+        assert!(err.contains("belief_models"), "{err}");
     }
 
     #[test]

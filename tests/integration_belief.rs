@@ -4,7 +4,7 @@
 //! bit-invariance contract as E13/E14.
 
 use instance_gen::{rng, BeliefModelKind, CapacityDist, EffectiveSpec, GameSpec, WeightDist};
-use netuncert::sim::config::{BeliefSelection, IntensityLadder};
+use netuncert::sim::config::IntensityLadder;
 use netuncert::sim::sweep::SweepRunner;
 use netuncert::sim::{experiments, ExperimentConfig, Shard};
 use netuncert_core::opt::{OptConfig, OptEngine, OptMethod};
@@ -77,7 +77,7 @@ fn e15_config(threads: usize) -> ExperimentConfig {
     ExperimentConfig {
         samples: 2,
         threads,
-        belief_models: BeliefSelection::parse("noise,partial").unwrap(),
+        belief_models: MethodList::parse("noise,partial").unwrap(),
         intensities: IntensityLadder::parse("1.5").unwrap(),
         ..ExperimentConfig::quick()
     }
