@@ -60,5 +60,9 @@ fn bench_local_search(c: &mut Criterion) {
     huge.finish();
 }
 
-criterion_group!(benches, bench_local_search);
+criterion_group! {
+    name = benches;
+    config = netuncert_bench::bench_config();
+    targets = bench_local_search
+}
 criterion_main!(benches);

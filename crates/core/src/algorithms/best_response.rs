@@ -100,8 +100,11 @@ impl BestResponseDynamics {
         self.run_kernel(game, initial, BrStart::Profile(start), tol)
     }
 
-    /// Runs the dynamics from the greedy starting profile (the kernel
-    /// equivalent of [`greedy_profile`]).
+    /// Runs the dynamics from the greedy starting profile: users inserted
+    /// in index order, each on the link that currently minimises its
+    /// latency given the users already placed (the kernel's index-order
+    /// greedy start, the one [`BestResponse`](crate::solvers::engine::BestResponse)
+    /// solver uses).
     pub fn run_from_greedy(
         &self,
         game: &EffectiveGame,
@@ -140,35 +143,6 @@ impl BestResponseDynamics {
             },
         }
     }
-}
-
-/// A greedy starting profile: users are inserted in index order, each on the
-/// link that currently minimises its latency given the users already placed.
-///
-/// This divide-based builder is the reference semantics; the kernel's
-/// `greedy_into` is its multiply-by-reciprocal twin. The capacity row is
-/// borrowed once per user instead of re-indexed per link.
-pub fn greedy_profile(game: &EffectiveGame, initial: &LinkLoads) -> PureProfile {
-    let n = game.users();
-    let m = game.links();
-    let mut loads = initial.clone();
-    let mut choices = Vec::with_capacity(n);
-    for user in 0..n {
-        let w = game.weight(user);
-        let row = game.capacities().row(user);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (link, &cap) in row.iter().enumerate().take(m) {
-            let cost = (loads.load(link) + w) / cap;
-            if cost < best_cost {
-                best_cost = cost;
-                best = link;
-            }
-        }
-        choices.push(best);
-        loads.add(best, w);
-    }
-    PureProfile::new(choices)
 }
 
 #[cfg(test)]

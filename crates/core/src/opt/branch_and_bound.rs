@@ -21,9 +21,10 @@
 use crate::error::Result;
 use crate::model::EffectiveGame;
 use crate::opt::engine::{OptCheckpoint, OptConfig, OptEstimate, OptEstimator, OptMethod};
+use crate::opt::greedy::lpt_profile;
 use crate::social_cost::{pure_sc1, pure_sc2};
 use crate::solvers::engine::Applicability;
-use crate::solvers::local_search::lpt_greedy_profile;
+use crate::solvers::kernel::SoAView;
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// Which objective a search minimises.
@@ -243,7 +244,7 @@ impl OptEstimator for BranchAndBound {
         config: &OptConfig,
         check: OptCheckpoint<'_>,
     ) -> Result<OptEstimate> {
-        let seed = lpt_greedy_profile(game, initial);
+        let seed = lpt_profile(SoAView::from_game(game), initial);
         let sum = search(
             game,
             initial,
@@ -328,6 +329,48 @@ mod tests {
         let exact = social_optimum(&game, &initial, 1_000_000).unwrap();
         assert!(estimate.opt1_upper.unwrap() >= exact.opt1 - 1e-12);
         assert!(estimate.opt2_upper.unwrap() >= exact.opt2 - 1e-12);
+    }
+
+    #[test]
+    fn a_starved_search_keeps_the_lpt_seed_bits() {
+        // Ten nodes cannot reach a leaf at n = 20, so each incumbent is the
+        // LPT seed's cost; the bits were recorded before the seed moved to
+        // `opt::greedy::lpt_profile`.
+        let config = OptConfig {
+            node_limit: 10,
+            ..OptConfig::default()
+        };
+        for (seed, initial, sc1, sc2) in [
+            (
+                3u64,
+                [0.0; 4],
+                0x4062_3da0_1893_d65f_u64,
+                0x4026_0000_0000_0000_u64,
+            ),
+            (17, [0.0; 4], 0x4060_d442_1b69_43e0, 0x4023_50c3_0c30_c30c),
+            (
+                29,
+                [0.5, 0.0, 1.25, 0.0],
+                0x4060_7982_9a3f_3607,
+                0x4021_7add_127d_bd6e,
+            ),
+        ] {
+            let game = random_game(20, 4, seed);
+            let initial = LinkLoads::new(initial.to_vec()).unwrap();
+            let estimate = BranchAndBound.estimate(&game, &initial, &config).unwrap();
+            assert!(!estimate.opt1_exact && !estimate.opt2_exact);
+            assert_eq!(estimate.iterations, Some(20), "seed {seed}");
+            assert_eq!(
+                estimate.opt1_upper.map(f64::to_bits),
+                Some(sc1),
+                "seed {seed}"
+            );
+            assert_eq!(
+                estimate.opt2_upper.map(f64::to_bits),
+                Some(sc2),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

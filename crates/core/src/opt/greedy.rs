@@ -5,7 +5,10 @@
 //! [`local_search`](crate::solvers::local_search) start portfolio) is
 //! evaluated under **both** social costs, and the cheapest profile per
 //! objective certifies an upper bound — a bound witnessed by an actual
-//! assignment can never undercut the optimum. This is the cheap backend:
+//! assignment can never undercut the optimum. The portfolio is built here
+//! divide-form, the one copy that OPT bounds, the branch-and-bound seed
+//! and the goldens read; the solvers' kernel builders are the
+//! multiply-by-reciprocal copy. This is the cheap backend:
 //! the four starts cost `O(nm)` to build on the game's cached weight order
 //! (sorted once, `O(n log n)`, on first use), and each is costed in one
 //! `O(n + m)` load pass. The [`Descent`](crate::opt::descent::Descent)
@@ -20,53 +23,54 @@ use crate::solvers::engine::Applicability;
 use crate::solvers::kernel::SoAView;
 use crate::strategy::{LinkLoads, PureProfile};
 
-/// The start portfolio shared with `LocalSearch`: LPT-style greedy,
-/// index-order greedy, load-balanced, uniform spread.
-///
-/// Built on SoA rows — the decreasing-weight order comes precomputed with
-/// the view and each user's capacity row is one slice borrow — but with the
-/// **divide-based** cost of the legacy builders, so the profiles (and every
-/// opt bound derived from them) are bit-identical to the accessor-based
-/// originals.
-pub(crate) fn portfolio(view: SoAView<'_>, initial: &LinkLoads) -> Vec<PureProfile> {
-    let n = view.users;
-    let m = view.links;
-    let mut loads = vec![0.0f64; m];
-    let mut choices = vec![0usize; n];
+/// The latency-minimal link for traffic `w` under `loads` (first wins),
+/// costed divide-form: `(load + w) / c`.
+fn cheapest_link(loads: &[f64], w: f64, caps: &[f64]) -> usize {
+    let mut best = 0usize;
+    let mut best_cost = f64::INFINITY;
+    for (link, (&load, &cap)) in loads.iter().zip(caps).enumerate() {
+        let cost = (load + w) / cap;
+        if cost < best_cost {
+            best_cost = cost;
+            best = link;
+        }
+    }
+    best
+}
 
-    // LPT-style greedy: decreasing weight order, latency-minimal link.
-    loads.copy_from_slice(initial.as_slice());
+/// The LPT-style greedy start: users in decreasing weight order, each on
+/// its latency-minimal link given the users already placed. It is
+/// `portfolio`'s first start, and the incumbent branch-and-bound seeds its
+/// searches with.
+pub(crate) fn lpt_profile(view: SoAView<'_>, initial: &LinkLoads) -> PureProfile {
+    let mut loads = initial.as_slice().to_vec();
+    let mut choices = vec![0usize; view.users];
     for &user in view.order {
         let w = view.weights[user];
-        let caps = view.cap_row(user);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (link, (&load, &cap)) in loads.iter().zip(caps).enumerate() {
-            let cost = (load + w) / cap;
-            if cost < best_cost {
-                best_cost = cost;
-                best = link;
-            }
-        }
+        let best = cheapest_link(&loads, w, view.cap_row(user));
         choices[user] = best;
         loads[best] += w;
     }
-    let lpt = PureProfile::new(choices.clone());
+    PureProfile::new(choices)
+}
+
+/// The start portfolio shared with `LocalSearch`: LPT-style greedy,
+/// index-order greedy, load-balanced, uniform spread.
+///
+/// This is the divide-form copy of the portfolio (the kernel start
+/// builders in [`kernel`](crate::solvers::kernel) are the
+/// multiply-by-reciprocal one): every cost is `(load + w) / c` on the
+/// game's exact capacity bits, so the profiles — and every OPT bound and
+/// golden derived from them — keep their recorded bits.
+pub(crate) fn portfolio(view: SoAView<'_>, initial: &LinkLoads) -> Vec<PureProfile> {
+    let lpt = lpt_profile(view, initial);
+    let mut loads = initial.as_slice().to_vec();
+    let mut choices = vec![0usize; view.users];
 
     // Index-order greedy: each user on its currently cheapest link.
-    loads.copy_from_slice(initial.as_slice());
     for (user, choice) in choices.iter_mut().enumerate() {
         let w = view.weights[user];
-        let caps = view.cap_row(user);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (link, (&load, &cap)) in loads.iter().zip(caps).enumerate() {
-            let cost = (load + w) / cap;
-            if cost < best_cost {
-                best_cost = cost;
-                best = link;
-            }
-        }
+        let best = cheapest_link(&loads, w, view.cap_row(user));
         *choice = best;
         loads[best] += w;
     }
@@ -77,7 +81,7 @@ pub(crate) fn portfolio(view: SoAView<'_>, initial: &LinkLoads) -> Vec<PureProfi
     loads.copy_from_slice(initial.as_slice());
     for &user in view.order {
         let mut best = 0usize;
-        for link in 1..m {
+        for link in 1..view.links {
             if loads[link] < loads[best] {
                 best = link;
             }
@@ -89,7 +93,7 @@ pub(crate) fn portfolio(view: SoAView<'_>, initial: &LinkLoads) -> Vec<PureProfi
 
     // Uniform spread: user i → link i mod m.
     for (user, choice) in choices.iter_mut().enumerate() {
-        *choice = user % m;
+        *choice = user % view.links;
     }
     let spread = PureProfile::new(choices);
 
@@ -174,26 +178,6 @@ mod tests {
         assert!(estimate.opt2_upper.unwrap() >= exact.opt2 - 1e-12);
         assert!(!estimate.opt1_exact && !estimate.opt2_exact);
         assert!(estimate.opt1_lower.is_none());
-    }
-
-    #[test]
-    fn soa_portfolio_matches_the_legacy_builders_bit_exactly() {
-        // The SoA portfolio keeps divide-based costs precisely so that opt
-        // bounds (and the goldens derived from them) never move.
-        use crate::algorithms::best_response::greedy_profile;
-        use crate::opt::test_util::random_game;
-        use crate::solvers::local_search::{
-            load_balanced_profile, lpt_greedy_profile, spread_profile,
-        };
-        for seed in [1u64, 23, 456] {
-            let g = random_game(40, 6, seed);
-            let t = LinkLoads::zero(6);
-            let profiles = portfolio(SoAView::from_game(&g), &t);
-            assert_eq!(profiles[0], lpt_greedy_profile(&g, &t));
-            assert_eq!(profiles[1], greedy_profile(&g, &t));
-            assert_eq!(profiles[2], load_balanced_profile(&g, &t));
-            assert_eq!(profiles[3], spread_profile(&g));
-        }
     }
 
     #[test]

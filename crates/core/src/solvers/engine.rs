@@ -39,7 +39,8 @@ use crate::obs::{elapsed_ns, Counter, Histogram, Recorder};
 use crate::solvers::cache::{self, CacheStats, SolveCache};
 use crate::solvers::exhaustive;
 use crate::solvers::kernel::{
-    repair_seed, BestResponseRun, BrStart, KernelRun, KernelScratch, LocalSearchRun, SoAView,
+    repair_seed, run_to_completion, BestResponseRun, BrStart, KernelRun, KernelScratch,
+    LocalSearchRun, SoAView,
 };
 use crate::solvers::local_search::{self, LocalSearch};
 use crate::strategy::{LinkLoads, PureProfile};
@@ -113,10 +114,35 @@ pub struct SolverDetail {
     pub restarts: Option<u64>,
 }
 
+/// What a [`Solver::attempt`] hands the engine: a finished answer, or a
+/// pass-resumable kernel run the engine steps to one.
+pub enum Attempt<'a> {
+    /// The attempt is already finished — closed forms and exhaustive
+    /// enumeration, whose work is not pass-shaped.
+    Done(SolverDetail),
+    /// A kernel run over the game's rows, stepped pass by pass.
+    Run(Box<dyn KernelRun + 'a>),
+}
+
+impl Attempt<'_> {
+    /// The finished detail: a `Done` attempt as is, a `Run` stepped to
+    /// completion with `scratch` by [`run_to_completion`].
+    pub fn run_to_completion(self, scratch: &mut KernelScratch) -> SolverDetail {
+        match self {
+            Attempt::Done(detail) => detail,
+            Attempt::Run(mut run) => run_to_completion(run.as_mut(), scratch),
+        }
+    }
+}
+
 /// One pure-Nash algorithm viewed as an engine component.
 ///
-/// Implementations must be stateless (or internally synchronised): the engine
-/// shares them across worker threads during [`SolverEngine::solve_batch`].
+/// A solver has one entry, [`attempt`](Solver::attempt): a closed form
+/// answers at once, a kernel-backed heuristic returns its run and the
+/// engine's [`EngineRun`] steps it (one pass per step, so deadlines and
+/// races can interleave). Implementations must be stateless (or internally
+/// synchronised): the engine shares them across worker threads during
+/// [`SolverEngine::solve_batch`].
 pub trait Solver: Send + Sync {
     /// The method tag this solver reports in solutions and telemetry.
     fn method(&self) -> PureNashMethod;
@@ -129,47 +155,25 @@ pub trait Solver: Send + Sync {
         config: &SolverConfig,
     ) -> Applicability;
 
-    /// Runs the solver, reporting iteration telemetry alongside the solution.
+    /// Starts the solver on `game` from `initial`.
     ///
     /// Only called when [`applicability`](Solver::applicability) did not
     /// return [`Applicability::NotApplicable`].
-    fn solve_detailed(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        config: &SolverConfig,
-    ) -> Result<SolverDetail>;
-
-    /// Runs the solver, returning just the solution.
-    fn solve(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        config: &SolverConfig,
-    ) -> Result<Option<PureNashSolution>> {
-        Ok(self.solve_detailed(game, initial, config)?.solution)
-    }
-
-    /// A pass-resumable kernel run over `game`'s rows, if this solver has
-    /// one.
-    ///
-    /// The engine asks for one only when the solver classified the
-    /// instance as [`Applicability::Heuristic`], and then steps the returned
-    /// run pass by pass in its [`EngineRun`]. Stepping it to completion must
-    /// produce exactly what [`solve_detailed`](Solver::solve_detailed)
-    /// produces, which the kernel-backed solvers guarantee by implementing
-    /// `solve_detailed` as that very loop. The default (`None`) makes the
-    /// engine run `solve_detailed` inline — correct for closed-form and
-    /// exhaustive solvers whose work is not pass-shaped.
-    fn kernel_run<'a>(
+    fn attempt<'a>(
         &self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
         config: &SolverConfig,
-    ) -> Option<Box<dyn KernelRun + 'a>> {
-        let _ = (game, initial, config);
-        None
-    }
+    ) -> Result<Attempt<'a>>;
+}
+
+/// A finished attempt carrying a closed-form profile.
+fn closed_form(profile: PureProfile, method: PureNashMethod) -> Result<Attempt<'static>> {
+    Ok(Attempt::Done(SolverDetail {
+        solution: Some(PureNashSolution { profile, method }),
+        iterations: None,
+        restarts: None,
+    }))
 }
 
 fn is_zero_initial(initial: &LinkLoads) -> bool {
@@ -203,21 +207,13 @@ impl Solver for TwoLinks {
         }
     }
 
-    fn solve_detailed(
+    fn attempt<'a>(
         &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
         _config: &SolverConfig,
-    ) -> Result<SolverDetail> {
-        let profile = two_links::solve(game, initial)?;
-        Ok(SolverDetail {
-            solution: Some(PureNashSolution {
-                profile,
-                method: self.method(),
-            }),
-            iterations: None,
-            restarts: None,
-        })
+    ) -> Result<Attempt<'a>> {
+        closed_form(two_links::solve(game, initial)?, self.method())
     }
 }
 
@@ -244,21 +240,13 @@ impl Solver for Symmetric {
         }
     }
 
-    fn solve_detailed(
+    fn attempt<'a>(
         &self,
-        game: &EffectiveGame,
-        _initial: &LinkLoads,
+        game: &'a EffectiveGame,
+        _initial: &'a LinkLoads,
         config: &SolverConfig,
-    ) -> Result<SolverDetail> {
-        let profile = symmetric::solve(game, config.tol)?;
-        Ok(SolverDetail {
-            solution: Some(PureNashSolution {
-                profile,
-                method: self.method(),
-            }),
-            iterations: None,
-            restarts: None,
-        })
+    ) -> Result<Attempt<'a>> {
+        closed_form(symmetric::solve(game, config.tol)?, self.method())
     }
 }
 
@@ -284,25 +272,18 @@ impl Solver for UniformBeliefs {
         }
     }
 
-    fn solve_detailed(
+    fn attempt<'a>(
         &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
         config: &SolverConfig,
-    ) -> Result<SolverDetail> {
-        let profile = uniform::solve(game, initial, config.tol)?;
-        Ok(SolverDetail {
-            solution: Some(PureNashSolution {
-                profile,
-                method: self.method(),
-            }),
-            iterations: None,
-            restarts: None,
-        })
+    ) -> Result<Attempt<'a>> {
+        closed_form(uniform::solve(game, initial, config.tol)?, self.method())
     }
 }
 
-/// Best-response dynamics from the greedy starting profile.
+/// Best-response dynamics from the index-order greedy start, run as the
+/// kernel's [`BestResponseRun`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BestResponse;
 
@@ -320,43 +301,20 @@ impl Solver for BestResponse {
         Applicability::Heuristic
     }
 
-    fn solve_detailed(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        config: &SolverConfig,
-    ) -> Result<SolverDetail> {
-        let dynamics = BestResponseDynamics {
-            max_steps: config.max_steps,
-            rule: config.rule,
-        };
-        let outcome = dynamics.run_from_greedy(game, initial, config.tol);
-        let iterations = Some(outcome.steps() as u64);
-        let solution = outcome.converged().then(|| PureNashSolution {
-            profile: outcome.profile().clone(),
-            method: self.method(),
-        });
-        Ok(SolverDetail {
-            solution,
-            iterations,
-            restarts: None,
-        })
-    }
-
-    fn kernel_run<'a>(
+    fn attempt<'a>(
         &self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
         config: &SolverConfig,
-    ) -> Option<Box<dyn KernelRun + 'a>> {
-        Some(Box::new(BestResponseRun::new(
+    ) -> Result<Attempt<'a>> {
+        Ok(Attempt::Run(Box::new(BestResponseRun::new(
             game,
             initial,
             BrStart::Greedy,
             config.max_steps as u64,
             matches!(config.rule, SelectionRule::LargestGain),
             config.tol,
-        )))
+        ))))
     }
 }
 
@@ -383,12 +341,12 @@ impl Solver for Exhaustive {
         }
     }
 
-    fn solve_detailed(
+    fn attempt<'a>(
         &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
+        game: &'a EffectiveGame,
+        initial: &'a LinkLoads,
         config: &SolverConfig,
-    ) -> Result<SolverDetail> {
+    ) -> Result<Attempt<'a>> {
         let iterations = Some(
             exhaustive::profile_count(game.users(), game.links()).min(u64::MAX as u128) as u64,
         );
@@ -397,11 +355,11 @@ impl Solver for Exhaustive {
             profile,
             method: self.method(),
         });
-        Ok(SolverDetail {
+        Ok(Attempt::Done(SolverDetail {
             solution,
             iterations,
             restarts: None,
-        })
+        }))
     }
 }
 
@@ -857,6 +815,7 @@ impl SolverEngine {
         run.active = Some(Active {
             run: Box::new(warm_run),
             method: PureNashMethod::LocalSearch,
+            applicability: Applicability::Heuristic,
             started: Instant::now(),
         });
         let mut scratch = KernelScratch::new();
@@ -957,10 +916,11 @@ pub enum Opened<'a> {
     Run(Box<EngineRun<'a>>),
 }
 
-/// The kernel run of the (heuristic) solver currently being attempted.
+/// The kernel run of the solver currently being attempted.
 struct Active<'a> {
     run: Box<dyn KernelRun + 'a>,
     method: PureNashMethod,
+    applicability: Applicability,
     started: Instant,
 }
 
@@ -969,10 +929,11 @@ struct Active<'a> {
 /// first solution or at a conclusive no.
 ///
 /// Each [`step`](EngineRun::step) advances one unit: one kernel pass, one
-/// inline solver, or the scan to the next applicable solver. Only
-/// [`Applicability::Heuristic`] attempts ask their solver for a
-/// [`Solver::kernel_run`]; conclusive attempts run inline as one atomic
-/// unit, so a closed-form instance never derives its kernel rows. Stepping
+/// finished attempt, or the scan to the next applicable solver. Every
+/// solver starts through [`Solver::attempt`] alone: a finished
+/// [`Attempt::Done`] settles at once, as one atomic unit (a closed-form
+/// instance never derives its kernel rows), and an [`Attempt::Run`] is
+/// stepped pass by pass until it returns its detail. Stepping
 /// to completion and calling [`finish`](EngineRun::finish) is exactly
 /// [`SolverEngine::solve`]; the serve layer's combinators differ only in
 /// pacing: they check a deadline between steps or step several runs in
@@ -1036,12 +997,7 @@ impl<'a> EngineRun<'a> {
             self.passes += 1;
             if let Some(detail) = stepped {
                 let active = self.active.take().expect("an active run was just stepped");
-                self.settle(
-                    active.method,
-                    Applicability::Heuristic,
-                    active.started,
-                    detail,
-                );
+                self.settle(active.method, active.applicability, active.started, detail);
             }
             return self.outcome.is_some();
         }
@@ -1057,18 +1013,19 @@ impl<'a> EngineRun<'a> {
                 continue;
             }
             let started = Instant::now();
-            if applicability == Applicability::Heuristic {
-                if let Some(run) = solver.kernel_run(game, initial, config) {
+            match solver.attempt(game, initial, config) {
+                Ok(Attempt::Done(detail)) => {
+                    self.settle(solver.method(), applicability, started, detail)
+                }
+                Ok(Attempt::Run(run)) => {
                     self.active = Some(Active {
                         run,
                         method: solver.method(),
+                        applicability,
                         started,
                     });
                     return false;
                 }
-            }
-            match solver.solve_detailed(game, initial, config) {
-                Ok(detail) => self.settle(solver.method(), applicability, started, detail),
                 Err(e) => self.outcome = Some(Err(e)),
             }
             return self.outcome.is_some();

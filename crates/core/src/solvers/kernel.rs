@@ -17,24 +17,29 @@
 //!   reused across restarts, passes and lockstep runs, so the steady state
 //!   allocates nothing.
 //! * [`LocalSearchRun`] / [`BestResponseRun`] — pass-resumable solver state
-//!   machines. A single solve loops one run to completion; the engine's
-//!   deadlines and races step runs pass by pass. Both paths execute the
-//!   same code on the same state, so their results are bit-identical **by
-//!   construction**.
+//!   machines, and the [`Attempt::Run`](crate::solvers::engine::Attempt)
+//!   that the `LocalSearch` and `BestResponse` solvers hand the engine. A
+//!   single solve loops one run to completion; the engine's deadlines and
+//!   races step runs pass by pass. Both paths execute the same code on the
+//!   same state, so their results are bit-identical **by construction**.
+//! * The start builders — the local-search portfolio (LPT greedy,
+//!   index-order greedy, load-balanced, spread) written into a caller
+//!   buffer. They are the only multiply-by-reciprocal copy of the
+//!   portfolio; `opt::greedy` keeps the only divide-form one, because OPT
+//!   bounds (and the goldens recorded from them) must keep their bits.
 //!
 //! # Kernel contract: certification, not bit parity
 //!
 //! Multiplying by a precomputed reciprocal is not bit-equal to dividing, so
-//! kernel descent may take a different path than the legacy accessor loops
-//! near tolerance boundaries. Equivalence with the legacy solvers is
-//! therefore certified the same way the solvers themselves are: every
-//! returned profile must pass the canonical [`is_pure_nash`] predicate, and
-//! the differential [`oracle`](crate::solvers::oracle) contract (soundness,
-//! no phantom equilibria, conclusive completeness) runs against the kernels.
-//! When a kernel pass claims convergence but the canonical predicate
-//! disagrees (a reciprocal-rounding artefact), the run takes a canonical
-//! best-response move and keeps descending — exactly the safety net the
-//! pre-kernel `LocalSearch` already carried.
+//! a kernel descent may take a different path than a divide-form one near
+//! tolerance boundaries. Kernel answers are therefore certified the same
+//! way every solver's are: each returned profile must pass the canonical
+//! [`is_pure_nash`] predicate, and the differential
+//! [`oracle`](crate::solvers::oracle) contract (soundness, no phantom
+//! equilibria, conclusive completeness) runs against the kernels. When a
+//! kernel pass claims convergence but the canonical predicate disagrees (a
+//! reciprocal-rounding artefact), the run takes a canonical best-response
+//! move and keeps descending.
 
 use crate::equilibrium::{best_deviation_of, is_pure_nash};
 use crate::model::{EffectiveGame, GameEdit};
@@ -141,10 +146,10 @@ fn rebuild_loads(view: SoAView<'_>, initial: &[f64], choices: &[usize], loads: &
 // Kernel start builders
 // ---------------------------------------------------------------------------
 //
-// SoA versions of the `local_search` start portfolio, writing into a caller
-// buffer instead of allocating. Costs are evaluated multiply-by-reciprocal,
-// so at exact cost ties these can differ from the divide-based legacy
-// builders — the runs certify the final profile either way.
+// The `local_search` start portfolio, writing into a caller buffer instead
+// of allocating. Costs are evaluated multiply-by-reciprocal, so at exact
+// cost ties these can differ from the divide-form `opt::greedy` portfolio —
+// the runs certify the final profile either way.
 
 /// The latency-minimal link for traffic `w` under `loads` (first wins).
 #[inline]
@@ -842,6 +847,33 @@ mod tests {
         assert_eq!(view.inv_row(2), &[1.0 / 3.0, 1.0 / 3.0, 2.0]);
         // Decreasing weight order: w = [3, 1, 2, 5].
         assert_eq!(view.order, &[3, 0, 2, 1]);
+    }
+
+    #[test]
+    fn starts_cover_the_documented_portfolio() {
+        let game = messy_game();
+        let initial = LinkLoads::zero(3);
+        let config = SolverConfig {
+            ls_seed: 42,
+            ..SolverConfig::default()
+        };
+        let mut scratch = KernelScratch::new();
+        let mut run = LocalSearchRun::new(&game, &initial, &config);
+        let mut start = |restart: usize| {
+            run.build_start(restart, &mut scratch);
+            run.profile.clone()
+        };
+        let starts: Vec<PureProfile> = (0..7).map(&mut start).collect();
+        assert_eq!(starts[3].choices(), &[0, 1, 2, 0], "uniform spread");
+        for profile in &starts {
+            assert!(profile.validate(&game).is_ok());
+        }
+        // Perturbed restarts are deterministic in the seed.
+        assert_eq!(start(5), starts[5]);
+        assert_eq!(start(6), starts[6]);
+        let mut other = LocalSearchRun::new(&game, &initial, &config);
+        other.build_start(5, &mut scratch);
+        assert_eq!(other.profile, starts[5]);
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!   greedy (users in decreasing weight order, each on its latency-minimal
 //!   link), index-order greedy, load-balanced (least total weight,
 //!   capacity-blind), uniform spread (`user i → link i mod m`), then
-//!   seeded random perturbations of the LPT start.
+//!   seeded random perturbations of the LPT start. The kernel start
+//!   builders ([`kernel`](crate::solvers::kernel)) are the one
+//!   multiply-by-reciprocal copy of this portfolio; the OPT side builds the
+//!   same four starts divide-form in `opt::greedy`, where bounds must keep
+//!   their recorded bits.
 //! * **Annealed tie-breaking.** Early restarts begin with a randomised phase
 //!   (any strictly improving link may be chosen, ties broken by a seeded
 //!   `SplitMix64` stream); the phase length halves with every restart, so
@@ -38,9 +42,9 @@
 use crate::algorithms::PureNashMethod;
 use crate::error::Result;
 use crate::model::EffectiveGame;
-use crate::solvers::engine::{Applicability, Solver, SolverConfig, SolverDetail};
-use crate::solvers::kernel::{run_to_completion, KernelRun, KernelScratch, LocalSearchRun};
-use crate::strategy::{LinkLoads, PureProfile};
+use crate::solvers::engine::{Applicability, Attempt, Solver, SolverConfig};
+use crate::solvers::kernel::LocalSearchRun;
+use crate::strategy::LinkLoads;
 
 /// Default restart budget of [`LocalSearch`] (`SolverConfig::restarts`).
 pub const DEFAULT_RESTARTS: usize = 8;
@@ -74,95 +78,11 @@ impl SplitMix64 {
     }
 }
 
-/// LPT-style greedy start: users in decreasing weight order (ties by index),
-/// each placed on the link minimising its own expected latency given the
-/// users already placed.
-pub fn lpt_greedy_profile(game: &EffectiveGame, initial: &LinkLoads) -> PureProfile {
-    let m = game.links();
-    let mut loads = initial.clone();
-    let mut choices = vec![0usize; game.users()];
-    for &user in game.weight_order() {
-        let w = game.weight(user);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for link in 0..m {
-            let cost = (loads.load(link) + w) / game.capacity(user, link);
-            if cost < best_cost {
-                best_cost = cost;
-                best = link;
-            }
-        }
-        choices[user] = best;
-        loads.add(best, w);
-    }
-    PureProfile::new(choices)
-}
-
-/// Load-balanced start: users in decreasing weight order, each on the link
-/// with the least total weight so far (capacity-blind — deliberately a
-/// different shape from the latency-aware greedy starts).
-pub fn load_balanced_profile(game: &EffectiveGame, initial: &LinkLoads) -> PureProfile {
-    let m = game.links();
-    let mut loads: Vec<f64> = initial.as_slice().to_vec();
-    let mut choices = vec![0usize; game.users()];
-    for &user in game.weight_order() {
-        let mut best = 0usize;
-        for link in 1..m {
-            if loads[link] < loads[best] {
-                best = link;
-            }
-        }
-        choices[user] = best;
-        loads[best] += game.weight(user);
-    }
-    PureProfile::new(choices)
-}
-
-/// Uniform spread start: `user i → link i mod m`.
-pub fn spread_profile(game: &EffectiveGame) -> PureProfile {
-    let m = game.links();
-    PureProfile::new((0..game.users()).map(|i| i % m).collect())
-}
-
-/// The start profile of restart `r`: the four smart starts first, then
-/// seeded random perturbations of the LPT start (a quarter of the users
-/// reassigned uniformly at random).
-///
-/// This is the divide-based reference formulation of the portfolio the
-/// kernel start builders ([`kernel`](crate::solvers::kernel)) implement
-/// multiply-by-reciprocal; the live solver uses the kernel builders.
-#[cfg(test)]
-fn start_profile(
-    game: &EffectiveGame,
-    initial: &LinkLoads,
-    restart: usize,
-    seed: u64,
-) -> PureProfile {
-    use crate::algorithms::best_response::greedy_profile;
-    match restart {
-        0 => lpt_greedy_profile(game, initial),
-        1 => greedy_profile(game, initial),
-        2 => load_balanced_profile(game, initial),
-        3 => spread_profile(game),
-        r => {
-            let mut profile = lpt_greedy_profile(game, initial);
-            let mut rng = SplitMix64::new(seed ^ (r as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-            let n = game.users();
-            let m = game.links();
-            for _ in 0..(n / 4).max(1) {
-                let user = rng.next_below(n);
-                profile.apply_move(user, rng.next_below(m));
-            }
-            profile
-        }
-    }
-}
-
 /// The multi-restart local-search backend (see the [module docs](self)).
 ///
-/// The descent itself lives in [`LocalSearchRun`]: a pass-resumable
-/// state machine on the SoA kernel rows, shared verbatim between this
-/// single-solve path and the engine's stepped runs.
+/// Its [`attempt`](Solver::attempt) is a [`LocalSearchRun`]: the
+/// pass-resumable descent on the game's kernel rows, which the engine
+/// steps whether it solves once, under a deadline or in a race.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalSearch;
 
@@ -180,24 +100,15 @@ impl Solver for LocalSearch {
         Applicability::Heuristic
     }
 
-    fn solve_detailed(
-        &self,
-        game: &EffectiveGame,
-        initial: &LinkLoads,
-        config: &SolverConfig,
-    ) -> Result<SolverDetail> {
-        let mut scratch = KernelScratch::new();
-        let mut run = LocalSearchRun::new(game, initial, config);
-        Ok(run_to_completion(&mut run, &mut scratch))
-    }
-
-    fn kernel_run<'a>(
+    fn attempt<'a>(
         &self,
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
         config: &SolverConfig,
-    ) -> Option<Box<dyn KernelRun + 'a>> {
-        Some(Box::new(LocalSearchRun::new(game, initial, config)))
+    ) -> Result<Attempt<'a>> {
+        Ok(Attempt::Run(Box::new(LocalSearchRun::new(
+            game, initial, config,
+        ))))
     }
 }
 
@@ -205,6 +116,16 @@ impl Solver for LocalSearch {
 mod tests {
     use super::*;
     use crate::equilibrium::is_pure_nash;
+    use crate::solvers::engine::SolverDetail;
+    use crate::solvers::kernel::KernelScratch;
+
+    /// One local-search attempt, stepped to completion.
+    fn solve(game: &EffectiveGame, initial: &LinkLoads, config: &SolverConfig) -> SolverDetail {
+        LocalSearch
+            .attempt(game, initial, config)
+            .unwrap()
+            .run_to_completion(&mut KernelScratch::new())
+    }
 
     fn messy_game() -> EffectiveGame {
         EffectiveGame::from_rows(
@@ -224,9 +145,7 @@ mod tests {
         let game = messy_game();
         let initial = LinkLoads::zero(3);
         let config = SolverConfig::default();
-        let detail = LocalSearch
-            .solve_detailed(&game, &initial, &config)
-            .unwrap();
+        let detail = solve(&game, &initial, &config);
         let solution = detail.solution.expect("the instance has an equilibrium");
         assert!(is_pure_nash(&game, &solution.profile, &initial, config.tol));
         assert_eq!(solution.method, PureNashMethod::LocalSearch);
@@ -238,12 +157,8 @@ mod tests {
         let game = messy_game();
         let initial = LinkLoads::zero(3);
         let config = SolverConfig::default();
-        let a = LocalSearch
-            .solve_detailed(&game, &initial, &config)
-            .unwrap();
-        let b = LocalSearch
-            .solve_detailed(&game, &initial, &config)
-            .unwrap();
+        let a = solve(&game, &initial, &config);
+        let b = solve(&game, &initial, &config);
         assert_eq!(a, b);
     }
 
@@ -256,9 +171,7 @@ mod tests {
                 ls_seed: seed,
                 ..SolverConfig::default()
             };
-            let detail = LocalSearch
-                .solve_detailed(&game, &initial, &config)
-                .unwrap();
+            let detail = solve(&game, &initial, &config);
             let solution = detail.solution.expect("must converge on a tiny instance");
             assert!(is_pure_nash(&game, &solution.profile, &initial, config.tol));
         }
@@ -273,9 +186,7 @@ mod tests {
             restarts: 3,
             ..SolverConfig::default()
         };
-        let detail = LocalSearch
-            .solve_detailed(&game, &initial, &config)
-            .unwrap();
+        let detail = solve(&game, &initial, &config);
         // The spread start of this instance is not an equilibrium, so with a
         // ~zero budget the solver must give up (budget is clamped to one
         // move per restart so progress telemetry is still meaningful).
@@ -310,9 +221,7 @@ mod tests {
             restarts: 3,
             ..SolverConfig::default()
         };
-        let detail = LocalSearch
-            .solve_detailed(&game, &initial, &config)
-            .unwrap();
+        let detail = solve(&game, &initial, &config);
         assert!(
             detail.solution.is_none(),
             "a 1-move slice cannot settle a random n=64 instance"
@@ -326,28 +235,8 @@ mod tests {
             restarts: 100,
             ..SolverConfig::default()
         };
-        let detail = LocalSearch.solve_detailed(&game, &initial, &wide).unwrap();
+        let detail = solve(&game, &initial, &wide);
         assert!(detail.solution.is_some());
-    }
-
-    #[test]
-    fn starts_cover_the_documented_portfolio() {
-        let game = messy_game();
-        let initial = LinkLoads::zero(3);
-        let lpt = lpt_greedy_profile(&game, &initial);
-        let balanced = load_balanced_profile(&game, &initial);
-        let spread = spread_profile(&game);
-        assert_eq!(spread.choices(), &[0, 1, 2, 0]);
-        for profile in [&lpt, &balanced, &spread] {
-            assert!(profile.validate(&game).is_ok());
-        }
-        // Perturbed restarts are deterministic in the seed.
-        let a = start_profile(&game, &initial, 5, 42);
-        let b = start_profile(&game, &initial, 5, 42);
-        assert_eq!(a, b);
-        let c = start_profile(&game, &initial, 6, 42);
-        // Different restart indices perturb differently (overwhelmingly).
-        let _ = c;
     }
 
     #[test]
@@ -370,9 +259,7 @@ mod tests {
         let game = EffectiveGame::from_rows(weights, rows).unwrap();
         let initial = LinkLoads::zero(m);
         let config = SolverConfig::default();
-        let detail = LocalSearch
-            .solve_detailed(&game, &initial, &config)
-            .unwrap();
+        let detail = solve(&game, &initial, &config);
         let solution = detail.solution.expect("local search must converge");
         assert!(is_pure_nash(&game, &solution.profile, &initial, config.tol));
     }

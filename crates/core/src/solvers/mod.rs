@@ -13,7 +13,7 @@ pub mod oracle;
 
 pub use cache::{CacheStats, SolveCache};
 pub use engine::{
-    Applicability, EngineRun, EngineSolution, Opened, RepairOutcome, RepairTelemetry,
+    Applicability, Attempt, EngineRun, EngineSolution, Opened, RepairOutcome, RepairTelemetry,
     SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverDetail, SolverEngine, SolverKind,
 };
 pub use kernel::{KernelRun, KernelScratch, SoAGame, SoAView};

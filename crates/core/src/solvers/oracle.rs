@@ -37,6 +37,7 @@ use crate::error::Result;
 use crate::model::EffectiveGame;
 use crate::solvers::engine::{Applicability, Solver, SolverConfig, SolverKind};
 use crate::solvers::exhaustive;
+use crate::solvers::kernel::KernelScratch;
 use crate::strategy::LinkLoads;
 
 /// What exhaustive enumeration says about an instance.
@@ -163,7 +164,9 @@ pub fn check_solver(
     if applicability == Applicability::NotApplicable {
         return Ok(report);
     }
-    let detail = solver.solve_detailed(game, initial, config)?;
+    let detail = solver
+        .attempt(game, initial, config)?
+        .run_to_completion(&mut KernelScratch::new());
     match detail.solution {
         Some(solution) => {
             report.found = true;
@@ -230,7 +233,7 @@ pub fn check_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::engine::SolverDetail;
+    use crate::solvers::engine::{Attempt, SolverDetail};
     use crate::strategy::PureProfile;
 
     fn opposed_game() -> EffectiveGame {
@@ -282,13 +285,13 @@ mod tests {
             Applicability::Heuristic
         }
 
-        fn solve_detailed(
+        fn attempt<'a>(
             &self,
-            game: &EffectiveGame,
-            _initial: &LinkLoads,
+            game: &'a EffectiveGame,
+            _initial: &'a LinkLoads,
             _config: &SolverConfig,
-        ) -> Result<SolverDetail> {
-            Ok(SolverDetail {
+        ) -> Result<Attempt<'a>> {
+            Ok(Attempt::Done(SolverDetail {
                 solution: Some(crate::algorithms::PureNashSolution {
                     // Everyone on link 1 is not a NE of the opposed game.
                     profile: PureProfile::all_on(game.users(), 1),
@@ -296,7 +299,7 @@ mod tests {
                 }),
                 iterations: None,
                 restarts: None,
-            })
+            }))
         }
     }
 

@@ -8,26 +8,26 @@
 //! The design goals, in order:
 //!
 //! 1. **Determinism** — results must not depend on the number of worker
-//!    threads. All combinators here produce outputs indexed by task id
-//!    (reductions fold fixed index batches in order), and the experiment
-//!    layer derives per-task RNG seeds from the task id, never from the
-//!    worker.
+//!    threads. [`parallel_map`] returns outputs indexed by task id, and the
+//!    experiment layer derives per-task RNG seeds from the task id, never
+//!    from the worker. Callers that reduce fold the mapped outputs in index
+//!    order themselves.
 //! 2. **Simplicity** — a scoped fork/join pool with dynamic (atomic-counter)
 //!    work stealing covers every workload in this repository; there is no
 //!    global state and no unsafe code.
-//! 3. **Graceful degradation** — with one thread every combinator reduces to
-//!    the obvious sequential loop, which keeps tests and CI debuggable.
+//! 3. **Graceful degradation** — with one thread [`parallel_map`] is the
+//!    obvious sequential loop, which keeps tests and CI debuggable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chunk;
+mod map;
 mod pool;
-mod reduce;
 
 pub use chunk::{chunk_ranges, Chunk};
+pub use map::parallel_map;
 pub use pool::{available_parallelism, ParallelConfig};
-pub use reduce::{parallel_for_each, parallel_map, parallel_map_reduce, parallel_sum};
 
 #[cfg(test)]
 mod tests {
@@ -38,7 +38,5 @@ mod tests {
         let cfg = ParallelConfig::new(4);
         let squares = parallel_map(&cfg, 100, |i| i * i);
         assert_eq!(squares[10], 100);
-        let total: u64 = parallel_map_reduce(&cfg, 100, |i| i as u64, 0u64, |a, b| a + b);
-        assert_eq!(total, 4950);
     }
 }

@@ -7,8 +7,8 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Configuration shared by all parallel combinators: how many worker threads
-/// to use and how finely to split the work.
+/// Configuration of the [`parallel_map`](crate::parallel_map) pool: how many
+/// worker threads to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     threads: usize,
@@ -30,12 +30,6 @@ impl ParallelConfig {
         }
     }
 
-    /// A sequential configuration (one worker); useful in tests and when
-    /// debugging experiment code.
-    pub fn sequential() -> Self {
-        ParallelConfig { threads: 1 }
-    }
-
     /// Reads the worker count from the `NETUNCERT_THREADS` environment
     /// variable, falling back to the machine parallelism when unset or invalid.
     pub fn from_env() -> Self {
@@ -45,21 +39,6 @@ impl ParallelConfig {
         {
             Some(n) if n >= 1 => ParallelConfig::new(n),
             _ => ParallelConfig::default(),
-        }
-    }
-
-    /// Resolves an explicit thread-count request: `0` means "machine
-    /// default, read from the environment now" (see
-    /// [`from_env`](ParallelConfig::from_env)); any other value is used
-    /// as-is. Callers that want a stable pool size should resolve once at
-    /// configuration time and keep the result, rather than re-resolving per
-    /// batch — a mid-run environment change must not split one sweep across
-    /// different pool sizes.
-    pub fn resolve(threads: usize) -> Self {
-        if threads == 0 {
-            ParallelConfig::from_env()
-        } else {
-            ParallelConfig::new(threads)
         }
     }
 
@@ -89,16 +68,5 @@ mod tests {
     fn default_uses_machine_parallelism() {
         assert_eq!(ParallelConfig::default().threads(), available_parallelism());
         assert!(available_parallelism() >= 1);
-    }
-
-    #[test]
-    fn sequential_constructor() {
-        assert!(ParallelConfig::sequential().is_sequential());
-    }
-
-    #[test]
-    fn resolve_maps_zero_to_the_environment_default() {
-        assert_eq!(ParallelConfig::resolve(3), ParallelConfig::new(3));
-        assert!(ParallelConfig::resolve(0).threads() >= 1);
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use par_exec::{chunk_ranges, parallel_map, parallel_map_reduce, parallel_sum, ParallelConfig};
+use par_exec::{chunk_ranges, parallel_map, ParallelConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -17,26 +17,6 @@ proptest! {
         let f = |i: usize| (i as u64).wrapping_mul(salt).wrapping_add(i as u64);
         let expected: Vec<u64> = (0..total).map(f).collect();
         prop_assert_eq!(parallel_map(&config, total, f), expected);
-    }
-
-    /// `parallel_map_reduce` with an exact (integer) associative operation is
-    /// independent of the thread count.
-    #[test]
-    fn map_reduce_is_thread_count_independent(total in 0usize..2000, threads in 1usize..16) {
-        let sequential: u64 = (0..total as u64).map(|i| i * 3 + 1).sum();
-        let config = ParallelConfig::new(threads);
-        let parallel: u64 =
-            parallel_map_reduce(&config, total, |i| (i as u64) * 3 + 1, 0, |a, b| a + b);
-        prop_assert_eq!(parallel, sequential);
-    }
-
-    /// `parallel_sum` of integer-valued floats is exact and matches the
-    /// sequential sum.
-    #[test]
-    fn parallel_sum_matches_sequential(total in 0usize..1000, threads in 1usize..8) {
-        let config = ParallelConfig::new(threads);
-        let expected: f64 = (0..total).map(|i| i as f64).sum();
-        prop_assert_eq!(parallel_sum(&config, total, |i| i as f64), expected);
     }
 
     /// Chunking covers `0..total` exactly once with sizes differing by at most

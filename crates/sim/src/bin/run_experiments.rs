@@ -110,6 +110,11 @@ fn usage() -> String {
     out
 }
 
+/// A flag value that parses as an integer of at least 1.
+fn positive(value: Option<String>) -> Option<usize> {
+    value.and_then(|v| v.parse().ok()).filter(|&n| n > 0)
+}
+
 fn parse_args() -> Result<Args, String> {
     let defaults = ExperimentConfig::default();
     let mut args = Args {
@@ -136,10 +141,8 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = iter.next() {
         match flag.as_str() {
             "--samples" => {
-                args.samples = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--samples requires a positive integer")?;
+                args.samples =
+                    positive(iter.next()).ok_or("--samples requires a positive integer")?;
             }
             "--seed" => {
                 args.seed = iter
@@ -154,10 +157,8 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--threads requires an integer (0 = machine default)")?;
             }
             "--restarts" => {
-                args.restarts = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--restarts requires a positive integer")?;
+                args.restarts =
+                    positive(iter.next()).ok_or("--restarts requires a positive integer")?;
             }
             "--solvers" => {
                 let list = iter

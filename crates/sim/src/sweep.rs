@@ -487,44 +487,11 @@ impl SweepRunner {
     /// full registry can merge the output of a single-experiment run; an
     /// experiment that is only *partially* covered is an error.
     pub fn merge(&self, records: &[CellRecord]) -> Result<Vec<ExperimentOutcome>, MergeError> {
-        let mut by_experiment: Vec<Vec<&CellResult>> = vec![Vec::new(); self.experiments.len()];
-        for record in records {
-            let exp_idx = self
-                .experiments
-                .iter()
-                .position(|e| e.id() == record.result.experiment)
-                .ok_or_else(|| MergeError::UnknownExperiment(record.result.experiment.clone()))?;
-            by_experiment[exp_idx].push(&record.result);
-        }
-
+        let placed = self.validate_records(records)?;
         let mut outcomes = Vec::new();
-        for (experiment, results) in self.experiments.iter().zip(by_experiment) {
-            if results.is_empty() {
+        for (experiment, cells) in self.experiments.iter().zip(placed) {
+            if cells.is_empty() {
                 continue;
-            }
-            let grid = experiment.grid(&self.config);
-            let mut cells: Vec<Option<CellResult>> = vec![None; grid.len()];
-            for result in results {
-                if result.index >= grid.len() {
-                    return Err(MergeError::UnknownCell {
-                        experiment: experiment.id().to_string(),
-                        index: result.index,
-                    });
-                }
-                let cell = &grid[result.index];
-                if result.table != cell.table || result.label != cell.label {
-                    return Err(MergeError::MismatchedCell {
-                        experiment: experiment.id().to_string(),
-                        index: result.index,
-                    });
-                }
-                if cells[result.index].is_some() {
-                    return Err(MergeError::DuplicateCell {
-                        experiment: experiment.id().to_string(),
-                        index: result.index,
-                    });
-                }
-                cells[result.index] = Some(result.clone());
             }
             if let Some(missing) = cells.iter().position(Option::is_none) {
                 return Err(MergeError::MissingCell {
@@ -532,7 +499,7 @@ impl SweepRunner {
                     index: missing,
                 });
             }
-            let cells: Vec<CellResult> = cells.into_iter().map(Option::unwrap).collect();
+            let cells: Vec<CellResult> = cells.into_iter().flatten().cloned().collect();
             outcomes.push(
                 experiment
                     .outcome(&self.config, &cells)
@@ -592,12 +559,16 @@ impl SweepRunner {
     }
 
     /// Validates records against the experiment grids without requiring
-    /// completeness (the merge-time checks minus [`MergeError::MissingCell`]).
-    /// Grids are built once per experiment (lazily) and duplicates tracked
-    /// by dense index, so validating a wide shard file stays linear.
-    fn validate_records(&self, records: &[CellRecord]) -> Result<(), MergeError> {
+    /// completeness (the merge-time checks minus [`MergeError::MissingCell`])
+    /// and returns them placed by cell index, one slot list per experiment
+    /// (empty for an experiment without records). Grids are built once per
+    /// experiment (lazily), so validating a wide shard file stays linear.
+    fn validate_records<'r>(
+        &self,
+        records: &'r [CellRecord],
+    ) -> Result<Vec<Vec<Option<&'r CellResult>>>, MergeError> {
         let mut grids: Vec<Option<Vec<Cell>>> = vec![None; self.experiments.len()];
-        let mut seen: Vec<Vec<bool>> = vec![Vec::new(); self.experiments.len()];
+        let mut placed: Vec<Vec<Option<&CellResult>>> = vec![Vec::new(); self.experiments.len()];
         for record in records {
             let result = &record.result;
             let exp_idx = self
@@ -621,17 +592,16 @@ impl SweepRunner {
                     index: result.index,
                 });
             }
-            let seen = &mut seen[exp_idx];
-            seen.resize(grid.len(), false);
-            if seen[result.index] {
+            let slots = &mut placed[exp_idx];
+            slots.resize(grid.len(), None);
+            if slots[result.index].replace(result).is_some() {
                 return Err(MergeError::DuplicateCell {
                     experiment: result.experiment.clone(),
                     index: result.index,
                 });
             }
-            seen[result.index] = true;
         }
-        Ok(())
+        Ok(placed)
     }
 
     /// Runs the whole sweep and merges it — the single-process semantics
