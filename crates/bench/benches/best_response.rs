@@ -5,13 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use netuncert_bench::general_instance;
+use netuncert_bench::{general_instance, solve_all};
 use netuncert_core::algorithms::best_response::{BestResponseDynamics, SelectionRule};
 use netuncert_core::model::EffectiveGame;
 use netuncert_core::numeric::Tolerance;
 use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::strategy::LinkLoads;
-use par_exec::ParallelConfig;
 
 fn bench_best_response(c: &mut Criterion) {
     let tol = Tolerance::default();
@@ -76,20 +75,20 @@ fn bench_best_response(c: &mut Criterion) {
     }
     dispatcher.finish();
 
-    // The batch path: 64 general instances fanned out over the engine's
-    // worker pool. Solutions are bit-identical for every thread count; only
-    // the wall clock should move.
+    // The batch path: 64 general instances, one engine shared by a
+    // `parallel_map` pool. Solutions are bit-identical for every thread
+    // count; only the wall clock should move.
     let mut batch = c.benchmark_group("solver_engine_batch");
     batch.sample_size(10);
     let games: Vec<EffectiveGame> = (0..64)
         .map(|i| general_instance(16, 4, 1000 + i as u64))
         .collect();
+    let engine = SolverEngine::default();
     for threads in [1usize, 2, 4, 8] {
-        let engine = SolverEngine::default().with_parallelism(ParallelConfig::new(threads));
         batch.bench_with_input(
             BenchmarkId::new("solve_batch_64_n16_m4", threads),
             &threads,
-            |b, _| b.iter(|| engine.solve_batch(black_box(&games))),
+            |b, _| b.iter(|| solve_all(&engine, threads, black_box(&games))),
         );
     }
     batch.finish();

@@ -6,14 +6,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use netuncert_bench::general_instance;
+use netuncert_bench::{general_instance, solve_all};
 use netuncert_core::game_graph::{EdgeKind, GameGraph};
 use netuncert_core::model::EffectiveGame;
 use netuncert_core::numeric::Tolerance;
 use netuncert_core::potential::exact_potential_violation;
 use netuncert_core::solvers::engine::SolverEngine;
 use netuncert_core::strategy::LinkLoads;
-use par_exec::ParallelConfig;
 
 fn bench_game_graph(c: &mut Criterion) {
     let tol = Tolerance::default();
@@ -70,11 +69,10 @@ fn bench_game_graph(c: &mut Criterion) {
         .map(|i| general_instance(3, 4, 500 + i as u64))
         .collect();
     for threads in [1usize, 4] {
-        let batch_engine = SolverEngine::default().with_parallelism(ParallelConfig::new(threads));
         engine_group.bench_with_input(
             BenchmarkId::new("solve_batch_128_m4", threads),
             &threads,
-            |b, _| b.iter(|| batch_engine.solve_batch(black_box(&batch))),
+            |b, _| b.iter(|| solve_all(&engine, threads, black_box(&batch))),
         );
     }
     engine_group.finish();

@@ -12,13 +12,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use netuncert_bench::general_instance;
+use netuncert_bench::{general_instance, solve_all};
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::EffectiveGame;
 use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
 use netuncert_core::solvers::kernel::SoAView;
 use netuncert_core::strategy::LinkLoads;
-use par_exec::ParallelConfig;
 
 fn solver_engine(kind: SolverKind) -> SolverEngine {
     SolverEngine::from_kinds(SolverConfig::default(), &[kind])
@@ -66,10 +65,9 @@ fn bench_kernels(c: &mut Criterion) {
     // `solver_engine_batch` group: 64 general n=16, m=4 instances through
     // the paper-order engine (hot path: the best-response kernel).
     let games: Vec<EffectiveGame> = (0..64).map(|i| general_instance(16, 4, 1000 + i)).collect();
+    let engine = SolverEngine::paper_order(config);
     for threads in [1usize, 8] {
-        let engine =
-            SolverEngine::paper_order(config).with_parallelism(ParallelConfig::new(threads));
-        for (game, result) in games.iter().zip(engine.solve_batch(&games)) {
+        for (game, result) in games.iter().zip(solve_all(&engine, threads, &games)) {
             let solved = result.unwrap();
             let solution = solved.solution.expect("batch instances converge");
             assert!(is_pure_nash(
@@ -82,7 +80,7 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("solve_batch_64_n16_m4", threads),
             &threads,
-            |b, _| b.iter(|| engine.solve_batch(black_box(&games))),
+            |b, _| b.iter(|| solve_all(&engine, threads, black_box(&games))),
         );
     }
 

@@ -20,8 +20,16 @@ fn bench_par_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_monte_carlo_sweep");
     group.sample_size(10);
     let thread_counts: Vec<usize> = (1..=available_parallelism()).collect();
-    let sequential = SolverEngine::default().with_parallelism(ParallelConfig::new(1));
-    let expected = sequential.solve_sampled(tasks, |task| general_instance(12, 4, task));
+    let engine = SolverEngine::default();
+    // Generate-and-solve per task id, as the experiments' cells do.
+    let sample = |threads: usize| {
+        parallel_map(&ParallelConfig::new(threads), tasks, |task| {
+            let game = general_instance(12, 4, task as u64);
+            let solved = engine.solve(&game, &LinkLoads::zero(game.links()));
+            (game, solved)
+        })
+    };
+    let expected = sample(1);
     for (game, solved) in &expected {
         if let Some(solution) = &solved.as_ref().unwrap().solution {
             let initial = LinkLoads::zero(game.links());
@@ -34,9 +42,7 @@ fn bench_par_exec(c: &mut Criterion) {
         }
     }
     for &threads in &thread_counts {
-        let engine = SolverEngine::default().with_parallelism(ParallelConfig::new(threads));
-        let solved = engine.solve_sampled(tasks, |task| general_instance(12, 4, task));
-        for ((_, got), (_, want)) in solved.iter().zip(&expected) {
+        for ((_, got), (_, want)) in sample(threads).iter().zip(&expected) {
             assert_eq!(
                 got.as_ref().unwrap().solution,
                 want.as_ref().unwrap().solution,
@@ -46,11 +52,7 @@ fn bench_par_exec(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("solve_64_random_games", threads),
             &threads,
-            |b, _| {
-                b.iter(|| {
-                    engine.solve_sampled(black_box(tasks), |task| general_instance(12, 4, task))
-                })
-            },
+            |b, &threads| b.iter(|| sample(black_box(threads))),
         );
     }
     group.finish();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use netuncert_bench::general_instance;
+use netuncert_bench::{general_instance, solve_all};
 use netuncert_core::model::EffectiveGame;
 use netuncert_core::solvers::cache::SolveCache;
 use netuncert_core::solvers::engine::SolverEngine;
@@ -65,13 +65,11 @@ fn bench_solve_cache(c: &mut Criterion) {
     });
 
     for threads in [1usize, 4] {
-        let engine = SolverEngine::default()
-            .with_parallelism(par_exec::ParallelConfig::new(threads))
-            .with_cache(Arc::new(SolveCache::new()));
+        let engine = SolverEngine::default().with_cache(Arc::new(SolveCache::new()));
         group.bench_with_input(
             BenchmarkId::new("cached_solve_batch", threads),
             &threads,
-            |b, _| b.iter(|| engine.solve_batch(black_box(&games))),
+            |b, _| b.iter(|| solve_all(&engine, threads, black_box(&games))),
         );
     }
 

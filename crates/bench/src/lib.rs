@@ -13,7 +13,11 @@ use std::time::Duration;
 
 use criterion::Criterion;
 use instance_gen::{rng, CapacityDist, EffectiveSpec, WeightDist};
+use netuncert_core::error::Result;
 use netuncert_core::model::EffectiveGame;
+use netuncert_core::solvers::engine::{EngineSolution, SolverEngine};
+use netuncert_core::strategy::LinkLoads;
+use par_exec::{parallel_map, ParallelConfig};
 
 /// The Criterion configuration shared by every benchmark in the suite:
 /// shorter warm-up and measurement windows than the defaults so that the full
@@ -31,6 +35,19 @@ pub fn bench_config() -> Criterion {
         .warm_up_time(Duration::from_millis(warm_ms))
         .measurement_time(Duration::from_millis(measure_ms))
         .configure_from_args()
+}
+
+/// Solves every game from zero initial traffic with one engine shared by a
+/// `threads`-worker [`parallel_map`] — how the experiment harness fans
+/// solves out. Outputs are indexed like `games`.
+pub fn solve_all(
+    engine: &SolverEngine,
+    threads: usize,
+    games: &[EffectiveGame],
+) -> Vec<Result<EngineSolution>> {
+    parallel_map(&ParallelConfig::new(threads), games.len(), |i| {
+        engine.solve(&games[i], &LinkLoads::zero(games[i].links()))
+    })
 }
 
 /// A deterministic general instance (fully user-specific capacities).

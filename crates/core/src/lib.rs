@@ -82,11 +82,12 @@
 //! stops at the first solution or the first conclusive "no equilibrium
 //! within budget".
 //!
-//! Batch workloads use
-//! [`SolverEngine::solve_batch`](solvers::engine::SolverEngine::solve_batch)
-//! (or `solve_sampled` for generate-and-solve Monte-Carlo sweeps), which fans
-//! instances out over a deterministic `par-exec` worker pool; outputs are
-//! keyed by task id, so results are bit-identical for any worker count.
+//! The engine solves one instance per call and owns no threads. It is
+//! `Sync`, so callers with many instances fan
+//! [`SolverEngine::solve`](solvers::engine::SolverEngine::solve) out
+//! themselves: the experiment harness maps it over `par_exec::parallel_map`,
+//! which reassembles outputs by task id, so results are bit-identical for any
+//! worker count.
 //!
 //! ```
 //! use netuncert_core::prelude::*;
@@ -100,8 +101,8 @@
 //!     })
 //!     .collect::<Result<_>>()?;
 //! let engine = SolverEngine::default();
-//! for result in engine.solve_batch(&games) {
-//!     let solved = result?;
+//! for game in &games {
+//!     let solved = engine.solve(game, &LinkLoads::zero(game.links()))?;
 //!     assert_eq!(solved.method(), Some(PureNashMethod::TwoLinks));
 //! }
 //! # Ok::<(), GameError>(())

@@ -24,7 +24,6 @@ use crate::opt::engine::{OptCheckpoint, OptConfig, OptEstimate, OptEstimator, Op
 use crate::opt::greedy::lpt_profile;
 use crate::social_cost::{pure_sc1, pure_sc2};
 use crate::solvers::engine::Applicability;
-use crate::solvers::kernel::SoAView;
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// Which objective a search minimises.
@@ -244,7 +243,7 @@ impl OptEstimator for BranchAndBound {
         config: &OptConfig,
         check: OptCheckpoint<'_>,
     ) -> Result<OptEstimate> {
-        let seed = lpt_profile(SoAView::from_game(game), initial);
+        let seed = lpt_profile(game, initial);
         let sum = search(
             game,
             initial,

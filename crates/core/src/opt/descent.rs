@@ -326,7 +326,7 @@ impl OptEstimator for Descent {
         // The game's rows and one scratch serve every restart and pass.
         let view = SoAView::from_game(game);
         let mut scratch = DescentScratch::default();
-        let portfolio = greedy::portfolio(view, initial);
+        let portfolio = greedy::portfolio(game, initial);
         let mut upper1 = f64::INFINITY;
         let mut upper2 = f64::INFINITY;
         let mut total_moves = 0u64;

@@ -6,9 +6,10 @@
 //! evaluated under **both** social costs, and the cheapest profile per
 //! objective certifies an upper bound — a bound witnessed by an actual
 //! assignment can never undercut the optimum. The portfolio is built here
-//! divide-form, the one copy that OPT bounds, the branch-and-bound seed
-//! and the goldens read; the solvers' kernel builders are the
-//! multiply-by-reciprocal copy. This is the cheap backend:
+//! divide-form, the one copy that OPT bounds, the branch-and-bound seed,
+//! the KP baseline's LPT assignment and the goldens read; it reads the
+//! game's capacity rows, never the kernels' reciprocal rows. The solvers'
+//! kernel builders are the multiply-by-reciprocal copy. This is the cheap backend:
 //! the four starts cost `O(nm)` to build on the game's cached weight order
 //! (sorted once, `O(n log n)`, on first use), and each is costed in one
 //! `O(n + m)` load pass. The [`Descent`](crate::opt::descent::Descent)
@@ -20,7 +21,6 @@ use crate::model::EffectiveGame;
 use crate::opt::engine::{OptCheckpoint, OptConfig, OptEstimate, OptEstimator, OptMethod};
 use crate::social_cost::{pure_sc1, pure_sc2};
 use crate::solvers::engine::Applicability;
-use crate::solvers::kernel::SoAView;
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// The latency-minimal link for traffic `w` under `loads` (first wins),
@@ -38,16 +38,21 @@ fn cheapest_link(loads: &[f64], w: f64, caps: &[f64]) -> usize {
     best
 }
 
-/// The LPT-style greedy start: users in decreasing weight order, each on
-/// its latency-minimal link given the users already placed. It is
-/// `portfolio`'s first start, and the incumbent branch-and-bound seeds its
-/// searches with.
-pub(crate) fn lpt_profile(view: SoAView<'_>, initial: &LinkLoads) -> PureProfile {
+/// The LPT-style greedy start: users in decreasing weight order (ties by
+/// index), each on its latency-minimal link given `initial` plus the users
+/// already placed. It is `portfolio`'s first start, the incumbent
+/// branch-and-bound seeds its searches with, and — on a complete-information
+/// game from zero traffic — the KP baseline's greedy/LPT Nashification.
+///
+/// Reads only the game's capacity rows and weight order, so it never
+/// derives the kernels' reciprocal rows.
+pub fn lpt_profile(game: &EffectiveGame, initial: &LinkLoads) -> PureProfile {
+    let caps = game.capacities();
     let mut loads = initial.as_slice().to_vec();
-    let mut choices = vec![0usize; view.users];
-    for &user in view.order {
-        let w = view.weights[user];
-        let best = cheapest_link(&loads, w, view.cap_row(user));
+    let mut choices = vec![0usize; game.users()];
+    for &user in game.weight_order() {
+        let w = game.weight(user);
+        let best = cheapest_link(&loads, w, caps.row(user));
         choices[user] = best;
         loads[best] += w;
     }
@@ -62,15 +67,16 @@ pub(crate) fn lpt_profile(view: SoAView<'_>, initial: &LinkLoads) -> PureProfile
 /// multiply-by-reciprocal one): every cost is `(load + w) / c` on the
 /// game's exact capacity bits, so the profiles — and every OPT bound and
 /// golden derived from them — keep their recorded bits.
-pub(crate) fn portfolio(view: SoAView<'_>, initial: &LinkLoads) -> Vec<PureProfile> {
-    let lpt = lpt_profile(view, initial);
+pub(crate) fn portfolio(game: &EffectiveGame, initial: &LinkLoads) -> Vec<PureProfile> {
+    let lpt = lpt_profile(game, initial);
+    let (caps, weights, links) = (game.capacities(), game.weights(), game.links());
     let mut loads = initial.as_slice().to_vec();
-    let mut choices = vec![0usize; view.users];
+    let mut choices = vec![0usize; game.users()];
 
     // Index-order greedy: each user on its currently cheapest link.
     for (user, choice) in choices.iter_mut().enumerate() {
-        let w = view.weights[user];
-        let best = cheapest_link(&loads, w, view.cap_row(user));
+        let w = weights[user];
+        let best = cheapest_link(&loads, w, caps.row(user));
         *choice = best;
         loads[best] += w;
     }
@@ -79,21 +85,21 @@ pub(crate) fn portfolio(view: SoAView<'_>, initial: &LinkLoads) -> Vec<PureProfi
     // Load-balanced: decreasing weight order, least total weight so far
     // (capacity-blind — deliberately a different shape).
     loads.copy_from_slice(initial.as_slice());
-    for &user in view.order {
+    for &user in game.weight_order() {
         let mut best = 0usize;
-        for link in 1..view.links {
+        for link in 1..links {
             if loads[link] < loads[best] {
                 best = link;
             }
         }
         choices[user] = best;
-        loads[best] += view.weights[user];
+        loads[best] += weights[user];
     }
     let balanced = PureProfile::new(choices.clone());
 
     // Uniform spread: user i → link i mod m.
     for (user, choice) in choices.iter_mut().enumerate() {
-        *choice = user % view.links;
+        *choice = user % links;
     }
     let spread = PureProfile::new(choices);
 
@@ -144,7 +150,7 @@ impl OptEstimator for LptGreedy {
         _config: &OptConfig,
         _check: OptCheckpoint<'_>,
     ) -> Result<OptEstimate> {
-        let profiles = portfolio(SoAView::from_game(game), initial);
+        let profiles = portfolio(game, initial);
         let (upper1, upper2) = cheapest_costs(game, initial, &profiles);
         Ok(OptEstimate {
             opt1_upper: Some(upper1),
@@ -181,10 +187,27 @@ mod tests {
     }
 
     #[test]
+    fn cold_greedy_bounds_never_derive_kernel_rows() {
+        use crate::opt::branch_and_bound::BranchAndBound;
+        use crate::opt::test_util::random_game;
+        let t = LinkLoads::zero(8);
+        let config = OptConfig {
+            node_limit: 64,
+            ..OptConfig::default()
+        };
+        let estimators: [&dyn OptEstimator; 2] = [&LptGreedy, &BranchAndBound];
+        for estimator in estimators {
+            let g = random_game(64, 8, 5);
+            estimator.estimate(&g, &t, &config).unwrap();
+            assert!(!g.has_kernel_rows(), "{:?}", estimator.method());
+        }
+    }
+
+    #[test]
     fn the_portfolio_evaluates_every_start() {
         let g = mild_game();
         let t = LinkLoads::zero(2);
-        let profiles = portfolio(SoAView::from_game(&g), &t);
+        let profiles = portfolio(&g, &t);
         assert_eq!(profiles.len(), 4);
         let (best1, best2) = cheapest_costs(&g, &t, &profiles);
         for p in &profiles {

@@ -41,6 +41,7 @@ pub use engine::{
     OptEstimator, OptMethod, OptOpened, OptOutcome, OptRun, OptTelemetry, OptWalk,
 };
 pub use exhaustive::{social_optimum, SocialOptimum};
+pub use greedy::lpt_profile;
 
 #[cfg(test)]
 pub(crate) mod test_util {

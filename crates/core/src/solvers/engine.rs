@@ -1,4 +1,4 @@
-//! The unified, parallel solver engine.
+//! The unified solver engine: one instance per solve.
 //!
 //! Each pure-Nash algorithm is a [`Solver`] that reports its own
 //! [`Applicability`] to an instance, and a [`SolverEngine`] walks an ordered
@@ -9,25 +9,23 @@
 //! The walk exists once, as the pass-resumable [`EngineRun`]: skip solvers
 //! that are not applicable, stop at the first solution or at a conclusive
 //! no. Every entry point composes it. [`SolverEngine::solve`] steps one run
-//! to completion, [`SolverEngine::solve_batch`] fans solves out over a
-//! worker pool, [`SolverEngine::repair_in_place`] steps a run seeded with a
-//! warm local-search descent on a game it edits in place, and out-of-crate
+//! to completion, [`SolverEngine::repair_in_place`] steps a run seeded with
+//! a warm local-search descent on a game it edits in place, and out-of-crate
 //! frontends (the serve layer's deadlines and races) step runs from
 //! [`SolverEngine::open`] themselves. A run is opened by a warm-tier lookup
 //! and writes the warm tier only when it finishes.
 //!
-//! Batches fan chunks out over [`par_exec::parallel_map`]; because every
-//! solver is deterministic and `parallel_map` reassembles outputs by task
-//! id, batch results are **bit-identical for any worker count**. Wall-clock
-//! telemetry is, of course, not deterministic — determinism claims apply to
-//! the returned solutions.
+//! The engine owns no threads. Callers that solve many instances fan
+//! [`SolverEngine::solve`] out themselves (the experiment harness maps it
+//! over `par_exec::parallel_map`); the engine is `Sync` and every solver is
+//! deterministic, so results do not depend on how callers schedule solves.
+//! Wall-clock telemetry is, of course, not deterministic — determinism
+//! claims apply to the returned solutions.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-
-use par_exec::{chunk_ranges, parallel_map, ParallelConfig};
 
 use crate::algorithms::best_response::{BestResponseDynamics, SelectionRule};
 use crate::algorithms::{symmetric, two_links, uniform, PureNashMethod, PureNashSolution};
@@ -141,8 +139,8 @@ impl Attempt<'_> {
 /// answers at once, a kernel-backed heuristic returns its run and the
 /// engine's [`EngineRun`] steps it (one pass per step, so deadlines and
 /// races can interleave). Implementations must be stateless (or internally
-/// synchronised): the engine shares them across worker threads during
-/// [`SolverEngine::solve_batch`].
+/// synchronised): one engine may serve [`SolverEngine::solve`] calls from
+/// many threads at once.
 pub trait Solver: Send + Sync {
     /// The method tag this solver reports in solutions and telemetry.
     fn method(&self) -> PureNashMethod;
@@ -179,11 +177,6 @@ fn closed_form(profile: PureProfile, method: PureNashMethod) -> Result<Attempt<'
 fn is_zero_initial(initial: &LinkLoads) -> bool {
     initial.as_slice().iter().all(|&t| t == 0.0)
 }
-
-/// Instances per batch chunk, one worker task each. Fixed (never derived
-/// from the worker count), so chunk boundaries — and therefore batch
-/// results — are identical for any parallelism.
-const BATCH_CHUNK: usize = 16;
 
 /// `Atwolinks` (Figure 1): any weights, exactly two links.
 #[derive(Debug, Clone, Copy, Default)]
@@ -525,15 +518,10 @@ pub struct RepairOutcome {
     pub repair: RepairTelemetry,
 }
 
-/// An ordered list of [`Solver`]s run under shared budgets, with batch-solving
-/// over a [`par_exec`] worker pool.
+/// An ordered list of [`Solver`]s run under shared budgets.
 pub struct SolverEngine {
     solvers: Vec<Box<dyn Solver>>,
     config: SolverConfig,
-    /// Worker pool for the batch methods; `None` defers to
-    /// `ParallelConfig::from_env()` at batch time, keeping single-solve
-    /// construction free of environment probes.
-    parallel: Option<ParallelConfig>,
     /// Opt-in memoisation layer ([`SolverEngine::with_cache`]); `None` keeps
     /// the engine's historical uncached behaviour.
     cache: Option<Arc<SolveCache>>,
@@ -604,7 +592,6 @@ impl SolverEngine {
         SolverEngine {
             solvers,
             config,
-            parallel: None,
             cache: None,
             recorder: Recorder::disabled(),
             probes: None,
@@ -623,16 +610,8 @@ impl SolverEngine {
         self
     }
 
-    /// Replaces the worker-pool configuration used by the batch methods
-    /// (which otherwise read `ParallelConfig::from_env()` when first needed).
-    #[must_use]
-    pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
     /// Attaches a content-addressed [`SolveCache`] in front of
-    /// [`solve`](SolverEngine::solve) (and therefore the batch methods too).
+    /// [`solve`](SolverEngine::solve).
     ///
     /// Cache keys embed the engine's method list, its budgets and the full
     /// bit pattern of each instance, so hits return exactly what the cold
@@ -652,11 +631,6 @@ impl SolverEngine {
     /// Hit/miss counters of the attached cache, if any.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// The worker pool the batch methods will use.
-    fn pool(&self) -> ParallelConfig {
-        self.parallel.unwrap_or_else(ParallelConfig::from_env)
     }
 
     /// The shared budgets.
@@ -842,69 +816,6 @@ impl SolverEngine {
             }
         }
         Ok((solution, repair))
-    }
-
-    /// Solves every game in `games` (each from zero initial traffic) over the
-    /// engine's worker pool.
-    ///
-    /// Outputs are indexed like `games`. Instances are split into
-    /// fixed-size chunks, one worker task each, and every instance is
-    /// solved by [`solve`](SolverEngine::solve) over its own game's kernel
-    /// rows. Chunk boundaries depend only on the batch length and every
-    /// solve is deterministic, so solutions are **bit-identical for any
-    /// worker count** — and to solving each instance sequentially.
-    pub fn solve_batch(&self, games: &[EffectiveGame]) -> Vec<Result<EngineSolution>> {
-        let zeros: Vec<LinkLoads> = games.iter().map(|g| LinkLoads::zero(g.links())).collect();
-        let items: Vec<(&EffectiveGame, &LinkLoads)> = games.iter().zip(&zeros).collect();
-        self.solve_batch_items(&items)
-    }
-
-    /// Solves every `(game, initial)` pair over the engine's worker pool, with
-    /// the same determinism guarantee as [`solve_batch`](SolverEngine::solve_batch).
-    pub fn solve_batch_with_initial(
-        &self,
-        items: &[(EffectiveGame, LinkLoads)],
-    ) -> Vec<Result<EngineSolution>> {
-        let refs: Vec<(&EffectiveGame, &LinkLoads)> = items.iter().map(|(g, i)| (g, i)).collect();
-        self.solve_batch_items(&refs)
-    }
-
-    /// The shared batch path: fixed-size chunks fanned out over the pool,
-    /// each chunk solved in order.
-    fn solve_batch_items(
-        &self,
-        items: &[(&EffectiveGame, &LinkLoads)],
-    ) -> Vec<Result<EngineSolution>> {
-        let chunks = chunk_ranges(items.len(), items.len().div_ceil(BATCH_CHUNK));
-        let solved = parallel_map(&self.pool(), chunks.len(), |c| {
-            items[chunks[c].indices()]
-                .iter()
-                .map(|&(game, initial)| self.solve(game, initial))
-                .collect::<Vec<_>>()
-        });
-        solved.into_iter().flatten().collect()
-    }
-
-    /// Generates and solves `count` instances, building each from its task id
-    /// (from zero initial traffic).
-    ///
-    /// This is the deterministic Monte-Carlo workhorse: callers derive a
-    /// per-task RNG from the task id (e.g. `instance_gen::rng(seed, task)`),
-    /// so the sampled games — and therefore the solutions — do not depend on
-    /// the worker count or scheduling.
-    pub fn solve_sampled<G>(
-        &self,
-        count: usize,
-        make: G,
-    ) -> Vec<(EffectiveGame, Result<EngineSolution>)>
-    where
-        G: Fn(u64) -> EffectiveGame + Sync,
-    {
-        parallel_map(&self.pool(), count, |task| {
-            let game = make(task as u64);
-            let result = self.solve(&game, &LinkLoads::zero(game.links()));
-            (game, result)
-        })
     }
 }
 
@@ -1432,31 +1343,5 @@ mod tests {
         };
         assert_eq!(histogram_count("engine.repair_ns"), 1);
         assert_eq!(histogram_count("repair.moves"), 1);
-    }
-
-    #[test]
-    fn batch_outputs_are_indexed_like_the_input() {
-        let engine = SolverEngine::default().with_parallelism(ParallelConfig::new(4));
-        let games: Vec<EffectiveGame> = (0..16)
-            .map(|i| {
-                EffectiveGame::from_rows(
-                    vec![1.0 + i as f64, 2.0],
-                    vec![vec![1.0, 2.0], vec![2.0, 1.0]],
-                )
-                .unwrap()
-            })
-            .collect();
-        let results = engine.solve_batch(&games);
-        assert_eq!(results.len(), games.len());
-        for (game, result) in games.iter().zip(&results) {
-            let solution = result.as_ref().unwrap().solution.as_ref().unwrap();
-            assert_eq!(solution.method, PureNashMethod::TwoLinks);
-            assert!(is_pure_nash(
-                game,
-                &solution.profile,
-                &LinkLoads::zero(2),
-                Tolerance::default()
-            ));
-        }
     }
 }

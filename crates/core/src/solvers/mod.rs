@@ -1,6 +1,6 @@
 //! Equilibrium solvers: the exhaustive reference solver, the multi-restart
 //! [`local_search`] backend for huge games, the structure-of-arrays
-//! [`kernel`] layer their hot paths run on, the unified, parallel [`engine`]
+//! [`kernel`] layer their hot paths run on, the unified [`engine`]
 //! that orchestrates every pure-NE algorithm in the crate, and the
 //! differential-testing [`oracle`] every backend is certified against.
 

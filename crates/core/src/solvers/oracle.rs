@@ -23,8 +23,8 @@
 //! contract for every built-in backend on one instance and returns the
 //! violations; a clean instance yields an empty list. Thread-count and
 //! shard invariance — the other half of the certification story — are
-//! engine-level properties proven by `solve_batch`'s task-id reassembly and
-//! tested alongside this harness.
+//! properties of the callers that fan solves out (the harness's
+//! `parallel_map` reassembles by task id) and are tested alongside them.
 //!
 //! [`LocalSearch`]: crate::solvers::local_search::LocalSearch
 //! [`BestResponse`]: super::engine::BestResponse

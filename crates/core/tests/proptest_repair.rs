@@ -2,9 +2,7 @@
 //! equilibrium across a [`GameEdit`] with [`SolverEngine::repair`] must
 //! land on a profile the canonical checker certifies on the *edited* game,
 //! with a social cost that is independent of how the edited game was
-//! reconstructed, and the whole chain must be bit-identical regardless of
-//! the engine's configured parallelism (repair never consults the pool,
-//! and the fallback's batch machinery reassembles by task id).
+//! reconstructed.
 
 use proptest::prelude::*;
 
@@ -14,7 +12,6 @@ use netuncert_core::numeric::Tolerance;
 use netuncert_core::social_cost::pure_sc1;
 use netuncert_core::solvers::{SolverEngine, SolverKind};
 use netuncert_core::strategy::LinkLoads;
-use par_exec::ParallelConfig;
 
 fn weight() -> impl Strategy<Value = f64> {
     0.1f64..5.0
@@ -84,12 +81,11 @@ fn materialize(game: &EffectiveGame, raw: &RawEdit) -> GameEdit {
     }
 }
 
-fn repair_engine(threads: usize) -> SolverEngine {
+fn repair_engine() -> SolverEngine {
     SolverEngine::from_kinds(
         Default::default(),
         &[SolverKind::LocalSearch, SolverKind::Exhaustive],
     )
-    .with_parallelism(ParallelConfig::new(threads))
 }
 
 proptest! {
@@ -103,11 +99,9 @@ proptest! {
     /// 2. its social cost is identical whether measured on the repair
     ///    outcome's game or on an independently re-applied edit;
     /// 3. a from-scratch solve of the same edited game also certifies —
-    ///    repair never keeps a session alive that a cold path would lose;
-    /// 4. the whole repaired chain is bit-identical across engines
-    ///    configured with 1, 3, and 8 worker threads.
+    ///    repair never keeps a session alive that a cold path would lose.
     #[test]
-    fn repair_certifies_and_is_thread_invariant(
+    fn repair_certifies_along_edit_chains(
         // Sizes stay within the exhaustive budget even if every edit is a
         // join (6 + 3 users on 4 links is 4^9 profiles), so the conclusive
         // backend is always applicable and `solution` is always `Some`.
@@ -116,55 +110,42 @@ proptest! {
     ) {
         let tol = Tolerance::default();
         let initial = LinkLoads::zero(game.links());
-        let engines: Vec<SolverEngine> = [1, 3, 8].into_iter().map(repair_engine).collect();
-
-        let base = engines[0]
+        let engine = repair_engine();
+        let base = engine
             .solve(&game, &initial)
             .expect("portfolio with Exhaustive never errors")
             .solution
             .expect("Exhaustive is conclusive on tiny games");
         prop_assert!(is_pure_nash(&game, &base.profile, &initial, tol));
 
-        // One chain per engine, all seeded identically; the lanes must
-        // never diverge.
-        let mut chains: Vec<_> = engines
-            .iter()
-            .map(|_| (game.clone(), base.profile.clone()))
-            .collect();
+        let (mut game, mut profile) = (game, base.profile);
         for raw in &raws {
-            let edit = materialize(&chains[0].0, raw);
-            let mut lane_profiles = Vec::new();
-            for (engine, (lane_game, lane_profile)) in engines.iter().zip(chains.iter_mut()) {
-                let outcome = engine
-                    .repair(lane_game, &initial, lane_profile, &edit)
-                    .expect("materialized edits are structurally valid");
-                let repaired = outcome
-                    .solution
-                    .solution
-                    .expect("the cold fallback ends at Exhaustive, which is conclusive");
-                let initial = LinkLoads::zero(outcome.game.links());
-                // (1) certified on the edited game.
-                prop_assert!(is_pure_nash(&outcome.game, &repaired.profile, &initial, tol));
-                // (2) the social cost does not depend on which copy of the
-                // edited game measures it.
-                let independent = lane_game.apply_edit(&edit).expect("same edit, same game");
-                let sc_outcome = pure_sc1(&outcome.game, &repaired.profile, &initial);
-                let sc_independent = pure_sc1(&independent, &repaired.profile, &initial);
-                prop_assert_eq!(sc_outcome.to_bits(), sc_independent.to_bits());
-                // (3) from-scratch certification succeeds on the same game.
-                let cold = engine
-                    .solve(&outcome.game, &initial)
-                    .expect("portfolio with Exhaustive never errors")
-                    .solution
-                    .expect("Exhaustive is conclusive on tiny games");
-                prop_assert!(is_pure_nash(&outcome.game, &cold.profile, &initial, tol));
-                *lane_game = outcome.game;
-                *lane_profile = repaired.profile;
-                lane_profiles.push(lane_profile.clone());
-            }
-            // (4) parallelism changed nothing, bit for bit.
-            prop_assert_eq!(lane_profiles[0].choices(), lane_profiles[1].choices());
-            prop_assert_eq!(lane_profiles[0].choices(), lane_profiles[2].choices());
+            let edit = materialize(&game, raw);
+            let outcome = engine
+                .repair(&game, &initial, &profile, &edit)
+                .expect("materialized edits are structurally valid");
+            let repaired = outcome
+                .solution
+                .solution
+                .expect("the cold fallback ends at Exhaustive, which is conclusive");
+            let initial = LinkLoads::zero(outcome.game.links());
+            // (1) certified on the edited game.
+            prop_assert!(is_pure_nash(&outcome.game, &repaired.profile, &initial, tol));
+            // (2) the social cost does not depend on which copy of the
+            // edited game measures it.
+            let independent = game.apply_edit(&edit).expect("same edit, same game");
+            let sc_outcome = pure_sc1(&outcome.game, &repaired.profile, &initial);
+            let sc_independent = pure_sc1(&independent, &repaired.profile, &initial);
+            prop_assert_eq!(sc_outcome.to_bits(), sc_independent.to_bits());
+            // (3) from-scratch certification succeeds on the same game.
+            let cold = engine
+                .solve(&outcome.game, &initial)
+                .expect("portfolio with Exhaustive never errors")
+                .solution
+                .expect("Exhaustive is conclusive on tiny games");
+            prop_assert!(is_pure_nash(&outcome.game, &cold.profile, &initial, tol));
+            game = outcome.game;
+            profile = repaired.profile;
         }
     }
 
@@ -176,7 +157,7 @@ proptest! {
     ) {
         let tol = Tolerance::default();
         let initial = LinkLoads::zero(game.links());
-        let engine = repair_engine(1);
+        let engine = repair_engine();
         let base = engine
             .solve(&game, &initial)
             .expect("portfolio with Exhaustive never errors")

@@ -8,39 +8,16 @@
 
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::numeric::Tolerance;
+use netuncert_core::opt::lpt_profile;
 use netuncert_core::strategy::{LinkLoads, PureProfile};
 
 use crate::game::KpGame;
 
 /// Runs greedy/LPT and returns the resulting pure profile (a Nash equilibrium
-/// of the KP game).
+/// of the KP game): core's [`lpt_profile`] on the game's effective form, from
+/// zero initial traffic.
 pub fn lpt_assignment(game: &KpGame) -> PureProfile {
-    let n = game.users();
-    let m = game.links();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        game.weight(b)
-            .partial_cmp(&game.weight(a))
-            .expect("finite weights")
-            .then(a.cmp(&b))
-    });
-    let mut loads = vec![0.0f64; m];
-    let mut assignment = vec![0usize; n];
-    for &user in &order {
-        let w = game.weight(user);
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (link, &load) in loads.iter().enumerate() {
-            let cost = (load + w) / game.capacity(link);
-            if cost < best_cost {
-                best_cost = cost;
-                best = link;
-            }
-        }
-        assignment[user] = best;
-        loads[best] += w;
-    }
-    PureProfile::new(assignment)
+    lpt_profile(&game.to_effective_game(), &LinkLoads::zero(game.links()))
 }
 
 /// Nashifies an arbitrary profile by best-response moves (largest-weight user

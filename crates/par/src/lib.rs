@@ -1,9 +1,10 @@
 //! # par-exec
 //!
 //! A small, dependency-free parallel execution substrate built on
-//! [`std::thread::scope`], used by the solver engine, the simulation harness
-//! and the benchmark suite to fan batch solves and Monte-Carlo experiments
-//! out over CPU cores.
+//! [`std::thread::scope`], used by the simulation harness and the benchmark
+//! suite to fan independent solves and Monte-Carlo experiment cells out over
+//! CPU cores. The solver engine itself owns no threads: its callers map
+//! `SolverEngine::solve` over [`parallel_map`].
 //!
 //! The design goals, in order:
 //!
@@ -21,11 +22,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chunk;
 mod map;
 mod pool;
 
-pub use chunk::{chunk_ranges, Chunk};
 pub use map::parallel_map;
 pub use pool::{available_parallelism, ParallelConfig};
 

@@ -230,12 +230,10 @@ impl ExperimentConfig {
         }
     }
 
-    /// A [`SolverEngine`] over this configuration's solver selection,
-    /// budgets and worker pool; experiments route all generic equilibrium
-    /// solving through it.
+    /// A [`SolverEngine`] over this configuration's solver selection and
+    /// budgets; experiments route all generic equilibrium solving through it.
     pub fn solver_engine(&self) -> SolverEngine {
         SolverEngine::from_kinds(self.solver_config(), self.solvers.kinds())
-            .with_parallelism(self.parallel())
     }
 
     /// The OPT-estimator budgets implied by this configuration: the shared

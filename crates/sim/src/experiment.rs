@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use netuncert_core::opt::{OptCache, OptEngine};
 use netuncert_core::solvers::cache::SolveCache;
 use netuncert_core::solvers::engine::SolverEngine;
-use par_exec::{parallel_map, ParallelConfig};
+use par_exec::ParallelConfig;
 
 use crate::config::ExperimentConfig;
 use crate::report::{ExperimentOutcome, ReportError, Table};
@@ -70,16 +70,14 @@ pub struct CellCtx<'a> {
 impl CellCtx<'_> {
     /// The engine for this cell — the configuration's solver selection
     /// (paper order unless overridden, e.g. by `run_experiments --solvers`)
-    /// wired to the cell's worker pool and (when enabled) the sweep's
-    /// shared cache.
+    /// wired to the sweep's shared cache when enabled.
     pub fn engine(&self) -> SolverEngine {
         self.attach(self.config.solver_engine())
     }
 
-    /// Wires an arbitrary engine to the cell's worker pool and shared cache;
-    /// used by experiments that need a custom solver list.
+    /// Wires an arbitrary engine to the sweep's shared cache; used by
+    /// experiments that need a custom solver list.
     pub fn attach(&self, engine: SolverEngine) -> SolverEngine {
-        let engine = engine.with_parallelism(self.parallel);
         match self.cache {
             Some(cache) => engine.with_cache(Arc::clone(cache)),
             None => engine,
@@ -224,28 +222,6 @@ pub fn tables_from_cells(
 /// invariant); only wall-clock does.
 pub fn inner_parallelism(pool: ParallelConfig, cells: usize) -> ParallelConfig {
     ParallelConfig::new(pool.threads().div_ceil(cells.max(1)))
-}
-
-/// Runs one experiment in-process: every grid cell over the configuration's
-/// worker pool, then the outcome assembly — the single-process semantics the
-/// sharded sweep is proven against.
-pub fn run_experiment(
-    experiment: &dyn Experiment,
-    config: &ExperimentConfig,
-) -> Result<ExperimentOutcome, ReportError> {
-    let grid = experiment.grid(config);
-    let inner = inner_parallelism(config.parallel(), grid.len());
-    let cells = parallel_map(&config.parallel(), grid.len(), |i| {
-        let ctx = CellCtx {
-            config,
-            cell: &grid[i],
-            parallel: inner,
-            cache: None,
-            opt_cache: None,
-        };
-        experiment.run_cell(&ctx)
-    });
-    experiment.outcome(config, &cells)
 }
 
 #[cfg(test)]

@@ -404,15 +404,11 @@ impl Experiment for BeliefNoise {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&BeliefNoise, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::IntensityLadder;
+    use crate::experiments::run_one;
     use netuncert_core::method_list::MethodList;
 
     fn tiny() -> ExperimentConfig {
@@ -423,7 +419,7 @@ mod tests {
 
     #[test]
     fn quick_run_holds_across_every_model_and_intensity() {
-        let outcome = run(&tiny()).expect("report assembles");
+        let outcome = run_one(BeliefNoise, &tiny()).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
         // The grid must reach past the exhaustive regime.
         assert!(size_grid()
@@ -445,7 +441,7 @@ mod tests {
         assert_eq!(grid[0].label, "model=exact i=0.25 n=8 m=4");
         assert!(grid.iter().any(|c| c.label.contains("model=partial i=2")));
         // A restricted-axis run still assembles and holds.
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(BeliefNoise, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
     }
 

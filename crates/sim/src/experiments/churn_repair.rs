@@ -261,20 +261,16 @@ impl Experiment for ChurnRepair {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&ChurnRepair, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_repairs_every_event_to_certification() {
         let mut config = ExperimentConfig::quick();
         config.samples = 2;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(ChurnRepair, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
     }
 

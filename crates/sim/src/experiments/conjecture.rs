@@ -11,6 +11,8 @@
 use instance_gen::{CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::solvers::engine::{BestResponse, Exhaustive, SolverEngine};
+use netuncert_core::strategy::LinkLoads;
+use par_exec::parallel_map;
 
 use crate::config::ExperimentConfig;
 use crate::experiment::{tables_from_cells, Cell, CellCtx, CellResult, Experiment};
@@ -91,13 +93,14 @@ impl Experiment for Conjecture {
             capacity: CapacityDist::Uniform { lo: 0.25, hi: 4.0 },
             weights: WeightDist::Uniform { lo: 0.5, hi: 4.0 },
         };
-        let results = engine.solve_sampled(config.samples, |task| {
-            let stream = (grid_idx as u64) << 32 | task;
+        let results = parallel_map(&ctx.parallel, config.samples, |sample| {
+            let stream = (grid_idx as u64) << 32 | sample as u64;
             let mut rng = instance_gen::rng(config.seed, stream);
-            spec.generate(&mut rng)
+            let game = spec.generate(&mut rng);
+            engine.solve(&game, &LinkLoads::zero(m))
         });
         let mut tally = Tally::default();
-        for (_, result) in results {
+        for result in results {
             let solved = result.expect("the engine's solvers are in-budget for the grid");
             match solved.method() {
                 Some(PureNashMethod::BestResponse) => tally.converged += 1,
@@ -156,20 +159,16 @@ impl Experiment for Conjecture {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&Conjecture, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_supports_the_conjecture() {
         let mut config = ExperimentConfig::quick();
         config.samples = 10;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(Conjecture, &config).expect("report assembles");
         assert_eq!(outcome.id, "E5");
         assert!(
             outcome.holds,

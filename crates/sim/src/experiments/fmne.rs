@@ -207,20 +207,16 @@ impl Experiment for FullyMixed {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&FullyMixed, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_verifies_closed_form() {
         let mut config = ExperimentConfig::quick();
         config.samples = 10;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(FullyMixed, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
         assert_eq!(outcome.tables.len(), 2);
     }

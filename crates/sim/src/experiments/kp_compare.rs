@@ -232,20 +232,16 @@ impl Experiment for KpCompare {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&KpCompare, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_collapses_to_kp() {
         let mut config = ExperimentConfig::quick();
         config.samples = 8;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(KpCompare, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
         assert_eq!(outcome.tables.len(), 2);
     }

@@ -158,20 +158,16 @@ impl Experiment for Milchtaich {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&Milchtaich, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_separates_the_two_classes() {
         let mut config = ExperimentConfig::quick();
         config.samples = 10;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(Milchtaich, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
         assert_eq!(outcome.tables[0].rows.len(), 3);
     }

@@ -46,6 +46,17 @@ pub fn ids() -> Vec<&'static str> {
     all().iter().map(|e| e.id()).collect()
 }
 
+/// The outcome of one experiment, run alone through a
+/// [`SweepRunner`](crate::sweep::SweepRunner).
+#[cfg(test)]
+pub(crate) fn run_one(
+    experiment: impl Experiment + 'static,
+    config: &crate::config::ExperimentConfig,
+) -> Result<crate::report::ExperimentOutcome, crate::sweep::MergeError> {
+    let runner = crate::sweep::SweepRunner::with_experiments(*config, vec![Box::new(experiment)]);
+    Ok(runner.outcomes()?.remove(0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

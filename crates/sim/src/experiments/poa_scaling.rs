@@ -235,21 +235,17 @@ impl Experiment for PoaScaling {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&PoaScaling, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
     use netuncert_core::method_list::MethodList;
 
     #[test]
     fn quick_run_brackets_every_size_within_the_width_goal() {
         let mut config = ExperimentConfig::quick();
         config.samples = 2;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(PoaScaling, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
         // The grid must actually reach past the exhaustive regime.
         assert!(size_grid()
@@ -264,7 +260,7 @@ mod tests {
         let mut config = ExperimentConfig::quick();
         config.samples = 2;
         config.opt_backends = MethodList::parse("lpt,descent,relaxation").unwrap();
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(PoaScaling, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
     }
 }

@@ -146,20 +146,16 @@ impl Experiment for Potential {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&Potential, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_detects_exact_potential_violations() {
         let mut config = ExperimentConfig::quick();
         config.samples = 8;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(Potential, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
     }
 }

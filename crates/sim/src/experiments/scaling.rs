@@ -187,20 +187,16 @@ impl Experiment for Scaling {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&Scaling, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_certifies_equilibria_at_every_size() {
         let mut config = ExperimentConfig::quick();
         config.samples = 2;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(Scaling, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
         // The grid must actually reach past the exhaustive regime.
         assert!(size_grid()

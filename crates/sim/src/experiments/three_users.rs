@@ -125,20 +125,16 @@ impl Experiment for ThreeUsers {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&ThreeUsers, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_confirms_three_user_existence() {
         let mut config = ExperimentConfig::quick();
         config.samples = 10;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(ThreeUsers, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
         assert_eq!(outcome.tables[0].rows.len(), link_grid().len());
     }

@@ -190,20 +190,16 @@ impl Experiment for WorstCase {
     }
 }
 
-/// Runs the experiment (thin wrapper over the [`Experiment`] impl).
-pub fn run(config: &ExperimentConfig) -> Result<ExperimentOutcome, ReportError> {
-    crate::experiment::run_experiment(&WorstCase, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_one;
 
     #[test]
     fn quick_run_confirms_fmne_is_worst() {
         let mut config = ExperimentConfig::quick();
         config.samples = 10;
-        let outcome = run(&config).expect("report assembles");
+        let outcome = run_one(WorstCase, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
     }
 }

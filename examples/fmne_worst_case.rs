@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release --example fmne_worst_case [samples]`
 
 use netuncert_core::prelude::*;
-use sim_harness::{experiments, ExperimentConfig};
+use sim_harness::experiments::worst_case::WorstCase;
+use sim_harness::{ExperimentConfig, SweepRunner};
 
 fn walkthrough() -> Result<()> {
     println!("== Walkthrough on one instance ==\n");
@@ -50,7 +51,9 @@ fn main() -> Result<()> {
         ..ExperimentConfig::default()
     };
     println!("== Statistical check on {samples} random instances per size ==\n");
-    let outcome = experiments::worst_case::run(&config).expect("report assembles");
-    print!("{}", outcome.to_markdown());
+    let outcomes = SweepRunner::with_experiments(config, vec![Box::new(WorstCase)])
+        .outcomes()
+        .expect("report assembles");
+    print!("{}", outcomes[0].to_markdown());
     Ok(())
 }

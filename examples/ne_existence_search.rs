@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example ne_existence_search [samples]`
 
-use sim_harness::{experiments, ExperimentConfig};
+use sim_harness::experiments::{conjecture::Conjecture, three_users::ThreeUsers};
+use sim_harness::{ExperimentConfig, SweepRunner};
 
 fn main() {
     let samples = std::env::args()
@@ -16,13 +17,15 @@ fn main() {
     };
 
     println!("Searching for pure Nash equilibria on {samples} random instances per size...\n");
-    let outcome = experiments::conjecture::run(&config).expect("report assembles");
-    print!("{}", outcome.to_markdown());
+    let outcomes =
+        SweepRunner::with_experiments(config, vec![Box::new(Conjecture), Box::new(ThreeUsers)])
+            .outcomes()
+            .expect("reports assemble");
+    for outcome in &outcomes {
+        print!("{}", outcome.to_markdown());
+    }
 
-    let three = experiments::three_users::run(&config).expect("report assembles");
-    print!("{}", three.to_markdown());
-
-    if outcome.holds && three.holds {
+    if outcomes.iter().all(|o| o.holds) {
         println!(
             "All sampled instances have pure Nash equilibria — consistent with Conjecture 3.7."
         );

@@ -7,7 +7,8 @@
 use kp_model::lpt::lpt_assignment;
 use kp_model::KpGame;
 use netuncert_core::prelude::*;
-use sim_harness::{experiments, ExperimentConfig};
+use sim_harness::experiments::kp_compare::KpCompare;
+use sim_harness::{ExperimentConfig, SweepRunner};
 
 fn scenario() -> Result<()> {
     println!("== One network, two information regimes ==\n");
@@ -68,7 +69,9 @@ fn main() -> Result<()> {
         ..ExperimentConfig::default()
     };
     println!("== Statistical KP-collapse check ({samples} instances per size) ==\n");
-    let outcome = experiments::kp_compare::run(&config).expect("report assembles");
-    print!("{}", outcome.to_markdown());
+    let outcomes = SweepRunner::with_experiments(config, vec![Box::new(KpCompare)])
+        .outcomes()
+        .expect("report assembles");
+    print!("{}", outcomes[0].to_markdown());
     Ok(())
 }

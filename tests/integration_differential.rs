@@ -20,7 +20,7 @@ use instance_gen::{rng, CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_core::prelude::*;
 use netuncert_core::solvers::exhaustive::profile_count;
 use netuncert_core::solvers::oracle::{check_all, check_kinds, existence_oracle, OracleAnswer};
-use par_exec::ParallelConfig;
+use par_exec::{parallel_map, ParallelConfig};
 use proptest::prelude::*;
 
 /// A differential-sized configuration: small exhaustive budget is not
@@ -102,19 +102,22 @@ proptest! {
     }
 
     /// Contract clause 3: the new backend is bit-identical for any worker
-    /// count (1, 3 and 8 threads over a 12-instance batch).
+    /// count (one engine mapped by 1, 3 and 8 threads over a 12-instance
+    /// batch).
     #[test]
     fn local_search_batches_are_thread_count_invariant(seed in any::<u64>()) {
         let games: Vec<EffectiveGame> =
             (0..12).map(|i| small_instance(seed.wrapping_add(i), (i % 4) as u8)).collect();
-        let engine = |threads: usize| {
-            SolverEngine::from_kinds(config(), &[SolverKind::LocalSearch])
-                .with_parallelism(ParallelConfig::new(threads))
+        let engine = SolverEngine::from_kinds(config(), &[SolverKind::LocalSearch]);
+        let solve = |threads: usize| {
+            parallel_map(&ParallelConfig::new(threads), games.len(), |i| {
+                let game = &games[i];
+                engine.solve(game, &LinkLoads::zero(game.links())).unwrap()
+            })
         };
-        let base: Vec<_> = engine(1).solve_batch(&games).into_iter().map(Result::unwrap).collect();
+        let base = solve(1);
         for threads in [3usize, 8] {
-            let other: Vec<_> =
-                engine(threads).solve_batch(&games).into_iter().map(Result::unwrap).collect();
+            let other = solve(threads);
             // Solutions and solver telemetry (methods, iterations, restarts)
             // must agree; wall-clock telemetry is legitimately noisy.
             for (x, y) in base.iter().zip(&other) {

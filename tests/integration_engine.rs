@@ -1,10 +1,10 @@
 //! Integration tests for the unified `SolverEngine`: solver selection matches
-//! the paper's dispatch rules, and batch solving is invariant in the worker
-//! count.
+//! the paper's dispatch rules, and one engine shared by `parallel_map`
+//! workers solves identically at any worker count.
 
 use instance_gen::{rng, CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_core::prelude::*;
-use par_exec::ParallelConfig;
+use par_exec::{parallel_map, ParallelConfig};
 use proptest::prelude::*;
 
 fn engine() -> SolverEngine {
@@ -129,9 +129,10 @@ fn general_games_fall_through_to_best_response() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `solve_batch` output is identical for 1, 2 and 8 worker threads.
+    /// One engine mapped over a batch is identical for 1, 2 and 8 worker
+    /// threads, and every answer is certified.
     #[test]
-    fn solve_batch_is_worker_count_invariant(
+    fn shared_engine_solves_are_worker_count_invariant(
         seed in any::<u64>(),
         users in 2usize..=5,
         links in 2usize..=3,
@@ -146,13 +147,13 @@ proptest! {
         let games: Vec<EffectiveGame> =
             (0..count).map(|task| spec.generate(&mut rng(seed, task as u64))).collect();
 
+        let engine = engine();
         let solve = |threads: usize| -> Vec<Option<PureNashSolution>> {
-            SolverEngine::default()
-                .with_parallelism(ParallelConfig::new(threads))
-                .solve_batch(&games)
-                .into_iter()
-                .map(|r| r.expect("in-budget instances").solution)
-                .collect()
+            parallel_map(&ParallelConfig::new(threads), games.len(), |i| {
+                let game = &games[i];
+                let solved = engine.solve(game, &LinkLoads::zero(game.links()));
+                solved.expect("in-budget instances").solution
+            })
         };
 
         let sequential = solve(1);

@@ -1,18 +1,19 @@
-//! Integration tests for the SoA kernel layer: the game's own kernel rows, batch
-//! solving bit-identical to sequential solving at any worker count, and the
-//! kernel-backed solvers certified by the differential oracle contract.
+//! Integration tests for the SoA kernel layer: the game's own kernel rows,
+//! solves fanned out over worker threads through one shared cache
+//! bit-identical to sequential solving, and the kernel-backed solvers
+//! certified by the differential oracle contract.
 //!
 //! The kernel's equivalence claim is deliberately *certification, not bit
 //! parity*: multiply-by-reciprocal passes may walk a different path than the
 //! divide-based legacy loops near tolerance boundaries, but every profile
 //! they return must pass the canonical `is_pure_nash` predicate and the
-//! oracle contract. Batched-vs-sequential, by contrast, IS bit parity: both
-//! paths step the very same kernel runs.
+//! oracle contract. Parallel-vs-sequential, by contrast, IS bit parity: every
+//! worker steps the very same kernel runs.
 
 use instance_gen::{rng, CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_core::prelude::*;
 use netuncert_core::solvers::oracle::check_all;
-use par_exec::ParallelConfig;
+use par_exec::{parallel_map, ParallelConfig};
 use proptest::prelude::*;
 
 fn general_spec(users: usize, links: usize) -> EffectiveSpec {
@@ -63,129 +64,59 @@ proptest! {
     }
 }
 
-/// `solve_batch` must be bit-identical to solving each instance sequentially
-/// with `solve`, for every worker count and batch size — including batches
-/// larger than the engine's internal chunk, so interleaved kernel runs cross
-/// chunk boundaries.
+/// One engine and one [`SolveCache`] shared by every worker of a
+/// `parallel_map` must not disturb parity with uncached sequential solves:
+/// solutions and solver telemetry agree at 1, 3 and 8 threads, on a batch
+/// with non-zero initial traffic and repeated instances, whether a solve
+/// ran cold, raced its duplicate, or replayed a hit.
 #[test]
-fn solve_batch_is_bit_identical_to_sequential_solves() {
-    for (seed, kinds) in [
-        (11u64, SolverKind::PAPER_ORDER.as_slice()),
-        (12u64, SolverKind::ALL.as_slice()),
-    ] {
-        let engine = SolverEngine::from_kinds(SolverConfig::default(), kinds);
-        for count in [1usize, 4, 64] {
-            let games = sample_games(seed, 16, 4, count);
-            let sequential: Vec<Option<PureNashSolution>> = games
-                .iter()
-                .map(|g| {
-                    engine
-                        .solve(g, &LinkLoads::zero(g.links()))
-                        .expect("solvable")
-                        .solution
-                })
-                .collect();
-            for threads in [1usize, 3, 8] {
-                let batched: Vec<Option<PureNashSolution>> =
-                    SolverEngine::from_kinds(SolverConfig::default(), kinds)
-                        .with_parallelism(ParallelConfig::new(threads))
-                        .solve_batch(&games)
-                        .into_iter()
-                        .map(|r| r.expect("solvable").solution)
-                        .collect();
-                assert_eq!(
-                    sequential, batched,
-                    "kinds {kinds:?}, K={count}, threads={threads}"
-                );
-            }
-        }
-    }
-}
-
-/// The batch path reports the same non-wall-clock telemetry as sequential
-/// solving: same attempted methods, same iteration and restart counts.
-#[test]
-fn batch_telemetry_matches_sequential_telemetry() {
-    let engine = SolverEngine::from_kinds(SolverConfig::default(), &SolverKind::ALL);
-    let games = sample_games(29, 12, 3, 24);
-    let flatten = |s: &EngineSolution| -> Vec<(PureNashMethod, Option<u64>, Option<u64>, bool)> {
-        s.telemetry
-            .attempts
-            .iter()
-            .map(|a| (a.method, a.iterations, a.restarts, a.found))
-            .collect()
-    };
-    let sequential: Vec<_> = games
-        .iter()
-        .map(|g| flatten(&engine.solve(g, &LinkLoads::zero(g.links())).unwrap()))
-        .collect();
-    let batched: Vec<_> = engine
-        .solve_batch(&games)
-        .into_iter()
-        .map(|r| flatten(&r.unwrap()))
-        .collect();
-    assert_eq!(sequential, batched);
-}
-
-/// `solve_batch_with_initial` shares the chunked kernel path; non-zero
-/// initial traffic must round-trip it bit-identically too.
-#[test]
-fn batch_with_initial_is_bit_identical_to_sequential() {
-    let engine = SolverEngine::default();
-    let games = sample_games(37, 10, 3, 20);
+fn batch_parity_survives_a_shared_cache() {
+    use std::sync::Arc;
+    let mut games = sample_games(43, 8, 3, 10);
+    // Duplicate some instances so the batch takes cache hits.
+    let dupes: Vec<EffectiveGame> = games.iter().take(4).cloned().collect();
+    games.extend(dupes);
     let items: Vec<(EffectiveGame, LinkLoads)> = games
         .into_iter()
         .enumerate()
         .map(|(i, g)| {
-            let m = g.links();
-            let loads =
-                LinkLoads::new((0..m).map(|l| ((i + l) % 3) as f64 * 0.5).collect()).unwrap();
+            let loads = (0..g.links()).map(|l| ((i % 10 + l) % 3) as f64 * 0.5);
+            let loads = LinkLoads::new(loads.collect()).unwrap();
             (g, loads)
         })
         .collect();
-    let sequential: Vec<Option<PureNashSolution>> = items
+    type Shape = (
+        Option<PureNashSolution>,
+        Vec<(PureNashMethod, Option<u64>, Option<u64>, bool)>,
+    );
+    let shape = |s: EngineSolution| -> Shape {
+        let attempts = s.telemetry.attempts.iter();
+        let attempts = attempts.map(|a| (a.method, a.iterations, a.restarts, a.found));
+        (s.solution, attempts.collect())
+    };
+    let uncached = SolverEngine::from_kinds(SolverConfig::default(), &SolverKind::ALL);
+    let sequential: Vec<Shape> = items
         .iter()
-        .map(|(g, t)| engine.solve(g, t).unwrap().solution)
+        .map(|(g, t)| shape(uncached.solve(g, t).unwrap()))
         .collect();
     for threads in [1usize, 3, 8] {
-        let batched: Vec<Option<PureNashSolution>> = SolverEngine::default()
-            .with_parallelism(ParallelConfig::new(threads))
-            .solve_batch_with_initial(&items)
-            .into_iter()
-            .map(|r| r.unwrap().solution)
-            .collect();
-        assert_eq!(sequential, batched, "threads={threads}");
+        let cache = Arc::new(SolveCache::new());
+        let engine = SolverEngine::from_kinds(SolverConfig::default(), &SolverKind::ALL)
+            .with_cache(Arc::clone(&cache));
+        let pool = ParallelConfig::new(threads);
+        for pass in 0..2 {
+            let batched = parallel_map(&pool, items.len(), |i| {
+                shape(engine.solve(&items[i].0, &items[i].1).unwrap())
+            });
+            assert_eq!(sequential, batched, "threads={threads}, pass {pass}");
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 2 * items.len() as u64);
+        assert!(
+            stats.hits >= items.len() as u64,
+            "the second pass must replay every instance from the cache"
+        );
     }
-}
-
-/// A shared cache must not disturb batch/sequential parity: hits return the
-/// cold solution verbatim whichever path produced it.
-#[test]
-fn batch_parity_survives_a_shared_cache() {
-    use std::sync::Arc;
-    let cache = Arc::new(SolveCache::new());
-    let engine = SolverEngine::default().with_cache(Arc::clone(&cache));
-    let mut games = sample_games(43, 8, 3, 10);
-    // Duplicate some instances so the batch path takes cache hits.
-    let dupes: Vec<EffectiveGame> = games.iter().take(4).cloned().collect();
-    games.extend(dupes);
-    let sequential: Vec<Option<PureNashSolution>> = games
-        .iter()
-        .map(|g| {
-            engine
-                .solve(g, &LinkLoads::zero(g.links()))
-                .unwrap()
-                .solution
-        })
-        .collect();
-    let batched: Vec<Option<PureNashSolution>> = engine
-        .solve_batch(&games)
-        .into_iter()
-        .map(|r| r.unwrap().solution)
-        .collect();
-    assert_eq!(sequential, batched);
-    let stats = cache.stats();
-    assert!(stats.hits > 0, "duplicated instances must hit the cache");
 }
 
 proptest! {

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use netuncert::core::prelude::*;
-use netuncert::sim::sweep::{ShardFile, SweepRunner};
+use netuncert::sim::sweep::{CellRecord, ShardFile, SweepRunner};
 use netuncert::sim::{experiments, runner, ExperimentConfig, Shard};
 use proptest::prelude::*;
 
@@ -19,32 +19,52 @@ fn tiny_config(seed: u64) -> ExperimentConfig {
     }
 }
 
-/// Runs the quick suite split into `count` shards and renders the merged
-/// JSON report.
-fn sharded_report(config: ExperimentConfig, count: usize) -> String {
-    let sweep = SweepRunner::new(config);
-    let mut records = Vec::new();
-    // Collect shards in reverse order: merge must not care about record order.
-    for index in (0..count).rev() {
-        records.extend(sweep.run_shard(Shard::new(index, count).unwrap()));
-    }
-    let outcomes = sweep.merge(&records).expect("all shards present");
+fn report(sweep: &SweepRunner, records: &[CellRecord]) -> String {
+    let outcomes = sweep.merge(records).expect("all shards present");
     runner::to_json(&outcomes).expect("outcomes serialise")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Running the quick suite as 1, 3 and 8 shards and merging yields a
-    /// byte-identical JSON report to the single-process run.
+    /// Shard invariance without recomputing the suite per layout. Every
+    /// record is computed once; each 1/3/8-shard selection of them, merged
+    /// in reverse shard order, renders the solo report byte for byte. A
+    /// seeded sample of cells is then recomputed in isolated `run_shard`
+    /// calls (a shard owning that one cell, so the cell also gets the
+    /// pool's whole width), with and without the solve cache, and each
+    /// record must serialise byte-identically to its solo counterpart.
+    /// The CI sharding step runs the full multi-process matrix.
     #[test]
-    fn shard_merge_reports_are_byte_identical(seed in any::<u64>()) {
+    fn shard_merge_reports_are_byte_identical(
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u64>(), 4),
+    ) {
         let config = tiny_config(seed);
-        let single = runner::to_json(&runner::run_all(&config).expect("reports assemble"))
-            .expect("outcomes serialise");
-        prop_assert_eq!(&single, &sharded_report(config, 1));
-        prop_assert_eq!(&single, &sharded_report(config, 3));
-        prop_assert_eq!(&single, &sharded_report(config, 8));
+        let sweep = SweepRunner::new(config);
+        let records = sweep.run();
+        let single = report(&sweep, &records);
+        for count in [1usize, 3, 8] {
+            let mut merged = Vec::new();
+            for index in (0..count).rev() {
+                let shard = Shard::new(index, count).unwrap();
+                merged.extend(records.iter().filter(|r| shard.selects(r.task_id)).cloned());
+            }
+            prop_assert_eq!(&single, &report(&sweep, &merged));
+        }
+
+        let tasks = sweep.task_count();
+        let cached = SweepRunner::new(config).with_cache();
+        for pick in picks {
+            let task = (pick % tasks as u64) as usize;
+            let alone = Shard::new(task, tasks).unwrap();
+            let solo = serde_json::to_string(&records[task]).unwrap();
+            for runner in [&sweep, &cached] {
+                let rerun = runner.run_shard(alone);
+                prop_assert_eq!(rerun.len(), 1);
+                prop_assert_eq!(&solo, &serde_json::to_string(&rerun[0]).unwrap());
+            }
+        }
     }
 }
 
@@ -138,15 +158,13 @@ fn cached_sweeps_hit_on_perturbation_experiments_without_changing_results() {
 #[test]
 fn registry_lookup_and_trait_metadata_agree_with_run_all() {
     let config = tiny_config(3);
-    let via_registry: Vec<_> = experiments::all()
+    // `run_all` sweeps the registry, in registry order.
+    let swept: Vec<_> = SweepRunner::new(config)
+        .experiments()
         .iter()
-        .map(|e| {
-            netuncert::sim::experiment::run_experiment(e.as_ref(), &config)
-                .expect("report assembles")
-        })
+        .map(|e| e.id())
         .collect();
-    let via_run_all = runner::run_all(&config).expect("reports assemble");
-    assert_eq!(via_registry, via_run_all);
+    assert_eq!(swept, experiments::ids());
 
     // Ids resolve and the grids address every cell exactly once.
     for experiment in experiments::all() {
