@@ -1,5 +1,7 @@
 //! Worker-count configuration.
 
+use std::sync::OnceLock;
+
 /// Number of worker threads the current machine can usefully run.
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -30,16 +32,22 @@ impl ParallelConfig {
         }
     }
 
-    /// Reads the worker count from the `NETUNCERT_THREADS` environment
-    /// variable, falling back to the machine parallelism when unset or invalid.
+    /// The worker count named by the `NETUNCERT_THREADS` environment
+    /// variable, falling back to the machine parallelism when unset or
+    /// invalid. Both are read once per process and remembered, so one
+    /// process never splits its work across different pool sizes and
+    /// repeated calls cost no environment or cgroup probe.
     pub fn from_env() -> Self {
-        match std::env::var("NETUNCERT_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n >= 1 => ParallelConfig::new(n),
-            _ => ParallelConfig::default(),
-        }
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        ParallelConfig::new(*THREADS.get_or_init(|| {
+            match std::env::var("NETUNCERT_THREADS")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
+            {
+                Some(n) if n >= 1 => n,
+                _ => available_parallelism(),
+            }
+        }))
     }
 
     /// Number of worker threads.

@@ -20,30 +20,19 @@
 //! call — the session verbs in particular reward staying on one warm
 //! connection.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
-use crate::frame::{self, BINARY_MAGIC};
+use crate::frame::{Framing, MessageReader, Step, BINARY_MAGIC};
 use crate::protocol::{Limits, Request, RequestBody, Response};
-
-/// Which wire framing a connection negotiated.
-enum Framing {
-    /// Newline-delimited JSON (the default).
-    Json,
-    /// Length-prefixed binary frames ([`crate::frame`]).
-    Binary,
-}
 
 /// A blocking connection to a running `netuncert_serve` instance.
 pub struct Client {
     writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    reader: MessageReader<BufReader<TcpStream>>,
     next_id: u64,
-    framing: Framing,
 }
 
 /// Errors a client call can hit: transport trouble or an unparseable
@@ -96,9 +85,8 @@ impl Client {
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client {
             writer,
-            reader,
+            reader: MessageReader::new(reader, framing, Limits::default().max_line_bytes),
             next_id: 1,
-            framing,
         })
     }
 
@@ -108,15 +96,7 @@ impl Client {
     pub fn call(&mut self, body: RequestBody) -> Result<Response, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let request = Request { id, body };
-        match self.framing {
-            Framing::Json => {
-                let line = serde_json::to_string(&request).expect("wire types always serialise");
-                let raw = self.call_line_json(&line)?;
-                serde_json::from_str::<Response>(&raw).map_err(|_| ClientError::BadResponse(raw))
-            }
-            Framing::Binary => self.call_value(&request),
-        }
+        self.call_typed(&Request { id, body })
     }
 
     /// Sends one pre-serialised request line and returns the raw response
@@ -126,50 +106,40 @@ impl Client {
     /// re-serialises the answer, so both framings return identical lines
     /// for identical requests.
     pub fn call_line(&mut self, line: &str) -> Result<String, ClientError> {
-        match self.framing {
-            Framing::Json => self.call_line_json(line),
-            Framing::Binary => self.call_line_binary(line),
+        match self.reader.framing() {
+            Framing::Json => {
+                Framing::Json.write(&mut self.writer, line.as_bytes())?;
+                let reply = String::from_utf8_lossy(self.reply()?);
+                Ok(reply.trim_end_matches(['\n', '\r']).to_string())
+            }
+            Framing::Binary => {
+                let request = serde_json::from_str::<Request>(line)
+                    .map_err(|_| ClientError::BadResponse(line.to_string()))?;
+                let response = self.call_typed(&request)?;
+                Ok(serde_json::to_string(&response).expect("wire types always serialise"))
+            }
         }
     }
 
-    fn call_line_json(&mut self, line: &str) -> Result<String, ClientError> {
-        // One write per frame: splitting the newline into its own packet
-        // would interact badly with delayed ACKs even with nodelay set.
-        let mut frame = Vec::with_capacity(line.len() + 1);
-        frame.extend_from_slice(line.as_bytes());
-        frame.push(b'\n');
-        self.writer.write_all(&frame)?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        let read = self.reader.read_line(&mut response)?;
-        if read == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "service closed the connection",
-            )));
-        }
-        while response.ends_with('\n') || response.ends_with('\r') {
-            response.pop();
-        }
-        Ok(response)
+    /// One typed round trip in this connection's framing.
+    fn call_typed(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let framing = self.reader.framing();
+        framing.write(&mut self.writer, &framing.encode(request))?;
+        let reply = self.reply()?;
+        framing.decode(reply).map_err(ClientError::BadResponse)
     }
 
-    fn call_line_binary(&mut self, line: &str) -> Result<String, ClientError> {
-        let request = serde_json::from_str::<Request>(line)
-            .map_err(|_| ClientError::BadResponse(line.to_string()))?;
-        let response = self.call_value(&request)?;
-        Ok(serde_json::to_string(&response).expect("wire types always serialise"))
-    }
-
-    /// One typed round trip over the binary framing.
-    fn call_value(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let payload = frame::encode_value(&request.to_value());
-        frame::write_frame(&mut self.writer, &payload)?;
-        let reply = frame::read_frame(&mut self.reader, Limits::default().max_line_bytes)?;
-        let value = frame::decode_value(&reply)
-            .map_err(|e| ClientError::BadResponse(format!("undecodable frame: {e}")))?;
-        Response::from_value(&value)
-            .map_err(|e| ClientError::BadResponse(format!("frame was not a response: {e}")))
+    /// Blocks for the next whole reply message.
+    fn reply(&mut self) -> Result<&[u8], ClientError> {
+        let (kind, why) = loop {
+            match self.reader.step()? {
+                Step::Message => return Ok(self.reader.message()),
+                Step::Pending => {}
+                Step::Oversize => break (ErrorKind::InvalidData, "reply exceeds the frame cap"),
+                Step::Eof => break (ErrorKind::UnexpectedEof, "service closed the connection"),
+            }
+        };
+        Err(ClientError::Io(std::io::Error::new(kind, why)))
     }
 }
 

@@ -41,15 +41,6 @@ use crate::protocol::{
     WireInstance,
 };
 
-/// The framing a request arrived in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Framing {
-    /// A newline-delimited JSON line.
-    Json,
-    /// A length-prefixed binary frame.
-    Binary,
-}
-
 /// A decoded, not yet validated, request.
 #[derive(Debug)]
 pub(crate) struct Decoded {

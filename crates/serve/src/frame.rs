@@ -42,9 +42,15 @@
 //! [`MAX_DEPTH`]) decode to a typed [`FrameError`]; the length prefix
 //! keeps the stream framed, so the server can answer with a typed `Parse`
 //! error and continue the connection.
+//!
+//! This module also owns every byte-level decision of *both* framings:
+//! the first-byte sniff, cutting one message off the stream under the size
+//! cap, and writing one message (`Framing` and `MessageReader`, shared by
+//! the server's one connection loop and the client).
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
+use serde::{Deserialize, Serialize};
 use serde_json::{Number, Value};
 
 use crate::decode::{f64_of, Source};
@@ -380,11 +386,9 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<(
     writer.flush()
 }
 
-/// Reads one length-prefixed binary frame, rejecting payloads over
-/// `max_len` before allocating for them.
-pub fn read_frame(reader: &mut impl Read, max_len: usize) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; 4];
-    reader.read_exact(&mut header)?;
+/// The payload length a frame header declares, refused when it exceeds
+/// `max_len` — the one place the binary frame cap is checked.
+fn declared_len(header: [u8; 4], max_len: usize) -> std::io::Result<usize> {
     let len = u32::from_le_bytes(header) as usize;
     if len > max_len {
         return Err(std::io::Error::new(
@@ -392,9 +396,207 @@ pub fn read_frame(reader: &mut impl Read, max_len: usize) -> std::io::Result<Vec
             format!("frame of {len} bytes exceeds the {max_len}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
+    Ok(len)
+}
+
+/// Reads one length-prefixed binary frame, rejecting payloads over
+/// `max_len` before allocating for them.
+pub fn read_frame(reader: &mut impl Read, max_len: usize) -> std::io::Result<Vec<u8>> {
+    let mut header = [0u8; 4];
+    reader.read_exact(&mut header)?;
+    let mut payload = vec![0u8; declared_len(header, max_len)?];
     reader.read_exact(&mut payload)?;
     Ok(payload)
+}
+
+/// The wire framing of one connection, fixed by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Framing {
+    /// Newline-delimited JSON lines (the default).
+    Json,
+    /// Length-prefixed binary frames, opened by [`BINARY_MAGIC`].
+    Binary,
+}
+
+impl Framing {
+    /// Picks a fresh connection's framing from its first byte, consuming
+    /// the [`BINARY_MAGIC`] preamble; `Ok(None)` when the peer closed
+    /// before sending anything.
+    pub(crate) fn sniff(reader: &mut impl BufRead) -> std::io::Result<Option<Framing>> {
+        match reader.fill_buf()?.first() {
+            None => Ok(None),
+            Some(&BINARY_MAGIC) => {
+                reader.consume(1);
+                Ok(Some(Framing::Binary))
+            }
+            Some(_) => Ok(Some(Framing::Json)),
+        }
+    }
+
+    /// Serialises one message: a JSON line without its newline, or a
+    /// binary payload without its length prefix.
+    pub(crate) fn encode(self, message: &impl Serialize) -> Vec<u8> {
+        match self {
+            Framing::Json => serde_json::to_string(message)
+                .expect("wire types always serialise")
+                .into_bytes(),
+            Framing::Binary => encode_value(&message.to_value()),
+        }
+    }
+
+    /// Writes one encoded message as a single buffer (one packet on
+    /// loopback) and flushes.
+    pub(crate) fn write(self, writer: &mut impl Write, message: &[u8]) -> std::io::Result<()> {
+        match self {
+            Framing::Json => {
+                let mut line = Vec::with_capacity(message.len() + 1);
+                line.extend_from_slice(message);
+                line.push(b'\n');
+                writer.write_all(&line)?;
+                writer.flush()
+            }
+            Framing::Binary => write_frame(writer, message),
+        }
+    }
+
+    /// Parses one message cut by a [`MessageReader`] through the serde
+    /// derive (the client's reply path).
+    pub(crate) fn decode<T: Deserialize>(self, message: &[u8]) -> Result<T, String> {
+        match self {
+            Framing::Json => {
+                let line = String::from_utf8_lossy(message);
+                serde_json::from_str(line.trim_end()).map_err(|_| line.trim_end().to_string())
+            }
+            Framing::Binary => {
+                let value = decode_value(message).map_err(|e| format!("undecodable frame: {e}"))?;
+                T::from_value(&value).map_err(|e| format!("frame did not decode: {e}"))
+            }
+        }
+    }
+}
+
+/// What one [`MessageReader::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// A whole message is ready in [`MessageReader::message`].
+    Message,
+    /// No whole message yet (the caller maps a read timeout here too).
+    Pending,
+    /// The message outgrew the size cap; nothing after it can be framed.
+    Oversize,
+    /// The peer closed. A final JSON line without its newline is still a
+    /// [`Message`](Step::Message); a half binary frame is dropped.
+    Eof,
+}
+
+/// Cuts one connection's byte stream into messages of its [`Framing`]:
+/// capped lines, or length-prefixed frames whose declared length is checked
+/// against the cap before anything is allocated for it.
+///
+/// Each [`step`](Self::step) makes at most one read, so a caller with a
+/// read timeout regains control after every timeout *and* after every read
+/// that falls short of a message: a peer trickling bytes cannot keep it
+/// from checking anything in between. The partial message survives both.
+pub(crate) struct MessageReader<R> {
+    reader: R,
+    framing: Framing,
+    max_len: usize,
+    /// The message being cut: a JSON line (newline included), or a binary
+    /// frame's header followed by its payload, sized once the header is in.
+    buf: Vec<u8>,
+    /// Bytes of `buf` read so far.
+    filled: usize,
+    /// Whether `buf` holds a message already handed out.
+    ready: bool,
+}
+
+impl<R: BufRead> MessageReader<R> {
+    /// Cuts `reader`'s messages in `framing`, capping each at `max_len`
+    /// bytes (a line's newline and a frame's header not counted).
+    pub(crate) fn new(reader: R, framing: Framing, max_len: usize) -> Self {
+        MessageReader {
+            reader,
+            framing,
+            max_len,
+            buf: Vec::new(),
+            filled: 0,
+            ready: false,
+        }
+    }
+
+    /// The framing this reader cuts.
+    pub(crate) fn framing(&self) -> Framing {
+        self.framing
+    }
+
+    /// Whether a message has been started but not completed.
+    pub(crate) fn mid_message(&self) -> bool {
+        !self.ready && self.filled > 0
+    }
+
+    /// The message the last [`Step::Message`] completed: a JSON line
+    /// (newline included when the peer sent one) or a binary payload.
+    pub(crate) fn message(&self) -> &[u8] {
+        match self.framing {
+            Framing::Json => &self.buf[..self.filled],
+            Framing::Binary => &self.buf[4..self.filled],
+        }
+    }
+
+    /// Makes at most one read towards the next message. A read error
+    /// (a timeout included) leaves the partial message in place.
+    pub(crate) fn step(&mut self) -> std::io::Result<Step> {
+        if std::mem::take(&mut self.ready) {
+            self.buf.clear();
+            self.filled = 0;
+        }
+        match self.framing {
+            Framing::Json => {
+                let available = self.reader.fill_buf()?;
+                if available.is_empty() {
+                    self.ready = self.filled > 0;
+                    return Ok(if self.ready { Step::Message } else { Step::Eof });
+                }
+                // A slice is a `BufRead` too: its `read_until` stops at the
+                // newline or at the end of what is buffered.
+                let taken = { available }.read_until(b'\n', &mut self.buf)?;
+                self.reader.consume(taken);
+                self.filled = self.buf.len();
+                let complete = self.buf.last() == Some(&b'\n');
+                if self.filled - usize::from(complete) > self.max_len {
+                    Ok(Step::Oversize)
+                } else if complete {
+                    self.ready = true;
+                    Ok(Step::Message)
+                } else {
+                    Ok(Step::Pending)
+                }
+            }
+            Framing::Binary => {
+                if self.buf.is_empty() {
+                    self.buf.resize(4, 0);
+                }
+                let read = self.reader.read(&mut self.buf[self.filled..])?;
+                if read == 0 {
+                    return Ok(Step::Eof);
+                }
+                self.filled += read;
+                if self.buf.len() == 4 && self.filled == 4 {
+                    let header = self.buf[..4].try_into().expect("a 4-byte header");
+                    let Ok(len) = declared_len(header, self.max_len) else {
+                        return Ok(Step::Oversize);
+                    };
+                    self.buf.resize(4 + len, 0);
+                }
+                self.ready = self.filled == self.buf.len();
+                Ok(if self.ready {
+                    Step::Message
+                } else {
+                    Step::Pending
+                })
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -39,8 +39,10 @@
 //! - [`state`] — engine-side service state (caches, budgets, counters)
 //! - [`session`] — the bounded resident-session store behind
 //!   `Upload`/`Edit`/`Release`
-//! - [`server`] — TCP listener, bounded queue, worker pool, graceful drain
-//! - [`frame`] — the optional length-prefixed binary framing
+//! - [`server`] — TCP listener, bounded queue, worker pool, graceful drain,
+//!   and the one connection loop both framings run through
+//! - [`frame`] — both framings: the first-byte sniff, cutting one message
+//!   under the size cap, writing one message, and the binary encoding
 //! - [`client`] — minimal blocking client (either framing) and a reusing
 //!   connection pool
 //! - [`replay`] — byte-for-byte verification against direct engine calls

@@ -16,46 +16,47 @@
 //! instead of queueing without bound behind the slow work.
 //!
 //! Framing is negotiated per connection by the first byte: a client that
-//! opens with [`BINARY_MAGIC`] speaks length-prefixed binary frames
-//! ([`crate::frame`]) for the rest of the connection; anything else is the
-//! classic newline-delimited JSON. Both framings carry the same wire types
-//! and produce identical decoded answers.
+//! opens with [`BINARY_MAGIC`](crate::frame::BINARY_MAGIC) speaks
+//! length-prefixed binary frames for the rest of the connection; anything
+//! else is the classic newline-delimited JSON. Both framings run through
+//! one connection loop: [`crate::frame`] owns the sniff, the capped
+//! message cut and the writer, and both carry the same wire types and
+//! produce identical decoded answers.
 //!
 //! Graceful shutdown: a `Shutdown` request flips the draining flag (its
 //! connection gets an ack first). The acceptor wakes via a self-connect,
 //! stops accepting, and waits for every connection reader — which notice
-//! the flag through a short read timeout. A reader that is **mid-frame**
-//! when the flag flips does not silently drop the started request: it
-//! grants the peer a few more poll ticks to finish the frame (a completed
-//! frame is answered normally — by then with a typed `Shutdown` error from
-//! the draining gate), and if the frame still has not completed it answers
-//! with a typed `Shutdown` error itself before closing. When the last
-//! reader exits the queue closes, the workers drain what is queued and
-//! exit, and [`Server::run`] returns `Ok(())` — the binary's exit 0.
+//! the flag through a short read timeout, or after any read that leaves a
+//! message unfinished. A reader that is **mid-frame** when it sees the flag
+//! does not silently drop the started request: it grants the peer a fixed
+//! grace window to finish the frame (a completed frame is answered
+//! normally — by then with a typed `Shutdown` error from the draining
+//! gate), and if the frame still has not completed it answers with a typed
+//! `Shutdown` error itself before closing. When the last reader exits the
+//! queue closes, the workers drain what is queued and exit, and
+//! [`Server::run`] returns `Ok(())` — the binary's exit 0.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
-
 use netuncert_core::obs::{elapsed_ns, Gauge};
 
 use crate::compile::BuiltRequest;
-use crate::frame::{self, BINARY_MAGIC};
+use crate::frame::{Framing, MessageReader, Step};
 use crate::protocol::{ErrorKind, Response, ResponseBody, WireError};
 use crate::state::{ServeConfig, ServeState};
 
 /// How often an idle connection reader wakes to check the draining flag.
 const DRAIN_POLL: Duration = Duration::from_millis(50);
 
-/// Extra [`DRAIN_POLL`] ticks a reader grants an already-started frame
-/// once draining begins, before answering it with a typed `Shutdown` error
-/// and closing.
+/// [`DRAIN_POLL`] ticks a reader grants an already-started frame from the
+/// moment it sees the drain, before answering it with a typed `Shutdown`
+/// error and closing. Progress on the frame does not extend the grace.
 const DRAIN_GRACE_TICKS: u32 = 3;
 
 /// One unit of work for the pool: a built request (the very one the
@@ -348,12 +349,19 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// One connection: sniff the first byte to pick the framing, then serve
-/// frames until the client closes, the service drains, or the connection
-/// poisons itself (oversize line). A `Shutdown` request is acked and then
-/// this connection closes; an over-long frame gets a typed `Oversize`
-/// error and also closes (the stream can no longer be framed), leaving
-/// every other connection and the pool untouched.
+/// One connection, in either framing: sniff the first byte, then serve
+/// messages until the client closes, the service drains, or the connection
+/// poisons itself (an oversize message). A `Shutdown` request is acked and
+/// then this connection closes; an oversize message gets a typed
+/// `Oversize` error and also closes (the stream can no longer be trusted),
+/// leaving every other connection and the pool untouched.
+///
+/// The drain rule: once the reader sees the draining flag, an idle
+/// connection closes silently, and a started message gets
+/// [`DRAIN_GRACE_TICKS`] × [`DRAIN_POLL`] from that moment to complete —
+/// progress does not extend it — before it is answered with a typed
+/// `Shutdown` error. The reader checks after every timeout and after every
+/// partial read, so a trickling peer cannot hold the drain open.
 fn connection_loop(
     stream: TcpStream,
     state: &ServeState,
@@ -362,240 +370,59 @@ fn connection_loop(
 ) {
     // Response frames are small and latency-bound; never wait on Nagle.
     let _ = stream.set_nodelay(true);
-    let Ok(mut read_half) = stream.try_clone() else {
+    let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let _ = read_half.set_read_timeout(Some(DRAIN_POLL));
     let mut writer = stream;
-    // Framing sniff: peek (not read) the first byte, honouring draining
-    // while the connection sits idle before its first request.
-    let mut first = [0u8; 1];
-    loop {
-        match read_half.peek(&mut first) {
-            Ok(0) => return, // client closed without sending anything
-            Ok(_) => break,
-            Err(e) if is_timeout(&e) => {
-                if state.draining() {
-                    return;
-                }
-            }
-            Err(_) => return,
+    let mut reader = BufReader::new(read_half);
+    let framing = loop {
+        match Framing::sniff(&mut reader) {
+            Ok(Some(framing)) => break framing,
+            Err(e) if is_timeout(&e) && !state.draining() => {}
+            // Closed, failed, or drained before the first byte.
+            _ => return,
         }
-    }
-    if first[0] == BINARY_MAGIC {
-        // Consume the sniffed magic byte; it is already buffered, so this
-        // cannot block.
-        let mut magic = [0u8; 1];
-        if !matches!(read_half.read(&mut magic), Ok(1)) {
-            return;
-        }
-        binary_loop(read_half, state, queue, &mut writer, server_addr);
-    } else {
-        json_loop(
-            BufReader::new(read_half),
-            state,
-            queue,
-            &mut writer,
-            server_addr,
-        );
-    }
-}
-
-/// The newline-delimited JSON framing loop.
-fn json_loop(
-    mut reader: BufReader<TcpStream>,
-    state: &ServeState,
-    queue: &JobQueue,
-    writer: &mut TcpStream,
-    server_addr: SocketAddr,
-) {
-    let max_line = state.limits().max_line_bytes;
-    let mut line = String::new();
-    let mut grace = 0u32;
-    loop {
-        // `take` caps the bytes one frame may consume; timeouts leave the
-        // partial line in `line` and the loop resumes it.
-        let read = (&mut reader)
-            .take((max_line + 1) as u64)
-            .read_line(&mut line);
-        match read {
-            Ok(0) => return, // client closed
-            Ok(_) if line.len() > max_line && !line.ends_with('\n') => {
-                let reply = state.handle_oversize_line();
-                let _ = write_line(writer, &reply);
-                return;
-            }
-            Ok(_) if !line.ends_with('\n') => {
-                // take() hit its cap exactly at a frame boundary case or the
-                // peer sent EOF without a newline: treat as a final frame.
-                let done = dispatch_line(state, queue, writer, &line);
-                line.clear();
-                if done {
-                    let _ = wake_acceptor(server_addr);
-                }
-                return; // EOF after an unterminated line
-            }
-            Ok(_) => {
-                grace = 0;
-                let done = dispatch_line(state, queue, writer, &line);
-                line.clear();
-                if done {
-                    // The shutdown ack is written; unblock the acceptor so
-                    // run() can stop accepting and join everyone.
-                    let _ = wake_acceptor(server_addr);
-                    return;
-                }
-            }
-            Err(e) if is_timeout(&e) => {
-                if !state.draining() {
-                    continue;
-                }
-                if line.is_empty() {
-                    return; // idle connection: drain closes it silently
-                }
-                // A frame is in flight: let the peer finish it for a few
-                // more ticks, then answer it as abandoned rather than
-                // dropping it without a word.
-                grace += 1;
-                if grace > DRAIN_GRACE_TICKS {
-                    let encoded = serde_json::to_string(&drain_abandoned_response())
-                        .expect("wire types always serialise");
-                    let _ = write_line(writer, &encoded);
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Decodes one line, answers it (fast path, queue, or typed parse error),
-/// writes the response line. Returns `true` when the service is draining
-/// (connection closes).
-fn dispatch_line(state: &ServeState, queue: &JobQueue, writer: &mut TcpStream, line: &str) -> bool {
-    let response = match state.compile_line(line) {
-        Ok(request) => respond(state, queue, request),
-        Err(parse_error) => *parse_error,
     };
-    let encoded = serde_json::to_string(&response).expect("wire types always serialise");
-    let _ = write_line(writer, &encoded);
-    state.draining()
-}
-
-/// How one polled read ended.
-enum PollRead {
-    /// The buffer was filled.
-    Filled,
-    /// The peer closed (possibly mid-buffer — the connection is gone either
-    /// way).
-    Eof,
-    /// Draining fired. `mid_frame` says whether a frame had been started
-    /// (the grace ticks are exhausted) or the connection was simply idle.
-    Drained { mid_frame: bool },
-    /// A hard I/O error.
-    Failed,
-}
-
-/// Fills `buf` from short timeout-bounded reads, honouring the draining
-/// flag between them: an idle connection closes silently, a started frame
-/// (`frame_started`, or any byte of `buf` already read) gets
-/// [`DRAIN_GRACE_TICKS`] extra polls to complete before being abandoned.
-fn read_poll(
-    reader: &mut TcpStream,
-    buf: &mut [u8],
-    state: &ServeState,
-    frame_started: bool,
-) -> PollRead {
-    let mut at = 0;
-    let mut grace = 0u32;
-    while at < buf.len() {
-        match reader.read(&mut buf[at..]) {
-            Ok(0) => return PollRead::Eof,
-            Ok(n) => {
-                at += n;
-                grace = 0;
-            }
-            Err(e) if is_timeout(&e) => {
-                if !state.draining() {
+    let mut messages = MessageReader::new(reader, framing, state.limits().max_line_bytes);
+    let mut grace_ends = None;
+    loop {
+        let step = match messages.step() {
+            Ok(step) => step,
+            // A timeout is a step without progress.
+            Err(e) if is_timeout(&e) => Step::Pending,
+            Err(_) => return,
+        };
+        let response = match step {
+            Step::Message => match state.compile(framing, messages.message()) {
+                Ok(request) => respond(state, queue, request),
+                Err(parse_error) => *parse_error,
+            },
+            Step::Oversize => state.oversize_response(),
+            Step::Eof => return,
+            Step::Pending if !state.draining() => continue,
+            // An idle connection: the drain closes it silently.
+            Step::Pending if !messages.mid_message() => return,
+            Step::Pending => {
+                let ends = *grace_ends
+                    .get_or_insert_with(|| Instant::now() + DRAIN_POLL * DRAIN_GRACE_TICKS);
+                if Instant::now() < ends {
                     continue;
                 }
-                if !frame_started && at == 0 {
-                    return PollRead::Drained { mid_frame: false };
-                }
-                grace += 1;
-                if grace > DRAIN_GRACE_TICKS {
-                    return PollRead::Drained { mid_frame: true };
-                }
+                drain_abandoned_response()
             }
-            Err(_) => return PollRead::Failed,
-        }
-    }
-    PollRead::Filled
-}
-
-/// The length-prefixed binary framing loop ([`crate::frame`]).
-fn binary_loop(
-    mut reader: TcpStream,
-    state: &ServeState,
-    queue: &JobQueue,
-    writer: &mut TcpStream,
-    server_addr: SocketAddr,
-) {
-    let max_len = state.limits().max_line_bytes;
-    loop {
-        let mut header = [0u8; 4];
-        match read_poll(&mut reader, &mut header, state, false) {
-            PollRead::Filled => {}
-            PollRead::Drained { mid_frame: true } => {
-                let _ = write_binary_response(writer, &drain_abandoned_response());
-                return;
-            }
-            PollRead::Eof | PollRead::Drained { mid_frame: false } | PollRead::Failed => return,
-        }
-        let len = u32::from_le_bytes(header) as usize;
-        if len > max_len {
-            // Mirrors the JSON loop's oversize contract: typed error, then
-            // close (the stream could still be framed, but the peer is
-            // violating the cap — same policy on both framings).
-            let _ = write_binary_response(writer, &state.oversize_response());
-            return;
-        }
-        let mut payload = vec![0u8; len];
-        match read_poll(&mut reader, &mut payload, state, true) {
-            PollRead::Filled => {}
-            PollRead::Drained { .. } => {
-                let _ = write_binary_response(writer, &drain_abandoned_response());
-                return;
-            }
-            PollRead::Eof | PollRead::Failed => return,
-        }
-        let response = match state.compile_frame(&payload) {
-            Ok(request) => respond(state, queue, request),
-            Err(parse_error) => *parse_error,
         };
-        if write_binary_response(writer, &response).is_err() {
-            return;
-        }
-        if state.draining() {
+        let written = framing.write(&mut writer, &framing.encode(&response));
+        if step == Step::Message && state.draining() {
+            // The reply is written; unblock the acceptor so run() can stop
+            // accepting and join everyone.
             let _ = wake_acceptor(server_addr);
             return;
         }
+        if step != Step::Message || written.is_err() {
+            return;
+        }
     }
-}
-
-/// Writes one response as a binary frame.
-fn write_binary_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let payload = frame::encode_value(&response.to_value());
-    frame::write_frame(writer, &payload)
-}
-
-/// Writes one response line as a single buffer (one packet on loopback).
-fn write_line(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(response.len() + 1);
-    buf.extend_from_slice(response.as_bytes());
-    buf.push(b'\n');
-    writer.write_all(&buf)?;
-    writer.flush()
 }
 
 /// Self-connects to the acceptor so its blocking `accept` wakes up and
@@ -607,11 +434,6 @@ fn wake_acceptor(addr: SocketAddr) -> std::io::Result<()> {
 }
 
 impl ServeState {
-    /// The typed reply for a line that exceeded the framing cap.
-    pub(crate) fn handle_oversize_line(&self) -> String {
-        serde_json::to_string(&self.oversize_response()).expect("wire types always serialise")
-    }
-
     /// The typed response for a frame that exceeded the framing cap.
     pub(crate) fn oversize_response(&self) -> Response {
         Response {

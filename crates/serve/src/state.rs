@@ -22,7 +22,8 @@ use netuncert_core::prelude::{
 use netuncert_core::social_cost::measure_against;
 
 use crate::compile::{Built, BuiltRequest, Compute, Instance, Plan};
-use crate::decode::{self, Decoded, Framing, Plain};
+use crate::decode::{self, Decoded, Plain};
+use crate::frame::Framing;
 use crate::policy::{self, BracketEval, Budget, EvalCtx, SolveEval};
 use crate::protocol::{
     deadline_solve_reply, wire_bracket_reply, wire_brackets, wire_cost_report, wire_metrics,
@@ -254,7 +255,7 @@ impl ServeState {
     /// newline). Malformed lines become typed [`ErrorKind::Parse`] errors
     /// with id `0` (the id is unrecoverable from a line that did not parse).
     pub fn handle_line(&self, line: &str) -> String {
-        let response = match self.compile_line(line) {
+        let response = match self.compile(Framing::Json, line.as_bytes()) {
             Ok(request) => self.handle_built(request),
             Err(parse_error) => *parse_error,
         };
@@ -273,26 +274,23 @@ impl ServeState {
         self.handle_built(built)
     }
 
-    /// Decodes and builds one JSON request line, metering the decode. A
-    /// malformed line is the typed id-0 `Parse` response.
-    pub(crate) fn compile_line(&self, line: &str) -> Result<BuiltRequest, Box<Response>> {
-        self.compile(Framing::Json, |limits| {
-            decode::json(line.trim_end(), limits)
-        })
-    }
-
-    /// [`compile_line`](Self::compile_line) for one binary frame payload.
-    pub(crate) fn compile_frame(&self, payload: &[u8]) -> Result<BuiltRequest, Box<Response>> {
-        self.compile(Framing::Binary, |limits| decode::frame(payload, limits))
-    }
-
-    fn compile(
+    /// Decodes and builds one message — a JSON line (trailing whitespace
+    /// trimmed) or a binary frame payload — metering the decode under its
+    /// framing. A malformed message, a line that is not UTF-8 included, is
+    /// the typed id-0 `Parse` response.
+    pub(crate) fn compile(
         &self,
         framing: Framing,
-        decode: impl FnOnce(&Limits) -> Result<Decoded, String>,
+        message: &[u8],
     ) -> Result<BuiltRequest, Box<Response>> {
         let start = Instant::now();
-        let built = decode(&self.limits).map(|decoded| {
+        let decoded = match framing {
+            Framing::Json => std::str::from_utf8(message)
+                .map_err(|e| format!("line is not UTF-8 (byte {})", e.valid_up_to()))
+                .and_then(|line| decode::json(line.trim_end(), &self.limits)),
+            Framing::Binary => decode::frame(message, &self.limits),
+        };
+        let built = decoded.map(|decoded| {
             BuiltRequest::build(decoded, |ns| {
                 ObsHandles::record(&self.obs.request_key, Some(framing), ns)
             })

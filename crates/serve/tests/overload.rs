@@ -6,6 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -242,6 +243,82 @@ fn half_received_binary_frame_gets_a_typed_shutdown_error_on_drain() {
     assert_eq!(err.kind, ErrorKind::Shutdown);
 
     handle.join().expect("server thread").expect("clean run");
+}
+
+/// Starts a frame with `opening`, drains the service, and keeps the frame
+/// alive by writing `trickle` one byte every ~10 ms. Progress must not
+/// extend the drain grace: the started frame gets its typed id-0
+/// `Shutdown` answer (read by `read_reply`) well before the trickle would
+/// have ended on its own.
+fn trickled_frame_is_abandoned_on_drain(
+    opening: &[u8],
+    trickle: u8,
+    read_reply: fn(&mut TcpStream) -> Response,
+) {
+    let (addr, handle) = start(&ServeConfig::default());
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.write_all(opening).expect("started frame");
+    std::thread::sleep(Duration::from_millis(120));
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickler = {
+        let mut raw = raw.try_clone().expect("clone");
+        let stop = Arc::clone(&stop);
+        // At most ~5 s of trickle, and never a whole frame.
+        std::thread::spawn(move || {
+            for _ in 0..500 {
+                if stop.load(Ordering::SeqCst) || raw.write_all(&[trickle]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        })
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    shutdown(addr);
+    let drained = Instant::now();
+
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let response = read_reply(&mut raw);
+    let waited = drained.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    trickler.join().expect("trickler");
+    assert_eq!(response.id, 0);
+    let ResponseBody::Error(err) = response.body else {
+        panic!("expected a typed error, got {response:?}");
+    };
+    assert_eq!(err.kind, ErrorKind::Shutdown);
+    assert!(
+        waited < Duration::from_secs(1),
+        "the trickle held the drain open for {waited:?}"
+    );
+
+    handle.join().expect("server thread").expect("clean run");
+}
+
+#[test]
+fn a_trickled_json_line_is_abandoned_within_the_drain_grace() {
+    trickled_frame_is_abandoned_on_drain(b"{\"id\":7,\"body\":", b' ', |raw| {
+        let mut reply = String::new();
+        BufReader::new(raw)
+            .read_line(&mut reply)
+            .expect("the started line must be answered");
+        serde_json::from_str(reply.trim_end()).expect("reply parses")
+    });
+}
+
+#[test]
+fn a_trickled_binary_frame_is_abandoned_within_the_drain_grace() {
+    // Magic byte, a header declaring 1000 payload bytes, and three of them.
+    let mut opening = vec![frame::BINARY_MAGIC];
+    opening.extend_from_slice(&1000u32.to_le_bytes());
+    opening.extend_from_slice(&[8, 2, 2]);
+    trickled_frame_is_abandoned_on_drain(&opening, 0, |raw| {
+        let payload = frame::read_frame(raw, 1 << 20).expect("typed binary reply");
+        let value = frame::decode_value(&payload).expect("payload decodes");
+        Response::from_value(&value).expect("payload is a response")
+    });
 }
 
 /// Counter bookkeeping is exact when requests arrive in sequence: one

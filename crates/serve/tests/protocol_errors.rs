@@ -2,6 +2,13 @@
 //! protocol error — the service never panics and (except for unframeable
 //! oversize lines) never drops the connection.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
+
+use serde::Deserialize;
+
+use netuncert_serve::frame;
 use netuncert_serve::policy::{BracketLeaf, Policy, SolveLeaf, TimeoutPolicy};
 use netuncert_serve::protocol::{
     ErrorKind, Request, RequestBody, Response, ResponseBody, SolveRequest, WireInstance,
@@ -347,11 +354,68 @@ fn oversize_lines_get_a_typed_error_then_close() {
     let (_, kind) = error_kind(&raw).expect("typed error");
     assert_eq!(kind, ErrorKind::Oversize);
 
+    // The binary framing: a header declaring more than the cap gets the
+    // same typed error before any payload is sent, then the close.
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    raw.write_all(&[frame::BINARY_MAGIC])
+        .and_then(|()| raw.write_all(&(max as u32 + 1).to_le_bytes()))
+        .expect("oversize header");
+    let payload = frame::read_frame(&mut raw, 1 << 20).expect("typed binary reply");
+    let value = frame::decode_value(&payload).expect("payload decodes");
+    let response = Response::from_value(&value).expect("payload is a response");
+    assert_eq!(response.id, 0);
+    let ResponseBody::Error(err) = response.body else {
+        panic!("expected a typed error, got {response:?}");
+    };
+    assert_eq!(err.kind, ErrorKind::Oversize);
+    let mut rest = Vec::new();
+    assert_eq!(raw.read_to_end(&mut rest).expect("clean close"), 0);
+
     // A *new* connection still works.
     let mut fresh = Client::connect(addr).expect("reconnect");
     let response = fresh.call(RequestBody::Stats).expect("stats reply");
     assert!(matches!(response.body, ResponseBody::Stats(_)));
     let response = fresh.call(RequestBody::Shutdown).expect("shutdown ack");
+    assert!(matches!(response.body, ResponseBody::Shutdown));
+    handle.join().expect("server thread").expect("clean run");
+}
+
+/// A newline-terminated JSON line that is not UTF-8 is still a framed
+/// message: it gets a typed id-0 `Parse` error, and the next line on the
+/// same connection is answered.
+#[test]
+fn a_non_utf8_line_gets_a_typed_parse_error_and_the_connection_survives() {
+    let server = Server::bind("127.0.0.1:0", &ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut replies = BufReader::new(raw.try_clone().expect("clone"));
+    let mut reply = String::new();
+    raw.write_all(b"{\"id\":1,\"body\":\"\xff\"}\n")
+        .expect("non-UTF-8 line");
+    replies.read_line(&mut reply).expect("a reply line");
+    assert!(!reply.is_empty(), "the connection closed without a reply");
+    assert_eq!(error_kind(reply.trim_end()), Some((0, ErrorKind::Parse)));
+
+    let stats = Request {
+        id: 2,
+        body: RequestBody::Stats,
+    };
+    raw.write_all(format!("{}\n", serde_json::to_string(&stats).unwrap()).as_bytes())
+        .expect("next line");
+    reply.clear();
+    replies.read_line(&mut reply).expect("a reply line");
+    let response: Response = serde_json::from_str(reply.trim_end()).expect("stats reply");
+    assert_eq!(response.id, 2);
+    assert!(matches!(response.body, ResponseBody::Stats(_)));
+
+    let mut client = Client::connect(addr).expect("connect");
+    let response = client.call(RequestBody::Shutdown).expect("shutdown ack");
     assert!(matches!(response.body, ResponseBody::Shutdown));
     handle.join().expect("server thread").expect("clean run");
 }

@@ -134,13 +134,9 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Number of random instances per parameter setting.
     pub samples: usize,
-    /// Worker threads used by the Monte-Carlo drivers (0 = machine default).
+    /// Worker threads used by the Monte-Carlo drivers (0 = the process-wide
+    /// default, [`ParallelConfig::from_env`], read once per process).
     pub threads: usize,
-    /// The machine default worker count, resolved from the environment
-    /// **once** at construction and used whenever `threads == 0` — so a
-    /// mid-run environment change can never split one sweep across
-    /// different pool sizes.
-    pub default_threads: usize,
     /// Cap on `mⁿ` for exhaustive enumeration inside experiments.
     pub profile_limit: u128,
     /// Step budget for best-response dynamics and local search.
@@ -176,7 +172,6 @@ impl Default for ExperimentConfig {
             seed: 0x5EED_CAFE,
             samples: 200,
             threads: 0,
-            default_threads: ParallelConfig::from_env().threads(),
             profile_limit: 2_000_000,
             max_steps: 100_000,
             restarts: SolverConfig::default().restarts,
@@ -210,11 +205,11 @@ impl ExperimentConfig {
     }
 
     /// The parallel-execution configuration implied by `threads`, falling
-    /// back to the construction-time `default_threads` when `threads == 0`
-    /// (the environment is *not* re-read here).
+    /// back to the process-wide [`ParallelConfig::from_env`] when
+    /// `threads == 0`.
     pub fn parallel(&self) -> ParallelConfig {
         if self.threads == 0 {
-            ParallelConfig::new(self.default_threads.max(1))
+            ParallelConfig::from_env()
         } else {
             ParallelConfig::new(self.threads)
         }
@@ -281,20 +276,6 @@ mod tests {
             ..Default::default()
         };
         assert!(auto.parallel().threads() >= 1);
-    }
-
-    #[test]
-    fn auto_thread_count_is_resolved_at_construction_not_per_call() {
-        let cfg = ExperimentConfig {
-            default_threads: 5,
-            ..Default::default()
-        };
-        // `parallel()` must honour the frozen construction-time resolution,
-        // whatever the environment says now.
-        assert_eq!(cfg.parallel().threads(), 5);
-        // An explicit thread count still wins over the frozen default.
-        let explicit = ExperimentConfig { threads: 2, ..cfg };
-        assert_eq!(explicit.parallel().threads(), 2);
     }
 
     /// One row per registry: the default list, a trimmed parse, input
