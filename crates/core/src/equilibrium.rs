@@ -90,7 +90,18 @@ pub fn is_pure_nash(
     initial: &LinkLoads,
     tol: Tolerance,
 ) -> bool {
-    let loads = profile.link_loads(game, initial);
+    is_pure_nash_under_loads(game, profile, &profile.link_loads(game, initial), tol)
+}
+
+/// The Nash test of [`is_pure_nash`] over precomputed link loads
+/// (`loads = `[`PureProfile::link_loads`]), so the exhaustive walk can
+/// test every profile against one reused buffer.
+pub(crate) fn is_pure_nash_under_loads(
+    game: &EffectiveGame,
+    profile: &PureProfile,
+    loads: &[f64],
+    tol: Tolerance,
+) -> bool {
     (0..game.users()).all(|user| {
         let from = profile.link(user);
         let w = game.weight(user);

@@ -77,24 +77,23 @@ pub fn exact_potential_violation(
                         if b == sigma.link(j) {
                             continue;
                         }
-                        let s0 = sigma.clone();
-                        let s1 = s0.with_move(i, a);
+                        let s1 = sigma.with_move(i, a);
                         let s2 = s1.with_move(j, b);
-                        let s3 = s0.with_move(j, b);
+                        let s3 = sigma.with_move(j, b);
                         // Latency change of the deviating user along each edge,
-                        // traversing the cycle s0 -> s1 -> s2 -> s3 -> s0.
+                        // traversing the cycle σ -> s1 -> s2 -> s3 -> σ.
                         let d1 = pure_user_latency(game, &s1, initial, i)
-                            - pure_user_latency(game, &s0, initial, i);
+                            - pure_user_latency(game, sigma, initial, i);
                         let d2 = pure_user_latency(game, &s2, initial, j)
                             - pure_user_latency(game, &s1, initial, j);
                         let d3 = pure_user_latency(game, &s3, initial, i)
                             - pure_user_latency(game, &s2, initial, i);
-                        let d4 = pure_user_latency(game, &s0, initial, j)
+                        let d4 = pure_user_latency(game, sigma, initial, j)
                             - pure_user_latency(game, &s3, initial, j);
                         let cycle_sum = d1 + d2 + d3 + d4;
                         if !tol.is_zero(cycle_sum) {
                             witness = Some(PotentialViolation {
-                                base: s0,
+                                base: sigma.clone(),
                                 first: (i, a),
                                 second: (j, b),
                                 cycle_sum,

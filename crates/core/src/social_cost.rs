@@ -43,18 +43,33 @@ pub fn sc2(game: &EffectiveGame, profile: &MixedProfile) -> f64 {
 }
 
 /// Every user's expected latency `λᵢ = (t^{σᵢ} + Σ_{k: σₖ=σᵢ} wₖ) / cᵢ^{σᵢ}`
-/// in a pure profile, from one [`PureProfile::link_loads`] pass. The loads
-/// are summed in user-index order, exactly as
+/// in a pure profile, written into `latencies` from one load pass into
+/// `loads` (both caller-owned, so the exhaustive walk reuses them for every
+/// profile). The loads are summed in user-index order, exactly as
 /// [`pure_user_latency`](crate::latency::pure_user_latency) sums them, so
 /// each entry is bit-identical to the per-user form at `O(n + m)` in total.
+pub(crate) fn pure_latencies_into(
+    game: &EffectiveGame,
+    profile: &PureProfile,
+    initial: &LinkLoads,
+    loads: &mut Vec<f64>,
+    latencies: &mut Vec<f64>,
+) {
+    profile.link_loads_into(game, initial, loads);
+    latencies.clear();
+    latencies.extend(
+        profile
+            .choices()
+            .iter()
+            .enumerate()
+            .map(|(user, &link)| loads[link] / game.capacity(user, link)),
+    );
+}
+
 fn pure_latencies(game: &EffectiveGame, profile: &PureProfile, initial: &LinkLoads) -> Vec<f64> {
-    let loads = profile.link_loads(game, initial);
-    profile
-        .choices()
-        .iter()
-        .enumerate()
-        .map(|(user, &link)| loads[link] / game.capacity(user, link))
-        .collect()
+    let (mut loads, mut latencies) = (Vec::new(), Vec::new());
+    pure_latencies_into(game, profile, initial, &mut loads, &mut latencies);
+    latencies
 }
 
 /// Sum of the users' expected latencies in a pure profile (the quantity
@@ -66,9 +81,13 @@ pub fn pure_sc1(game: &EffectiveGame, profile: &PureProfile, initial: &LinkLoads
 /// Maximum of the users' expected latencies in a pure profile (the quantity
 /// minimised by `OPT2`). One load pass: `O(n + m)`.
 pub fn pure_sc2(game: &EffectiveGame, profile: &PureProfile, initial: &LinkLoads) -> f64 {
-    pure_latencies(game, profile, initial)
-        .into_iter()
-        .fold(f64::MIN, f64::max)
+    max_latency(&pure_latencies(game, profile, initial))
+}
+
+/// The `f64::MIN`-seeded max fold over users in index order that defines
+/// `SC2` on a latency vector (shared with the exhaustive `OPT2` walk).
+pub(crate) fn max_latency(latencies: &[f64]) -> f64 {
+    latencies.iter().copied().fold(f64::MIN, f64::max)
 }
 
 /// Computes the exact social optima by exhaustive enumeration (the

@@ -4,10 +4,14 @@
 //! equilibria. The exact social optima OPT1/OPT2 of Section 2 historically
 //! lived here too; they moved behind the [`crate::opt`] estimator trait
 //! ([`crate::opt::exhaustive`]) and are re-exported for compatibility.
+//!
+//! [`for_each_profile`] walks one profile in place, so an enumeration
+//! allocates nothing per profile; [`all_pure_nash`] tests each profile
+//! against one reused load buffer, an `O(n·m)` check per profile.
 
 pub use crate::opt::exhaustive::{social_optimum, SocialOptimum};
 
-use crate::equilibrium::is_pure_nash;
+use crate::equilibrium::is_pure_nash_under_loads;
 use crate::error::{GameError, Result};
 use crate::model::EffectiveGame;
 use crate::numeric::Tolerance;
@@ -31,11 +35,15 @@ pub(crate) fn ensure_within_limit(game: &EffectiveGame, limit: u128) -> Result<(
 
 /// Calls `f` for every pure profile of an `n`-user, `m`-link game, in
 /// lexicographic order (user 0 varies fastest).
+///
+/// One profile is stepped in place and lent to `f`; a caller that keeps a
+/// profile clones it.
 pub fn for_each_profile<F: FnMut(&PureProfile)>(users: usize, links: usize, mut f: F) {
-    let mut choices = vec![0usize; users];
+    let mut profile = PureProfile::all_on(users, 0);
     loop {
-        f(&PureProfile::new(choices.clone()));
+        f(&profile);
         // Odometer increment.
+        let choices = profile.choices_mut();
         let mut pos = 0;
         loop {
             if pos == users {
@@ -63,8 +71,10 @@ pub fn all_pure_nash(
 ) -> Result<Vec<PureProfile>> {
     ensure_within_limit(game, limit)?;
     let mut equilibria = Vec::new();
+    let mut loads = Vec::with_capacity(game.links());
     for_each_profile(game.users(), game.links(), |profile| {
-        if is_pure_nash(game, profile, initial, tol) {
+        profile.link_loads_into(game, initial, &mut loads);
+        if is_pure_nash_under_loads(game, profile, &loads, tol) {
             equilibria.push(profile.clone());
         }
     });

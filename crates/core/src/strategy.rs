@@ -83,11 +83,25 @@ impl PureProfile {
     /// Total traffic routed on each link under this profile, on top of the
     /// initial traffic `t` (pass [`LinkLoads::zero`] when there is none).
     pub fn link_loads(&self, game: &EffectiveGame, initial: &LinkLoads) -> Vec<f64> {
-        let mut loads = initial.as_slice().to_vec();
+        let mut loads = Vec::with_capacity(initial.links());
+        self.link_loads_into(game, initial, &mut loads);
+        loads
+    }
+
+    /// As [`PureProfile::link_loads`], into a caller-owned buffer, so an
+    /// enumeration walk prices every profile without allocating. The loads
+    /// are summed in user-index order: `tˡ`, then each `wᵢ` with `σᵢ = ℓ`.
+    pub(crate) fn link_loads_into(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        loads: &mut Vec<f64>,
+    ) {
+        loads.clear();
+        loads.extend_from_slice(initial.as_slice());
         for (user, &link) in self.choices.iter().enumerate() {
             loads[link] += game.weight(user);
         }
-        loads
     }
 
     /// The set of users assigned to each link (the *state induced by the
