@@ -10,6 +10,10 @@
 //! for tests) on stdout once bound, then serves until a `Shutdown`
 //! request drains the service, and exits 0.
 //!
+//! `--workers` (default 4) is the number of compute permits, requests
+//! running engine work at once; `--queue-depth` (default 256) bounds the
+//! requests waiting for one, and the next gets a typed `Busy` at once.
+//!
 //! `--metrics-json PATH` periodically overwrites `PATH` with the same JSON
 //! document a `Metrics` request returns (counters, gauges, histogram
 //! percentiles), plus one final snapshot when the service drains — a
@@ -27,7 +31,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: netuncert_serve --addr HOST:PORT [--workers N] [--queue-depth N] \
          [--solve-cache ENTRIES] [--opt-cache ENTRIES] [--session-capacity SESSIONS] \
-         [--metrics-json PATH]"
+         [--metrics-json PATH]\n  --workers: compute permits (requests running engine \
+         work at once); --queue-depth: requests that may wait for one before a typed Busy"
     );
     std::process::exit(2);
 }

@@ -114,7 +114,7 @@ fn spawn_server(path: &str) -> (Child, String) {
 
 /// What the churn phase issued and observed, for the metrics audit.
 struct ChurnCounts {
-    /// Compute requests the phase queued (uploads + edits, including the
+    /// Compute requests the phase issued (uploads + edits, including the
     /// deliberately stale one).
     compute: u64,
     /// Edits the service answered with a repaired, certified profile.
@@ -242,7 +242,7 @@ fn drive_churn(addr: &str, seed: u64, binary: bool) -> ChurnCounts {
 
 /// Fetches a `Metrics` reply and audits it: non-empty, sane percentile
 /// ordering on every histogram, and — when `expected_compute` is known —
-/// queue-wait/service counts equal to the compute requests issued, plus
+/// permit-wait/service counts equal to the compute requests issued, plus
 /// repair-provenance count equality (`repair.moves` and `engine.repair_ns`
 /// must both have observed exactly the successful repairs).
 ///
@@ -450,10 +450,11 @@ fn main() {
 
     // Metrics audit: the registry must be populated and self-consistent
     // after the workload. When we spawned the service ourselves (no other
-    // traffic), the queue-wait and service histograms must count exactly
+    // traffic), the permit-wait and service histograms must count exactly
     // the compute requests this run issued — mixed workload plus the churn
-    // phase's uploads and edits (the stale edit still queues) — and the
-    // repair-provenance probes must count exactly the successful repairs.
+    // phase's uploads and edits (the stale edit still takes a permit) —
+    // and the repair-provenance probes must count exactly the successful
+    // repairs.
     let (expected_compute, expected_repairs) = if opts.server.is_some() {
         let mixed = (opts.requests * if opts.binary { 2 } else { 1 }) as u64;
         (Some(mixed + churn.compute), Some(churn.repairs))

@@ -8,10 +8,10 @@
 //! policy into the plan the interpreter walks ([`crate::policy`]), every
 //! leaf's solvers or estimators resolved and its budgets merged. The
 //! connection reader's warm probe runs on the built form, and a punted
-//! request hands the *same* built form to the worker inside its job —
-//! nothing is decoded, validated, resolved or hashed twice. This is the
-//! cnmc `build() → Built…` shape (SNIPPETS.md, snippets 1–2): the wire
-//! description compiles into the form that is executed.
+//! request runs the cold walk on the *same* built form under a compute
+//! permit — nothing is decoded, validated, resolved or hashed twice. This
+//! is the cnmc `build() → Built…` shape (SNIPPETS.md, snippets 1–2): the
+//! wire description compiles into the form that is executed.
 //!
 //! [`Request`]: crate::protocol::Request
 
@@ -25,7 +25,7 @@ use crate::policy::{compile_bracket, compile_solve, BracketPlan, SolvePlan};
 use crate::protocol::{compute_key, Verb, WireError};
 
 /// One request, decoded and built: validated games, digests and reply
-/// keys, ready for the fast path or a worker.
+/// keys, ready for the fast path or the cold walk.
 #[derive(Debug)]
 pub(crate) struct BuiltRequest {
     pub(crate) id: u64,

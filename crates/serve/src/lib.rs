@@ -4,10 +4,11 @@
 //! when instances repeat across sweeps. This crate keeps the engines —
 //! and their warm caches — *resident*: a std-only TCP service speaking
 //! newline-delimited JSON accepts `Solve`, `Bracket`, and `Measure`
-//! requests, multiplexes them onto a fixed worker pool wrapping
+//! requests and answers each on its connection's own thread with
 //! [`SolverEngine`](netuncert_core::prelude::SolverEngine) and
-//! [`OptEngine`](netuncert_core::prelude::OptEngine), and shares a bounded
-//! LRU warm tier ([`SolveCache`](netuncert_core::prelude::SolveCache) /
+//! [`OptEngine`](netuncert_core::prelude::OptEngine), a fixed number of
+//! them at once (the compute permits), sharing a bounded LRU warm tier
+//! ([`SolveCache`](netuncert_core::prelude::SolveCache) /
 //! [`OptCache`](netuncert_core::prelude::OptCache)) across connections.
 //!
 //! Requests carry a declarative **policy tree** — `Race` competing solver
@@ -35,12 +36,14 @@
 //! - `decode` / `compile` (internal) — the one decode path from bytes to
 //!   the built request every handler runs on
 //! - [`policy`] — the policy tree, the plan each request compiles it to,
-//!   and the one pass-resumable interpreter the reader and workers share
+//!   and the one pass-resumable interpreter both the warm probe and the
+//!   cold walk run
 //! - [`state`] — engine-side service state (caches, budgets, counters)
 //! - [`session`] — the bounded resident-session store behind
 //!   `Upload`/`Edit`/`Release`
-//! - [`server`] — TCP listener, bounded queue, worker pool, graceful drain,
-//!   and the one connection loop both framings run through
+//! - [`server`] — TCP listener, the compute permit gate (FIFO waiting,
+//!   typed `Busy`, panic isolation), graceful drain, and the one connection
+//!   loop both framings run through
 //! - [`frame`] — both framings: the first-byte sniff, cutting one message
 //!   under the size cap, writing one message, and the binary encoding
 //! - [`client`] — minimal blocking client (either framing) and a reusing

@@ -37,13 +37,14 @@
 //! leaf in a solve tree, a Race child that is not a solve leaf, or a
 //! combinator without children, so nothing is checked twice.
 //!
-//! One interpreter walks a plan under a budget. A worker walks it *cold*,
-//! under the deadline of any `Timeout` node. The connection reader walks
-//! the same plan *warm-only*: every leaf opens its engine exactly as on a
-//! worker, and the first cold step — a leaf's warm-tier miss, or any
-//! `Timeout` node — ends the walk with a punt, which hands the request to a
-//! worker. Every other step is the same combinator code in both modes, so
-//! whatever the reader answers is what a worker would have answered.
+//! One interpreter walks a plan under a budget. The connection reader
+//! first walks it *warm-only*: every leaf opens its engine exactly as on
+//! the cold walk, and the first cold step — a leaf's warm-tier miss, or
+//! any `Timeout` node — ends the walk with a punt. The reader then takes a
+//! compute permit and walks the same plan *cold*, under the deadline of
+//! any `Timeout` node. Every other step is the same combinator code in
+//! both modes, so whatever the warm probe answers is what the cold walk
+//! would have answered.
 //!
 //! Every leaf reaches the service's warm tier only through its engine's own
 //! `open` ([`SolverEngine::open`], [`OptEngine::open`]), keyed with the
@@ -374,14 +375,15 @@ pub(crate) enum Budget {
     /// The connection reader's probe: answer from the warm tier, or punt at
     /// the first cold step (a leaf's warm-tier miss, or a `Timeout` node).
     WarmOnly,
-    /// A worker's walk: cold work allowed, until the deadline if one is set.
+    /// The walk under a compute permit: cold work allowed, until the
+    /// deadline if one is set.
     Cold(Option<Instant>),
 }
 
 impl Budget {
     /// The budget of a `Timeout` node's inner plan: the tighter of `limit`
     /// from now and any outer deadline. `None` for a warm-only walk, which
-    /// leaves deadline bookkeeping to a worker.
+    /// leaves deadline bookkeeping to the cold walk.
     fn under(self, limit: Duration) -> Result<Option<Budget>, WireError> {
         match self {
             Budget::WarmOnly => Ok(None),
@@ -417,8 +419,8 @@ pub(crate) struct EvalCtx<'a> {
 }
 
 impl EvalCtx<'_> {
-    /// Runs one leaf inside its span on a worker's (cold) walk; the
-    /// reader's warm-only probe opens none.
+    /// Runs one leaf inside its span on a cold walk; the warm-only probe
+    /// opens none.
     fn in_leaf_span<T>(&self, name: &str, budget: Budget, leaf: impl FnOnce() -> T) -> T {
         let span = matches!(budget, Budget::Cold(_)).then(|| self.obs.recorder.span(name));
         let out = leaf();
@@ -448,7 +450,7 @@ pub(crate) enum SolveEval {
     Done(EngineSolution),
     /// A deadline fired before the policy completed.
     Deadline,
-    /// A warm-only walk reached cold work; a worker must answer.
+    /// A warm-only walk reached cold work; the cold walk must answer.
     Punt,
 }
 
@@ -471,7 +473,7 @@ pub(crate) enum BracketEval {
     Partial(OptOutcome),
     /// A deadline fired before any leaf produced anything certifiable.
     Deadline,
-    /// A warm-only walk reached cold work; a worker must answer.
+    /// A warm-only walk reached cold work; the cold walk must answer.
     Punt,
 }
 
@@ -628,8 +630,8 @@ pub(crate) fn eval_bracket(
 
 /// One bracket leaf: open the engine (a counting warm-tier lookup; a hit
 /// wins even against an already-expired deadline, keeping cached requests
-/// flowing under load), then, on a worker, run the cold walk with the
-/// deadline threaded in as an [`OptCheckpoint`]. The engine files only a
+/// flowing under load), then, under a compute permit, run the cold walk
+/// with the deadline threaded in as an [`OptCheckpoint`]. The engine files only a
 /// complete walk in the warm tier.
 fn bracket_leaf(
     spec: &BracketSpec,

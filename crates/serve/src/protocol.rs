@@ -9,12 +9,12 @@
 //! diffable byte-for-byte against a direct in-process engine call (see
 //! [`replay`](crate::replay)).
 //!
-//! Malformed input never kills a connection or a worker: every failure mode
+//! Malformed input never kills a connection: every failure mode
 //! maps to a typed [`ErrorKind`] inside a normal [`Response`] envelope. The
 //! only exception is an over-long line ([`Limits::max_line_bytes`]), where
 //! the server replies with [`ErrorKind::Oversize`] and then closes *that*
-//! connection (the stream can no longer be framed); other connections and
-//! the worker pool are unaffected.
+//! connection (the stream can no longer be framed); other connections are
+//! unaffected.
 
 use serde::{Deserialize, Serialize};
 
@@ -265,9 +265,10 @@ pub struct WireError {
     pub kind: ErrorKind,
     /// Human-readable detail (never needed to dispatch on).
     pub message: String,
-    /// Queue depth observed at rejection ([`ErrorKind::Busy`] only).
+    /// Readers found waiting for a compute permit at rejection
+    /// ([`ErrorKind::Busy`] only).
     pub depth: Option<u64>,
-    /// Configured queue capacity ([`ErrorKind::Busy`] only).
+    /// Configured bound on waiting readers ([`ErrorKind::Busy`] only).
     pub capacity: Option<u64>,
 }
 
@@ -290,9 +291,10 @@ pub enum ErrorKind {
     Oversize,
     /// The engines rejected the instance or failed while computing.
     Engine,
-    /// The bounded job queue is full; the request was rejected at admission
-    /// without queueing. Carries the observed depth and the configured
-    /// capacity in [`WireError::depth`] / [`WireError::capacity`].
+    /// Every compute permit is held and the bounded line of waiting
+    /// readers is full; the request was rejected at admission without
+    /// waiting. Carries the observed depth and the configured capacity in
+    /// [`WireError::depth`] / [`WireError::capacity`].
     Busy,
     /// The named session id was once live but has been evicted from the
     /// bounded session store (or explicitly released) since. The pinned
@@ -321,12 +323,13 @@ impl WireError {
         WireError::new(ErrorKind::Engine, err.to_string())
     }
 
-    /// The back-pressure rejection: the bounded job queue held `depth` jobs
-    /// against a cap of `capacity` when this request arrived.
+    /// The back-pressure rejection: every compute permit was held and
+    /// `depth` readers already waited, against a cap of `capacity`, when
+    /// this request arrived.
     pub fn busy(depth: usize, capacity: usize) -> Self {
         WireError {
             kind: ErrorKind::Busy,
-            message: format!("job queue is full ({depth}/{capacity} jobs); retry later"),
+            message: format!("all compute permits held, {depth}/{capacity} waiting; retry later"),
             depth: Some(depth as u64),
             capacity: Some(capacity as u64),
         }
@@ -544,14 +547,15 @@ pub struct StatsReply {
     /// Requests that ended in a deadline outcome (partial brackets
     /// included).
     pub deadline_hits: u64,
-    /// Requests refused at admission because the job queue was full; these
-    /// never reach the engines and are **not** counted in `requests`.
+    /// Requests refused at admission because every compute permit was held
+    /// and the waiting line was full; these never reach the engines and
+    /// are **not** counted in `requests`.
     pub rejected: u64,
-    /// Jobs sitting in the bounded queue right now (live gauge).
+    /// Readers waiting for a compute permit right now (live gauge).
     pub queue_depth: u64,
-    /// The configured queue capacity (the `Busy` threshold).
+    /// The configured bound on waiting readers (the `Busy` threshold).
     pub queue_capacity: u64,
-    /// Workers currently executing a job (live gauge).
+    /// Compute permits held right now (live gauge).
     pub busy_workers: u64,
 }
 

@@ -1,19 +1,20 @@
-//! The resident TCP service: listener, bounded job queue, fixed worker
-//! pool, graceful drain.
+//! The resident TCP service: listener, compute permits, graceful drain.
 //!
-//! Architecture: one acceptor (the thread inside [`Server::run`]), one
-//! lightweight reader thread per connection, and a **fixed pool** of worker
-//! threads that do all engine work. Reader threads parse frames and answer
-//! three classes of request themselves — parse failures, `Stats`/`Shutdown`
-//! and validation errors, and any compute request whose compiled policy the
-//! worker's own walk answers from the warm tier alone (the warm-only probe,
-//! `ServeState::try_handle_fast`) — and enqueue everything else on a
-//! **depth-capped** queue the workers share. A request that finds the queue
-//! full is rejected immediately with a typed
-//! [`ErrorKind::Busy`] carrying the
-//! observed depth and the cap: under overload the service answers `Busy`
-//! promptly and keeps serving cached requests through the reader fast path,
-//! instead of queueing without bound behind the slow work.
+//! Architecture: one acceptor (the thread inside [`Server::run`]) and one
+//! thread per connection, which reads, answers and writes every request on
+//! it. A reader answers three classes of request without engine work —
+//! parse failures, `Stats`/`Shutdown` and validation errors, and any
+//! compute request whose compiled policy the walk answers from the warm
+//! tier alone (the warm-only probe, `ServeState::try_handle_fast`). Every
+//! other request runs its engine walk on the reader under a **compute
+//! permit**. There are `workers` permits; while every one is held, at most
+//! `queue_depth` readers wait for one, admitted in arrival order. The next
+//! reader is answered at once with a typed [`ErrorKind::Busy`] carrying
+//! the number of waiting readers and the cap: under overload the service
+//! answers `Busy` promptly and keeps serving cached requests, which take
+//! no permit, instead of waiting without bound behind the slow work. An
+//! engine panic costs its request one typed `Engine` error: the permit is
+//! released and the connection keeps serving.
 //!
 //! Framing is negotiated per connection by the first byte: a client that
 //! opens with [`BINARY_MAGIC`](crate::frame::BINARY_MAGIC) speaks
@@ -32,15 +33,13 @@
 //! grace window to finish the frame (a completed frame is answered
 //! normally — by then with a typed `Shutdown` error from the draining
 //! gate), and if the frame still has not completed it answers with a typed
-//! `Shutdown` error itself before closing. When the last reader exits the
-//! queue closes, the workers drain what is queued and exit, and
+//! `Shutdown` error itself before closing. When the last reader exits,
 //! [`Server::run`] returns `Ok(())` — the binary's exit 0.
 
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,7 +48,7 @@ use netuncert_core::obs::{elapsed_ns, Gauge};
 use crate::compile::BuiltRequest;
 use crate::frame::{Framing, MessageReader, Step};
 use crate::protocol::{ErrorKind, Response, ResponseBody, WireError};
-use crate::state::{ServeConfig, ServeState};
+use crate::state::{ObsHandles, ServeConfig, ServeState};
 
 /// How often an idle connection reader wakes to check the draining flag.
 const DRAIN_POLL: Duration = Duration::from_millis(50);
@@ -59,97 +58,101 @@ const DRAIN_POLL: Duration = Duration::from_millis(50);
 /// error and closing. Progress on the frame does not extend the grace.
 const DRAIN_GRACE_TICKS: u32 = 3;
 
-/// One unit of work for the pool: a built request (the very one the
-/// reader's fast-path probe ran on — nothing is decoded or hashed again)
-/// plus the channel that hands the finished response back to the
-/// connection's reader thread.
-struct Job {
-    request: BuiltRequest,
-    reply: Sender<Response>,
-    /// When the reader pushed this job — the start of its queue wait.
-    enqueued: Instant,
-}
-
-/// Why a [`JobQueue::push`] was refused.
-enum PushError {
-    /// The queue held `.0` jobs, at or over its cap — the back-pressure
-    /// rejection.
-    Full(usize),
-    /// The queue is closed (late drain); the job is handed back so the
-    /// reader can run it inline.
-    Closed(Box<Job>),
-}
-
-/// The depth-capped job queue the readers feed and the workers drain.
-/// `push` never blocks — admission control happens at the door, so a
-/// rejected request learns its fate immediately instead of queueing behind
-/// the very overload it is part of.
-struct JobQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
+/// The compute admission gate: at most `permits` readers run engine work
+/// at once, and while every permit is held at most `capacity` more wait
+/// for one, first come, first served: a freed permit goes to the lowest
+/// waiting ticket, and an arrival never overtakes a waiter. Refusal never
+/// blocks.
+struct PermitGate {
+    tickets: Mutex<Tickets>,
+    freed: Condvar,
+    permits: usize,
     capacity: usize,
-    /// Mirrors the live depth into `serve.queue_depth`; updated under the
-    /// queue lock so the gauge never observes a torn transition.
-    depth: Arc<Gauge>,
+    /// Waiting readers (`serve.queue_depth`) and held permits
+    /// (`serve.busy_workers`), set under the lock so neither gauge
+    /// observes a torn transition.
+    waiting: Arc<Gauge>,
+    held: Arc<Gauge>,
 }
 
-struct QueueInner {
-    jobs: VecDeque<Job>,
-    closed: bool,
+#[derive(Default)]
+struct Tickets {
+    /// Permits held right now.
+    held: usize,
+    /// The ticket the next waiting reader takes.
+    next: u64,
+    /// The ticket admitted next; `next - serving` readers wait.
+    serving: u64,
 }
 
-impl JobQueue {
-    fn new(capacity: usize, depth: Arc<Gauge>) -> Self {
-        JobQueue {
-            inner: Mutex::new(QueueInner {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
+impl PermitGate {
+    fn new(permits: usize, capacity: usize, obs: &ObsHandles) -> Self {
+        PermitGate {
+            tickets: Mutex::new(Tickets::default()),
+            freed: Condvar::new(),
+            permits: permits.max(1),
             capacity: capacity.max(1),
-            depth,
+            waiting: Arc::clone(&obs.queue_depth),
+            held: Arc::clone(&obs.busy_workers),
         }
     }
 
-    /// Admits a job if there is room, else reports `Full` with the observed
-    /// depth (or `Closed` with the job handed back).
-    fn push(&self, job: Job) -> Result<(), PushError> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        if inner.closed {
-            return Err(PushError::Closed(Box::new(job)));
-        }
-        if inner.jobs.len() >= self.capacity {
-            return Err(PushError::Full(inner.jobs.len()));
-        }
-        inner.jobs.push_back(job);
-        self.depth.set(inner.jobs.len() as u64);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
+    /// Only counter arithmetic runs under the lock, so the tickets stay
+    /// valid across a panic, and a permit dropped while unwinding returns.
+    fn lock(&self) -> MutexGuard<'_, Tickets> {
+        self.tickets.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks for the next job; `None` once the queue is closed **and**
-    /// drained, which is a worker's signal to exit.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().ok()?;
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                self.depth.set(inner.jobs.len() as u64);
-                return Some(job);
+    /// Takes a permit, first waiting behind every earlier waiter if all
+    /// permits are held. `Err(depth)` refuses the reader without waiting
+    /// when `depth` (= `capacity`) readers already wait.
+    fn acquire(&self) -> Result<Permit<'_>, usize> {
+        let mut tickets = self.lock();
+        let ahead = tickets.next - tickets.serving;
+        if ahead > 0 || tickets.held == self.permits {
+            if ahead >= self.capacity as u64 {
+                return Err(ahead as usize);
             }
-            if inner.closed {
-                return None;
+            let ticket = tickets.next;
+            tickets.next += 1;
+            self.waiting.set(tickets.next - tickets.serving);
+            while tickets.serving != ticket || tickets.held == self.permits {
+                tickets = self
+                    .freed
+                    .wait(tickets)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-            inner = self.ready.wait(inner).ok()?;
+            tickets.serving += 1;
+            self.waiting.set(tickets.next - tickets.serving);
         }
+        tickets.held += 1;
+        self.held.set(tickets.held as u64);
+        // Several permits may have come free before this waiter woke: the
+        // next ticket may be able to go too.
+        let pass_on = tickets.serving != tickets.next && tickets.held < self.permits;
+        drop(tickets);
+        if pass_on {
+            self.freed.notify_all();
+        }
+        Ok(Permit(self))
     }
+}
 
-    /// Closes the queue: queued jobs still drain, new pushes get `Closed`.
-    fn close(&self) {
-        if let Ok(mut inner) = self.inner.lock() {
-            inner.closed = true;
+/// One held compute permit; dropping it, normally or while unwinding,
+/// admits the longest waiter.
+struct Permit<'a>(&'a PermitGate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let gate = self.0;
+        let mut tickets = gate.lock();
+        tickets.held -= 1;
+        gate.held.set(tickets.held as u64);
+        let waiters = tickets.serving != tickets.next;
+        drop(tickets);
+        if waiters {
+            gate.freed.notify_all();
         }
-        self.ready.notify_all();
     }
 }
 
@@ -157,8 +160,7 @@ impl JobQueue {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServeState>,
-    workers: usize,
-    queue_depth: usize,
+    gate: Arc<PermitGate>,
 }
 
 impl Server {
@@ -166,11 +168,12 @@ impl Server {
     /// configuration.
     pub fn bind(addr: &str, config: &ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let state = Arc::new(ServeState::new(config));
+        let gate = PermitGate::new(config.workers, config.queue_depth, state.obs());
         Ok(Server {
             listener,
-            state: Arc::new(ServeState::new(config)),
-            workers: config.workers.max(1),
-            queue_depth: config.queue_depth.max(1),
+            state,
+            gate: Arc::new(gate),
         })
     }
 
@@ -187,18 +190,6 @@ impl Server {
     /// Serves until a `Shutdown` request has drained the service. Blocks.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
-        let queue = Arc::new(JobQueue::new(
-            self.queue_depth,
-            Arc::clone(&self.state.obs().queue_depth),
-        ));
-        let workers: Vec<JoinHandle<()>> = (0..self.workers)
-            .map(|_| {
-                let state = Arc::clone(&self.state);
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || worker_loop(&state, &queue))
-            })
-            .collect();
-
         let live_readers = Arc::clone(&self.state.obs().readers);
         let mut readers: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
@@ -211,22 +202,15 @@ impl Server {
             readers.retain(|reader| !reader.is_finished());
             let Ok(stream) = stream else { continue };
             let state = Arc::clone(&self.state);
-            let queue = Arc::clone(&queue);
-            let addr_copy = addr;
+            let gate = Arc::clone(&self.gate);
             let live = LiveReader::enter(&live_readers);
             readers.push(std::thread::spawn(move || {
                 let _live = live;
-                connection_loop(stream, &state, &queue, addr_copy);
+                connection_loop(stream, &state, &gate, addr);
             }));
         }
         for reader in readers {
             let _ = reader.join();
-        }
-        // All readers are gone, so nothing can push any more: close the
-        // queue, let the workers drain what is left, and join them.
-        queue.close();
-        for worker in workers {
-            let _ = worker.join();
         }
         Ok(())
     }
@@ -249,85 +233,63 @@ impl Drop for LiveReader {
     }
 }
 
-/// A worker: pull one job, run it through the engine state, send the
-/// response back. Exits when the queue closes (all readers gone).
-///
-/// The queue only ever holds compute verbs (the reader fast path always
-/// answers admin verbs itself), so the wait/service histograms here — plus
-/// the fast-path and inline records in [`respond`] — together count exactly
-/// the compute requests the service answered.
-fn worker_loop(state: &ServeState, queue: &JobQueue) {
-    let obs = state.obs();
-    while let Some(job) = queue.pop() {
-        obs.queue_wait.record(elapsed_ns(job.enqueued));
-        obs.busy_workers.add(1);
-        let service_start = Instant::now();
-        let response = state.handle_built(job.request);
-        obs.service.record(elapsed_ns(service_start));
-        obs.busy_workers.sub(1);
-        // The reader may have hung up (client gone) — fine, drop the reply.
-        let _ = job.reply.send(response);
-    }
-}
-
-/// Answers one built request from a reader thread: the warm fast path if
-/// it applies, else the bounded queue — with a typed `Busy` rejection when
-/// the queue is full, and an inline evaluation when the pool is already
-/// gone (late drain). Requests that need engine work (compute verbs,
-/// `Upload`, `Edit`) are the ones the queue-wait/service histograms count.
-fn respond(state: &ServeState, queue: &JobQueue, request: BuiltRequest) -> Response {
+/// Answers one built request on its reader thread: the warm probe if it
+/// applies, else the engine walk under a compute permit ([`run_gated`]).
+/// Requests that need engine work (compute verbs, `Upload`, `Edit`) are
+/// the ones the permit-wait/service histograms count.
+fn respond(state: &ServeState, gate: &PermitGate, request: BuiltRequest) -> Response {
     let obs = state.obs();
     let received = Instant::now();
     let compute = request.is_compute();
-    let request = match state.try_handle_fast(request) {
+    match state.try_handle_fast(request) {
         Ok(response) => {
             obs.admit_fast.incr(1);
             if compute {
-                // A fast-path answer never queued: zero wait, and its whole
-                // cost is service time.
+                // A warm answer never waited for a permit: zero wait, and
+                // its whole cost is service time.
                 obs.queue_wait.record(0);
                 obs.service.record(elapsed_ns(received));
             }
-            return response;
-        }
-        Err(punted) => *punted,
-    };
-    let id = request.id;
-    let (reply_tx, reply_rx) = channel();
-    match queue.push(Job {
-        request,
-        reply: reply_tx,
-        enqueued: Instant::now(),
-    }) {
-        Ok(()) => {
-            obs.admit_queued.incr(1);
-            reply_rx.recv().unwrap_or_else(|_| Response {
-                id,
-                body: ResponseBody::Error(WireError::new(
-                    ErrorKind::Engine,
-                    "the worker handling this request died before answering",
-                )),
-            })
-        }
-        Err(PushError::Full(depth)) => {
-            // The only tally of a rejection (`Stats.rejected` reads it).
-            obs.admit_busy.incr(1);
-            Response {
-                id,
-                body: ResponseBody::Error(WireError::busy(depth, queue.capacity)),
-            }
-        }
-        Err(PushError::Closed(job)) => {
-            // Late drain: the pool is gone, so the reader evaluates the job
-            // inline. Its wait is however long the failed push took.
-            obs.admit_inline.incr(1);
-            obs.queue_wait.record(elapsed_ns(job.enqueued));
-            let service_start = Instant::now();
-            let response = state.handle_built(job.request);
-            obs.service.record(elapsed_ns(service_start));
             response
         }
+        Err(punted) => run_gated(state, gate, punted.id, || state.handle_built(*punted)),
     }
+}
+
+/// Runs request `id`'s engine work under a permit, or answers a typed
+/// `Busy` when every permit is held and the waiting line is full. A panic
+/// in `work` becomes a typed `Engine` error, counted in
+/// `serve.compute_panics`; the permit is released either way.
+fn run_gated(
+    state: &ServeState,
+    gate: &PermitGate,
+    id: u64,
+    work: impl FnOnce() -> Response,
+) -> Response {
+    let obs = state.obs();
+    let arrived = Instant::now();
+    let permit = match gate.acquire() {
+        Ok(permit) => permit,
+        Err(depth) => {
+            // The only tally of a rejection (`Stats.rejected` reads it).
+            obs.admit_busy.incr(1);
+            return Response {
+                id,
+                body: ResponseBody::Error(WireError::busy(depth, gate.capacity)),
+            };
+        }
+    };
+    obs.admit_queued.incr(1);
+    obs.queue_wait.record(elapsed_ns(arrived));
+    let service_start = Instant::now();
+    let response = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+        obs.compute_panics.incr(1);
+        let error = WireError::new(ErrorKind::Engine, "the engine panicked on this request");
+        state.finish(id, ResponseBody::Error(error))
+    });
+    obs.service.record(elapsed_ns(service_start));
+    drop(permit);
+    response
 }
 
 /// The typed answer for a frame that was started but never completed by
@@ -354,7 +316,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// poisons itself (an oversize message). A `Shutdown` request is acked and
 /// then this connection closes; an oversize message gets a typed
 /// `Oversize` error and also closes (the stream can no longer be trusted),
-/// leaving every other connection and the pool untouched.
+/// leaving every other connection untouched.
 ///
 /// The drain rule: once the reader sees the draining flag, an idle
 /// connection closes silently, and a started message gets
@@ -365,7 +327,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 fn connection_loop(
     stream: TcpStream,
     state: &ServeState,
-    queue: &JobQueue,
+    gate: &PermitGate,
     server_addr: SocketAddr,
 ) {
     // Response frames are small and latency-bound; never wait on Nagle.
@@ -395,7 +357,7 @@ fn connection_loop(
         };
         let response = match step {
             Step::Message => match state.compile(framing, messages.message()) {
-                Ok(request) => respond(state, queue, request),
+                Ok(request) => respond(state, gate, request),
                 Err(parse_error) => *parse_error,
             },
             Step::Oversize => state.oversize_response(),
@@ -446,5 +408,135 @@ impl ServeState {
                 ),
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::channel;
+    use std::time::{Duration, Instant};
+
+    use super::*;
+
+    /// A one-permit gate with room for two waiters, on a fresh state whose
+    /// gauges the gate publishes into.
+    fn one_permit_gate() -> (ServeState, PermitGate) {
+        let config = ServeConfig {
+            workers: 1,
+            queue_depth: 2,
+            ..ServeConfig::default()
+        };
+        let state = ServeState::new(&config);
+        let gate = PermitGate::new(config.workers, config.queue_depth, state.obs());
+        (state, gate)
+    }
+
+    /// Spins until `gauge` reads `value`. The gauges are set under the gate
+    /// lock, so this is the synchronisation point; the deadline only turns
+    /// a hang into a failure.
+    fn until(gauge: &Gauge, value: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gauge.value() != value {
+            assert!(
+                Instant::now() < deadline,
+                "gauge stuck at {}",
+                gauge.value()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_full_line_refuses_the_next_reader_with_its_depth() {
+        let (state, gate) = one_permit_gate();
+        let obs = state.obs();
+        let held = gate.acquire().expect("a free permit");
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| drop(gate.acquire().expect("admitted")));
+            until(&obs.queue_depth, 1);
+            let second = scope.spawn(|| drop(gate.acquire().expect("admitted")));
+            until(&obs.queue_depth, 2);
+            assert_eq!(gate.acquire().err(), Some(2), "a third waiter is Busy(2)");
+            drop(held);
+            first.join().expect("first waiter");
+            second.join().expect("second waiter");
+        });
+        assert_eq!(obs.queue_depth.value(), 0);
+        assert_eq!(obs.busy_workers.value(), 0);
+    }
+
+    #[test]
+    fn each_released_permit_admits_the_longest_waiter_even_on_unwind() {
+        let (state, gate) = one_permit_gate();
+        let obs = state.obs();
+        let (admitted_tx, admitted) = channel();
+        let held = gate.acquire().expect("a free permit");
+        assert_eq!(obs.busy_workers.value(), 1);
+        let gate = &gate;
+        std::thread::scope(|scope| {
+            let (go_first, first_go) = channel::<()>();
+            let first_admitted = admitted_tx.clone();
+            let first = scope.spawn(move || {
+                let permit = gate.acquire().expect("admitted");
+                first_admitted.send("first").unwrap();
+                first_go.recv().unwrap();
+                // Unwinding drops the permit.
+                let _permit = permit;
+                panic!("a waiter that unwinds while holding its permit");
+            });
+            until(&obs.queue_depth, 1);
+            let (go_second, second_go) = channel::<()>();
+            let second = scope.spawn(move || {
+                let permit = gate.acquire().expect("admitted");
+                admitted_tx.send("second").unwrap();
+                second_go.recv().unwrap();
+                drop(permit);
+            });
+            until(&obs.queue_depth, 2);
+
+            // A normal drop admits exactly the first arrival.
+            drop(held);
+            assert_eq!(admitted.recv().unwrap(), "first");
+            assert_eq!(obs.queue_depth.value(), 1, "the second still waits");
+            assert_eq!(obs.busy_workers.value(), 1);
+
+            // An unwinding drop admits exactly the next one.
+            go_first.send(()).unwrap();
+            assert!(first.join().is_err(), "the first waiter unwound");
+            assert_eq!(admitted.recv().unwrap(), "second");
+            assert_eq!(obs.queue_depth.value(), 0);
+            assert_eq!(obs.busy_workers.value(), 1);
+
+            go_second.send(()).unwrap();
+            second.join().expect("second waiter");
+        });
+        assert_eq!(obs.queue_depth.value(), 0);
+        assert_eq!(obs.busy_workers.value(), 0);
+    }
+
+    #[test]
+    fn a_panicking_computation_costs_one_typed_error_and_keeps_the_permit() {
+        let (state, gate) = one_permit_gate();
+        let registry = state.registry();
+        let response = run_gated(&state, &gate, 41, || panic!("injected engine fault"));
+        assert_eq!(response.id, 41);
+        let ResponseBody::Error(err) = response.body else {
+            panic!("expected a typed error, got {response:?}");
+        };
+        assert_eq!(err.kind, ErrorKind::Engine);
+        assert_eq!(registry.counter("serve.compute_panics").value(), 1);
+        assert_eq!(registry.counter("serve.replies.error").value(), 1);
+        assert_eq!(registry.histogram("serve.queue_wait_ns").count(), 1);
+        assert_eq!(registry.histogram("serve.service_ns").count(), 1);
+        assert_eq!(state.obs().busy_workers.value(), 0, "the permit came back");
+
+        // The same gate still serves.
+        let response = run_gated(&state, &gate, 42, || Response {
+            id: 42,
+            body: ResponseBody::Shutdown,
+        });
+        assert!(matches!(response.body, ResponseBody::Shutdown));
+        assert_eq!(registry.counter("serve.admit_queued").value(), 2);
+        assert_eq!(registry.counter("serve.compute_panics").value(), 1);
     }
 }

@@ -1,5 +1,5 @@
 //! The engine-side state one service instance owns, and the request
-//! handler every worker runs.
+//! handler every connection reader runs.
 //!
 //! [`ServeState`] is the whole service minus the sockets: the shared
 //! LRU warm tier ([`SolveCache`]/[`OptCache`]), the metrics registry that
@@ -33,15 +33,16 @@ use crate::protocol::{
 };
 use crate::session::{SessionLookup, SessionRemoval, SessionSnapshot, SessionStore};
 
-/// Service configuration: pool size, queue bound, warm-tier bounds, wire
-/// limits.
+/// Service configuration: compute permits, the waiting bound, warm-tier
+/// bounds, wire limits.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Fixed worker-pool size.
+    /// Compute permits: how many connection readers may run engine work
+    /// at once.
     pub workers: usize,
-    /// Bound on the shared job queue; an arriving request that finds the
-    /// queue at this depth is rejected with a typed [`ErrorKind::Busy`]
-    /// instead of queueing without bound.
+    /// Bound on the readers waiting for a permit while every permit is
+    /// held; a request that finds this many waiting is rejected with a
+    /// typed [`ErrorKind::Busy`] instead of waiting without bound.
     pub queue_depth: usize,
     /// LRU capacity of the solve warm tier, entries.
     pub solve_cache_capacity: usize,
@@ -71,7 +72,7 @@ impl Default for ServeConfig {
 ///
 /// The serve layer's own telemetry is always on (unlike the engine probes,
 /// which a [`Recorder`] can disable): the service exists to answer queries,
-/// and its queue/admission trajectory is part of the product. Handles are
+/// and its admission trajectory is part of the product. Handles are
 /// resolved once at construction so the request path never takes the
 /// registry's name-lookup lock.
 pub(crate) struct ObsHandles {
@@ -80,7 +81,7 @@ pub(crate) struct ObsHandles {
     pub(crate) registry: Arc<Registry>,
     /// The recorder threaded into policy evaluation and the engines.
     pub(crate) recorder: Recorder,
-    /// Time a compute request spent queued before a worker popped it
+    /// Time a compute request waited for a compute permit
     /// (`serve.queue_wait_ns`; fast-path answers record zero).
     pub(crate) queue_wait: Arc<Histogram>,
     /// Time spent actually answering a compute request
@@ -94,22 +95,23 @@ pub(crate) struct ObsHandles {
     /// (`serve.request_key_ns`), plus per-framing twins as above. The
     /// in-process entry point records only the aggregate.
     request_key: [Arc<Histogram>; 3],
-    /// Live job-queue depth (`serve.queue_depth`).
+    /// Readers waiting for a compute permit (`serve.queue_depth`).
     pub(crate) queue_depth: Arc<Gauge>,
-    /// The configured queue bound (`serve.queue_capacity`).
+    /// The configured waiting bound (`serve.queue_capacity`).
     pub(crate) queue_capacity: Arc<Gauge>,
-    /// Workers currently answering a job (`serve.busy_workers`).
+    /// Compute permits held right now (`serve.busy_workers`).
     pub(crate) busy_workers: Arc<Gauge>,
     /// Live connection reader threads (`serve.readers`).
     pub(crate) readers: Arc<Gauge>,
     /// Admission counters: answered on the reader's warm fast path.
     pub(crate) admit_fast: Arc<ObsCounter>,
-    /// Admission counters: handed to the worker pool.
+    /// Admission counters: ran under a compute permit.
     pub(crate) admit_queued: Arc<ObsCounter>,
     /// Admission counters: rejected with a typed `Busy` error.
     pub(crate) admit_busy: Arc<ObsCounter>,
-    /// Admission counters: queue closed mid-push, answered inline.
-    pub(crate) admit_inline: Arc<ObsCounter>,
+    /// Engine walks that panicked and were answered with a typed `Engine`
+    /// error (`serve.compute_panics`).
+    pub(crate) compute_panics: Arc<ObsCounter>,
     /// Live pinned sessions (`serve.sessions`).
     pub(crate) sessions: Arc<Gauge>,
     /// Sessions pushed out of the bounded store by newer uploads
@@ -143,7 +145,7 @@ impl ObsHandles {
             admit_fast: registry.counter("serve.admit_fast"),
             admit_queued: registry.counter("serve.admit_queued"),
             admit_busy: registry.counter("serve.admit_busy"),
-            admit_inline: registry.counter("serve.admit_inline"),
+            compute_panics: registry.counter("serve.compute_panics"),
             sessions: registry.gauge("serve.sessions"),
             session_evictions: registry.counter("serve.session_evictions"),
             replies_ok: registry.counter("serve.replies.ok"),
@@ -332,7 +334,7 @@ impl ServeState {
 
     /// Counts one handled request in exactly one reply counter, by its
     /// finished body, and seals the response envelope.
-    fn finish(&self, id: u64, body: ResponseBody) -> Response {
+    pub(crate) fn finish(&self, id: u64, body: ResponseBody) -> Response {
         let deadlined = match &body {
             ResponseBody::Solve(reply) => matches!(reply.outcome, SolveOutcome::DeadlineExceeded),
             ResponseBody::Bracket(reply) => matches!(
@@ -354,19 +356,20 @@ impl ServeState {
     }
 
     /// The connection reader's fast path: answers a request **without a
-    /// worker** when no engine work is needed — `Stats`/`Shutdown`,
+    /// compute permit** when no engine work is needed — `Stats`/`Shutdown`,
     /// draining rejections, validation errors, and any compute verb whose
     /// compiled plan completes from the warm tier alone. A compute verb
-    /// runs the worker's own walk under a warm-only budget, which punts at
-    /// the first cold step (a leaf's warm-tier miss, or any `Timeout`
-    /// node); the request is then handed back (`Err`) and the caller queues
-    /// that same built request for a worker.
+    /// runs the cold walk's own code under a warm-only budget, which punts
+    /// at the first cold step (a leaf's warm-tier miss, or any `Timeout`
+    /// node); the request is then handed back (`Err`) and the caller runs
+    /// that same built request through [`handle_built`](Self::handle_built)
+    /// under a permit.
     ///
-    /// Everything answered here is byte-identical to what a worker would
-    /// have produced for the same request, because it is the same walk.
-    /// Only the warm tier's hit/miss counters can differ (a punted
-    /// request's probe misses are recounted by the worker — the documented
-    /// tolerance).
+    /// Everything answered here is byte-identical to what the cold walk
+    /// would have produced for the same request, because it is the same
+    /// walk. Only the warm tier's hit/miss counters can differ (a punted
+    /// request's probe misses are recounted by the cold walk — the
+    /// documented tolerance).
     pub(crate) fn try_handle_fast(
         &self,
         request: BuiltRequest,
@@ -383,7 +386,7 @@ impl ServeState {
                 Err(Box::new(request))
             }
             // Release is pure bookkeeping; the admin verbs and draining
-            // rejections answer exactly as on a worker.
+            // rejections answer exactly as under a permit.
             _ => Ok(self.handle_built(request)),
         }
     }
@@ -409,8 +412,8 @@ impl ServeState {
                 )));
             }
         }
-        // A worker's walk is one request-level span; the reader's warm
-        // probe opens none.
+        // A cold walk is one request-level span; the warm probe opens
+        // none.
         let span = matches!(budget, Budget::Cold(_)).then(|| {
             self.obs.recorder.span(match plan {
                 Plan::Solve(_) => "solve",
@@ -632,7 +635,7 @@ impl ServeState {
     /// `Busy` rejection is counted once, in `serve.admit_busy`. The cache
     /// counters are sampled after the reply counters and may run slightly
     /// ahead of them (and may over-count misses: a reader's fast-path probe
-    /// that punts to a worker records the miss twice). Tests pin the
+    /// that punts to the cold walk records the miss twice). Tests pin the
     /// tolerance, not exact cache counts.
     fn stats_reply(&self) -> ResponseBody {
         let errors = self.obs.replies_error.value();

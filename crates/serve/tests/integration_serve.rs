@@ -37,10 +37,22 @@ fn shutdown(addr: std::net::SocketAddr) {
 }
 
 /// The acceptance gate: >= 100 mixed requests over >= 4 concurrent
-/// connections, every answer byte-identical to a direct engine call.
+/// connections, every answer byte-identical to a direct engine call —
+/// with the default permits, and with one permit that the four
+/// connections contend for.
 #[test]
 fn served_answers_match_direct_engine_calls_byte_for_byte() {
-    let (addr, handle) = start(&ServeConfig::default());
+    let contended = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    for config in [ServeConfig::default(), contended] {
+        served_answers_replay_exactly(&config);
+    }
+}
+
+fn served_answers_replay_exactly(config: &ServeConfig) {
+    let (addr, handle) = start(config);
     const CONNECTIONS: usize = 4;
     const REQUESTS: usize = 104;
 
@@ -63,7 +75,7 @@ fn served_answers_match_direct_engine_calls_byte_for_byte() {
     }
     assert_eq!(pairs.len(), REQUESTS);
 
-    let mut replayer = Replayer::new(&ServeConfig::default());
+    let mut replayer = Replayer::new(config);
     for (request, served) in &pairs {
         if let Some(diff) = replayer.check(request, served) {
             panic!("{diff}");
@@ -88,8 +100,8 @@ fn served_answers_match_direct_engine_calls_byte_for_byte() {
 }
 
 /// A `Timeout` solve on a large instance returns a typed deadline result
-/// quickly, and does NOT block the pool: warm-tier requests on other
-/// connections keep answering while it runs.
+/// quickly, and does NOT block other connections: warm-tier requests on
+/// them keep answering while it runs.
 #[test]
 fn timeout_policy_yields_typed_deadline_without_blocking_the_pool() {
     let (addr, handle) = start(&ServeConfig::default());
@@ -131,7 +143,7 @@ fn timeout_policy_yields_typed_deadline_without_blocking_the_pool() {
         (raw, started.elapsed())
     });
 
-    // While the grind occupies one worker, cached answers keep flowing.
+    // While the grind holds one permit, cached answers keep flowing.
     let mut served_during = 0;
     let window = Instant::now();
     while window.elapsed() < Duration::from_millis(20) {

@@ -1,4 +1,4 @@
-//! The service under pressure: a saturated bounded queue must answer
+//! The service under pressure: a saturated permit gate must answer
 //! typed `Busy` rejections promptly while warm-tier requests keep
 //! flowing, a drain must never silently drop a half-received frame, tiny
 //! deadlines over adversarial policy trees must never panic, and the
@@ -42,9 +42,10 @@ fn shutdown(addr: std::net::SocketAddr) {
     assert!(matches!(response.body, ResponseBody::Shutdown));
 }
 
-/// A deadline-bounded local-search grind on a big instance: occupies a
-/// worker for roughly `ms` milliseconds, cannot take the reader fast path
-/// (it carries a `Timeout`), and ends in a typed deadline outcome.
+/// A deadline-bounded local-search grind on a big instance: holds a
+/// compute permit for roughly `ms` milliseconds, cannot take the reader
+/// fast path (it carries a `Timeout`), and ends in a typed deadline
+/// outcome.
 fn slow_solve(id: u64, seed: u64, ms: i64) -> Request {
     Request {
         id,
@@ -74,10 +75,11 @@ fn cold_probe(id: u64, seed: u64) -> Request {
     }
 }
 
-/// Saturating a 1-worker, depth-2 server yields typed `Busy` rejections
-/// that arrive promptly (from the reader, not the queue), carry the
-/// observed depth and the cap, leave the warm tier fully responsive, and
-/// are tallied exactly in `Stats.rejected`.
+/// Saturating a 1-permit, depth-2 server yields typed `Busy` rejections
+/// that arrive promptly (the reader refuses without waiting), carry the
+/// number of waiting readers and the cap, leave the warm tier fully
+/// responsive, are tallied exactly in `Stats.rejected`, and leak no
+/// permit: once the flood is answered nothing waits and nothing is held.
 #[test]
 fn saturated_queue_answers_typed_busy_while_warm_requests_keep_flowing() {
     let config = ServeConfig {
@@ -92,9 +94,9 @@ fn saturated_queue_answers_typed_busy_while_warm_requests_keep_flowing() {
     let mut warm_client = Client::connect(addr).expect("warm connect");
     let warm_answer = warm_client.call_line(&warm_line).expect("warm solve");
 
-    // Three slow solves: one occupies the single worker, two fill the
-    // queue. Each lane reports its response so Busy rejections (possible
-    // if the lanes race the worker's first pop) are counted too.
+    // Three slow solves: one holds the single permit, two wait for it.
+    // Each lane reports its response so Busy rejections (possible if a
+    // lane arrives before an earlier one is admitted) are counted too.
     let mut floods = Vec::new();
     for lane in 0..3u64 {
         floods.push(std::thread::spawn(move || {
@@ -119,7 +121,7 @@ fn saturated_queue_answers_typed_busy_while_warm_requests_keep_flowing() {
             assert_eq!(err.kind, ErrorKind::Busy, "unexpected error: {err:?}");
             assert_eq!(err.capacity, Some(2), "capacity must ride the error");
             assert_eq!(err.depth, Some(2), "rejection happens at the cap");
-            // Rejection is reader-side admission control, never queueing:
+            // Rejection is reader-side admission control, never waiting:
             // it must answer in network time, not solve time.
             assert!(
                 elapsed < Duration::from_millis(500),
@@ -128,11 +130,12 @@ fn saturated_queue_answers_typed_busy_while_warm_requests_keep_flowing() {
             busy_from_probes += 1;
             break;
         }
-        // The probe slipped into a freed slot and was answered; try again.
+        // The probe found a free place in line and was answered; try
+        // again.
     }
 
-    // The warm tier keeps answering (byte-identically) while the pool is
-    // saturated, because cached requests never enter the queue.
+    // The warm tier keeps answering (byte-identically) while every permit
+    // is held, because cached requests never take one.
     let started = Instant::now();
     let again = warm_client.call_line(&warm_line).expect("warm repeat");
     assert_eq!(again, warm_answer, "warm answers must replay exactly");
@@ -168,6 +171,10 @@ fn saturated_queue_answers_typed_busy_while_warm_requests_keep_flowing() {
         stats.errors + stats.deadline_hits <= stats.requests,
         "inconsistent snapshot: {stats:?}"
     );
+    // Every flood reply was sent after its permit came back, and no path
+    // (answer, deadline, rejection) leaks a permit or a place in line.
+    assert_eq!(stats.queue_depth, 0, "a reader still waits: {stats:?}");
+    assert_eq!(stats.busy_workers, 0, "a permit leaked: {stats:?}");
     // `Stats.rejected` and the admission counter are one instrument.
     let response = client.call(RequestBody::Metrics).expect("metrics");
     let ResponseBody::Metrics(metrics) = response.body else {
@@ -379,7 +386,7 @@ fn counters_are_exact_in_sequence() {
 }
 
 /// A fresh state's stats gauges describe an idle service exactly: the
-/// configured queue capacity, an empty queue, and no busy workers. After
+/// configured waiting bound, no waiting reader, and no held permit. After
 /// a compute request, the `Metrics` verb returns a populated registry
 /// whose serve-side instruments reflect that request.
 #[test]
@@ -401,11 +408,11 @@ fn stats_gauges_and_metrics_reply_reflect_the_live_registry() {
         panic!("expected stats, got {raw}");
     };
     assert_eq!(stats.queue_capacity, 7, "capacity mirrors the config");
-    assert_eq!(stats.queue_depth, 0, "no queue exists in-process");
-    assert_eq!(stats.busy_workers, 0, "no workers exist in-process");
+    assert_eq!(stats.queue_depth, 0, "no permit gate exists in-process");
+    assert_eq!(stats.busy_workers, 0, "no permit gate exists in-process");
 
     // One compute request answered in-process. `handle_line` bypasses
-    // admission (no queue-wait/service records), but the key, cache, and
+    // admission (no permit-wait/service records), but the key, cache, and
     // span instruments must all move.
     let solve_line = serde_json::to_string(&cold_probe(2, 17)).unwrap();
     state.handle_line(&solve_line);
