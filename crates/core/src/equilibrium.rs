@@ -1,10 +1,17 @@
 //! Nash-equilibrium predicates and best-response primitives.
+//!
+//! Every pure-Nash question reads one per-user deviation row over link loads
+//! `L` summed once per call, in user-index order, by
+//! [`PureProfile::link_loads`]. In that one arithmetic a user on link `from`
+//! pays `L[from] / c` to stay and `(L[ℓ] + w) / c` to move to `ℓ ≠ from`.
+//! A user defects when its cheapest move beats staying by more than the
+//! [`Tolerance`] margin. That one test decides the same as testing every
+//! move, because the accepted bound `b + eps·max(1, |a|, |b|)` is monotone
+//! in `b` under round-to-nearest.
 
 use serde::{Deserialize, Serialize};
 
-use crate::latency::{
-    mixed_link_latency_with_traffic, pure_user_latency, pure_user_latency_on_link,
-};
+use crate::latency::mixed_link_latency_with_traffic;
 use crate::model::EffectiveGame;
 use crate::numeric::{argmin, Tolerance};
 use crate::strategy::{LinkLoads, MixedProfile, PureProfile};
@@ -29,6 +36,67 @@ impl Deviation {
     pub fn gain(&self) -> f64 {
         self.current_latency - self.new_latency
     }
+
+    /// Whether the move beats staying by more than the tolerance margin.
+    pub(crate) fn improves(&self, tol: Tolerance) -> bool {
+        tol.lt(self.new_latency, self.current_latency)
+    }
+}
+
+/// The deviation scan: `user`'s link `from`, its latency for staying there,
+/// and every move off it as `(link, latency)` in link order, all priced
+/// over `loads = `[`PureProfile::link_loads`].
+fn scan<'a>(
+    game: &'a EffectiveGame,
+    profile: &PureProfile,
+    loads: &'a [f64],
+    user: usize,
+) -> (usize, f64, impl Iterator<Item = (usize, f64)> + 'a) {
+    let from = profile.link(user);
+    let w = game.weight(user);
+    let caps = game.capacities().row(user);
+    let moves = loads
+        .iter()
+        .zip(caps)
+        .enumerate()
+        .filter(move |&(to, _)| to != from)
+        .map(move |(to, (&load, &c))| (to, (load + w) / c));
+    (from, loads[from] / caps[from], moves)
+}
+
+/// The cheapest move of `user` (lowest link on ties). It
+/// [`improves`](Deviation::improves) exactly when some move does (see the
+/// module doc).
+fn cheapest_move(
+    game: &EffectiveGame,
+    profile: &PureProfile,
+    loads: &[f64],
+    user: usize,
+) -> Deviation {
+    let (from, current_latency, moves) = scan(game, profile, loads, user);
+    let (to, new_latency) = moves
+        .reduce(|best, next| if next.1 < best.1 { next } else { best })
+        .expect("a game has at least two links");
+    Deviation {
+        user,
+        from,
+        to,
+        current_latency,
+        new_latency,
+    }
+}
+
+/// Every defecting user's best deviation, in user order, over precomputed
+/// link loads; empty exactly when `profile` is a pure Nash equilibrium.
+pub(crate) fn best_deviations<'a>(
+    game: &'a EffectiveGame,
+    profile: &'a PureProfile,
+    loads: &'a [f64],
+    tol: Tolerance,
+) -> impl Iterator<Item = Deviation> + 'a {
+    (0..game.users())
+        .map(move |user| cheapest_move(game, profile, loads, user))
+        .filter(move |d| d.improves(tol))
 }
 
 /// The best response of `user` against `profile` (others fixed): the link with
@@ -43,15 +111,11 @@ pub fn best_response(
     user: usize,
     tol: Tolerance,
 ) -> (usize, f64) {
-    let current = profile.link(user);
-    let latencies: Vec<f64> = (0..game.links())
-        .map(|l| pure_user_latency_on_link(game, profile, initial, user, l))
-        .collect();
-    let best = argmin(&latencies);
-    if tol.leq(latencies[current], latencies[best]) {
-        (current, latencies[current])
+    let d = cheapest_move(game, profile, &profile.link_loads(game, initial), user);
+    if d.improves(tol) {
+        (d.to, d.new_latency)
     } else {
-        (best, latencies[best])
+        (d.from, d.current_latency)
     }
 }
 
@@ -64,55 +128,23 @@ pub fn satisfies_pure_nash(
     user: usize,
     tol: Tolerance,
 ) -> bool {
-    let current = pure_user_latency(game, profile, initial, user);
-    (0..game.links()).all(|l| {
-        l == profile.link(user)
-            || tol.leq(
-                current,
-                pure_user_latency_on_link(game, profile, initial, user, l),
-            )
-    })
+    best_deviation_of(game, profile, initial, user, tol).is_none()
 }
 
 /// Whether `profile` is a pure Nash equilibrium of `game` with initial traffic
 /// `initial`.
 ///
 /// This is the canonical certification predicate every solver's returned
-/// profile must pass, so it is kept `O(n·m)`: link loads are accumulated once
-/// by [`PureProfile::link_loads`] (in user index order) and each hypothetical
-/// move is evaluated as `(loads[ℓ] + wᵢ) / cᵢˡ`. That associates the sum as
-/// `(t + Σw) + wᵢ` where the per-query [`pure_user_latency_on_link`] computes
-/// `(t + wᵢ) + Σw` — mathematically identical, and any bit-level rounding
-/// difference is far inside the comparison tolerance.
+/// profile must pass; it sums the link loads once, so it costs `O(n·m)`.
 pub fn is_pure_nash(
     game: &EffectiveGame,
     profile: &PureProfile,
     initial: &LinkLoads,
     tol: Tolerance,
 ) -> bool {
-    is_pure_nash_under_loads(game, profile, &profile.link_loads(game, initial), tol)
-}
-
-/// The Nash test of [`is_pure_nash`] over precomputed link loads
-/// (`loads = `[`PureProfile::link_loads`]), so the exhaustive walk can
-/// test every profile against one reused buffer.
-pub(crate) fn is_pure_nash_under_loads(
-    game: &EffectiveGame,
-    profile: &PureProfile,
-    loads: &[f64],
-    tol: Tolerance,
-) -> bool {
-    (0..game.users()).all(|user| {
-        let from = profile.link(user);
-        let w = game.weight(user);
-        let caps = game.capacities().row(user);
-        let current = loads[from] / caps[from];
-        loads
-            .iter()
-            .zip(caps)
-            .enumerate()
-            .all(|(l, (&load, &c))| l == from || tol.leq(current, (load + w) / c))
-    })
+    let loads = profile.link_loads(game, initial);
+    let mut defections = best_deviations(game, profile, &loads, tol);
+    defections.next().is_none()
 }
 
 /// All users that do not satisfy the Nash condition in `profile`
@@ -123,8 +155,9 @@ pub fn defecting_users(
     initial: &LinkLoads,
     tol: Tolerance,
 ) -> Vec<usize> {
-    (0..game.users())
-        .filter(|&user| !satisfies_pure_nash(game, profile, initial, user, tol))
+    let loads = profile.link_loads(game, initial);
+    best_deviations(game, profile, &loads, tol)
+        .map(|d| d.user)
         .collect()
 }
 
@@ -136,25 +169,18 @@ pub fn profitable_deviations(
     initial: &LinkLoads,
     tol: Tolerance,
 ) -> Vec<Deviation> {
+    let loads = profile.link_loads(game, initial);
     let mut deviations = Vec::new();
     for user in 0..game.users() {
-        let from = profile.link(user);
-        let current_latency = pure_user_latency(game, profile, initial, user);
-        for to in 0..game.links() {
-            if to == from {
-                continue;
-            }
-            let new_latency = pure_user_latency_on_link(game, profile, initial, user, to);
-            if tol.lt(new_latency, current_latency) {
-                deviations.push(Deviation {
-                    user,
-                    from,
-                    to,
-                    current_latency,
-                    new_latency,
-                });
-            }
-        }
+        let (from, current_latency, moves) = scan(game, profile, &loads, user);
+        let row = moves.map(|(to, new_latency)| Deviation {
+            user,
+            from,
+            to,
+            current_latency,
+            new_latency,
+        });
+        deviations.extend(row.filter(|d| d.improves(tol)));
     }
     deviations
 }
@@ -168,20 +194,8 @@ pub fn best_deviation_of(
     user: usize,
     tol: Tolerance,
 ) -> Option<Deviation> {
-    let from = profile.link(user);
-    let current_latency = pure_user_latency(game, profile, initial, user);
-    let (to, new_latency) = best_response(game, profile, initial, user, tol);
-    if to != from && tol.lt(new_latency, current_latency) {
-        Some(Deviation {
-            user,
-            from,
-            to,
-            current_latency,
-            new_latency,
-        })
-    } else {
-        None
-    }
+    let d = cheapest_move(game, profile, &profile.link_loads(game, initial), user);
+    d.improves(tol).then_some(d)
 }
 
 /// Whether the mixed profile `P` is a Nash equilibrium: every user puts
@@ -243,25 +257,6 @@ mod tests {
         let devs = profitable_deviations(&g, &swapped, &t, tol);
         assert_eq!(devs.len(), 2);
         assert!(devs.iter().all(|d| d.gain() > 0.0));
-    }
-
-    #[test]
-    fn fast_predicate_agrees_with_the_per_user_definition() {
-        // The load-once `is_pure_nash` must agree with the per-user
-        // `satisfies_pure_nash` definition on every profile of a small game
-        // with awkward (non-dyadic) weights and initial traffic.
-        let g = EffectiveGame::from_rows(
-            vec![0.3, 1.7, 2.2],
-            vec![vec![0.7, 1.3], vec![2.1, 0.9], vec![1.1, 3.3]],
-        )
-        .unwrap();
-        let t = LinkLoads::new(vec![0.4, 0.1]).unwrap();
-        let tol = Tolerance::default();
-        for bits in 0..8u32 {
-            let p = PureProfile::new((0..3).map(|u| ((bits >> u) & 1) as usize).collect());
-            let per_user = (0..3).all(|u| satisfies_pure_nash(&g, &p, &t, u, tol));
-            assert_eq!(is_pure_nash(&g, &p, &t, tol), per_user, "profile {bits:b}");
-        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::equilibrium::{best_response, profitable_deviations};
-use crate::error::{GameError, Result};
+use crate::equilibrium::{best_deviations, profitable_deviations};
+use crate::error::Result;
 use crate::model::EffectiveGame;
 use crate::numeric::Tolerance;
+use crate::solvers::exhaustive::{ensure_within_limit, for_each_profile, profile_count};
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// Which moves generate the edges of the game graph.
@@ -72,26 +73,17 @@ impl GameGraph {
         tol: Tolerance,
         limit: u128,
     ) -> Result<Self> {
+        ensure_within_limit(game, limit)?;
         let users = game.users();
         let links = game.links();
-        let total = crate::solvers::exhaustive::profile_count(users, links);
-        if total > limit {
-            return Err(GameError::TooLarge {
-                profiles: total,
-                limit,
-            });
-        }
-        let total = total as usize;
-        let mut successors = vec![Vec::new(); total];
-        let mut sinks = Vec::new();
-        for (code, slot) in successors.iter_mut().enumerate() {
-            let profile = decode(code, users, links);
-            let succ = successors_of(game, &profile, initial, edge_kind, tol);
-            if succ.is_empty() {
-                sinks.push(code);
-            }
-            *slot = succ;
-        }
+        // The walk visits profiles in code order (user 0 varies fastest).
+        let mut successors = Vec::with_capacity(profile_count(users, links) as usize);
+        for_each_profile(users, links, |profile| {
+            successors.push(successors_of(game, profile, initial, edge_kind, tol));
+        });
+        let sinks = (0..successors.len())
+            .filter(|&code| successors[code].is_empty())
+            .collect();
         Ok(GameGraph {
             users,
             links,
@@ -206,7 +198,8 @@ impl GameGraph {
     }
 }
 
-/// The profiles reachable from `profile` by a single defection of the given kind.
+/// The profiles reachable from `profile` by a single defection of the given
+/// kind: every user's deviation row, read over link loads computed once.
 pub fn successors_of(
     game: &EffectiveGame,
     profile: &PureProfile,
@@ -214,34 +207,35 @@ pub fn successors_of(
     edge_kind: EdgeKind,
     tol: Tolerance,
 ) -> Vec<usize> {
-    let links = game.links();
-    match edge_kind {
-        EdgeKind::BetterResponse => profitable_deviations(game, profile, initial, tol)
-            .into_iter()
-            .map(|d| encode(&profile.with_move(d.user, d.to), links))
-            .collect(),
+    let moves = match edge_kind {
+        EdgeKind::BetterResponse => profitable_deviations(game, profile, initial, tol),
         EdgeKind::BestResponse => {
-            let mut succ = Vec::new();
-            for user in 0..game.users() {
-                let current = crate::latency::pure_user_latency(game, profile, initial, user);
-                let (to, latency) = best_response(game, profile, initial, user, tol);
-                if to != profile.link(user) && tol.lt(latency, current) {
-                    succ.push(encode(&profile.with_move(user, to), links));
-                }
-            }
-            succ
+            let loads = profile.link_loads(game, initial);
+            best_deviations(game, profile, &loads, tol).collect()
         }
-    }
+    };
+    moves
+        .into_iter()
+        .map(|d| encode(&profile.with_move(d.user, d.to), game.links()))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equilibrium::is_pure_nash;
+    use crate::error::GameError;
     use crate::solvers::exhaustive;
 
     fn opposed_game() -> EffectiveGame {
         EffectiveGame::from_rows(vec![1.0, 1.0], vec![vec![10.0, 1.0], vec![1.0, 10.0]]).unwrap()
+    }
+
+    fn knife_edge_game() -> EffectiveGame {
+        EffectiveGame::from_rows(
+            vec![4.388, 3.674],
+            vec![vec![1.6902054706897638, 2.66], vec![0.01, 100.0]],
+        )
+        .unwrap()
     }
 
     #[test]
@@ -258,20 +252,28 @@ mod tests {
 
     #[test]
     fn sinks_match_exhaustive_pure_nash() {
-        let g = EffectiveGame::from_rows(
-            vec![2.0, 1.0, 3.0],
-            vec![vec![1.0, 2.0], vec![2.0, 1.0], vec![3.0, 0.5]],
-        )
-        .unwrap();
-        let t = LinkLoads::zero(2);
         let tol = Tolerance::default();
-        let graph = GameGraph::build(&g, &t, EdgeKind::BetterResponse, tol, 10_000).unwrap();
-        let from_graph: Vec<_> = graph.pure_nash_profiles();
-        let from_enum = exhaustive::all_pure_nash(&g, &t, tol, 10_000).unwrap();
-        assert_eq!(from_graph.len(), from_enum.len());
-        for p in &from_graph {
-            assert!(is_pure_nash(&g, p, &t, tol));
-            assert!(from_enum.contains(p));
+        let cases = [
+            (
+                EffectiveGame::from_rows(
+                    vec![2.0, 1.0, 3.0],
+                    vec![vec![1.0, 2.0], vec![2.0, 1.0], vec![3.0, 0.5]],
+                )
+                .unwrap(),
+                LinkLoads::zero(2),
+            ),
+            // A knife-edge game: user 1 on link 1 of `[0, 1]` is within
+            // rounding of indifferent, so a move priced in any arithmetic
+            // other than `is_pure_nash`'s can disagree with it.
+            (
+                knife_edge_game(),
+                LinkLoads::new(vec![1.766, 1.623]).unwrap(),
+            ),
+        ];
+        for (g, t) in &cases {
+            let graph = GameGraph::build(g, t, EdgeKind::BetterResponse, tol, 10_000).unwrap();
+            let from_enum = exhaustive::all_pure_nash(g, t, tol, 10_000).unwrap();
+            assert_eq!(graph.pure_nash_profiles(), from_enum);
         }
     }
 

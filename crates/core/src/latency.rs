@@ -47,6 +47,10 @@ pub fn pure_user_latency(
 
 /// Expected latency user `user` would experience if it (unilaterally) routed
 /// on `link`, with every other user fixed to `profile`.
+///
+/// The definition-level reference, `O(n)` per query: the predicates in
+/// [`crate::equilibrium`] price moves over loads summed once instead, and
+/// may round differently by an ulp.
 pub fn pure_user_latency_on_link(
     game: &EffectiveGame,
     profile: &PureProfile,

@@ -14,6 +14,8 @@
 //! * [`find_best_response_cycle`] restricts the search to best-response moves,
 //!   the notion used in the paper's `n = 3` existence argument.
 
+use std::ops::ControlFlow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::Result;
@@ -21,7 +23,7 @@ use crate::game_graph::{EdgeKind, GameGraph};
 use crate::latency::pure_user_latency;
 use crate::model::EffectiveGame;
 use crate::numeric::Tolerance;
-use crate::solvers::exhaustive::for_each_profile;
+use crate::solvers::exhaustive::{ensure_within_limit, try_for_each_profile};
 use crate::strategy::{LinkLoads, PureProfile};
 
 /// A witness that the Monderer–Shapley exact-potential condition fails.
@@ -56,17 +58,10 @@ pub fn exact_potential_violation(
     tol: Tolerance,
     limit: u128,
 ) -> Result<Option<PotentialViolation>> {
-    let profiles = crate::solvers::exhaustive::profile_count(game.users(), game.links());
-    if profiles > limit {
-        return Err(crate::error::GameError::TooLarge { profiles, limit });
-    }
+    ensure_within_limit(game, limit)?;
     let n = game.users();
     let m = game.links();
-    let mut witness = None;
-    for_each_profile(n, m, |sigma| {
-        if witness.is_some() {
-            return;
-        }
+    Ok(try_for_each_profile(n, m, |sigma| {
         for i in 0..n {
             for j in (i + 1)..n {
                 for a in 0..m {
@@ -92,20 +87,19 @@ pub fn exact_potential_violation(
                             - pure_user_latency(game, &s3, initial, j);
                         let cycle_sum = d1 + d2 + d3 + d4;
                         if !tol.is_zero(cycle_sum) {
-                            witness = Some(PotentialViolation {
+                            return ControlFlow::Break(PotentialViolation {
                                 base: sigma.clone(),
                                 first: (i, a),
                                 second: (j, b),
                                 cycle_sum,
                             });
-                            return;
                         }
                     }
                 }
             }
         }
-    });
-    Ok(witness)
+        ControlFlow::Continue(())
+    }))
 }
 
 /// Whether the game admits an exact potential function (no four-cycle violation).

@@ -343,8 +343,8 @@ impl Solver for Exhaustive {
         let iterations = Some(
             exhaustive::profile_count(game.users(), game.links()).min(u64::MAX as u128) as u64,
         );
-        let all = exhaustive::all_pure_nash(game, initial, config.tol, config.profile_limit)?;
-        let solution = all.into_iter().next().map(|profile| PureNashSolution {
+        let first = exhaustive::first_pure_nash(game, initial, config.tol, config.profile_limit)?;
+        let solution = first.map(|profile| PureNashSolution {
             profile,
             method: self.method(),
         });

@@ -7,11 +7,14 @@
 //!
 //! [`for_each_profile`] walks one profile in place, so an enumeration
 //! allocates nothing per profile; [`all_pure_nash`] tests each profile
-//! against one reused load buffer, an `O(n·m)` check per profile.
+//! against one reused load buffer, an `O(n·m)` check per profile, and the
+//! `Exhaustive` solver stops the same walk at its first equilibrium.
 
 pub use crate::opt::exhaustive::{social_optimum, SocialOptimum};
 
-use crate::equilibrium::is_pure_nash_under_loads;
+use std::ops::ControlFlow;
+
+use crate::equilibrium::best_deviations;
 use crate::error::{GameError, Result};
 use crate::model::EffectiveGame;
 use crate::numeric::Tolerance;
@@ -39,23 +42,29 @@ pub(crate) fn ensure_within_limit(game: &EffectiveGame, limit: u128) -> Result<(
 /// One profile is stepped in place and lent to `f`; a caller that keeps a
 /// profile clones it.
 pub fn for_each_profile<F: FnMut(&PureProfile)>(users: usize, links: usize, mut f: F) {
+    try_for_each_profile(users, links, |profile| {
+        f(profile);
+        ControlFlow::<()>::Continue(())
+    });
+}
+
+/// As [`for_each_profile`], stopping at the first profile on which `f`
+/// breaks and returning the break value.
+pub(crate) fn try_for_each_profile<B>(
+    users: usize,
+    links: usize,
+    mut f: impl FnMut(&PureProfile) -> ControlFlow<B>,
+) -> Option<B> {
     let mut profile = PureProfile::all_on(users, 0);
     loop {
-        f(&profile);
-        // Odometer increment.
-        let choices = profile.choices_mut();
-        let mut pos = 0;
-        loop {
-            if pos == users {
-                return;
-            }
-            choices[pos] += 1;
-            if choices[pos] < links {
-                break;
-            }
-            choices[pos] = 0;
-            pos += 1;
+        if let ControlFlow::Break(value) = f(&profile) {
+            return Some(value);
         }
+        // Odometer increment: step the lowest digit that can, zero those below.
+        let choices = profile.choices_mut();
+        let pos = choices.iter().position(|&c| c + 1 < links)?;
+        choices[..pos].fill(0);
+        choices[pos] += 1;
     }
 }
 
@@ -69,14 +78,42 @@ pub fn all_pure_nash(
     tol: Tolerance,
     limit: u128,
 ) -> Result<Vec<PureProfile>> {
+    pure_nash_walk(game, initial, tol, limit, false)
+}
+
+/// The first of [`all_pure_nash`]'s equilibria, from the same walk stopped
+/// there.
+pub(crate) fn first_pure_nash(
+    game: &EffectiveGame,
+    initial: &LinkLoads,
+    tol: Tolerance,
+    limit: u128,
+) -> Result<Option<PureProfile>> {
+    Ok(pure_nash_walk(game, initial, tol, limit, true)?.pop())
+}
+
+/// The pure Nash equilibria in [`for_each_profile`] order, every profile
+/// tested against one reused load buffer; stops after the first when
+/// `first_only`.
+fn pure_nash_walk(
+    game: &EffectiveGame,
+    initial: &LinkLoads,
+    tol: Tolerance,
+    limit: u128,
+    first_only: bool,
+) -> Result<Vec<PureProfile>> {
     ensure_within_limit(game, limit)?;
     let mut equilibria = Vec::new();
     let mut loads = Vec::with_capacity(game.links());
-    for_each_profile(game.users(), game.links(), |profile| {
+    try_for_each_profile(game.users(), game.links(), |profile| {
         profile.link_loads_into(game, initial, &mut loads);
-        if is_pure_nash_under_loads(game, profile, &loads, tol) {
+        if best_deviations(game, profile, &loads, tol).next().is_none() {
             equilibria.push(profile.clone());
+            if first_only {
+                return ControlFlow::Break(());
+            }
         }
+        ControlFlow::Continue(())
     });
     Ok(equilibria)
 }

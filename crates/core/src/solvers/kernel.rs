@@ -36,12 +36,13 @@
 //! way every solver's are: each returned profile must pass the canonical
 //! [`is_pure_nash`] predicate, and the differential
 //! [`oracle`](crate::solvers::oracle) contract (soundness, no phantom
-//! equilibria, conclusive completeness) runs against the kernels. When a
-//! kernel pass claims convergence but the canonical predicate disagrees (a
-//! reciprocal-rounding artefact), the run takes a canonical best-response
-//! move and keeps descending.
+//! equilibria, conclusive completeness) runs against the kernels. A pass
+//! that finds no improving move ends in the deviation scan behind
+//! [`is_pure_nash`]: the run converges only if that certifies, and on a
+//! disagreement (a reciprocal-rounding artefact) it takes the first
+//! defector's best move and keeps descending.
 
-use crate::equilibrium::{best_deviation_of, is_pure_nash};
+use crate::equilibrium::{best_deviations, is_pure_nash};
 use crate::model::{EffectiveGame, GameEdit};
 use crate::numeric::Tolerance;
 use crate::solvers::engine::{SolverConfig, SolverDetail};
@@ -300,23 +301,20 @@ pub fn run_to_completion(run: &mut dyn KernelRun, scratch: &mut KernelScratch) -
     }
 }
 
-/// Shared tail of a kernel pass that found no improving move: certify with
-/// the canonical predicate; on disagreement return the canonical move's
-/// target so the caller can keep descending.
-///
-/// `None` means the profile is certified; `Some((user, to))` is the
-/// canonical best-response move to take.
-fn certify_or_canonical_move(
+/// Shared tail of a kernel pass that found no improving move: the canonical
+/// deviation scan over `loads`, refilled from `profile` (runs rebuild their
+/// loads every step). `None` certifies the profile, exactly when
+/// [`is_pure_nash`] holds; else the first defector and its best link.
+fn canonical_move(
     game: &EffectiveGame,
     initial: &LinkLoads,
     profile: &PureProfile,
+    loads: &mut Vec<f64>,
     tol: Tolerance,
 ) -> Option<(usize, usize)> {
-    if is_pure_nash(game, profile, initial, tol) {
-        return None;
-    }
-    (0..game.users())
-        .find_map(|u| best_deviation_of(game, profile, initial, u, tol))
+    profile.link_loads_into(game, initial, loads);
+    best_deviations(game, profile, loads, tol)
+        .next()
         .map(|d| (d.user, d.to))
 }
 
@@ -506,10 +504,8 @@ impl<'a> LocalSearchRun<'a> {
         if moved_in_pass {
             return PassVerdict::Continue;
         }
-        // The incremental pass found no improving move; certify with the
-        // canonical predicate before claiming convergence, exactly as the
-        // pre-kernel descent did.
-        match certify_or_canonical_move(self.game, self.initial, &self.profile, self.tol) {
+        // The incremental pass found no improving move: certify canonically.
+        match canonical_move(self.game, self.initial, &self.profile, loads, self.tol) {
             None => PassVerdict::Converged,
             Some((user, to)) => {
                 self.profile.apply_move(user, to);
@@ -784,10 +780,9 @@ impl KernelRun for BestResponseRun<'_> {
         match verdict {
             PassVerdict::Continue => None,
             PassVerdict::Converged => {
-                // The kernel sweep found no defector; certify canonically.
-                // A reciprocal-rounding disagreement takes a canonical move
-                // and keeps iterating (within the step budget).
-                match certify_or_canonical_move(self.game, self.initial, &self.profile, self.tol) {
+                // The kernel sweep found no defector: certify canonically,
+                // or take the canonical move within the step budget.
+                match canonical_move(self.game, self.initial, &self.profile, loads, self.tol) {
                     None => Some(self.finish(true)),
                     Some((user, to)) => {
                         if self.steps >= self.max_steps {
@@ -908,6 +903,27 @@ mod tests {
             let solution = detail.solution.expect("tiny instance converges");
             assert!(is_pure_nash(&game, &solution.profile, &initial, config.tol));
         }
+    }
+
+    #[test]
+    fn convergence_is_claimed_only_on_a_certified_profile() {
+        // At `[0, 1]` user 1 is within rounding of indifferent between its
+        // links: no kernel pass moves it, and `is_pure_nash` rejects the
+        // profile. The canonical scan must name that defector.
+        let game = EffectiveGame::from_rows(
+            vec![4.388, 3.674],
+            vec![vec![1.6902054706897638, 2.66], vec![0.01, 100.0]],
+        )
+        .unwrap();
+        let initial = LinkLoads::new(vec![1.766, 1.623]).unwrap();
+        let tol = Tolerance::default();
+        let start = PureProfile::new(vec![0, 1]);
+        assert!(!is_pure_nash(&game, &start, &initial, tol));
+        let outcome = crate::algorithms::best_response::BestResponseDynamics::default()
+            .run(&game, &initial, start, tol);
+        assert!(outcome.converged());
+        assert!(is_pure_nash(&game, outcome.profile(), &initial, tol));
+        assert_eq!(outcome.profile().choices(), &[1, 1]);
     }
 
     #[test]
