@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use instance_gen::{CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_bench::general_instance;
 use netuncert_core::opt::{OptBackendKind, OptConfig, OptEngine};
 use netuncert_core::solvers::exhaustive::profile_count;
@@ -25,12 +26,26 @@ fn bench_opt_bracket(c: &mut Criterion) {
     ];
 
     // Exact regime: every backend applies; exhaustive is the ground truth
-    // the branch-and-bound search must reproduce bit-for-bit.
+    // the branch-and-bound search must reproduce bit-for-bit (asserted
+    // before timing). `n8_m4_related` is the shape of a `belief_noise`
+    // true network: one capacity per link in [2.5, 4), shared by every
+    // user, which prunes far less than the general 16× band.
     let mut exact = c.benchmark_group("opt_bracket_exact");
     exact.sample_size(10);
-    for &(n, m) in &[(8usize, 4usize), (10, 4)] {
-        let game = general_instance(n, m, 45);
-        let initial = LinkLoads::zero(m);
+    let related = EffectiveSpec::UserIndependent {
+        users: 8,
+        links: 4,
+        capacity: CapacityDist::Uniform { lo: 2.5, hi: 4.0 },
+        weights: WeightDist::Uniform { lo: 0.5, hi: 4.0 },
+    }
+    .generate(&mut instance_gen::rng(45, 0xE15));
+    for (id, game) in [
+        ("n8_m4", general_instance(8, 4, 45)),
+        ("n8_m4_related", related),
+        ("n10_m4", general_instance(10, 4, 45)),
+    ] {
+        let initial = LinkLoads::zero(game.links());
+        let mut exhaustive = None;
         for (label, kinds) in [
             ("exhaustive", &[OptBackendKind::Exhaustive][..]),
             ("branch_and_bound", &[OptBackendKind::BranchAndBound][..]),
@@ -39,11 +54,21 @@ fn bench_opt_bracket(c: &mut Criterion) {
             let e = engine(kinds);
             let outcome = e.estimate(&game, &initial).unwrap();
             assert!(outcome.opt1.upper.is_finite());
-            exact.bench_with_input(
-                BenchmarkId::new(label, format!("n{n}_m{m}")),
-                &label,
-                |b, _| b.iter(|| e.estimate(black_box(&game), black_box(&initial))),
-            );
+            match label {
+                "exhaustive" => exhaustive = Some(outcome),
+                "branch_and_bound" => {
+                    let want = exhaustive.as_ref().expect("exhaustive runs first");
+                    assert!(outcome.exact(), "the search must finish at {id}");
+                    for (got, want) in [(outcome.opt1, want.opt1), (outcome.opt2, want.opt2)] {
+                        assert_eq!(got.lower.to_bits(), want.lower.to_bits(), "{id}");
+                        assert_eq!(got.upper.to_bits(), want.upper.to_bits(), "{id}");
+                    }
+                }
+                _ => {}
+            }
+            exact.bench_with_input(BenchmarkId::new(label, id), &label, |b, _| {
+                b.iter(|| e.estimate(black_box(&game), black_box(&initial)))
+            });
         }
     }
     exact.finish();
@@ -83,11 +108,11 @@ fn bench_opt_bracket(c: &mut Criterion) {
     let mut adaptive = c.benchmark_group("opt_bracket_adaptive");
     adaptive.sample_size(10);
     for &(n, m) in &[(128usize, 8usize), (512, 16)] {
-        let game = instance_gen::EffectiveSpec::General {
+        let game = EffectiveSpec::General {
             users: n,
             links: m,
-            capacity: instance_gen::CapacityDist::Uniform { lo: 2.0, hi: 4.0 },
-            weights: instance_gen::WeightDist::Uniform { lo: 0.5, hi: 4.0 },
+            capacity: CapacityDist::Uniform { lo: 2.0, hi: 4.0 },
+            weights: WeightDist::Uniform { lo: 0.5, hi: 4.0 },
         }
         .generate(&mut instance_gen::rng(46, 0xADA));
         let initial = LinkLoads::zero(m);

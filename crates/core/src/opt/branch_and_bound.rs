@@ -6,23 +6,55 @@
 //! users pay **right now** (loads only grow as the remaining users are
 //! placed, so current cost is a floor on final cost) plus, for each
 //! unassigned user, the singleton floor `min_ℓ (loadₗ + wᵢ)/cᵢℓ` over the
-//! *current* loads. The incumbent is seeded with the LPT-greedy profile and
-//! every improving leaf is re-evaluated with the canonical
-//! [`pure_sc1`]/[`pure_sc2`] functions, so a completed search reports the
-//! **bit-identical** optimum value the exhaustive reference computes —
-//! pruning uses a relative safety margin so floating-point noise in the
-//! bound arithmetic can never cut off the optimal leaf.
+//! *current* loads. The incumbent is seeded with the LPT-greedy profile.
+//! The search keeps one profile and two price buffers for its whole life,
+//! so a leaf costs one `O(n + m)` load pass and no allocation.
 //!
 //! Each objective gets its own search under [`OptConfig::node_limit`]
 //! nodes. A search that exhausts its budget still returns its incumbent —
 //! the cost of a real assignment, hence a certified upper bound — with the
 //! exactness flag cleared.
+//!
+//! # Why a completed search is bit-identical to enumeration
+//!
+//! A completed search returns **the same bits** as
+//! [`social_optimum`](crate::opt::exhaustive::social_optimum), not merely a
+//! close value:
+//!
+//! 1. *One pricing routine.* Every leaf and the LPT seed are priced exactly
+//!    as enumeration prices a profile: one load pass in user-index order
+//!    (`pure_latencies_into`), then [`stable_sum`] for `SC1` or the
+//!    `max_latency` fold for `SC2`. A profile's price is therefore the
+//!    same float whichever walk reaches it, and the incumbent is always the
+//!    price of some profile.
+//! 2. *No pruning error reaches the optimal leaf.* The bound is computed
+//!    from non-negative weights, capacities and loads with `+`, `×`, `/`,
+//!    `min` and `max` only, and every backtrack **restores** the saved
+//!    loads, capacity sums and assigned cost instead of subtracting, so a
+//!    node's bound is a fixed function of its path: no drift builds up
+//!    however many nodes the search expands. Each rounding is then a
+//!    relative error of at most `2⁻⁵³` on a non-negative partial result, and
+//!    the deepest chain is `O(n)` operations, so the computed bound exceeds
+//!    the true one (itself a floor on every leaf below) by a relative
+//!    `O(n · 2⁻⁵³)`, and a leaf's computed price differs from its true cost
+//!    by the same order: together about `(3n + 10) · 2⁻⁵³`, under
+//!    `10⁻¹⁴` at the default user cap of 20. `PRUNE_MARGIN` (`10⁻⁹`)
+//!    exceeds that by five orders of magnitude, so no node on the path to
+//!    a leaf of minimum price is ever cut.
+//! 3. *Ties cannot matter.* Only the value is returned, never a witness.
+//!    The minimum-price leaf is visited and every incumbent is some
+//!    profile's price, so the final incumbent is that minimum price
+//!    whichever of several equal-price leaves the strict `<` keeps.
+//!
+//! The experiment harness leans on this: its differential anchor runs
+//! `[branch_and_bound, exhaustive]` and takes the first exact answer.
 
 use crate::error::Result;
 use crate::model::EffectiveGame;
+use crate::numeric::stable_sum;
 use crate::opt::engine::{OptCheckpoint, OptConfig, OptEstimate, OptEstimator, OptMethod};
 use crate::opt::greedy::lpt_profile;
-use crate::social_cost::{pure_sc1, pure_sc2};
+use crate::social_cost::{max_latency, pure_latencies_into};
 use crate::solvers::engine::Applicability;
 use crate::strategy::{LinkLoads, PureProfile};
 
@@ -43,7 +75,8 @@ struct SearchResult {
 
 /// Relative pruning slack: a subtree is cut only when its lower bound
 /// exceeds the incumbent by more than this margin, so bound-arithmetic
-/// rounding (≪ 1e-12 relative) can never prune the optimal leaf.
+/// rounding (a relative `O(n · 2⁻⁵³)`, see the module docs) can never
+/// prune the optimal leaf.
 const PRUNE_MARGIN: f64 = 1e-9;
 
 /// How many nodes a search expands between deadline polls: cheap enough to
@@ -69,13 +102,32 @@ struct Search<'a> {
     inv_caps: Vec<f64>,
     /// Current total cost of the assigned users (sum objective).
     assigned_sum: f64,
-    /// Choices indexed by original user id (usize::MAX = unassigned).
-    choices: Vec<usize>,
+    /// The profile being built: entries of the users at depth `< d` are
+    /// the current path's choices, the rest are stale.
+    profile: PureProfile,
+    /// Price buffers reused by every leaf (see [`Search::price`]).
+    leaf_loads: Vec<f64>,
+    latencies: Vec<f64>,
     best: f64,
     complete: bool,
 }
 
 impl Search<'_> {
+    /// Prices `self.profile` exactly as enumeration prices a profile.
+    fn price(&mut self) -> f64 {
+        pure_latencies_into(
+            self.game,
+            &self.profile,
+            self.initial,
+            &mut self.leaf_loads,
+            &mut self.latencies,
+        );
+        match self.objective {
+            Objective::Sum => stable_sum(&self.latencies),
+            Objective::Max => max_latency(&self.latencies),
+        }
+    }
+
     /// The floor each unassigned user adds under the current loads.
     fn remaining_floor(&self, depth: usize) -> f64 {
         let m = self.game.links();
@@ -106,7 +158,7 @@ impl Search<'_> {
             Objective::Max => {
                 let mut max = 0.0f64;
                 for &user in &self.order[..depth] {
-                    let l = self.choices[user];
+                    let l = self.profile.link(user);
                     max = max.max(self.loads[l] / self.game.capacity(user, l));
                 }
                 max
@@ -126,11 +178,7 @@ impl Search<'_> {
         }
         self.nodes += 1;
         if depth == self.order.len() {
-            let profile = PureProfile::new(self.choices.clone());
-            let cost = match self.objective {
-                Objective::Sum => pure_sc1(self.game, &profile, self.initial),
-                Objective::Max => pure_sc2(self.game, &profile, self.initial),
-            };
+            let cost = self.price();
             if cost < self.best {
                 self.best = cost;
             }
@@ -146,23 +194,24 @@ impl Search<'_> {
         }
         let user = self.order[depth];
         let w = self.game.weight(user);
+        let assigned_sum = self.assigned_sum;
         for link in 0..self.game.links() {
             let inv = 1.0 / self.game.capacity(user, link);
+            let (load, inv_cap) = (self.loads[link], self.inv_caps[link]);
             // Assigning `user` raises every already-assigned user on `link`
             // by `w / cⱼ` and adds the user's own latency.
-            let delta = match self.objective {
-                Objective::Sum => w * self.inv_caps[link] + (self.loads[link] + w) * inv,
-                Objective::Max => 0.0,
-            };
-            self.choices[user] = link;
-            self.loads[link] += w;
-            self.inv_caps[link] += inv;
-            self.assigned_sum += delta;
+            if self.objective == Objective::Sum {
+                self.assigned_sum += w * inv_cap + (load + w) * inv;
+            }
+            self.profile.apply_move(user, link);
+            self.loads[link] = load + w;
+            self.inv_caps[link] = inv_cap + inv;
             self.dfs(depth + 1);
-            self.assigned_sum -= delta;
-            self.inv_caps[link] -= inv;
-            self.loads[link] -= w;
-            self.choices[user] = usize::MAX;
+            // Restore, not subtract: a node's bound stays a function of its
+            // path alone (see the module docs).
+            self.assigned_sum = assigned_sum;
+            self.inv_caps[link] = inv_cap;
+            self.loads[link] = load;
             if self.nodes >= self.node_limit || self.expired {
                 self.complete = false;
                 return;
@@ -179,10 +228,6 @@ fn search(
     seed_profile: &PureProfile,
     check: OptCheckpoint<'_>,
 ) -> SearchResult {
-    let seed_cost = match objective {
-        Objective::Sum => pure_sc1(game, seed_profile, initial),
-        Objective::Max => pure_sc2(game, seed_profile, initial),
-    };
     let mut s = Search {
         game,
         initial,
@@ -195,10 +240,13 @@ fn search(
         loads: initial.as_slice().to_vec(),
         inv_caps: vec![0.0; game.links()],
         assigned_sum: 0.0,
-        choices: vec![usize::MAX; game.users()],
-        best: seed_cost,
+        profile: seed_profile.clone(),
+        leaf_loads: Vec::with_capacity(game.links()),
+        latencies: Vec::with_capacity(game.users()),
+        best: f64::INFINITY,
         complete: true,
     };
+    s.best = s.price();
     s.dfs(0);
     SearchResult {
         best: s.best,
@@ -276,24 +324,106 @@ impl OptEstimator for BranchAndBound {
 mod tests {
     use super::*;
     use crate::opt::exhaustive::social_optimum;
+    use proptest::prelude::*;
 
     use crate::opt::test_util::random_game;
+
+    /// Runs the search to completion and checks both optima against the
+    /// enumeration's bits.
+    fn assert_bit_identical_to_enumeration(game: &EffectiveGame, initial: &LinkLoads) {
+        let estimate = BranchAndBound
+            .estimate(game, initial, &OptConfig::default())
+            .unwrap();
+        assert!(estimate.opt1_exact && estimate.opt2_exact, "{estimate:?}");
+        let exact = social_optimum(game, initial, u128::MAX).unwrap();
+        for (lower, upper, want) in [
+            (estimate.opt1_lower, estimate.opt1_upper, exact.opt1),
+            (estimate.opt2_lower, estimate.opt2_upper, exact.opt2),
+        ] {
+            assert_eq!(lower.map(f64::to_bits), Some(want.to_bits()), "{exact:?}");
+            assert_eq!(upper.map(f64::to_bits), Some(want.to_bits()), "{exact:?}");
+        }
+    }
+
+    /// General games of `2..=8` users (the model's smallest game has two)
+    /// on `2..=4` links: weights in `[0.5, 4)`, per-user capacities in
+    /// `[0.5, 8)`, initial loads zero on about a third of the links.
+    fn general_case() -> impl Strategy<Value = (EffectiveGame, LinkLoads)> {
+        (2usize..=8, 2usize..=4)
+            .prop_flat_map(|(n, m)| {
+                (
+                    collection::vec(0.5f64..4.0, n),
+                    collection::vec(0.5f64..8.0, n * m),
+                    collection::vec((0u32..3, 0.0f64..20.0), m),
+                )
+            })
+            .prop_map(|(weights, capacities, loads)| {
+                let m = loads.len();
+                let rows = capacities.chunks(m).map(<[f64]>::to_vec).collect();
+                let game = EffectiveGame::from_rows(weights, rows).unwrap();
+                let loads = loads
+                    .into_iter()
+                    .map(|(zero, t)| if zero == 0 { 0.0 } else { t })
+                    .collect();
+                (game, LinkLoads::new(loads).unwrap())
+            })
+    }
+
+    /// The true-network shape of the belief-noise experiment: related
+    /// machines (one capacity per link, shared by every user, in
+    /// `[2.5, 4)`), weights in `[0.5, 4)`, no initial traffic.
+    fn related_case() -> impl Strategy<Value = (EffectiveGame, LinkLoads)> {
+        (2usize..=8, 2usize..=4)
+            .prop_flat_map(|(n, m)| {
+                (
+                    collection::vec(0.5f64..4.0, n),
+                    collection::vec(2.5f64..4.0, m),
+                )
+            })
+            .prop_map(|(weights, capacities)| {
+                let m = capacities.len();
+                let rows = vec![capacities; weights.len()];
+                let game = EffectiveGame::from_rows(weights, rows).unwrap();
+                (game, LinkLoads::zero(m))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_completed_search_is_bit_identical_to_enumeration(
+            (game, initial) in general_case()
+        ) {
+            assert_bit_identical_to_enumeration(&game, &initial);
+        }
+
+        #[test]
+        fn related_machine_searches_are_bit_identical_to_enumeration(
+            (game, initial) in related_case()
+        ) {
+            assert_bit_identical_to_enumeration(&game, &initial);
+        }
+    }
+
+    #[test]
+    fn all_tie_games_are_bit_identical_to_enumeration() {
+        // Equal weights and capacities: every optimum is attained by many
+        // leaves, so only the value (never a witness) may be relied on.
+        for n in 2..=8 {
+            for m in 2..=4 {
+                let game = EffectiveGame::from_rows(vec![1.5; n], vec![vec![2.0; m]; n]).unwrap();
+                for initial in [LinkLoads::zero(m), LinkLoads::new(vec![0.5; m]).unwrap()] {
+                    assert_bit_identical_to_enumeration(&game, &initial);
+                }
+            }
+        }
+    }
 
     #[test]
     fn a_completed_search_equals_the_exhaustive_optimum_exactly() {
         for seed in [1u64, 2, 3, 4, 5] {
-            let game = random_game(6, 3, seed);
-            let initial = LinkLoads::zero(3);
-            let estimate = BranchAndBound
-                .estimate(&game, &initial, &OptConfig::default())
-                .unwrap();
-            assert!(estimate.opt1_exact && estimate.opt2_exact);
-            let exact = social_optimum(&game, &initial, 1_000_000).unwrap();
-            // Bit-identical, not merely close: the same canonical evaluation
-            // runs at the leaves and the safety margin protects the optimal
-            // leaf from floating-point pruning.
-            assert_eq!(estimate.opt1_lower, Some(exact.opt1), "seed {seed}");
-            assert_eq!(estimate.opt2_lower, Some(exact.opt2), "seed {seed}");
+            assert_bit_identical_to_enumeration(&random_game(6, 3, seed), &LinkLoads::zero(3));
         }
     }
 

@@ -915,6 +915,44 @@ mod tests {
     }
 
     #[test]
+    fn an_unfinished_search_falls_through_to_enumeration_with_the_same_bits() {
+        // Seven nodes cannot finish an `n = 8` search, so enumeration runs
+        // second and its exact answer is the one returned.
+        let game = crate::opt::test_util::random_game(8, 4, 21);
+        let initial = LinkLoads::zero(4);
+        let config = OptConfig {
+            node_limit: 7,
+            ..OptConfig::default()
+        };
+        let engine = OptEngine::from_kinds(
+            config,
+            &[OptBackendKind::BranchAndBound, OptBackendKind::Exhaustive],
+        );
+        let outcome = engine.estimate(&game, &initial).unwrap();
+        let exact = crate::opt::exhaustive::social_optimum(&game, &initial, u128::MAX).unwrap();
+        assert!(outcome.exact());
+        for (bracket, want) in [(outcome.opt1, exact.opt1), (outcome.opt2, exact.opt2)] {
+            assert_eq!(bracket.lower.to_bits(), want.to_bits());
+            assert_eq!(bracket.upper.to_bits(), want.to_bits());
+        }
+        let attempts: Vec<(OptMethod, bool)> = outcome
+            .telemetry
+            .attempts
+            .iter()
+            .map(|a| (a.method, a.exact))
+            .collect();
+        assert_eq!(
+            attempts,
+            [
+                (OptMethod::BranchAndBound, false),
+                (OptMethod::Exhaustive, true)
+            ]
+        );
+        // Each objective's search spent its whole budget.
+        assert_eq!(outcome.telemetry.attempts[0].iterations, Some(14));
+    }
+
+    #[test]
     fn bound_backends_alone_produce_a_valid_bracket() {
         let game = mild_game();
         let initial = LinkLoads::zero(2);

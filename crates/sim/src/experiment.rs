@@ -17,9 +17,11 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use netuncert_core::opt::{OptCache, OptEngine};
+use netuncert_core::model::EffectiveGame;
+use netuncert_core::opt::{OptBackendKind, OptCache, OptConfig, OptEngine, OptOutcome};
 use netuncert_core::solvers::cache::SolveCache;
 use netuncert_core::solvers::engine::SolverEngine;
+use netuncert_core::strategy::LinkLoads;
 use par_exec::ParallelConfig;
 
 use crate::config::ExperimentConfig;
@@ -101,6 +103,53 @@ impl CellCtx<'_> {
             Some(cache) => engine.with_cache(Arc::clone(cache)),
             None => engine,
         }
+    }
+
+    /// The differential anchor for this cell: the exact optima that a
+    /// non-exact bracket on an enumeration-sized instance must contain.
+    /// Build it once per cell; it is wired to the sweep's shared opt cache,
+    /// so a true network shared by several cells is solved once.
+    pub(crate) fn exact_anchor(&self) -> ExactAnchor {
+        ExactAnchor {
+            engine: self.attach_opt(OptEngine::from_kinds(
+                OptConfig {
+                    width_goal: None,
+                    ..self.config.opt_config()
+                },
+                &[OptBackendKind::BranchAndBound, OptBackendKind::Exhaustive],
+            )),
+        }
+    }
+}
+
+/// The exact optima behind the differential anchor (see
+/// [`CellCtx::exact_anchor`]): a fixed-mode [`OptEngine`] over
+/// `[branch_and_bound, exhaustive]`. The engine stops at its first exact
+/// answer, so enumeration runs only when the pruned search does not
+/// finish, and both return the bits enumeration computes.
+pub(crate) struct ExactAnchor {
+    engine: OptEngine,
+}
+
+impl ExactAnchor {
+    /// Whether `outcome` brackets the exact optima of `game` under
+    /// `initial` (relative slack `1e-9`).
+    ///
+    /// Panics unless enumeration fits the configuration's profile limit:
+    /// callers gate the anchor on it.
+    pub(crate) fn brackets(
+        &self,
+        game: &EffectiveGame,
+        initial: &LinkLoads,
+        outcome: &OptOutcome,
+    ) -> bool {
+        let exact = self
+            .engine
+            .estimate(game, initial)
+            .expect("the pruned search always has an incumbent");
+        assert!(exact.exact(), "the size gate admits enumeration");
+        outcome.opt1.contains(exact.opt1.upper, 1e-9)
+            && outcome.opt2.contains(exact.opt2.upper, 1e-9)
     }
 }
 

@@ -31,15 +31,18 @@
 //! exhaustive-sized instances contain the exact optima (the differential
 //! anchor, checked whenever the adaptive composition stopped short of
 //! exactness). Drift itself is observational — it is the measurement, not
-//! a claim. The anchor is the exact `social_optimum` walk over all 4⁸
-//! profiles of an `n = 8` truth, ~3 ms per sample (one load pass per
-//! profile) against ~10 µs for that sample's solves and bracket, so it is
+//! a claim. The anchor is `CellCtx::exact_anchor`: branch-and-bound
+//! over an `n = 8` truth, falling back to enumerating all 4⁸ profiles only
+//! if the search does not finish, with both returning enumeration's bits.
+//! At this shape (related machines, capacities in `[2.5, 4)`) the two
+//! searches expand ~6k–24k nodes, ~0.2–0.7 ms per sample, against
+//! ~10 µs for that sample's solves and bracket, so the anchor is still
 //! most of an `n = 8` cell's time.
 //!
 //! Because the true network of a `(size, sample)` pair is shared by every
 //! model × intensity cell, a cached sweep (`--cache`) pays for each true
-//! network's bracket and true-NE solve **once per cell family** and serves
-//! every other cell from the caches.
+//! network's bracket, true-NE solve and exact anchor **once per cell
+//! family** and serves every other cell from the caches.
 //!
 //! [`BeliefModel`]: instance_gen::BeliefModel
 //! [`LocalSearch`]: netuncert_core::solvers::LocalSearch
@@ -48,7 +51,6 @@
 use instance_gen::{BeliefKind, BeliefModelKind, CapacityDist, GameSpec, WeightDist, TRUE_STATE};
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::{BeliefProfile, Game};
-use netuncert_core::opt::exhaustive::social_optimum;
 use netuncert_core::opt::{OptConfig, OptEngine, OptMethod};
 use netuncert_core::social_cost::{pure_sc1, pure_sc2, ratio_bracket};
 use netuncert_core::solvers::exhaustive::profile_count;
@@ -186,17 +188,28 @@ impl Experiment for BeliefNoise {
         "E15 — belief-model × intensity × scale sweep with adaptive OPT brackets"
     }
 
+    // Labels read `model={id} i={intensity} n={n} m={m}`. Each intensity
+    // and size suffix is formatted once per grid, not once per cell: the
+    // float `Display` is most of what building the grid costs.
     fn grid(&self, config: &ExperimentConfig) -> Vec<Cell> {
-        let sizes = size_grid();
-        let mut cells = Vec::new();
-        for model in config.belief_models.kinds() {
-            for &intensity in config.intensities.values() {
-                for &(n, m) in &sizes {
-                    cells.push(Cell::new(
-                        cells.len(),
-                        0,
-                        format!("model={} i={intensity} n={n} m={m}", model.id()),
-                    ));
+        let models = config.belief_models.kinds();
+        let intensities: Vec<String> = config
+            .intensities
+            .values()
+            .iter()
+            .map(|i| format!(" i={i}"))
+            .collect();
+        let sizes: Vec<String> = size_grid()
+            .iter()
+            .map(|(n, m)| format!(" n={n} m={m}"))
+            .collect();
+        let mut cells = Vec::with_capacity(models.len() * intensities.len() * sizes.len());
+        for model in models {
+            for intensity in &intensities {
+                for size in &sizes {
+                    // `concat` sizes the label exactly before copying.
+                    let label = ["model=", model.id(), intensity, size].concat();
+                    cells.push(Cell::new(cells.len(), 0, label));
                 }
             }
         }
@@ -228,6 +241,7 @@ impl Experiment for BeliefNoise {
             },
             config.opt_backends.kinds(),
         ));
+        let anchor = ctx.exact_anchor();
         let exhaustive_applies = profile_count(n, m) <= config.profile_limit;
         let initial = LinkLoads::zero(m);
 
@@ -304,10 +318,7 @@ impl Experiment for BeliefNoise {
             // The differential anchor: where enumeration is feasible, an
             // adaptive early exit must still bracket the true optima.
             if exhaustive_applies && !outcome.exact() {
-                let exact = social_optimum(&truth, &initial, config.profile_limit)
-                    .expect("the size gate admits enumeration");
-                out.anchored = outcome.opt1.contains(exact.opt1, 1e-9)
-                    && outcome.opt2.contains(exact.opt2, 1e-9);
+                out.anchored = anchor.brackets(&truth, &initial, &outcome);
             }
             out
         });
@@ -446,6 +457,30 @@ mod tests {
         // A restricted-axis run still assembles and holds.
         let outcome = run_one(BeliefNoise, &config).expect("report assembles");
         assert!(outcome.holds, "{}", outcome.observed);
+    }
+
+    #[test]
+    fn every_label_matches_its_format_definition() {
+        let mut custom = tiny();
+        custom.intensities = IntensityLadder::parse("0,1e-7,0.1,2,12.625").unwrap();
+        for config in [ExperimentConfig::default(), custom] {
+            let sizes = size_grid();
+            let mut want = Vec::new();
+            for model in config.belief_models.kinds() {
+                for &intensity in config.intensities.values() {
+                    for &(n, m) in &sizes {
+                        want.push(format!("model={} i={intensity} n={n} m={m}", model.id()));
+                    }
+                }
+            }
+            let grid = BeliefNoise.grid(&config);
+            let labels: Vec<&str> = grid.iter().map(|c| c.label.as_str()).collect();
+            assert_eq!(labels, want);
+            assert!(grid
+                .iter()
+                .enumerate()
+                .all(|(i, c)| c.index == i && c.table == 0));
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 use instance_gen::{CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_core::equilibrium::is_pure_nash;
-use netuncert_core::opt::exhaustive::social_optimum;
 use netuncert_core::social_cost::{pure_sc1, pure_sc2, ratio_bracket};
 use netuncert_core::solvers::exhaustive::profile_count;
 use netuncert_core::solvers::{SolverEngine, SolverKind};
@@ -109,6 +108,7 @@ impl Experiment for PoaScaling {
             &[SolverKind::LocalSearch],
         ));
         let opt_engine = ctx.opt_engine();
+        let anchor = ctx.exact_anchor();
         let exhaustive_applies = profile_count(n, m) <= config.profile_limit;
         let initial = LinkLoads::zero(m);
         let results = parallel_map(&ctx.parallel, config.samples, |sample| {
@@ -156,12 +156,11 @@ impl Experiment for PoaScaling {
             out.width1 = outcome.opt1.width();
             out.width2 = outcome.opt2.width();
             // The differential anchor: on exhaustive-sized instances a
-            // non-exact composition must still bracket the true optima.
+            // non-exact composition (e.g. `--opt-backends lpt,relaxation`)
+            // must still bracket the exact optima, which branch-and-bound
+            // finds at enumeration's bits in well under a millisecond.
             if exhaustive_applies && !outcome.exact() {
-                let exact = social_optimum(&game, &initial, config.profile_limit)
-                    .expect("the size gate admits enumeration");
-                out.anchored = outcome.opt1.contains(exact.opt1, 1e-9)
-                    && outcome.opt2.contains(exact.opt2, 1e-9);
+                out.anchored = anchor.brackets(&game, &initial, &outcome);
             }
             out
         });
