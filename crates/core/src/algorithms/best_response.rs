@@ -88,8 +88,9 @@ impl BestResponseDynamics {
     ///
     /// The hot loop is the SoA [`BestResponseRun`] kernel: link loads are
     /// maintained incrementally on flat rows (the accessor-based primitives
-    /// recomputed them from scratch for every link query), and every
-    /// convergence claim is still certified by the canonical predicate.
+    /// recomputed them from scratch for every link query), and a converged
+    /// run's last quiet pass certifies its profile for the canonical
+    /// predicate.
     pub fn run(
         &self,
         game: &EffectiveGame,

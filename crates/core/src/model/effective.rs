@@ -159,9 +159,10 @@ impl Deserialize for EffectiveCapacities {
     }
 }
 
-/// A capacity must be finite and positive.
+/// A capacity must be a positive normal float, as the kernels' certificate
+/// needs (`solvers::kernel`). Construction, edits and beliefs check here.
 fn check_capacity(state: usize, link: usize, value: f64) -> Result<()> {
-    if value.is_finite() && value > 0.0 {
+    if value.is_normal() && value > 0.0 {
         return Ok(());
     }
     Err(GameError::InvalidCapacity { state, link, value })
@@ -182,8 +183,9 @@ fn check_weight(user: usize, value: f64) -> Result<()> {
 /// one weight and one capacity row, a leave removes one, and a capacity
 /// change rewrites a single matrix entry. [`EffectiveGame::apply_edit`]
 /// validates the edit against the same invariants as game construction
-/// (positive finite values, `n ≥ 2`, indices in range), so an edited game is
-/// always a valid game or a typed error — never a panic downstream.
+/// (positive finite weights, positive normal capacities, `n ≥ 2`, indices
+/// in range), so an edited game is always a valid game or a typed error —
+/// never a panic downstream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GameEdit {
     /// A new user joins with traffic `weight` and their effective-capacity
@@ -206,7 +208,7 @@ pub enum GameEdit {
         user: usize,
         /// Column of the changed entry.
         link: usize,
-        /// The new effective capacity (finite, positive).
+        /// The new effective capacity (positive, normal).
         capacity: f64,
     },
 }
@@ -665,6 +667,40 @@ mod tests {
                 capacities: vec![1.0, 0.0],
             })
             .is_err());
+    }
+
+    #[test]
+    fn subnormal_capacities_are_rejected_at_construction_and_in_edits() {
+        let subnormal = f64::MIN_POSITIVE / 2.0;
+        let rows = |c: f64| vec![vec![1.0, c], vec![3.0, 4.0]];
+        assert!(EffectiveGame::from_rows(vec![1.0, 2.0], rows(f64::MIN_POSITIVE)).is_ok());
+        assert!(matches!(
+            EffectiveGame::from_rows(vec![1.0, 2.0], rows(subnormal)),
+            Err(GameError::InvalidCapacity {
+                state: 0,
+                link: 1,
+                ..
+            })
+        ));
+        let mut g = EffectiveGame::from_rows(vec![1.0, 2.0], rows(2.0)).unwrap();
+        let before = g.clone();
+        for bad in [
+            GameEdit::UserJoins {
+                weight: 1.0,
+                capacities: vec![1.0, subnormal],
+            },
+            GameEdit::CapacityChange {
+                user: 1,
+                link: 0,
+                capacity: subnormal,
+            },
+        ] {
+            assert!(
+                matches!(g.edit(&bad), Err(GameError::InvalidCapacity { .. })),
+                "{bad:?} must be rejected"
+            );
+            assert_eq!(g, before, "a rejected edit changes nothing");
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ pub struct CapacityState {
 impl CapacityState {
     /// Creates a state from per-link capacities.
     ///
-    /// Fails if any capacity is non-positive, NaN or infinite, or if there are
-    /// fewer than two links.
+    /// Fails if any capacity is not a positive normal float (non-positive,
+    /// subnormal, NaN or infinite), or if there are fewer than two links.
     pub fn new(capacities: Vec<f64>) -> Result<Self> {
         if capacities.len() < 2 {
             return Err(GameError::TooFewLinks {
@@ -26,7 +26,7 @@ impl CapacityState {
             });
         }
         for (link, &c) in capacities.iter().enumerate() {
-            if !(c.is_finite() && c > 0.0) {
+            if !(c.is_normal() && c > 0.0) {
                 return Err(GameError::InvalidCapacity {
                     state: 0,
                     link,

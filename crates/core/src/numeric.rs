@@ -8,6 +8,12 @@
 /// Default absolute/relative tolerance used by [`Tolerance::default`].
 pub const DEFAULT_EPS: f64 = 1e-9;
 
+/// The smallest `eps` [`Tolerance::new`] accepts, `2·k·2⁻⁵²` with `k = 16`.
+/// The kernels compare moves at `eps − k·2⁻⁵²` to absorb their reciprocal
+/// rounding (the `solvers::kernel` module doc bounds `k`), and this floor
+/// keeps that margin at least half the caller's.
+pub(crate) const MIN_EPS: f64 = 32.0 * f64::EPSILON;
+
 /// A symmetric comparison tolerance for latencies and probabilities.
 ///
 /// Comparisons are performed with a mixed absolute/relative margin:
@@ -24,18 +30,22 @@ impl Default for Tolerance {
 }
 
 impl Tolerance {
-    /// Creates a tolerance with the given epsilon (must be non-negative and finite).
+    /// Creates a tolerance with the given epsilon, which must be finite and
+    /// at least `2·k·2⁻⁵²` with `k = 16` (about `7.1e-15`).
     pub fn new(eps: f64) -> Self {
         assert!(
             eps.is_finite() && eps >= 0.0,
             "tolerance must be finite and non-negative"
         );
+        assert!(eps >= MIN_EPS, "tolerance below the kernel floor 2·k·2⁻⁵²");
         Tolerance { eps }
     }
 
-    /// An exact tolerance (`eps = 0`); useful in tests of closed-form identities.
-    pub fn exact() -> Self {
-        Tolerance { eps: 0.0 }
+    /// The tolerance the kernels compare moves at, `eps − k·2⁻⁵²`.
+    pub(crate) fn kernel(self) -> Self {
+        Tolerance {
+            eps: self.eps - MIN_EPS / 2.0,
+        }
     }
 
     /// The raw epsilon.
@@ -225,6 +235,12 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_tolerance_rejected() {
         Tolerance::new(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel floor")]
+    fn below_floor_tolerance_rejected() {
+        Tolerance::new(MIN_EPS / 2.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of log2 buckets in a [`Histogram`]: one per possible bit length
@@ -269,9 +269,10 @@ pub struct Registry {
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
-/// Get-or-create `name` in one instrument map.
+/// Get-or-create `name` in one instrument map. No panic can leave a map
+/// half-written, so a poisoned lock is recovered.
 fn resolve<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    let mut map = map.lock().expect("obs registry poisoned");
+    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(existing) = map.get(name) {
         return Arc::clone(existing);
     }
@@ -286,7 +287,7 @@ fn read_all<T, R>(
     read: impl Fn(&T) -> R,
 ) -> Vec<(String, R)> {
     map.lock()
-        .expect("obs registry poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(name, instrument)| (name.clone(), read(instrument)))
         .collect()
@@ -482,6 +483,25 @@ mod tests {
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].0, "lat");
         assert_eq!(snap.histograms[0].1.count, 1);
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_registers_and_snapshots() {
+        let registry = Registry::new();
+        registry.counter("before").incr(1);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = registry.counters.lock().unwrap();
+                panic!("poison the counter map");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(registry.counters.is_poisoned());
+        registry.counter("after").incr(2);
+        assert_eq!(
+            registry.snapshot().counters,
+            vec![("after".into(), 2), ("before".into(), 1)]
+        );
     }
 
     #[test]

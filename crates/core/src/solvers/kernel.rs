@@ -28,21 +28,47 @@
 //!   portfolio; `opt::greedy` keeps the only divide-form one, because OPT
 //!   bounds (and the goldens recorded from them) must keep their bits.
 //!
-//! # Kernel contract: certification, not bit parity
+//! # Certificate: the last quiet pass
 //!
 //! Multiplying by a precomputed reciprocal is not bit-equal to dividing, so
-//! a kernel descent may take a different path than a divide-form one near
-//! tolerance boundaries. Kernel answers are therefore certified the same
-//! way every solver's are: each returned profile must pass the canonical
-//! [`is_pure_nash`] predicate, and the differential
-//! [`oracle`](crate::solvers::oracle) contract (soundness, no phantom
-//! equilibria, conclusive completeness) runs against the kernels. A pass
-//! that finds no improving move ends in the deviation scan behind
-//! [`is_pure_nash`]: the run converges only if that certifies, and on a
-//! disagreement (a reciprocal-rounding artefact) it takes the first
-//! defector's best move and keeps descending.
+//! a kernel descent may walk a different path than a divide-form one near
+//! tolerance boundaries, but never to a different verdict: a pass of
+//! [`LocalSearchRun`] or [`BestResponseRun`] that moves no user is the
+//! certificate that its profile passes [`is_pure_nash`] at the caller's
+//! `eps`. A quiet pass runs over the loads [`PureProfile::link_loads`]
+//! sums, in the same user order, and prices each user's current link with
+//! the same divide, `b = L[from] / c[from]`. Only a move differs: the
+//! kernel prices it `a' = fl(s·fl(1/c))` where the canonical scan has
+//! `a = fl(s/c)`, `s = L[ℓ] + w`, and compares it at `eps' = eps − k·2⁻⁵²`,
+//! `k = 16` (`Tolerance::kernel`; [`Tolerance::new`] keeps `eps ≥
+//! 2·k·2⁻⁵²`).
+//!
+//! With `u = 2⁻⁵³`, `M = max(1, a, b)` and `M' = max(1, a', b)`, the scan
+//! finds a defector when `b > fl(a + fl(eps·M))`, the kernel when `b >
+//! fl(a' + fl(eps'·M'))`. Rounding is monotone, so the kernel sees every
+//! canonical defector once `a' + fl(eps'·M') ≤ a + fl(eps·M)`. For finite
+//! `s`, `b`, `a'` and `eps < 1`:
+//!
+//! * `|a' − a| ≤ 7.01·u·M`: three roundings give `3.01·u·a`. Capacities
+//!   are normal, so `fl(1/c)` is subnormal only for `c > 2¹⁰²²`; its
+//!   absolute error `2⁻¹⁰⁷⁵` times `s < 2¹⁰²⁴` adds `4·u`, which the
+//!   margin's absolute floor of 1 absorbs (`M ≥ 1`).
+//! * `fl(eps·M) ≥ eps·M·(1 − u)` and `fl(eps'·M') ≤ (eps − 2k·u)·M·(1 +
+//!   9.02·u)`, since `M' ≤ M·(1 + 7.01·u)`.
+//! * So the right side exceeds the left by `M·(2k·u − 7.01·u −
+//!   10.02·u·eps) > M·(2k − 17.03)·u`, positive for `k ≥ 9`.
+//!
+//! No edge case defects canonically: for `eps ≥ 1` the margin alone
+//! reaches `b`; an infinite `s` or `b` puts `∞` on the canonical side. An
+//! overflowed move `a' = ∞` has a normal `fl(1/c)` (a subnormal one keeps
+//! `s·fl(1/c) < 4`), so `a ≥ 2¹⁰²⁴ − 2⁹⁷²`, and `a + fl(eps·M)` with
+//! `eps·M ≥ 2⁹⁷⁶` rounds to `∞`. [`BestResponseRun`] tests only the
+//! cheapest move, which decides as testing each does
+//! ([`equilibrium`](crate::equilibrium)).
+//! The near-tie proptest in `tests/integration_kernel.rs` and the
+//! differential [`oracle`](crate::solvers::oracle) contract pin it.
 
-use crate::equilibrium::{best_deviations, is_pure_nash};
+use crate::equilibrium::is_pure_nash;
 use crate::model::{EffectiveGame, GameEdit};
 use crate::numeric::Tolerance;
 use crate::solvers::engine::{SolverConfig, SolverDetail};
@@ -126,20 +152,21 @@ impl KernelScratch {
         KernelScratch::default()
     }
 
-    /// The load buffer, resized to `m` (contents unspecified).
-    fn loads(&mut self, links: usize) -> &mut Vec<f64> {
+    /// The load buffer, refilled with `initial` plus the weight of each
+    /// user in `choices`, in user-index order: the sum
+    /// [`PureProfile::link_loads`] makes. Empty `choices` leave `initial`.
+    fn fill_loads(
+        &mut self,
+        view: SoAView<'_>,
+        initial: &[f64],
+        choices: &[usize],
+    ) -> &mut Vec<f64> {
         self.loads.clear();
-        self.loads.resize(links, 0.0);
+        self.loads.extend_from_slice(initial);
+        for (user, &link) in choices.iter().enumerate() {
+            self.loads[link] += view.weights[user];
+        }
         &mut self.loads
-    }
-}
-
-/// Rebuilds `loads` (length `m`) from `initial` plus the profile's users.
-#[inline]
-fn rebuild_loads(view: SoAView<'_>, initial: &[f64], choices: &[usize], loads: &mut [f64]) {
-    loads.copy_from_slice(initial);
-    for (user, &link) in choices.iter().enumerate() {
-        loads[link] += view.weights[user];
     }
 }
 
@@ -174,8 +201,7 @@ pub(crate) fn lpt_greedy_into(
     choices: &mut [usize],
     scratch: &mut KernelScratch,
 ) {
-    let loads = scratch.loads(view.links);
-    loads.copy_from_slice(initial);
+    let loads = scratch.fill_loads(view, initial, &[]);
     for &user in view.order {
         let w = view.weights[user];
         let best = cheapest_link(loads, w, view.inv_row(user));
@@ -191,8 +217,7 @@ pub(crate) fn greedy_into(
     choices: &mut [usize],
     scratch: &mut KernelScratch,
 ) {
-    let loads = scratch.loads(view.links);
-    loads.copy_from_slice(initial);
+    let loads = scratch.fill_loads(view, initial, &[]);
     for (user, choice) in choices.iter_mut().enumerate().take(view.users) {
         let w = view.weights[user];
         let best = cheapest_link(loads, w, view.inv_row(user));
@@ -209,8 +234,7 @@ pub(crate) fn load_balanced_into(
     choices: &mut [usize],
     scratch: &mut KernelScratch,
 ) {
-    let loads = scratch.loads(view.links);
-    loads.copy_from_slice(initial);
+    let loads = scratch.fill_loads(view, initial, &[]);
     for &user in view.order {
         let mut best = 0usize;
         for link in 1..loads.len() {
@@ -247,8 +271,8 @@ pub(crate) fn spread_into(view: SoAView<'_>, choices: &mut [usize]) {
 /// `view` must be the SoA form of the **edited** game and `prev_loads` the
 /// loads `prev` induces on the pre-edit game (initial traffic included).
 /// The seed is a valid profile of the edited game, not an equilibrium —
-/// seeding a [`LocalSearchRun`] with it and re-certifying via the canonical
-/// [`is_pure_nash`] is what turns it into one.
+/// seeding a [`LocalSearchRun`] with it is what turns it into one, certified
+/// by the run's last quiet pass (module doc).
 pub fn repair_seed(
     view: SoAView<'_>,
     prev: &PureProfile,
@@ -301,23 +325,6 @@ pub fn run_to_completion(run: &mut dyn KernelRun, scratch: &mut KernelScratch) -
     }
 }
 
-/// Shared tail of a kernel pass that found no improving move: the canonical
-/// deviation scan over `loads`, refilled from `profile` (runs rebuild their
-/// loads every step). `None` certifies the profile, exactly when
-/// [`is_pure_nash`] holds; else the first defector and its best link.
-fn canonical_move(
-    game: &EffectiveGame,
-    initial: &LinkLoads,
-    profile: &PureProfile,
-    loads: &mut Vec<f64>,
-    tol: Tolerance,
-) -> Option<(usize, usize)> {
-    profile.link_loads_into(game, initial, loads);
-    best_deviations(game, profile, loads, tol)
-        .next()
-        .map(|d| (d.user, d.to))
-}
-
 /// Phase of a [`LocalSearchRun`].
 enum LsPhase {
     /// Set up the next restart (or finish, if the portfolio is exhausted).
@@ -330,7 +337,6 @@ enum LsPhase {
 /// [`LocalSearch`](crate::solvers::local_search::LocalSearch) solver,
 /// running entirely on SoA rows.
 pub struct LocalSearchRun<'a> {
-    game: &'a EffectiveGame,
     initial: &'a LinkLoads,
     view: SoAView<'a>,
     tol: Tolerance,
@@ -363,10 +369,9 @@ impl<'a> LocalSearchRun<'a> {
         let budget = config.max_steps as u64;
         let restarts = config.restarts.max(1);
         LocalSearchRun {
-            game,
             initial,
             view,
-            tol: config.tol,
+            tol: config.tol.kernel(),
             ls_seed: config.ls_seed,
             budget,
             restarts,
@@ -391,9 +396,11 @@ impl<'a> LocalSearchRun<'a> {
     /// A run whose restart 0 starts from `seed` — a valid profile of `game`
     /// (e.g. a [`repair_seed`] carried over from a pre-edit equilibrium) —
     /// instead of the LPT greedy start. The seeded restart descends without
-    /// annealing; if its budget slice runs out the remaining restarts fall
-    /// back into the regular start portfolio, so a warm run can never do
-    /// worse than losing one portfolio slot.
+    /// annealing and converges on its first quiet pass, which certifies the
+    /// profile for [`is_pure_nash`] on `game` (module doc); if its budget
+    /// slice runs out the remaining restarts fall back into the regular
+    /// start portfolio, so a warm run can never do worse than losing one
+    /// portfolio slot.
     pub fn with_seed(
         game: &'a EffectiveGame,
         initial: &'a LinkLoads,
@@ -455,19 +462,17 @@ impl<'a> LocalSearchRun<'a> {
     fn pass(&mut self, scratch: &mut KernelScratch) -> PassVerdict {
         let view = self.view;
         let n = view.users;
+        scratch.fill_loads(view, self.initial.as_slice(), self.profile.choices());
         // Split the scratch: `loads` and `improving` are distinct fields, so
         // both can be borrowed at once.
-        scratch.loads.clear();
-        scratch.loads.resize(view.links, 0.0);
         let loads = &mut scratch.loads;
         let improving = &mut scratch.improving;
-        rebuild_loads(view, self.initial.as_slice(), self.profile.choices(), loads);
         let mut moved_in_pass = false;
         for user in 0..n {
             let w = view.weights[user];
             let inv = view.inv_row(user);
             let current_link = self.profile.link(user);
-            let current = loads[current_link] * inv[current_link];
+            let current = loads[current_link] / view.cap_row(user)[current_link];
             let mut best = current_link;
             let mut best_latency = current;
             improving.clear();
@@ -502,21 +507,10 @@ impl<'a> LocalSearchRun<'a> {
             }
         }
         if moved_in_pass {
-            return PassVerdict::Continue;
-        }
-        // The incremental pass found no improving move: certify canonically.
-        match canonical_move(self.game, self.initial, &self.profile, loads, self.tol) {
-            None => PassVerdict::Converged,
-            Some((user, to)) => {
-                self.profile.apply_move(user, to);
-                self.slice_moves += 1;
-                if self.slice_moves >= self.slice_budget {
-                    PassVerdict::Budget
-                } else {
-                    // Hand control back to the incremental pass loop.
-                    PassVerdict::Continue
-                }
-            }
+            PassVerdict::Continue
+        } else {
+            // A quiet pass is the certificate (module doc).
+            PassVerdict::Converged
         }
     }
 }
@@ -525,7 +519,7 @@ impl<'a> LocalSearchRun<'a> {
 enum PassVerdict {
     /// Moves were made; descend further.
     Continue,
-    /// Certified pure Nash equilibrium.
+    /// A quiet pass: a certified pure Nash equilibrium.
     Converged,
     /// The restart's budget slice ran out.
     Budget,
@@ -600,7 +594,10 @@ pub struct BestResponseRun<'a> {
     game: &'a EffectiveGame,
     initial: &'a LinkLoads,
     view: SoAView<'a>,
+    /// The caller's tolerance, for the budget tail's [`is_pure_nash`].
     tol: Tolerance,
+    /// The tolerance moves are compared at (`Tolerance::kernel`).
+    kernel_tol: Tolerance,
     max_steps: u64,
     largest_gain: bool,
     profile: PureProfile,
@@ -625,6 +622,7 @@ impl<'a> BestResponseRun<'a> {
             initial,
             view: SoAView::from_game(game),
             tol,
+            kernel_tol: tol.kernel(),
             max_steps,
             largest_gain,
             profile: PureProfile::new(vec![0; game.users()]),
@@ -667,7 +665,7 @@ impl<'a> BestResponseRun<'a> {
         let w = self.view.weights[user];
         let inv = self.view.inv_row(user);
         let current_link = self.profile.link(user);
-        let current = loads[current_link] * inv[current_link];
+        let current = loads[current_link] / self.view.cap_row(user)[current_link];
         let mut best = 0usize;
         let mut best_latency = f64::INFINITY;
         for (link, (&load, &inv_c)) in loads.iter().zip(inv).enumerate() {
@@ -681,7 +679,7 @@ impl<'a> BestResponseRun<'a> {
                 best = link;
             }
         }
-        if self.tol.leq(current, best_latency) {
+        if self.kernel_tol.leq(current, best_latency) {
             (current_link, current, current)
         } else {
             (best, best_latency, current)
@@ -701,7 +699,7 @@ impl<'a> BestResponseRun<'a> {
             self.cursor = (self.cursor + 1) % n;
             let (to, new_latency, current) = self.best_link(loads, user);
             let from = self.profile.link(user);
-            if to != from && self.tol.lt(new_latency, current) {
+            if to != from && self.kernel_tol.lt(new_latency, current) {
                 let w = self.view.weights[user];
                 loads[from] -= w;
                 loads[to] += w;
@@ -727,7 +725,7 @@ impl<'a> BestResponseRun<'a> {
         let mut best: Option<(usize, usize, f64)> = None; // (user, to, gain)
         for user in 0..n {
             let (to, new_latency, current) = self.best_link(loads, user);
-            if to == self.profile.link(user) || !self.tol.lt(new_latency, current) {
+            if to == self.profile.link(user) || !self.kernel_tol.lt(new_latency, current) {
                 continue;
             }
             let gain = current - new_latency;
@@ -763,15 +761,7 @@ impl KernelRun for BestResponseRun<'_> {
                 BrStart::Profile(profile) => self.profile = profile,
             }
         }
-        scratch.loads.clear();
-        scratch.loads.resize(self.view.links, 0.0);
-        let loads = &mut scratch.loads;
-        rebuild_loads(
-            self.view,
-            self.initial.as_slice(),
-            self.profile.choices(),
-            loads,
-        );
+        let loads = scratch.fill_loads(self.view, self.initial.as_slice(), self.profile.choices());
         let verdict = if self.largest_gain {
             self.largest_gain_pass(loads)
         } else {
@@ -779,21 +769,7 @@ impl KernelRun for BestResponseRun<'_> {
         };
         match verdict {
             PassVerdict::Continue => None,
-            PassVerdict::Converged => {
-                // The kernel sweep found no defector: certify canonically,
-                // or take the canonical move within the step budget.
-                match canonical_move(self.game, self.initial, &self.profile, loads, self.tol) {
-                    None => Some(self.finish(true)),
-                    Some((user, to)) => {
-                        if self.steps >= self.max_steps {
-                            return Some(self.finish(false));
-                        }
-                        self.profile.apply_move(user, to);
-                        self.steps += 1;
-                        None
-                    }
-                }
-            }
+            PassVerdict::Converged => Some(self.finish(true)),
             PassVerdict::Budget => {
                 // Budget exhausted: the final canonical check decides, like
                 // the legacy dynamics' tail.
@@ -908,8 +884,9 @@ mod tests {
     #[test]
     fn convergence_is_claimed_only_on_a_certified_profile() {
         // At `[0, 1]` user 1 is within rounding of indifferent between its
-        // links: no kernel pass moves it, and `is_pure_nash` rejects the
-        // profile. The canonical scan must name that defector.
+        // links, and `is_pure_nash` rejects the profile. The kernels'
+        // margin `eps − k·2⁻⁵²` must see that defector, so neither run
+        // may converge on its first pass.
         let game = EffectiveGame::from_rows(
             vec![4.388, 3.674],
             vec![vec![1.6902054706897638, 2.66], vec![0.01, 100.0]],
@@ -919,11 +896,23 @@ mod tests {
         let tol = Tolerance::default();
         let start = PureProfile::new(vec![0, 1]);
         assert!(!is_pure_nash(&game, &start, &initial, tol));
-        let outcome = crate::algorithms::best_response::BestResponseDynamics::default()
-            .run(&game, &initial, start, tol);
+        let outcome = crate::algorithms::best_response::BestResponseDynamics::default().run(
+            &game,
+            &initial,
+            start.clone(),
+            tol,
+        );
         assert!(outcome.converged());
         assert!(is_pure_nash(&game, outcome.profile(), &initial, tol));
         assert_eq!(outcome.profile().choices(), &[1, 1]);
+
+        let config = SolverConfig::default();
+        let mut run = LocalSearchRun::with_seed(&game, &initial, &config, start);
+        let detail = run_to_completion(&mut run, &mut KernelScratch::new());
+        let solution = detail.solution.expect("the seeded run converges");
+        assert!(is_pure_nash(&game, &solution.profile, &initial, tol));
+        assert_eq!(solution.profile.choices(), &[1, 1]);
+        assert_eq!(detail.restarts, Some(1), "the seeded restart converges");
     }
 
     #[test]

@@ -14,8 +14,9 @@ pub struct KpGame {
 }
 
 impl KpGame {
-    /// Builds a KP game; weights and capacities must be positive and there
-    /// must be at least two users and two links.
+    /// Builds a KP game; weights must be positive, capacities positive
+    /// normal floats (as for [`EffectiveGame`]), and there must be at least
+    /// two users and two links.
     pub fn new(weights: Vec<f64>, capacities: Vec<f64>) -> Result<Self> {
         if weights.len() < 2 {
             return Err(GameError::TooFewUsers { n: weights.len() });
@@ -31,7 +32,7 @@ impl KpGame {
             }
         }
         for (link, &c) in capacities.iter().enumerate() {
-            if !(c.is_finite() && c > 0.0) {
+            if !(c.is_normal() && c > 0.0) {
                 return Err(GameError::InvalidCapacity {
                     state: 0,
                     link,

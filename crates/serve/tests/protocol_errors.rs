@@ -338,6 +338,46 @@ fn a_connection_survives_malformed_requests() {
     handle.join().expect("server thread").expect("clean run");
 }
 
+/// A subnormal capacity is refused at admission with a typed
+/// `InvalidRequest` in both framings, and the same connection keeps
+/// serving.
+#[test]
+fn subnormal_capacities_yield_invalid_request_and_the_connection_survives() {
+    let server = Server::bind("127.0.0.1:0", &ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut subnormal = wire_instance(4, 3, 1);
+    subnormal.capacities[1][2] = f64::MIN_POSITIVE / 2.0;
+    for mut client in [
+        Client::connect(addr).expect("connect"),
+        Client::connect_binary(addr).expect("connect binary"),
+    ] {
+        let response = client
+            .call(RequestBody::Solve(SolveRequest {
+                instance: subnormal.clone(),
+                policy: default_solve_policy(),
+            }))
+            .expect("typed reply");
+        let ResponseBody::Error(err) = response.body else {
+            panic!("a subnormal capacity was admitted: {response:?}");
+        };
+        assert_eq!(err.kind, ErrorKind::InvalidRequest);
+        let response = client
+            .call(RequestBody::Solve(SolveRequest {
+                instance: wire_instance(4, 3, 1),
+                policy: default_solve_policy(),
+            }))
+            .expect("solve reply");
+        assert!(matches!(response.body, ResponseBody::Solve(_)));
+    }
+
+    let mut client = Client::connect(addr).expect("connect");
+    let response = client.call(RequestBody::Shutdown).expect("shutdown ack");
+    assert!(matches!(response.body, ResponseBody::Shutdown));
+    handle.join().expect("server thread").expect("clean run");
+}
+
 /// An unframeably long line gets a typed Oversize error before the
 /// connection closes; other connections are unaffected.
 #[test]
@@ -501,8 +541,8 @@ fn stale_session_ids_yield_typed_session_errors() {
     assert_eq!(kind, ErrorKind::SessionEvicted);
 }
 
-/// A structurally invalid edit (bad user index, bad capacity) is a typed
-/// Engine error and leaves the session intact and certified.
+/// A structurally invalid edit (bad user index, bad or subnormal capacity)
+/// is a typed Engine error and leaves the session intact and certified.
 #[test]
 fn invalid_edits_are_typed_and_leave_the_session_pinned() {
     use netuncert_serve::protocol::{EditRequest, UploadRequest, WireEdit};
@@ -531,6 +571,15 @@ fn invalid_edits_are_typed_and_leave_the_session_pinned() {
             user: 0,
             link: 0,
             capacity: -1.0,
+        },
+        WireEdit::Capacity {
+            user: 1,
+            link: 2,
+            capacity: f64::MIN_POSITIVE / 2.0,
+        },
+        WireEdit::Join {
+            weight: 1.0,
+            capacities: vec![1.0, f64::MIN_POSITIVE / 2.0, 1.0],
         },
         WireEdit::Join {
             weight: 1.0,

@@ -1,7 +1,8 @@
 //! Integration tests for the SoA kernel layer: the game's own kernel rows,
 //! solves fanned out over worker threads through one shared cache
-//! bit-identical to sequential solving, and the kernel-backed solvers
-//! certified by the differential oracle contract.
+//! bit-identical to sequential solving, the kernel-backed solvers
+//! certified by the differential oracle contract, and the runs' quiet-pass
+//! certificate at near-ties.
 //!
 //! The kernel's equivalence claim is deliberately *certification, not bit
 //! parity*: multiply-by-reciprocal passes may walk a different path than the
@@ -144,5 +145,118 @@ proptest! {
         };
         let violations = check_all(&game, &initial, &config).unwrap();
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
+    }
+}
+
+/// The scalings the near-tie proptest draws, as `(weight exponent,
+/// capacity exponent)` for weights `U[0.5, 4)·2^we` and capacities
+/// `U[1, 8)·2^ce`; latencies scale by `2^(we − ce)`.
+fn near_tie_scaling(mode: u8, k: i32) -> (i32, i32) {
+    match mode {
+        // Weights, then capacities, scaled by 2^k.
+        0 => (k, 0),
+        1 => (0, k),
+        // Capacities near f64::MIN_POSITIVE, latencies at 2^k.
+        2 => (k - 1022, -1022),
+        // Capacities near f64::MIN_POSITIVE under unit weights: every
+        // latency overflows.
+        3 => (0, -1022),
+        // Capacities above 2^1021, so most reciprocals are subnormal.
+        _ => (k.min(0) + 1015, 1021),
+    }
+}
+
+/// `x·2^e`, in two steps so that neither power over- or underflows.
+fn exp2_scaled(x: f64, e: i32) -> f64 {
+    x * 2f64.powi(e / 2) * 2f64.powi(e - e / 2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Near-tie certification. Start from a certified profile, then
+    /// rescale one capacity so that one user's move to one link sits
+    /// within ±8 ulps of the tolerance threshold `is_pure_nash` decides at.
+    /// Every `LocalSearchRun` and `BestResponseRun` (both rules) started
+    /// there must move or return a profile `is_pure_nash` accepts: a
+    /// quiet kernel pass is the certificate, whatever the scale.
+    #[test]
+    fn kernel_runs_certify_at_near_tolerance_ties(
+        seed in any::<u64>(),
+        users in 2usize..=8,
+        links in 2usize..=4,
+        mode in 0u8..5,
+        k in -40i32..=40,
+        ulps in -8i64..=8,
+    ) {
+        use netuncert_core::solvers::kernel::{
+            run_to_completion, BestResponseRun, BrStart, LocalSearchRun,
+        };
+        use rand::Rng;
+
+        let (we, ce) = near_tie_scaling(mode, k);
+        let mut r = rng(seed, 7);
+        let weights: Vec<f64> = (0..users)
+            .map(|_| exp2_scaled(r.gen_range(0.5..4.0), we))
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..users)
+            .map(|_| (0..links).map(|_| exp2_scaled(r.gen_range(1.0..8.0), ce)).collect())
+            .collect();
+        let mut game = EffectiveGame::from_rows(weights, rows).unwrap();
+        let initial = LinkLoads::zero(links);
+        let config = SolverConfig::default();
+        let tol = config.tol;
+        let mut scratch = KernelScratch::new();
+
+        let base = run_to_completion(&mut LocalSearchRun::new(&game, &initial, &config), &mut scratch);
+        let Some(base) = base.solution.map(|s| s.profile) else {
+            return Ok(());
+        };
+        prop_assert!(is_pure_nash(&game, &base, &initial, tol));
+
+        // Put user `i`'s move to `to` at the threshold `b = a + eps·max(1, a, b)`.
+        let i = r.gen_range(0..users);
+        let from = base.link(i);
+        let to = (from + r.gen_range(1..links)) % links;
+        let loads = base.link_loads(&game, &initial);
+        let current = loads[from] / game.capacity(i, from);
+        let threshold = if current >= 1.0 {
+            current - tol.eps() * current
+        } else {
+            current - tol.eps()
+        };
+        if threshold > 0.0 && current.is_finite() {
+            let exact = (loads[to] + game.weight(i)) / threshold;
+            let capacity = f64::from_bits((exact.to_bits() as i64 + ulps) as u64);
+            if capacity.is_normal() {
+                game.edit(&GameEdit::CapacityChange { user: i, link: to, capacity })
+                    .unwrap();
+            }
+        }
+
+        let ls = LocalSearchRun::with_seed(&game, &initial, &config, base.clone());
+        let mut runs: Vec<(&str, Box<dyn KernelRun + '_>)> = vec![("local search", Box::new(ls))];
+        for largest_gain in [false, true] {
+            let br = BestResponseRun::new(
+                &game,
+                &initial,
+                BrStart::Profile(base.clone()),
+                config.max_steps as u64,
+                largest_gain,
+                tol,
+            );
+            runs.push((if largest_gain { "largest gain" } else { "round robin" }, Box::new(br)));
+        }
+        for (name, mut run) in runs {
+            let detail = run_to_completion(run.as_mut(), &mut scratch);
+            if let Some(solution) = detail.solution {
+                prop_assert!(
+                    is_pure_nash(&game, &solution.profile, &initial, tol),
+                    "{name} converged uncertified on {:?} after {:?} moves",
+                    solution.profile.choices(),
+                    detail.iterations
+                );
+            }
+        }
     }
 }
