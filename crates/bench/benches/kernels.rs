@@ -13,13 +13,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use netuncert_bench::{general_instance, solve_all};
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::EffectiveGame;
-use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::solvers::kernel::SoAView;
 use netuncert_core::strategy::LinkLoads;
 
-fn solver_engine(kind: SolverKind) -> SolverEngine {
+fn solver_engine(kind: PureNashMethod) -> SolverEngine {
     SolverEngine::from_kinds(SolverConfig::default(), &[kind])
 }
 
@@ -48,7 +49,7 @@ fn bench_kernels(c: &mut Criterion) {
     for &(n, m) in &[(128usize, 8usize), (512, 16)] {
         let game = general_instance(n, m, 46);
         let initial = LinkLoads::zero(m);
-        for kind in [SolverKind::LocalSearch, SolverKind::BestResponse] {
+        for kind in [PureNashMethod::LocalSearch, PureNashMethod::BestResponse] {
             let engine = solver_engine(kind);
             let solved = engine.solve(&game, &initial).unwrap();
             let solution = solved.solution.expect("the heuristic converges");

@@ -8,11 +8,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use netuncert_bench::general_instance;
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
-use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::strategy::LinkLoads;
 
-fn solver_engine(kind: SolverKind) -> SolverEngine {
+fn solver_engine(kind: PureNashMethod) -> SolverEngine {
     SolverEngine::from_kinds(SolverConfig::default(), &[kind])
 }
 
@@ -25,9 +26,9 @@ fn bench_local_search(c: &mut Criterion) {
     let game = general_instance(8, 4, 45);
     let initial = LinkLoads::zero(4);
     for kind in [
-        SolverKind::LocalSearch,
-        SolverKind::BestResponse,
-        SolverKind::Exhaustive,
+        PureNashMethod::LocalSearch,
+        PureNashMethod::BestResponse,
+        PureNashMethod::Exhaustive,
     ] {
         let engine = solver_engine(kind);
         let solved = engine.solve(&game, &initial).unwrap();
@@ -45,7 +46,7 @@ fn bench_local_search(c: &mut Criterion) {
     for &(n, m) in &[(128usize, 8usize), (256, 16), (512, 16)] {
         let game = general_instance(n, m, 46);
         let initial = LinkLoads::zero(m);
-        for kind in [SolverKind::LocalSearch, SolverKind::BestResponse] {
+        for kind in [PureNashMethod::LocalSearch, PureNashMethod::BestResponse] {
             let engine = solver_engine(kind);
             let solved = engine.solve(&game, &initial).unwrap();
             let solution = solved.solution.expect("the heuristic converges");

@@ -20,9 +20,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use netuncert_bench::general_instance;
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::obs::{Recorder, Registry};
-use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::strategy::LinkLoads;
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -38,16 +39,16 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let variants: [(&str, SolverEngine); 3] = [
         (
             "no_recorder",
-            SolverEngine::from_kinds(config, &[SolverKind::LocalSearch]),
+            SolverEngine::from_kinds(config, &[PureNashMethod::LocalSearch]),
         ),
         (
             "recorder_disabled",
-            SolverEngine::from_kinds(config, &[SolverKind::LocalSearch])
+            SolverEngine::from_kinds(config, &[PureNashMethod::LocalSearch])
                 .with_recorder(Recorder::disabled()),
         ),
         (
             "recorder_enabled",
-            SolverEngine::from_kinds(config, &[SolverKind::LocalSearch])
+            SolverEngine::from_kinds(config, &[PureNashMethod::LocalSearch])
                 .with_recorder(Recorder::new(Arc::clone(&registry))),
         ),
     ];

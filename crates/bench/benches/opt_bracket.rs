@@ -9,20 +9,20 @@ use std::hint::black_box;
 
 use instance_gen::{CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_bench::general_instance;
-use netuncert_core::opt::{OptBackendKind, OptConfig, OptEngine};
+use netuncert_core::opt::{OptConfig, OptEngine, OptMethod};
 use netuncert_core::solvers::exhaustive::profile_count;
 use netuncert_core::strategy::LinkLoads;
 
-fn engine(kinds: &[OptBackendKind]) -> OptEngine {
+fn engine(kinds: &[OptMethod]) -> OptEngine {
     OptEngine::from_kinds(OptConfig::default(), kinds)
 }
 
 fn bench_opt_bracket(c: &mut Criterion) {
     let config = OptConfig::default();
     let bounds_only = [
-        OptBackendKind::LptGreedy,
-        OptBackendKind::Descent,
-        OptBackendKind::Relaxation,
+        OptMethod::LptGreedy,
+        OptMethod::Descent,
+        OptMethod::Relaxation,
     ];
 
     // Exact regime: every backend applies; exhaustive is the ground truth
@@ -47,8 +47,8 @@ fn bench_opt_bracket(c: &mut Criterion) {
         let initial = LinkLoads::zero(game.links());
         let mut exhaustive = None;
         for (label, kinds) in [
-            ("exhaustive", &[OptBackendKind::Exhaustive][..]),
-            ("branch_and_bound", &[OptBackendKind::BranchAndBound][..]),
+            ("exhaustive", &[OptMethod::Exhaustive][..]),
+            ("branch_and_bound", &[OptMethod::BranchAndBound][..]),
             ("bracket", &bounds_only[..]),
         ] {
             let e = engine(kinds);

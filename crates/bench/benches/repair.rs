@@ -16,9 +16,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use netuncert_bench::general_instance;
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::GameEdit;
-use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use netuncert_core::strategy::LinkLoads;
 
 /// The churn edits benchmarked per size: one of each kind, grounded
@@ -46,7 +47,7 @@ fn edits(n: usize, m: usize) -> Vec<(&'static str, GameEdit)> {
 
 fn bench_repair(c: &mut Criterion) {
     let config = SolverConfig::default();
-    let engine = SolverEngine::from_kinds(config, &[SolverKind::LocalSearch]);
+    let engine = SolverEngine::from_kinds(config, &[PureNashMethod::LocalSearch]);
 
     let mut group = c.benchmark_group("repair");
     group.sample_size(10);

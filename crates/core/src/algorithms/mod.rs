@@ -18,7 +18,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::strategy::PureProfile;
 
-/// Which method produced a pure Nash equilibrium.
+/// Which method produced a pure Nash equilibrium, and the solver registry:
+/// each variant builds its backend
+/// ([`build`](PureNashMethod::build), next to the solvers in
+/// [`solvers::engine`](crate::solvers::engine)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PureNashMethod {
     /// `Atwolinks` (Figure 1) — the game has two links.

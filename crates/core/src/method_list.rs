@@ -2,8 +2,8 @@
 //! engine or grid order.
 //!
 //! Every pluggable backend family is a small `Copy` enum with a stable
-//! string id per variant: the pure-NE solvers ([`SolverKind`]), the OPT
-//! estimators ([`OptBackendKind`]) and, in `instance-gen`, the belief
+//! string id per variant: the pure-NE solvers ([`PureNashMethod`]), the
+//! OPT estimators ([`OptMethod`]) and, in `instance-gen`, the belief
 //! models. [`MethodKind`] names that shape, and [`MethodList<K>`] is an
 //! ordered, non-empty, duplicate-free list of one family's kinds. The
 //! experiment CLI's comma-separated flags, the sweep's shard-file stamps
@@ -13,22 +13,25 @@
 //! ```
 //! use netuncert_core::prelude::*;
 //!
-//! let list = MethodList::<SolverKind>::parse("local_search, exhaustive")?;
-//! assert_eq!(list.kinds(), &[SolverKind::LocalSearch, SolverKind::Exhaustive]);
+//! let list = MethodList::<PureNashMethod>::parse("local_search, exhaustive")?;
+//! assert_eq!(
+//!     list.kinds(),
+//!     &[PureNashMethod::LocalSearch, PureNashMethod::Exhaustive]
+//! );
 //! assert_eq!(list.to_string(), "local_search,exhaustive");
 //! assert_eq!(
-//!     MethodList::<SolverKind>::parse("exhaustive,exhaustive"),
-//!     Err(MethodListError::Duplicate(SolverKind::Exhaustive))
+//!     MethodList::<PureNashMethod>::parse("exhaustive,exhaustive"),
+//!     Err(MethodListError::Duplicate(PureNashMethod::Exhaustive))
 //! );
-//! # Ok::<(), MethodListError<SolverKind>>(())
+//! # Ok::<(), MethodListError<PureNashMethod>>(())
 //! ```
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::opt::OptBackendKind;
-use crate::solvers::engine::SolverKind;
+use crate::algorithms::PureNashMethod;
+use crate::opt::OptMethod;
 
 /// How many kinds a [`MethodList`] holds inline. Every registry must fit;
 /// building a list over a kind whose `ALL` outgrows it fails to compile.
@@ -44,23 +47,32 @@ pub trait MethodKind: Copy + Eq + fmt::Debug + 'static {
     const KNOWN: &'static str;
     /// The stable CLI/registry id.
     fn id(self) -> &'static str;
-}
 
-impl MethodKind for SolverKind {
-    const ALL: &'static [Self] = &SolverKind::ALL;
-    const NOUN: &'static str = "solver";
-    const KNOWN: &'static str = "solvers";
-    fn id(self) -> &'static str {
-        SolverKind::id(self)
+    /// This kind's position in [`ALL`](MethodKind::ALL): the compact tag
+    /// the in-memory cache keys file a method list under.
+    fn position(self) -> usize {
+        Self::ALL
+            .iter()
+            .position(|&k| k == self)
+            .expect("ALL lists every kind")
     }
 }
 
-impl MethodKind for OptBackendKind {
-    const ALL: &'static [Self] = &OptBackendKind::ALL;
+impl MethodKind for PureNashMethod {
+    const ALL: &'static [Self] = &PureNashMethod::ALL;
+    const NOUN: &'static str = "solver";
+    const KNOWN: &'static str = "solvers";
+    fn id(self) -> &'static str {
+        PureNashMethod::id(self)
+    }
+}
+
+impl MethodKind for OptMethod {
+    const ALL: &'static [Self] = &OptMethod::ALL;
     const NOUN: &'static str = "opt backend";
     const KNOWN: &'static str = "backends";
     fn id(self) -> &'static str {
-        OptBackendKind::id(self)
+        OptMethod::id(self)
     }
 }
 

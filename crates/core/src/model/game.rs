@@ -245,4 +245,22 @@ mod tests {
         assert_eq!(eg.links(), 2);
         assert!((g.total_traffic() - 4.0).abs() < 1e-12);
     }
+
+    #[test]
+    fn extreme_admissible_capacities_reduce_to_a_valid_effective_game() {
+        assert!(matches!(
+            Game::complete_information(vec![1.0, 2.0], vec![f64::MAX, 1.0]),
+            Err(GameError::InvalidCapacity { link: 0, .. })
+        ));
+        // These weights round a mix of six `1/c` terms above its largest
+        // term; at `c = MIN_POSITIVE` that inverted to a subnormal.
+        let belief = Belief::from_weights(&[112.11, 139.12, 230.51, 367.04, 9.62, 170.94]).unwrap();
+        let low = 2.0 * f64::MIN_POSITIVE;
+        for c in [low, 1.0 / low] {
+            let states = StateSpace::from_rows(vec![vec![c, 1.0]; 6]).unwrap();
+            let g = Game::common_belief(vec![1.0, 2.0], states, belief.clone()).unwrap();
+            let eg = g.effective_game();
+            assert!(eg.capacity(0, 0).is_normal());
+        }
+    }
 }

@@ -17,8 +17,8 @@ pub struct CapacityState {
 impl CapacityState {
     /// Creates a state from per-link capacities.
     ///
-    /// Fails if any capacity is not a positive normal float (non-positive,
-    /// subnormal, NaN or infinite), or if there are fewer than two links.
+    /// Fails if any capacity is not [admissible](CapacityState::admits), or
+    /// if there are fewer than two links.
     pub fn new(capacities: Vec<f64>) -> Result<Self> {
         if capacities.len() < 2 {
             return Err(GameError::TooFewLinks {
@@ -26,7 +26,7 @@ impl CapacityState {
             });
         }
         for (link, &c) in capacities.iter().enumerate() {
-            if !(c.is_normal() && c > 0.0) {
+            if !CapacityState::admits(c) {
                 return Err(GameError::InvalidCapacity {
                     state: 0,
                     link,
@@ -35,6 +35,23 @@ impl CapacityState {
             }
         }
         Ok(CapacityState { capacities })
+    }
+
+    /// Whether `c` is an admissible raw capacity: `2⁻¹⁰²¹ ≤ c ≤ 2¹⁰²¹`, a
+    /// positive normal float whose reciprocal is normal too, with one binade
+    /// of headroom on each side.
+    ///
+    /// A user's effective capacity inverts a belief-weighted mix of these
+    /// reciprocals. The mix stays within a few ulps of `[2⁻¹⁰²¹, 2¹⁰²¹]`,
+    /// so the headroom keeps it inside `[2⁻¹⁰²², 2¹⁰²²]` and its inverse is
+    /// again a positive normal float, as [`EffectiveGame`] requires. Without
+    /// the bounds `1/(1/f64::MAX)` overflows, and a mix of `1/MIN_POSITIVE`
+    /// terms can round past `2¹⁰²²` and invert to a subnormal.
+    ///
+    /// [`EffectiveGame`]: crate::model::EffectiveGame
+    pub fn admits(c: f64) -> bool {
+        let low = 2.0 * f64::MIN_POSITIVE;
+        (low..=1.0 / low).contains(&c)
     }
 
     /// A state where every link has the same capacity.
@@ -145,6 +162,21 @@ mod tests {
         assert!(CapacityState::new(vec![1.0, -2.0]).is_err());
         assert!(CapacityState::new(vec![f64::NAN, 1.0]).is_err());
         assert!(CapacityState::new(vec![f64::INFINITY, 1.0]).is_err());
+    }
+
+    #[test]
+    fn state_rejects_a_capacity_whose_reciprocal_is_subnormal() {
+        assert!(matches!(
+            CapacityState::new(vec![f64::MAX, 1.0]),
+            Err(GameError::InvalidCapacity { link: 0, .. })
+        ));
+        let low = 2.0 * f64::MIN_POSITIVE;
+        for c in [low, 1.0 / low] {
+            assert!(CapacityState::admits(c));
+        }
+        for c in [f64::MIN_POSITIVE, low * (1.0 - f64::EPSILON), 2.0 / low] {
+            assert!(!CapacityState::admits(c), "{c:e} admitted");
+        }
     }
 
     #[test]

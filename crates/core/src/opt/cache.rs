@@ -13,6 +13,7 @@
 //! [`OptEngine::estimate`]: super::engine::OptEngine::estimate
 
 use crate::cache::{BoundedCache, CacheKey, InstanceKey};
+use crate::method_list::MethodKind;
 use crate::model::EffectiveGame;
 use crate::numeric::canonical_bits;
 use crate::opt::engine::{OptConfig, OptMethod, OptOutcome};
@@ -33,16 +34,6 @@ use crate::strategy::LinkLoads;
 /// [`OptEngine::open`]: super::engine::OptEngine::open
 pub type OptCache = BoundedCache<OptOutcome>;
 
-fn method_tag(method: OptMethod) -> u8 {
-    match method {
-        OptMethod::Exhaustive => 0,
-        OptMethod::BranchAndBound => 1,
-        OptMethod::LptGreedy => 2,
-        OptMethod::Descent => 3,
-        OptMethod::Relaxation => 4,
-    }
-}
-
 /// Builds the warm-tier key for one estimate: the engine fingerprint
 /// (method list and the full opt budget set, the adaptive width goal
 /// included) plus the instance, filed under its [`InstanceKey`] digest.
@@ -56,7 +47,7 @@ pub(crate) fn cache_key<'a>(
     let mut engine = Vec::with_capacity(96);
     engine.extend_from_slice(b"netuncert-opt-v3");
     engine.push(methods.len() as u8);
-    engine.extend(methods.iter().map(|&mth| method_tag(mth)));
+    engine.extend(methods.iter().map(|&mth| mth.position() as u8));
     engine.extend_from_slice(&canonical_bits(config.tol.eps()).to_le_bytes());
     engine.extend_from_slice(&config.profile_limit.to_le_bytes());
     engine.extend_from_slice(&config.node_limit.to_le_bytes());

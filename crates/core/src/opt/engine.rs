@@ -62,7 +62,8 @@ pub const DEFAULT_OPT_MOVES: u64 = 100_000;
 pub const DEFAULT_OPT_SEED: u64 = 0x000B_7A11_5EED_CAFE;
 
 /// The estimation method an [`OptEstimator`] reports in telemetry and cache
-/// keys (the opt-side analogue of `PureNashMethod`).
+/// keys, and the estimator registry: each variant builds its backend
+/// ([`build`](OptMethod::build)). The opt-side analogue of `PureNashMethod`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OptMethod {
     /// Exact enumeration of all `mⁿ` assignments.
@@ -392,62 +393,32 @@ pub trait OptEstimator: Send + Sync {
 }
 
 /// The built-in estimator backends, as data — the registry behind
-/// [`OptEngine::from_kinds`] and the CLI's `--opt-backends` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OptBackendKind {
-    /// Exact enumeration — [`Exhaustive`].
-    Exhaustive,
-    /// Exact pruned search — [`BranchAndBound`].
-    BranchAndBound,
-    /// Greedy-portfolio upper bounds — [`LptGreedy`].
-    LptGreedy,
-    /// Multi-restart descent upper bounds — [`Descent`].
-    Descent,
-    /// Relaxation lower bounds — [`Relaxation`].
-    Relaxation,
-}
-
-impl OptBackendKind {
+/// [`OptEngine::from_kinds`] and the CLI's `--opt-backends` flag. Each
+/// method is both the tag an estimator reports and the kind that builds it.
+impl OptMethod {
     /// Every backend, in the default engine order: exact methods first, then
     /// upper bounds from cheapest to strongest, then the lower bounds.
-    pub const ALL: [OptBackendKind; 5] = [
-        OptBackendKind::Exhaustive,
-        OptBackendKind::BranchAndBound,
-        OptBackendKind::LptGreedy,
-        OptBackendKind::Descent,
-        OptBackendKind::Relaxation,
+    pub const ALL: [OptMethod; 5] = [
+        OptMethod::Exhaustive,
+        OptMethod::BranchAndBound,
+        OptMethod::LptGreedy,
+        OptMethod::Descent,
+        OptMethod::Relaxation,
     ];
 
-    /// The stable CLI/registry id of this backend: its method's
-    /// [`OptMethod::id`].
-    pub fn id(self) -> &'static str {
-        self.method().id()
+    /// Parses a CLI/registry id produced by [`OptMethod::id`].
+    pub fn parse(s: &str) -> Option<OptMethod> {
+        OptMethod::ALL.into_iter().find(|k| k.id() == s)
     }
 
-    /// Parses a CLI/registry id produced by [`OptBackendKind::id`].
-    pub fn parse(s: &str) -> Option<OptBackendKind> {
-        OptBackendKind::ALL.into_iter().find(|k| k.id() == s)
-    }
-
-    /// The method tag the built estimator reports.
-    pub fn method(self) -> OptMethod {
-        match self {
-            OptBackendKind::Exhaustive => OptMethod::Exhaustive,
-            OptBackendKind::BranchAndBound => OptMethod::BranchAndBound,
-            OptBackendKind::LptGreedy => OptMethod::LptGreedy,
-            OptBackendKind::Descent => OptMethod::Descent,
-            OptBackendKind::Relaxation => OptMethod::Relaxation,
-        }
-    }
-
-    /// Builds the backend.
+    /// Builds the backend; the built estimator reports `self` as its method.
     pub fn build(self) -> Box<dyn OptEstimator> {
         match self {
-            OptBackendKind::Exhaustive => Box::new(Exhaustive),
-            OptBackendKind::BranchAndBound => Box::new(BranchAndBound),
-            OptBackendKind::LptGreedy => Box::new(LptGreedy),
-            OptBackendKind::Descent => Box::new(Descent),
-            OptBackendKind::Relaxation => Box::new(Relaxation),
+            OptMethod::Exhaustive => Box::new(Exhaustive),
+            OptMethod::BranchAndBound => Box::new(BranchAndBound),
+            OptMethod::LptGreedy => Box::new(LptGreedy),
+            OptMethod::Descent => Box::new(Descent),
+            OptMethod::Relaxation => Box::new(Relaxation),
         }
     }
 }
@@ -569,14 +540,14 @@ impl Default for OptEngine {
 
 impl OptEngine {
     /// The default composition: every built-in backend in
-    /// [`OptBackendKind::ALL`] order.
+    /// [`OptMethod::ALL`] order.
     pub fn default_order(config: OptConfig) -> Self {
-        OptEngine::from_kinds(config, &OptBackendKind::ALL)
+        OptEngine::from_kinds(config, &OptMethod::ALL)
     }
 
     /// An engine over the given backends, tried in order — the data-driven
     /// form used by the experiment harness's `--opt-backends` selection.
-    pub fn from_kinds(config: OptConfig, kinds: &[OptBackendKind]) -> Self {
+    pub fn from_kinds(config: OptConfig, kinds: &[OptMethod]) -> Self {
         OptEngine::with_estimators(config, kinds.iter().map(|k| k.build()).collect())
     }
 
@@ -874,10 +845,10 @@ mod tests {
     }
 
     /// The bound backends only: a walk over them can be cut short.
-    const BOUNDS: [OptBackendKind; 3] = [
-        OptBackendKind::LptGreedy,
-        OptBackendKind::Descent,
-        OptBackendKind::Relaxation,
+    const BOUNDS: [OptMethod; 3] = [
+        OptMethod::LptGreedy,
+        OptMethod::Descent,
+        OptMethod::Relaxation,
     ];
 
     /// Opens and runs one cold walk of `engine` (which must miss).
@@ -924,10 +895,8 @@ mod tests {
             node_limit: 7,
             ..OptConfig::default()
         };
-        let engine = OptEngine::from_kinds(
-            config,
-            &[OptBackendKind::BranchAndBound, OptBackendKind::Exhaustive],
-        );
+        let engine =
+            OptEngine::from_kinds(config, &[OptMethod::BranchAndBound, OptMethod::Exhaustive]);
         let outcome = engine.estimate(&game, &initial).unwrap();
         let exact = crate::opt::exhaustive::social_optimum(&game, &initial, u128::MAX).unwrap();
         assert!(outcome.exact());
@@ -959,9 +928,9 @@ mod tests {
         let engine = OptEngine::from_kinds(
             OptConfig::default(),
             &[
-                OptBackendKind::LptGreedy,
-                OptBackendKind::Descent,
-                OptBackendKind::Relaxation,
+                OptMethod::LptGreedy,
+                OptMethod::Descent,
+                OptMethod::Relaxation,
             ],
         );
         let outcome = engine.estimate(&game, &initial).unwrap();
@@ -986,7 +955,7 @@ mod tests {
     fn an_engine_without_upper_bound_backends_errors_typed() {
         let game = mild_game();
         let initial = LinkLoads::zero(2);
-        let engine = OptEngine::from_kinds(OptConfig::default(), &[OptBackendKind::Relaxation]);
+        let engine = OptEngine::from_kinds(OptConfig::default(), &[OptMethod::Relaxation]);
         assert!(matches!(
             engine.estimate(&game, &initial),
             Err(GameError::EmptyBracket { which: "OPT1", .. })
@@ -1023,11 +992,11 @@ mod tests {
 
     #[test]
     fn backend_ids_round_trip() {
-        for kind in OptBackendKind::ALL {
-            assert_eq!(OptBackendKind::parse(kind.id()), Some(kind));
-            assert_eq!(kind.build().method(), kind.method());
+        for kind in OptMethod::ALL {
+            assert_eq!(OptMethod::parse(kind.id()), Some(kind));
+            assert_eq!(kind.build().method(), kind);
         }
-        assert_eq!(OptBackendKind::parse("alien"), None);
+        assert_eq!(OptMethod::parse("alien"), None);
     }
 
     #[test]
@@ -1038,9 +1007,9 @@ mod tests {
         // (LptGreedy upper + Relaxation lower) must satisfy it and the
         // restart-hungry Descent must be skipped — with the skip recorded.
         let kinds = [
-            OptBackendKind::Descent,   // deliberately listed first:
-            OptBackendKind::LptGreedy, // adaptive mode must reorder by cost
-            OptBackendKind::Relaxation,
+            OptMethod::Descent,   // deliberately listed first:
+            OptMethod::LptGreedy, // adaptive mode must reorder by cost
+            OptMethod::Relaxation,
         ];
         let adaptive = OptEngine::from_kinds(
             OptConfig {
@@ -1088,9 +1057,9 @@ mod tests {
                 ..OptConfig::default()
             },
             &[
-                OptBackendKind::LptGreedy,
-                OptBackendKind::Descent,
-                OptBackendKind::Relaxation,
+                OptMethod::LptGreedy,
+                OptMethod::Descent,
+                OptMethod::Relaxation,
             ],
         );
         let outcome = engine.estimate(&game, &initial).unwrap();
@@ -1179,7 +1148,7 @@ mod tests {
     fn an_expired_checkpoint_over_lower_bounds_only_is_a_typed_error() {
         let game = mild_game();
         let initial = LinkLoads::zero(2);
-        let engine = OptEngine::from_kinds(OptConfig::default(), &[OptBackendKind::Relaxation]);
+        let engine = OptEngine::from_kinds(OptConfig::default(), &[OptMethod::Relaxation]);
         let expired = || true;
         assert!(matches!(
             walk(&engine, &game, &initial, OptCheckpoint::new(&expired)),

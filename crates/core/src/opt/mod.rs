@@ -37,8 +37,8 @@ pub mod relaxation;
 
 pub use cache::OptCache;
 pub use engine::{
-    OptAttempt, OptBackendKind, OptBracket, OptCheckpoint, OptConfig, OptEngine, OptEstimate,
-    OptEstimator, OptMethod, OptOpened, OptOutcome, OptRun, OptTelemetry, OptWalk,
+    OptAttempt, OptBracket, OptCheckpoint, OptConfig, OptEngine, OptEstimate, OptEstimator,
+    OptMethod, OptOpened, OptOutcome, OptRun, OptTelemetry, OptWalk,
 };
 pub use exhaustive::{social_optimum, SocialOptimum};
 pub use greedy::lpt_profile;

@@ -16,7 +16,7 @@ use std::fmt;
 
 use crate::error::Result;
 use crate::model::EffectiveGame;
-use crate::opt::engine::{OptBackendKind, OptConfig, OptMethod};
+use crate::opt::engine::{OptConfig, OptMethod};
 use crate::opt::exhaustive::{social_optimum, SocialOptimum};
 use crate::solvers::engine::Applicability;
 use crate::solvers::exhaustive::profile_count;
@@ -148,7 +148,7 @@ fn check_bracket(
 /// Returns the violations (empty when every backend is consistent with the
 /// oracle); abstains with an empty list when the oracle itself cannot run.
 pub fn check_kinds(
-    kinds: &[OptBackendKind],
+    kinds: &[OptMethod],
     game: &EffectiveGame,
     initial: &LinkLoads,
     config: &OptConfig,
@@ -192,7 +192,7 @@ pub fn check_all(
     initial: &LinkLoads,
     config: &OptConfig,
 ) -> Result<Vec<OptViolation>> {
-    check_kinds(&OptBackendKind::ALL, game, initial, config)
+    check_kinds(&OptMethod::ALL, game, initial, config)
 }
 
 #[cfg(test)]

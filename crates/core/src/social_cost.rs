@@ -607,7 +607,7 @@ mod tests {
 
     #[test]
     fn bracketed_ratios_contain_the_exact_ratio_under_bound_backends() {
-        use crate::opt::OptBackendKind;
+        use crate::opt::OptMethod;
         let g = mild_game();
         let t = LinkLoads::zero(2);
         let p = MixedProfile::uniform(3, 2);
@@ -615,9 +615,9 @@ mod tests {
         let engine = OptEngine::from_kinds(
             crate::opt::OptConfig::default(),
             &[
-                OptBackendKind::LptGreedy,
-                OptBackendKind::Descent,
-                OptBackendKind::Relaxation,
+                OptMethod::LptGreedy,
+                OptMethod::Descent,
+                OptMethod::Relaxation,
             ],
         );
         let bracketed = measure_bracketed(&g, &p, &t, &engine).unwrap();

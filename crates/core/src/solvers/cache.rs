@@ -30,6 +30,7 @@ use crate::algorithms::best_response::SelectionRule;
 use crate::algorithms::PureNashMethod;
 pub use crate::cache::CacheStats;
 use crate::cache::{BoundedCache, CacheKey, InstanceKey};
+use crate::method_list::MethodKind;
 use crate::model::EffectiveGame;
 use crate::numeric::canonical_bits;
 use crate::solvers::engine::{EngineSolution, SolverConfig};
@@ -48,17 +49,6 @@ use crate::strategy::LinkLoads;
 /// [`SolverEngine::solve`]: super::engine::SolverEngine::solve
 /// [`SolverEngine::open`]: super::engine::SolverEngine::open
 pub type SolveCache = BoundedCache<EngineSolution>;
-
-fn method_tag(method: PureNashMethod) -> u8 {
-    match method {
-        PureNashMethod::TwoLinks => 0,
-        PureNashMethod::Symmetric => 1,
-        PureNashMethod::UniformBeliefs => 2,
-        PureNashMethod::BestResponse => 3,
-        PureNashMethod::Exhaustive => 4,
-        PureNashMethod::LocalSearch => 5,
-    }
-}
 
 fn rule_tag(rule: SelectionRule) -> u8 {
     match rule {
@@ -81,7 +71,7 @@ pub(crate) fn cache_key<'a>(
     let mut engine = Vec::with_capacity(64);
     engine.extend_from_slice(b"netuncert-solve-v3");
     engine.push(methods.len() as u8);
-    engine.extend(methods.iter().map(|&mth| method_tag(mth)));
+    engine.extend(methods.iter().map(|&mth| mth.position() as u8));
     engine.extend_from_slice(&canonical_bits(config.tol.eps()).to_le_bytes());
     engine.extend_from_slice(&(config.max_steps as u64).to_le_bytes());
     engine.push(rule_tag(config.rule));

@@ -374,78 +374,44 @@ pub struct SolverAttempt {
 }
 
 /// The built-in solver backends, as data — the registry behind
-/// [`SolverEngine::from_kinds`] and the CLI's `--solvers` flag.
-///
-/// Order matters: an engine built from a kind list tries the kinds in the
-/// given order, exactly like [`SolverEngine::with_solvers`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SolverKind {
-    /// `Atwolinks` — [`TwoLinks`].
-    TwoLinks,
-    /// `Asymmetric` — [`Symmetric`].
-    Symmetric,
-    /// `Auniform` — [`UniformBeliefs`].
-    UniformBeliefs,
-    /// Best-response dynamics — [`BestResponse`].
-    BestResponse,
-    /// Multi-restart local search — [`LocalSearch`].
-    LocalSearch,
-    /// Exhaustive enumeration — [`Exhaustive`].
-    Exhaustive,
-}
-
-impl SolverKind {
+/// [`SolverEngine::from_kinds`] and the CLI's `--solvers` flag. Each method
+/// is both the tag a solver reports and the kind that builds it.
+impl PureNashMethod {
     /// Every backend, in the order a "try everything" engine would use.
-    pub const ALL: [SolverKind; 6] = [
-        SolverKind::TwoLinks,
-        SolverKind::Symmetric,
-        SolverKind::UniformBeliefs,
-        SolverKind::LocalSearch,
-        SolverKind::BestResponse,
-        SolverKind::Exhaustive,
+    /// `MethodList::all`, the CLI's `--list` and the unknown-id message
+    /// print this order, so it is not the declaration order.
+    pub const ALL: [PureNashMethod; 6] = [
+        PureNashMethod::TwoLinks,
+        PureNashMethod::Symmetric,
+        PureNashMethod::UniformBeliefs,
+        PureNashMethod::LocalSearch,
+        PureNashMethod::BestResponse,
+        PureNashMethod::Exhaustive,
     ];
 
     /// The paper's dispatch order ([`SolverEngine::paper_order`]).
-    pub const PAPER_ORDER: [SolverKind; 5] = [
-        SolverKind::TwoLinks,
-        SolverKind::Symmetric,
-        SolverKind::UniformBeliefs,
-        SolverKind::BestResponse,
-        SolverKind::Exhaustive,
+    pub const PAPER_ORDER: [PureNashMethod; 5] = [
+        PureNashMethod::TwoLinks,
+        PureNashMethod::Symmetric,
+        PureNashMethod::UniformBeliefs,
+        PureNashMethod::BestResponse,
+        PureNashMethod::Exhaustive,
     ];
 
-    /// The stable CLI/registry id of this backend: its method's
-    /// [`PureNashMethod::id`].
-    pub fn id(self) -> &'static str {
-        self.method().id()
+    /// Parses a CLI/registry id produced by [`PureNashMethod::id`].
+    pub fn parse(s: &str) -> Option<PureNashMethod> {
+        PureNashMethod::ALL.into_iter().find(|k| k.id() == s)
     }
 
-    /// Parses a CLI/registry id produced by [`SolverKind::id`].
-    pub fn parse(s: &str) -> Option<SolverKind> {
-        SolverKind::ALL.into_iter().find(|k| k.id() == s)
-    }
-
-    /// The method tag the built solver reports.
-    pub fn method(self) -> PureNashMethod {
-        match self {
-            SolverKind::TwoLinks => PureNashMethod::TwoLinks,
-            SolverKind::Symmetric => PureNashMethod::Symmetric,
-            SolverKind::UniformBeliefs => PureNashMethod::UniformBeliefs,
-            SolverKind::BestResponse => PureNashMethod::BestResponse,
-            SolverKind::LocalSearch => PureNashMethod::LocalSearch,
-            SolverKind::Exhaustive => PureNashMethod::Exhaustive,
-        }
-    }
-
-    /// Builds the backend.
+    /// Builds the backend; the built solver reports `self` as its method.
     pub fn build(self) -> Box<dyn Solver> {
         match self {
-            SolverKind::TwoLinks => Box::new(TwoLinks),
-            SolverKind::Symmetric => Box::new(Symmetric),
-            SolverKind::UniformBeliefs => Box::new(UniformBeliefs),
-            SolverKind::BestResponse => Box::new(BestResponse),
-            SolverKind::LocalSearch => Box::new(LocalSearch),
-            SolverKind::Exhaustive => Box::new(Exhaustive),
+            PureNashMethod::TwoLinks => Box::new(TwoLinks),
+            PureNashMethod::Symmetric => Box::new(Symmetric),
+            PureNashMethod::UniformBeliefs => Box::new(UniformBeliefs),
+            PureNashMethod::BestResponse => Box::new(BestResponse),
+            PureNashMethod::LocalSearch => Box::new(LocalSearch),
+            PureNashMethod::Exhaustive => Box::new(Exhaustive),
         }
     }
 }
@@ -577,13 +543,13 @@ impl SolverEngine {
     /// polynomial special cases, then best-response dynamics, then
     /// exhaustive enumeration.
     pub fn paper_order(config: SolverConfig) -> Self {
-        SolverEngine::from_kinds(config, &SolverKind::PAPER_ORDER)
+        SolverEngine::from_kinds(config, &PureNashMethod::PAPER_ORDER)
     }
 
-    /// An engine over the given [`SolverKind`]s, tried in order — the
+    /// An engine over the given [`PureNashMethod`]s, tried in order — the
     /// data-driven form of [`with_solvers`](SolverEngine::with_solvers) used
     /// by the experiment harness's `--solvers` selection.
-    pub fn from_kinds(config: SolverConfig, kinds: &[SolverKind]) -> Self {
+    pub fn from_kinds(config: SolverConfig, kinds: &[PureNashMethod]) -> Self {
         SolverEngine::with_solvers(config, kinds.iter().map(|k| k.build()).collect())
     }
 
@@ -1201,7 +1167,8 @@ mod tests {
 
     #[test]
     fn repair_certifies_on_the_edited_game_for_each_edit_kind() {
-        let engine = SolverEngine::from_kinds(SolverConfig::default(), &[SolverKind::LocalSearch]);
+        let engine =
+            SolverEngine::from_kinds(SolverConfig::default(), &[PureNashMethod::LocalSearch]);
         let game = general_game();
         let initial = LinkLoads::zero(3);
         let prev = engine
@@ -1268,7 +1235,8 @@ mod tests {
             restarts: 1,
             ..SolverConfig::default()
         };
-        let solver = SolverEngine::from_kinds(SolverConfig::default(), &[SolverKind::LocalSearch]);
+        let solver =
+            SolverEngine::from_kinds(SolverConfig::default(), &[PureNashMethod::LocalSearch]);
         let game = general_game();
         let initial = LinkLoads::zero(3);
         let prev = solver
@@ -1320,8 +1288,9 @@ mod tests {
     fn repair_records_its_probes_on_a_live_recorder() {
         let registry = Arc::new(crate::obs::Registry::new());
         let recorder = Recorder::new(Arc::clone(&registry));
-        let engine = SolverEngine::from_kinds(SolverConfig::default(), &[SolverKind::LocalSearch])
-            .with_recorder(recorder);
+        let engine =
+            SolverEngine::from_kinds(SolverConfig::default(), &[PureNashMethod::LocalSearch])
+                .with_recorder(recorder);
         let game = general_game();
         let initial = LinkLoads::zero(3);
         let prev = engine

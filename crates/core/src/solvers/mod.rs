@@ -14,7 +14,7 @@ pub mod oracle;
 pub use cache::{CacheStats, SolveCache};
 pub use engine::{
     Applicability, Attempt, EngineRun, EngineSolution, Opened, RepairOutcome, RepairTelemetry,
-    SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverDetail, SolverEngine, SolverKind,
+    SolveTelemetry, Solver, SolverAttempt, SolverConfig, SolverDetail, SolverEngine,
 };
 pub use kernel::{KernelRun, KernelScratch, SoAGame, SoAView};
 pub use local_search::LocalSearch;

@@ -35,7 +35,7 @@ use crate::algorithms::PureNashMethod;
 use crate::equilibrium::is_pure_nash;
 use crate::error::Result;
 use crate::model::EffectiveGame;
-use crate::solvers::engine::{Applicability, Solver, SolverConfig, SolverKind};
+use crate::solvers::engine::{Applicability, Solver, SolverConfig};
 use crate::solvers::exhaustive;
 use crate::solvers::kernel::KernelScratch;
 use crate::strategy::LinkLoads;
@@ -204,7 +204,7 @@ pub fn check_solver(
 /// instance, against a single oracle answer. Returns one report per kind,
 /// in order.
 pub fn check_kinds(
-    kinds: &[SolverKind],
+    kinds: &[PureNashMethod],
     game: &EffectiveGame,
     initial: &LinkLoads,
     config: &SolverConfig,
@@ -224,7 +224,7 @@ pub fn check_all(
     initial: &LinkLoads,
     config: &SolverConfig,
 ) -> Result<Vec<ContractViolation>> {
-    Ok(check_kinds(&SolverKind::ALL, game, initial, config)?
+    Ok(check_kinds(&PureNashMethod::ALL, game, initial, config)?
         .into_iter()
         .flat_map(|r| r.violations)
         .collect())

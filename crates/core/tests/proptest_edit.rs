@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::model::{EffectiveGame, GameEdit};
-use netuncert_core::solvers::{SoAView, SolverConfig, SolverEngine, SolverKind};
+use netuncert_core::solvers::{SoAView, SolverConfig, SolverEngine};
 use netuncert_core::strategy::{LinkLoads, PureProfile};
 
 fn general_game(
@@ -257,7 +258,7 @@ proptest! {
 }
 
 fn certified(game: &EffectiveGame, initial: &LinkLoads) -> Option<PureProfile> {
-    SolverEngine::from_kinds(SolverConfig::default(), &[SolverKind::LocalSearch])
+    SolverEngine::from_kinds(SolverConfig::default(), &[PureNashMethod::LocalSearch])
         .solve(game, initial)
         .expect("local search never errors")
         .solution
@@ -270,7 +271,7 @@ fn starved_engine() -> SolverEngine {
             max_steps: 0,
             ..SolverConfig::default()
         },
-        &[SolverKind::LocalSearch],
+        &[PureNashMethod::LocalSearch],
     )
 }
 

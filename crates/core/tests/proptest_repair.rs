@@ -6,11 +6,12 @@
 
 use proptest::prelude::*;
 
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::{EffectiveGame, GameEdit};
 use netuncert_core::numeric::Tolerance;
 use netuncert_core::social_cost::pure_sc1;
-use netuncert_core::solvers::{SolverEngine, SolverKind};
+use netuncert_core::solvers::SolverEngine;
 use netuncert_core::strategy::LinkLoads;
 
 fn weight() -> impl Strategy<Value = f64> {
@@ -84,7 +85,7 @@ fn materialize(game: &EffectiveGame, raw: &RawEdit) -> GameEdit {
 fn repair_engine() -> SolverEngine {
     SolverEngine::from_kinds(
         Default::default(),
-        &[SolverKind::LocalSearch, SolverKind::Exhaustive],
+        &[PureNashMethod::LocalSearch, PureNashMethod::Exhaustive],
     )
 }
 

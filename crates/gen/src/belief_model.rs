@@ -276,7 +276,7 @@ impl BeliefModel for PartialObservability {
 
 /// The built-in belief models, as data — the registry behind the
 /// experiment harness's `--belief-model` selection, a
-/// [`MethodKind`] like `SolverKind`/`OptBackendKind`.
+/// [`MethodKind`] like `PureNashMethod`/`OptMethod`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeliefModelKind {
     /// Sharpened exact knowledge of the true state — [`ExactKnowledge`].

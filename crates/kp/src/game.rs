@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use netuncert_core::error::{GameError, Result};
-use netuncert_core::model::{EffectiveGame, Game};
+use netuncert_core::model::{CapacityState, EffectiveGame, Game};
 
 /// A KP-model instance: `n` users with traffics `w` on `m` related links with
 /// known capacities `c`.
@@ -14,9 +14,9 @@ pub struct KpGame {
 }
 
 impl KpGame {
-    /// Builds a KP game; weights must be positive, capacities positive
-    /// normal floats (as for [`EffectiveGame`]), and there must be at least
-    /// two users and two links.
+    /// Builds a KP game; weights must be positive, capacities
+    /// [admissible](CapacityState::admits) (as for every network state of a
+    /// [`Game`]), and there must be at least two users and two links.
     pub fn new(weights: Vec<f64>, capacities: Vec<f64>) -> Result<Self> {
         if weights.len() < 2 {
             return Err(GameError::TooFewUsers { n: weights.len() });
@@ -32,7 +32,7 @@ impl KpGame {
             }
         }
         for (link, &c) in capacities.iter().enumerate() {
-            if !(c.is_normal() && c > 0.0) {
+            if !CapacityState::admits(c) {
                 return Err(GameError::InvalidCapacity {
                     state: 0,
                     link,
@@ -115,6 +115,14 @@ mod tests {
         assert!(KpGame::new(vec![1.0, -1.0], vec![1.0, 1.0]).is_err());
         assert!(KpGame::new(vec![1.0, 1.0], vec![1.0, 0.0]).is_err());
         assert!(KpGame::new(vec![1.0, 2.0], vec![1.0, 3.0]).is_ok());
+    }
+
+    #[test]
+    fn a_capacity_whose_reciprocal_is_subnormal_is_rejected() {
+        assert!(matches!(
+            KpGame::new(vec![1.0, 2.0], vec![f64::MAX, 1.0]),
+            Err(GameError::InvalidCapacity { link: 0, .. })
+        ));
     }
 
     #[test]

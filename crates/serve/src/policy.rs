@@ -59,8 +59,8 @@ use serde::{Deserialize, Serialize};
 
 use netuncert_core::prelude::{
     EffectiveGame, EngineSolution, GameError, InstanceKey, KernelScratch, LinkLoads, MethodKind,
-    MethodList, MethodListError, Opened, OptBackendKind, OptCache, OptCheckpoint, OptConfig,
-    OptEngine, OptOpened, OptOutcome, SolveCache, SolverConfig, SolverEngine, SolverKind,
+    MethodList, MethodListError, Opened, OptCache, OptCheckpoint, OptConfig, OptEngine, OptMethod,
+    OptOpened, OptOutcome, PureNashMethod, SolveCache, SolverConfig, SolverEngine,
 };
 
 use crate::protocol::{ErrorKind, WireError};
@@ -200,7 +200,7 @@ impl BracketLeaf {
 /// A compiled solve leaf: its solver composition and its budgets.
 #[derive(Debug)]
 pub(crate) struct SolveSpec {
-    kinds: MethodList<SolverKind>,
+    kinds: MethodList<PureNashMethod>,
     config: SolverConfig,
 }
 
@@ -208,7 +208,7 @@ pub(crate) struct SolveSpec {
 /// the width goal included.
 #[derive(Debug)]
 pub(crate) struct BracketSpec {
-    kinds: MethodList<OptBackendKind>,
+    kinds: MethodList<OptMethod>,
     config: OptConfig,
 }
 

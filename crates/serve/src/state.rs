@@ -16,8 +16,8 @@ use netuncert_core::obs::{
     elapsed_ns, Counter as ObsCounter, Gauge, Histogram, Recorder, Registry,
 };
 use netuncert_core::prelude::{
-    EffectiveGame, GameEdit, LinkLoads, MixedProfile, OptCache, OptOutcome, PureProfile,
-    SolveCache, SolverConfig, SolverEngine, SolverKind,
+    EffectiveGame, GameEdit, LinkLoads, MixedProfile, OptCache, OptOutcome, PureNashMethod,
+    PureProfile, SolveCache, SolverConfig, SolverEngine,
 };
 use netuncert_core::social_cost::measure_against;
 
@@ -214,7 +214,7 @@ impl ServeState {
             sessions: SessionStore::new(config.session_capacity),
             session_engine: SolverEngine::from_kinds(
                 SolverConfig::default(),
-                &[SolverKind::LocalSearch, SolverKind::Exhaustive],
+                &[PureNashMethod::LocalSearch, PureNashMethod::Exhaustive],
             )
             .with_recorder(obs.recorder.clone()),
             obs,

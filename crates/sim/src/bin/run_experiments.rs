@@ -38,9 +38,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use instance_gen::BeliefModelKind;
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::method_list::{MethodKind, MethodList};
-use netuncert_core::opt::OptBackendKind;
-use netuncert_core::solvers::SolverKind;
+use netuncert_core::opt::OptMethod;
 use sim_harness::config::{validate_width_goal, IntensityLadder};
 use sim_harness::sweep::{ShardFile, SweepRunner};
 use sim_harness::{experiments, render_markdown, runner, Experiment, ExperimentConfig, Shard};
@@ -50,8 +50,8 @@ struct Args {
     seed: u64,
     threads: usize,
     restarts: usize,
-    solvers: MethodList<SolverKind>,
-    opt_backends: MethodList<OptBackendKind>,
+    solvers: MethodList<PureNashMethod>,
+    opt_backends: MethodList<OptMethod>,
     belief_models: MethodList<BeliefModelKind>,
     intensities: IntensityLadder,
     width_goal: Option<f64>,
@@ -99,8 +99,8 @@ fn usage() -> String {
          registered experiments:\n",
     );
     out.push_str(&experiment_listing());
-    push_registry::<SolverKind>(&mut out, "solver backends", "--solvers");
-    push_registry::<OptBackendKind>(&mut out, "opt backends", "--opt-backends");
+    push_registry::<PureNashMethod>(&mut out, "solver backends", "--solvers");
+    push_registry::<OptMethod>(&mut out, "opt backends", "--opt-backends");
     push_registry::<BeliefModelKind>(&mut out, "belief models", "--belief-model");
     out.push_str(
         "\n--intensity takes the belief-noise ladder (non-negative, strictly increasing,\n\

@@ -5,9 +5,10 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use instance_gen::BeliefModelKind;
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::method_list::MethodList;
-use netuncert_core::opt::{OptBackendKind, OptConfig, OptEngine};
-use netuncert_core::solvers::engine::{SolverConfig, SolverEngine, SolverKind};
+use netuncert_core::opt::{OptConfig, OptEngine, OptMethod};
+use netuncert_core::solvers::engine::{SolverConfig, SolverEngine};
 use par_exec::ParallelConfig;
 
 /// The strictly increasing ladder of belief-noise intensities swept by the
@@ -146,11 +147,11 @@ pub struct ExperimentConfig {
     /// The solver backends (and their order) behind every generic engine
     /// solve, i.e. [`CellCtx::engine`](crate::experiment::CellCtx::engine);
     /// CLI `run_experiments --solvers`.
-    pub solvers: MethodList<SolverKind>,
+    pub solvers: MethodList<PureNashMethod>,
     /// The OPT-estimator backends (and their order) behind every certified
     /// optimum bracket, i.e. [`CellCtx::opt_engine`](crate::experiment::CellCtx::opt_engine);
     /// CLI `run_experiments --opt-backends`.
-    pub opt_backends: MethodList<OptBackendKind>,
+    pub opt_backends: MethodList<OptMethod>,
     /// The belief models spanned by the `belief_noise` experiment's grid;
     /// CLI `run_experiments --belief-model`.
     pub belief_models: MethodList<BeliefModelKind>,
@@ -177,7 +178,8 @@ impl Default for ExperimentConfig {
             restarts: SolverConfig::default().restarts,
             // The paper's dispatch order keeps every historical result
             // bit-identical.
-            solvers: MethodList::new(&SolverKind::PAPER_ORDER).expect("the paper order is valid"),
+            solvers: MethodList::new(&PureNashMethod::PAPER_ORDER)
+                .expect("the paper order is valid"),
             opt_backends: MethodList::all(),
             belief_models: MethodList::all(),
             intensities: IntensityLadder::standard(),
@@ -312,22 +314,22 @@ mod tests {
     #[test]
     fn method_lists_parse_validate_and_round_trip() {
         let cfg = ExperimentConfig::default();
-        assert_eq!(cfg.solvers.kinds(), &SolverKind::PAPER_ORDER);
+        assert_eq!(cfg.solvers.kinds(), &PureNashMethod::PAPER_ORDER);
         check_method_list(
             cfg.solvers,
             "two_links,symmetric,uniform,best_response,exhaustive",
             "local_search, exhaustive",
-            &[SolverKind::LocalSearch, SolverKind::Exhaustive],
-            ("exhaustive,exhaustive", SolverKind::Exhaustive),
+            &[PureNashMethod::LocalSearch, PureNashMethod::Exhaustive],
+            ("exhaustive,exhaustive", PureNashMethod::Exhaustive),
             "[\"local_search\",\"exhaustive\"]",
         );
-        assert_eq!(cfg.opt_backends.kinds(), &OptBackendKind::ALL);
+        assert_eq!(cfg.opt_backends.kinds(), &OptMethod::ALL);
         check_method_list(
             cfg.opt_backends,
             "exhaustive,branch_and_bound,lpt,descent,relaxation",
             "descent, relaxation",
-            &[OptBackendKind::Descent, OptBackendKind::Relaxation],
-            ("descent,descent", OptBackendKind::Descent),
+            &[OptMethod::Descent, OptMethod::Relaxation],
+            ("descent,descent", OptMethod::Descent),
             "[\"descent\",\"relaxation\"]",
         );
         assert_eq!(cfg.belief_models.kinds(), &BeliefModelKind::ALL);
@@ -343,7 +345,13 @@ mod tests {
 
     #[test]
     fn unknown_ids_name_the_registry() {
-        let err = MethodList::<OptBackendKind>::parse("lpt,alien").unwrap_err();
+        let err = MethodList::<PureNashMethod>::parse("local_search,alien").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown solver `alien`; known solvers: \
+             two_links, symmetric, uniform, local_search, best_response, exhaustive"
+        );
+        let err = MethodList::<OptMethod>::parse("lpt,alien").unwrap_err();
         assert_eq!(
             err.to_string(),
             "unknown opt backend `alien`; known backends: \
@@ -402,8 +410,6 @@ mod tests {
 
     #[test]
     fn the_selection_drives_the_engine_composition() {
-        use netuncert_core::algorithms::PureNashMethod;
-        use netuncert_core::opt::OptMethod;
         let cfg = ExperimentConfig {
             solvers: MethodList::parse("local_search,exhaustive").unwrap(),
             opt_backends: MethodList::parse("descent,relaxation").unwrap(),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use netuncert_core::model::EffectiveGame;
-use netuncert_core::opt::{OptBackendKind, OptCache, OptConfig, OptEngine, OptOutcome};
+use netuncert_core::opt::{OptCache, OptConfig, OptEngine, OptMethod, OptOutcome};
 use netuncert_core::solvers::cache::SolveCache;
 use netuncert_core::solvers::engine::SolverEngine;
 use netuncert_core::strategy::LinkLoads;
@@ -116,7 +116,7 @@ impl CellCtx<'_> {
                     width_goal: None,
                     ..self.config.opt_config()
                 },
-                &[OptBackendKind::BranchAndBound, OptBackendKind::Exhaustive],
+                &[OptMethod::BranchAndBound, OptMethod::Exhaustive],
             )),
         }
     }

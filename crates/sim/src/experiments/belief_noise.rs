@@ -49,12 +49,13 @@
 //! [`OptConfig::width_goal`]: netuncert_core::opt::OptConfig
 
 use instance_gen::{BeliefKind, BeliefModelKind, CapacityDist, GameSpec, WeightDist, TRUE_STATE};
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::{BeliefProfile, Game};
 use netuncert_core::opt::{OptConfig, OptEngine, OptMethod};
 use netuncert_core::social_cost::{pure_sc1, pure_sc2, ratio_bracket};
 use netuncert_core::solvers::exhaustive::profile_count;
-use netuncert_core::solvers::{SolverEngine, SolverKind};
+use netuncert_core::solvers::SolverEngine;
 use netuncert_core::strategy::LinkLoads;
 use par_exec::parallel_map;
 
@@ -232,7 +233,7 @@ impl Experiment for BeliefNoise {
         let solver_config = config.solver_config();
         let solver = ctx.attach(SolverEngine::from_kinds(
             solver_config,
-            &[SolverKind::LocalSearch],
+            &[PureNashMethod::LocalSearch],
         ));
         let opt_engine = ctx.attach_opt(OptEngine::from_kinds(
             OptConfig {

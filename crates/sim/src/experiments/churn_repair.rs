@@ -18,9 +18,10 @@
 //! repair.
 
 use instance_gen::{ChurnSpec, EffectiveSpec};
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::model::GameEdit;
-use netuncert_core::solvers::{SolverEngine, SolverKind};
+use netuncert_core::solvers::SolverEngine;
 use netuncert_core::strategy::{LinkLoads, PureProfile};
 use par_exec::parallel_map;
 
@@ -130,7 +131,7 @@ impl Experiment for ChurnRepair {
         let solver_config = config.solver_config();
         let engine = ctx.attach(SolverEngine::from_kinds(
             solver_config,
-            &[SolverKind::LocalSearch],
+            &[PureNashMethod::LocalSearch],
         ));
         let initial = LinkLoads::zero(m);
         let results = parallel_map(&ctx.parallel, config.samples, |sample| {

@@ -24,10 +24,11 @@
 //! [`OptEngine`]: netuncert_core::opt::OptEngine
 
 use instance_gen::{CapacityDist, EffectiveSpec, WeightDist};
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::social_cost::{pure_sc1, pure_sc2, ratio_bracket};
 use netuncert_core::solvers::exhaustive::profile_count;
-use netuncert_core::solvers::{SolverEngine, SolverKind};
+use netuncert_core::solvers::SolverEngine;
 use netuncert_core::strategy::LinkLoads;
 use par_exec::parallel_map;
 
@@ -105,7 +106,7 @@ impl Experiment for PoaScaling {
         let solver_config = config.solver_config();
         let solver = ctx.attach(SolverEngine::from_kinds(
             solver_config,
-            &[SolverKind::LocalSearch],
+            &[PureNashMethod::LocalSearch],
         ));
         let opt_engine = ctx.opt_engine();
         let anchor = ctx.exact_anchor();

@@ -4,7 +4,7 @@
 //! The paper's worst-case and PoA experiments stop where `mⁿ` outruns the
 //! exhaustive budget. This experiment opens the regime beyond that wall:
 //! random general instances up to `n = 512, m = 16` are solved by the
-//! multi-restart [`LocalSearch`](SolverKind::LocalSearch) backend and,
+//! multi-restart [`LocalSearch`](PureNashMethod::LocalSearch) backend and,
 //! for comparison, by plain best-response dynamics; every returned
 //! profile is certified by the equilibrium checker ([`is_pure_nash`]) —
 //! the same predicate the differential harness uses — so a "solved" cell
@@ -16,9 +16,10 @@
 //! budget exhaustion does not fail the experiment.
 
 use instance_gen::{CapacityDist, EffectiveSpec, WeightDist};
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::equilibrium::is_pure_nash;
 use netuncert_core::solvers::exhaustive::profile_count;
-use netuncert_core::solvers::{SolverEngine, SolverKind};
+use netuncert_core::solvers::SolverEngine;
 use netuncert_core::strategy::LinkLoads;
 use par_exec::parallel_map;
 
@@ -90,11 +91,11 @@ impl Experiment for Scaling {
         let solver_config = config.solver_config();
         let local = ctx.attach(SolverEngine::from_kinds(
             solver_config,
-            &[SolverKind::LocalSearch],
+            &[PureNashMethod::LocalSearch],
         ));
         let best_response = ctx.attach(SolverEngine::from_kinds(
             solver_config,
-            &[SolverKind::BestResponse],
+            &[PureNashMethod::BestResponse],
         ));
         let initial = LinkLoads::zero(m);
         let results = parallel_map(&ctx.parallel, config.samples, |sample| {

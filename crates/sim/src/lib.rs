@@ -16,8 +16,7 @@
 //!   plus the registry ([`experiments::all`], [`experiments::find`]).
 //! * [`sweep`] — the sharded [`SweepRunner`]: task-id-addressed cells,
 //!   `i/k` shards, durable per-cell JSON records and bit-identical merging.
-//! * [`runner`] — source-compatible wrappers that run the full suite and
-//!   render a combined report.
+//! * [`runner`] — renders a swept suite as one combined report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,5 +31,5 @@ pub mod sweep;
 pub use config::{ExperimentConfig, IntensityLadder};
 pub use experiment::{Cell, CellCtx, CellResult, Experiment};
 pub use report::{ExperimentOutcome, ReportError, Table};
-pub use runner::{render_markdown, run_all};
+pub use runner::render_markdown;
 pub use sweep::{CellRecord, MergeError, Shard, ShardFile, ShardSpecError, SweepRunner};

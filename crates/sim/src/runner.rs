@@ -1,23 +1,8 @@
-//! Running the full experiment suite and rendering reports.
-//!
-//! Since the declarative-experiment redesign this module is a thin,
-//! source-compatible facade over the registry ([`crate::experiments::all`])
-//! and the sharded [`SweepRunner`]; `run_all`
-//! produces exactly what a sharded sweep merges back together.
+//! Rendering the experiment suite's reports. The suite itself runs through
+//! the sharded [`SweepRunner`](crate::sweep::SweepRunner):
+//! `SweepRunner::new(config).outcomes()` sweeps every registered experiment.
 
-use crate::config::ExperimentConfig;
 use crate::report::ExperimentOutcome;
-use crate::sweep::{MergeError, SweepRunner};
-
-/// Runs every experiment in the suite with the given configuration, in the
-/// order of the experiment index in `DESIGN.md`.
-///
-/// Fails only when an experiment produces cells its own report templates
-/// cannot hold ([`MergeError::Report`]) — a bug in the experiment, surfaced
-/// as a value per the harness's non-panicking convention.
-pub fn run_all(config: &ExperimentConfig) -> Result<Vec<ExperimentOutcome>, MergeError> {
-    SweepRunner::new(*config).outcomes()
-}
 
 /// Renders a list of outcomes as one markdown document (the format used by
 /// `EXPERIMENTS.md`).
@@ -44,6 +29,8 @@ pub fn to_json(outcomes: &[ExperimentOutcome]) -> Result<String, serde_json::Err
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExperimentConfig;
+    use crate::sweep::SweepRunner;
 
     #[test]
     fn full_suite_runs_on_a_tiny_configuration() {
@@ -51,7 +38,9 @@ mod tests {
             samples: 4,
             ..ExperimentConfig::quick()
         };
-        let outcomes = run_all(&config).expect("the registry assembles its reports");
+        let outcomes = SweepRunner::new(config)
+            .outcomes()
+            .expect("the registry assembles its reports");
         assert_eq!(outcomes.len(), 12);
         assert!(
             outcomes.iter().all(|o| o.holds),

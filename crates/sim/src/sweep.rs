@@ -25,9 +25,9 @@ use netuncert_core::solvers::cache::{CacheStats, SolveCache};
 use par_exec::parallel_map;
 
 use instance_gen::BeliefModelKind;
+use netuncert_core::algorithms::PureNashMethod;
 use netuncert_core::method_list::MethodList;
-use netuncert_core::opt::OptBackendKind;
-use netuncert_core::solvers::SolverKind;
+use netuncert_core::opt::OptMethod;
 
 use crate::config::{ExperimentConfig, IntensityLadder};
 use crate::experiment::{Cell, CellCtx, CellResult, Experiment};
@@ -629,11 +629,11 @@ pub struct ShardFile {
     /// Local-search restart budget the records were computed with.
     pub restarts: usize,
     /// The solver list (engine composition) the records were computed with,
-    /// stamped as [`SolverKind::id`]s.
-    pub solvers: MethodList<SolverKind>,
+    /// stamped as [`PureNashMethod::id`]s.
+    pub solvers: MethodList<PureNashMethod>,
     /// The OPT-backend list the records were computed with, stamped as
-    /// [`OptBackendKind::id`]s.
-    pub opt_backends: MethodList<OptBackendKind>,
+    /// [`OptMethod::id`]s.
+    pub opt_backends: MethodList<OptMethod>,
     /// The belief-model list spanning the `belief_noise` grid.
     pub belief_models: MethodList<BeliefModelKind>,
     /// The intensity ladder spanning the `belief_noise` grid.

@@ -87,7 +87,7 @@ proptest! {
         let cfg = config();
         let answer = existence_oracle(&game, &initial, &cfg);
         prop_assert_ne!(answer, OracleAnswer::TooLarge, "small instances are oracle-sized");
-        let reports = check_kinds(&SolverKind::ALL, &game, &initial, &cfg).unwrap();
+        let reports = check_kinds(&PureNashMethod::ALL, &game, &initial, &cfg).unwrap();
         for a in &reports {
             prop_assert!(a.violations.is_empty(), "{:?}", a.violations);
             for b in &reports {
@@ -108,7 +108,7 @@ proptest! {
     fn local_search_batches_are_thread_count_invariant(seed in any::<u64>()) {
         let games: Vec<EffectiveGame> =
             (0..12).map(|i| small_instance(seed.wrapping_add(i), (i % 4) as u8)).collect();
-        let engine = SolverEngine::from_kinds(config(), &[SolverKind::LocalSearch]);
+        let engine = SolverEngine::from_kinds(config(), &[PureNashMethod::LocalSearch]);
         let solve = |threads: usize| {
             parallel_map(&ParallelConfig::new(threads), games.len(), |i| {
                 let game = &games[i];
@@ -155,14 +155,14 @@ fn local_search_certifies_equilibria_where_exhaustive_is_inapplicable() {
         .generate(&mut rng(seed, 0x0051_2016));
 
         // Exhaustive must bow out...
-        let exhaustive = SolverKind::Exhaustive.build();
+        let exhaustive = PureNashMethod::Exhaustive.build();
         assert_eq!(
             exhaustive.applicability(&game, &initial, &cfg),
             Applicability::NotApplicable
         );
 
         // ...and local search must return a checker-certified equilibrium.
-        let engine = SolverEngine::from_kinds(cfg, &[SolverKind::LocalSearch]);
+        let engine = SolverEngine::from_kinds(cfg, &[PureNashMethod::LocalSearch]);
         let solved = engine.solve(&game, &initial).unwrap();
         let solution = solved
             .solution
@@ -197,15 +197,19 @@ fn the_scaling_experiment_is_shard_invariant() {
 }
 
 /// The engine composition behind `--solvers`: kinds round-trip through ids,
-/// and an engine built from kinds reports the same method order.
+/// each built solver reports its own kind, and an engine built from kinds
+/// reports the same method order.
 #[test]
 fn solver_kinds_round_trip_and_drive_engine_order() {
-    for kind in SolverKind::ALL {
-        assert_eq!(SolverKind::parse(kind.id()), Some(kind));
+    for kind in PureNashMethod::ALL {
+        assert_eq!(PureNashMethod::parse(kind.id()), Some(kind));
+        assert_eq!(kind.build().method(), kind);
     }
-    assert_eq!(SolverKind::parse("nonsense"), None);
-    let engine =
-        SolverEngine::from_kinds(config(), &[SolverKind::LocalSearch, SolverKind::Exhaustive]);
+    assert_eq!(PureNashMethod::parse("nonsense"), None);
+    let engine = SolverEngine::from_kinds(
+        config(),
+        &[PureNashMethod::LocalSearch, PureNashMethod::Exhaustive],
+    );
     assert_eq!(
         engine.methods(),
         vec![PureNashMethod::LocalSearch, PureNashMethod::Exhaustive]

@@ -4,7 +4,7 @@
 
 use std::sync::OnceLock;
 
-use sim_harness::{render_markdown, run_all, runner, ExperimentConfig, ExperimentOutcome};
+use sim_harness::{render_markdown, runner, ExperimentConfig, ExperimentOutcome, SweepRunner};
 
 fn tiny_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -18,7 +18,11 @@ fn tiny_config() -> ExperimentConfig {
 /// the read-only tests below all inspect the same report.
 fn tiny_report() -> &'static [ExperimentOutcome] {
     static REPORT: OnceLock<Vec<ExperimentOutcome>> = OnceLock::new();
-    REPORT.get_or_init(|| run_all(&tiny_config()).expect("reports assemble"))
+    REPORT.get_or_init(|| {
+        SweepRunner::new(tiny_config())
+            .outcomes()
+            .expect("reports assemble")
+    })
 }
 
 #[test]
@@ -71,7 +75,9 @@ fn reports_render_and_serialise() {
 fn results_are_deterministic_in_the_seed() {
     // The shared report is the first run; `b` is a second, independent one.
     let a = tiny_report();
-    let b = run_all(&tiny_config()).expect("reports assemble");
+    let b = SweepRunner::new(tiny_config())
+        .outcomes()
+        .expect("reports assemble");
     assert_eq!(
         a, b,
         "same seed and sample count must reproduce identical reports"
@@ -81,7 +87,9 @@ fn results_are_deterministic_in_the_seed() {
         seed: 99,
         ..tiny_config()
     };
-    let c = run_all(&different_seed).expect("reports assemble");
+    let c = SweepRunner::new(different_seed)
+        .outcomes()
+        .expect("reports assemble");
     // Different seed changes the numbers (tables), though claims still hold.
     assert_ne!(a, c.as_slice());
     assert!(c.iter().all(|o| o.holds));
@@ -98,7 +106,11 @@ fn thread_count_does_not_change_results() {
         ..tiny_config()
     };
     assert_eq!(
-        run_all(&sequential).expect("reports assemble"),
-        run_all(&parallel).expect("reports assemble")
+        SweepRunner::new(sequential)
+            .outcomes()
+            .expect("reports assemble"),
+        SweepRunner::new(parallel)
+            .outcomes()
+            .expect("reports assemble")
     );
 }

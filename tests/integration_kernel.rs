@@ -95,14 +95,14 @@ fn batch_parity_survives_a_shared_cache() {
         let attempts = attempts.map(|a| (a.method, a.iterations, a.restarts, a.found));
         (s.solution, attempts.collect())
     };
-    let uncached = SolverEngine::from_kinds(SolverConfig::default(), &SolverKind::ALL);
+    let uncached = SolverEngine::from_kinds(SolverConfig::default(), &PureNashMethod::ALL);
     let sequential: Vec<Shape> = items
         .iter()
         .map(|(g, t)| shape(uncached.solve(g, t).unwrap()))
         .collect();
     for threads in [1usize, 3, 8] {
         let cache = Arc::new(SolveCache::new());
-        let engine = SolverEngine::from_kinds(SolverConfig::default(), &SolverKind::ALL)
+        let engine = SolverEngine::from_kinds(SolverConfig::default(), &PureNashMethod::ALL)
             .with_cache(Arc::clone(&cache));
         let pool = ParallelConfig::new(threads);
         for pass in 0..2 {

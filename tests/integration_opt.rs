@@ -13,7 +13,7 @@
 
 use instance_gen::{rng, CapacityDist, EffectiveSpec, WeightDist};
 use netuncert_core::opt::oracle::check_all;
-use netuncert_core::opt::{social_optimum, OptBackendKind, OptConfig, OptEngine, OptEstimator};
+use netuncert_core::opt::{social_optimum, OptConfig, OptEngine, OptEstimator, OptMethod};
 use netuncert_core::prelude::*;
 use netuncert_core::solvers::exhaustive::profile_count;
 use par_exec::ParallelConfig;
@@ -117,7 +117,7 @@ proptest! {
         let initial = LinkLoads::zero(game.links());
         let engine = OptEngine::from_kinds(
             config(),
-            &[OptBackendKind::LptGreedy, OptBackendKind::Descent, OptBackendKind::Relaxation],
+            &[OptMethod::LptGreedy, OptMethod::Descent, OptMethod::Relaxation],
         );
         let a = engine.estimate(&game, &initial).unwrap();
         let b = engine.estimate(&game, &initial).unwrap();
@@ -160,7 +160,8 @@ fn opt_brackets_stay_tight_where_exhaustive_is_inapplicable() {
 
         // A certified equilibrium measured against the brackets yields a
         // finite interval coordination ratio.
-        let solver = SolverEngine::from_kinds(SolverConfig::default(), &[SolverKind::LocalSearch]);
+        let solver =
+            SolverEngine::from_kinds(SolverConfig::default(), &[PureNashMethod::LocalSearch]);
         let ne = solver
             .solve(&game, &initial)
             .unwrap()

@@ -158,7 +158,7 @@ fn cached_sweeps_hit_on_perturbation_experiments_without_changing_results() {
 #[test]
 fn registry_lookup_and_trait_metadata_agree_with_run_all() {
     let config = tiny_config(3);
-    // `run_all` sweeps the registry, in registry order.
+    // `SweepRunner::new` sweeps the registry, in registry order.
     let swept: Vec<_> = SweepRunner::new(config)
         .experiments()
         .iter()
